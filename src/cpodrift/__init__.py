@@ -58,7 +58,6 @@ from .scheduler import (
     HintForecast,
     QueueEntry,
     SchedulerConfig,
-    SliceParams,
     causality_audit,
     forecast,
     preposition_fraction,

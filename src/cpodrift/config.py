@@ -9,6 +9,7 @@ miscalibration from typos.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -46,6 +47,20 @@ class RunConfig:
                 f"controller.lead_ms = {self.controller.lead_ms} must not exceed "
                 f"scheduler.horizon_ms = {self.scheduler.horizon_ms}"
             )
+        # hints replay, and the throttle defers, whole dispatch slots
+        dt = self.workload.step_period_ms
+        if not dt <= self.scheduler.horizon_ms:
+            raise ConfigError(
+                f"workload.step_period_ms = {dt} must not exceed "
+                f"scheduler.horizon_ms = {self.scheduler.horizon_ms}"
+            )
+        for name in ("horizon_ms", "t_slice_ms", "admission_lead_ms"):
+            value = getattr(self.scheduler, name)
+            if not abs(math.remainder(value, dt)) <= 1e-9 * dt:
+                raise ConfigError(
+                    f"scheduler.{name} = {value} is not a whole number of "
+                    f"workload.step_period_ms = {dt}"
+                )
 
     @property
     def thermal_resolved(self) -> ThermalParams:

@@ -34,21 +34,6 @@ from .workload import AffineMapParams, DEFAULT_MAP, density_to_power
 
 
 @dataclass(frozen=True)
-class SliceParams:
-    """Execution-slice timing. t_slice and tau coincide at 80 ms by
-    calibration but are independent parameters."""
-
-    t_slice_ms: float = 80.0
-    tau_th_ms: float = 80.0
-
-    def __post_init__(self) -> None:
-        if not self.t_slice_ms > 0:
-            raise ConfigError(f"slice.t_slice_ms must be > 0, got {self.t_slice_ms}")
-        if not self.tau_th_ms > 0:
-            raise ConfigError(f"slice.tau_th_ms must be > 0, got {self.tau_th_ms}")
-
-
-@dataclass(frozen=True)
 class SchedulerConfig:
     """Hint-layer settings (one config section of a run)."""
 
@@ -93,10 +78,6 @@ class SchedulerConfig:
             raise ConfigError("scheduler.ewma_half_life_ms must be > 0")
         if not self.history_window_ms > 0:
             raise ConfigError("scheduler.history_window_ms must be > 0")
-
-    @property
-    def slice_params(self) -> SliceParams:
-        return SliceParams(t_slice_ms=self.t_slice_ms, tau_th_ms=self.tau_th_ms)
 
 
 def preposition_fraction(horizon_ms: float, tau_ms: float) -> float:
@@ -433,4 +414,30 @@ def throttle_decision(
     return ThrottleDecision(
         fired=bool(deferred), deferred=tuple(deferred),
         projected_residual_c=projected, projected_after_c=after,
+    )
+
+
+def throttle_slot(
+    slot: list[QueueEntry],
+    forecast_w: float,
+    t_ms: float,
+    slot_ms: float,
+    config: SchedulerConfig,
+    thermal: ThermalParams,
+    map_params: AffineMapParams = DEFAULT_MAP,
+) -> ThrottleDecision:
+    """:func:`throttle_decision` on the hint issued at ``t_ms`` that
+    forecasts ``forecast_w``, when ``slot`` holds the queue entries
+    dispatched at ``t_ms + config.horizon_ms``."""
+    hint = HintForecast(
+        horizon_ms=config.horizon_ms,
+        forecast_w=forecast_w,
+        issued_at_ms=t_ms,
+        eta=preposition_fraction(config.horizon_ms, config.tau_th_ms),
+        filtration=Filtration(now_ms=t_ms, queue=tuple(slot), slot_ms=slot_ms),
+    )
+    return throttle_decision(
+        hint, config.throttle_cap_c, thermal,
+        compensation_gain=config.throttle_compensation_gain,
+        map_params=map_params,
     )

@@ -1,46 +1,50 @@
-"""Lock-step co-simulation engine.
+"""Lock-step co-simulation in two passes.
 
 Per step: dispatch the planned workload slice, map density to throughput
-and power, issue the look-ahead hint (optionally throttling), advance the
-compensator, advance the thermal plant, convert the residual to drift, and
-record one telemetry row. Everything is a pure function of (config, seed).
+and power, issue the look-ahead hint (which may throttle queued work),
+advance the compensator, advance the thermal plant, convert the residual to
+drift, and record one telemetry row. Everything is a pure function of
+(config, seed).
 
-Two interchangeable engines cover the loop:
+The scheduler never reads the plant or the compensator: the throttle
+decides from the hint and the queue alone, and the compensator reads only
+the forecast power and horizon of a hint. So a run is two passes.
 
-* ``vector``: closed-form recursion via one-pole IIR filters
-  (scipy.signal.lfilter), exact for piecewise-constant inputs and fast
-  enough for multi-million-step runs. It cannot apply throttle deferrals.
-* ``reference``: the literal composition of the module-level operations
-  (Filtration snapshots, forecast(), control_step(), thermal.step()),
-  used for small runs, for throttling, and as the equivalence oracle for
-  the vectorized path.
+* Schedule pass (:func:`schedule`): from the workload plan alone, the
+  dispatched density, the hint stream with its provenance, the queue depth
+  and the deferral count. Array reads cover every step the throttle leaves
+  alone; a loop visits, in time order, only the steps whose hint breaches
+  the throttle cap and applies :func:`throttle_decision` there.
+* Physics pass: the thermal plant and the compensator as one-pole IIR
+  recursions (scipy.signal.lfilter) over the dispatched power and the hint
+  stream, exact for piecewise-constant inputs.
 
-``engine="auto"`` picks vector unless the throttle would fire.
+``tests/oracle.py`` composes the module-level operations step by step
+(Filtration snapshots, forecast(), throttle_decision(), thermal.step(),
+control_step()); the equivalence tests check this module against it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
 
-from . import thermal as th
 from .config import RunConfig
-from .controller import CompensationState, Mode, control_step
-from .errors import ConfigError
+from .controller import Mode
 from .scheduler import (
     AuditReport,
-    Filtration,
     ForecastLog,
     QueueEntry,
     causality_audit,
-    forecast,
     preposition_fraction,
-    throttle_decision,
+    throttle_slot,
 )
 from .telemetry import TelemetryFrame
+from .thermal import steady_state_delta_t
 from .workload import (
     WorkloadPlan,
     density_to_power,
@@ -89,13 +93,12 @@ def _steps_of(ms: float, dt: float) -> int:
     return int(round(ms / dt))
 
 
-def _window_mean_power(P: np.ndarray, t: np.ndarray, k: int, window_steps: int,
-                       half_life_ms: float) -> float:
-    """Half-life weighted mean of the trailing power window ending at k."""
-    lo = max(0, k - window_steps + 1)
-    seg = P[lo:k + 1]
-    w = 0.5 ** ((t[k] - t[lo:k + 1]) / half_life_ms)
-    return float(np.dot(w, seg) / np.sum(w))
+def _window_means(P: np.ndarray, lo: int, hi: int, w: np.ndarray) -> np.ndarray:
+    """Weighted mean of the trailing power window ending at each step in
+    [lo, hi); ``w[d]`` weighs the power d steps back."""
+    a = max(0, lo - w.size + 1)
+    num = np.convolve(P[a:hi], w)[lo - a:hi - a]
+    return num / np.cumsum(w)[np.minimum(np.arange(lo, hi), w.size - 1)]
 
 
 def _empty_result(config: RunConfig) -> RunResult:
@@ -106,46 +109,156 @@ def _empty_result(config: RunConfig) -> RunResult:
                      audit=AuditReport(n_checked=0, violations=()))
 
 
-def simulate(config: RunConfig, *, engine: str = "auto") -> RunResult:
+@dataclass(frozen=True)
+class DispatchTrace:
+    """Outcome of the schedule pass, one entry per step."""
+
+    rho: np.ndarray              # dispatched density
+    hint_w: np.ndarray           # look-ahead hint power
+    newest_input_ms: np.ndarray  # newest input stamp each hint read
+    source: np.ndarray           # 0 = queue replay, 1 = EWMA fallback
+    queue_depth: np.ndarray      # admitted streams pending after the step
+    deferrals: int
+
+
+def simulate(config: RunConfig) -> RunResult:
     """Run the co-simulation described by ``config``.
 
     Deterministic per (config, seed): byte-identical telemetry and forecast
     logs across repeated runs.
     """
-    if engine not in ("auto", "vector", "reference"):
-        raise ConfigError(f"engine: unknown engine {engine!r}")
     plan = generate_workload(config.workload, config.seed)
     if plan.step_count == 0:
         return _empty_result(config)
-
-    if engine == "reference":
-        return _simulate_reference(config, plan)
-
-    fires = _throttle_would_fire(config, plan)
-    if engine == "vector" and fires:
-        raise ConfigError(
-            "throttle would fire on this run; the vectorized engine cannot "
-            "apply deferrals (use engine='reference' or 'auto')"
-        )
-    if fires:
-        return _simulate_reference(config, plan)
-    return _simulate_vector(config, plan)
-
-
-def _throttle_would_fire(config: RunConfig, plan: WorkloadPlan) -> bool:
-    sc = config.scheduler
-    if not sc.throttle_enabled:
-        return False
-    thermal = config.thermal_resolved
-    p_max = float(density_to_power(plan.rho.max(), config.affine_map))
-    projected = (1.0 - sc.throttle_compensation_gain) * thermal.gain * max(
-        0.0, p_max - thermal.p_baseline_w
+    trace = schedule(config, plan)
+    log = ForecastLog.from_arrays(
+        plan.t_ms, np.full(plan.step_count, config.scheduler.horizon_ms),
+        trace.hint_w, trace.newest_input_ms, trace.source,
     )
-    return projected > sc.throttle_cap_c
+    return _finish(config, plan, _physics(config, plan, trace), log,
+                   throttle_deferrals=trace.deferrals)
 
 
 # ---------------------------------------------------------------------------
-# vectorized engine
+# schedule pass
+
+def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
+    """Dispatch, hints, queue depth and deferrals from the plan alone.
+
+    A hint replays the admitted queue at t + horizon and falls back to the
+    half-life weighted mean of the dispatched power where the plan no longer
+    covers that slot. Where the throttle fires it defers entries of the
+    forecast slot by one execution slice (dropping those that would land
+    past the last step); that changes the dispatched power of two slots and
+    so the hints that read them, all later than the firing step.
+    """
+    sc = config.scheduler
+    wmap = config.affine_map
+    dt = plan.step_period_ms
+    N = plan.step_count
+    t = plan.t_ms
+    h = _steps_of(sc.horizon_ms, dt)
+    adm = _steps_of(sc.admission_lead_ms, dt)
+    win = max(1, _steps_of(sc.history_window_ms, dt))
+    w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
+
+    rho = plan.rho.copy()
+    P = density_to_power(rho, wmap)
+    replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
+    F = np.empty(N)
+    F[:replay] = P[h:h + replay]
+    newest = t.copy()
+    newest[:replay] = np.maximum(0, np.arange(replay) + h - adm) * dt
+    source = np.zeros(N, dtype=int)
+    source[replay:] = 1
+
+    def ewma(lo: int, hi: int) -> None:
+        if lo < hi:
+            F[lo:hi] = _window_means(P, lo, hi, w)
+
+    ewma(replay, N)
+
+    # pending queue depth as planned: admitted dispatches after each step
+    cn = np.concatenate(([0], np.cumsum(plan.n_streams)))
+    steps = np.arange(N)
+    queue_depth = cn[np.minimum(steps + adm, N - 1) + 1] - cn[steps + 1]
+    deferrals = 0
+
+    if sc.throttle_enabled:
+        thermal = config.thermal_resolved
+        slice_steps = _steps_of(sc.t_slice_ms, dt)
+        # deferred entries join their new slot behind its plan entry only if
+        # that was admitted by the time they were deferred
+        plan_first = adm >= h + slice_steps
+        moved = np.zeros(N + 1, dtype=np.int64)  # queue-depth differences
+
+        def over_cap(hint_w):
+            # throttle_decision's projection with a hair of slack: a superset
+            # of the steps that fire; the decision itself stays authoritative
+            excess = np.maximum(0.0, hint_w - thermal.p_baseline_w)
+            return (1.0 - sc.throttle_compensation_gain) * steady_state_delta_t(
+                thermal.r_th, excess, thermal.gamma) > sc.throttle_cap_c - 1e-9
+
+        def plan_entry(j: int) -> QueueEntry:
+            return QueueEntry(
+                dispatch_t_ms=float(t[j]), rho=float(plan.rho[j]),
+                n_streams=int(plan.n_streams[j]),
+                admitted_t_ms=float(t[j - adm]) if j >= adm else 0.0,
+            )
+
+        slots: dict[int, list[QueueEntry]] = {}   # slots that left the plan
+        heap = np.flatnonzero(over_cap(F[:max(0, N - h)])).tolist()
+        last = -1
+        while heap:
+            k = heapq.heappop(heap)
+            if k == last:
+                continue
+            last = k
+            j, m = k + h, k + h + slice_steps
+            queue = slots.get(j) or [plan_entry(j)]
+            decision = throttle_slot(queue, float(F[k]), float(t[k]), dt, sc,
+                                     thermal, wmap)
+            if not decision.fired:
+                continue
+            deferrals += len(decision.deferred)
+            gone = {id(e) for e in decision.deferred}
+            slots[j] = [e for e in queue if id(e) not in gone]
+            n = sum(e.n_streams for e in decision.deferred)
+            changed = [j]
+            retimed = []
+            if m < N:
+                later = [QueueEntry(float(t[m]), e.rho, e.n_streams,
+                                    e.admitted_t_ms) for e in decision.deferred]
+                slots[m] = [plan_entry(m)] + later if plan_first else \
+                    later + [plan_entry(m)]
+                moved[j] += n       # still pending over [j, m)
+                moved[m] -= n
+                changed.append(m)
+            else:
+                moved[k + 1] -= n   # dropped: no longer pending over (k, j)
+                moved[j] += n
+            for s in changed:
+                rho[s] = sum(e.rho for e in slots[s])
+                P[s] = density_to_power(rho[s], wmap)
+            if m < N and m - h < replay:
+                F[m - h] = P[m]     # the hint that replays slot m
+                retimed.append(m - h)
+            for s in changed:
+                lo, hi = max(s, replay), min(s + win, N)
+                ewma(lo, hi)
+                retimed.extend(range(lo, hi))
+            for s in retimed:
+                if s < N - h and over_cap(F[s]):
+                    heapq.heappush(heap, s)
+        queue_depth += np.cumsum(moved)[:N]
+
+    return DispatchTrace(rho=rho, hint_w=F, newest_input_ms=newest,
+                         source=source, queue_depth=queue_depth,
+                         deferrals=deferrals)
+
+
+# ---------------------------------------------------------------------------
+# physics pass
 
 def _one_pole(x: np.ndarray, pole: float, gain_in: float, y_prev: float) -> np.ndarray:
     """y[n] = pole * y[n-1] + gain_in * x[n], continuing from y_prev."""
@@ -156,48 +269,20 @@ def _one_pole(x: np.ndarray, pole: float, gain_in: float, y_prev: float) -> np.n
     return y
 
 
-def _simulate_vector(config: RunConfig, plan: WorkloadPlan) -> RunResult:
+def _physics(config: RunConfig, plan: WorkloadPlan,
+             trace: DispatchTrace) -> TelemetryFrame:
     sc = config.scheduler
     cp = config.controller
     thermal = config.thermal_resolved
     dt = plan.step_period_ms
     N = plan.step_count
-    t = plan.t_ms
+    F = trace.hint_w
 
-    P = density_to_power(plan.rho, config.affine_map)
-    t24 = density_to_throughput(plan.rho, config.affine_map)
-
+    P = density_to_power(trace.rho, config.affine_map)
     decay = math.exp(-dt / thermal.tau_ms)
     dT = _one_pole(thermal.gain * (P - thermal.p_baseline_w), decay,
                    1.0 - decay, 0.0)
 
-    # hint stream: queue replay at t + horizon; half-life weighted history
-    # mean where the plan no longer covers the slot
-    h_steps = _steps_of(sc.horizon_ms, dt)
-    adm_steps = _steps_of(sc.admission_lead_ms, dt)
-    win_steps = max(1, _steps_of(sc.history_window_ms, dt))
-    eta = preposition_fraction(sc.horizon_ms, sc.tau_th_ms)
-
-    F = np.empty(N)
-    newest = np.empty(N)
-    source = np.zeros(N, dtype=int)
-    replay_until = N - h_steps if sc.forecaster == "queue_replay" else 0
-    if replay_until > 0:
-        j = np.arange(replay_until) + h_steps
-        F[:replay_until] = P[j]
-        newest[:replay_until] = np.maximum(0, (j - adm_steps)) * dt
-    for k in range(max(0, replay_until), N):
-        F[k] = _window_mean_power(P, t, k, win_steps, sc.ewma_half_life_ms)
-        newest[k] = t[k]
-        source[k] = 1
-
-    # pending queue depth: admitted dispatches after the current step
-    cn = np.concatenate(([0], np.cumsum(plan.n_streams)))
-    hi = np.minimum(np.arange(N) + adm_steps, N - 1)
-    queue_depth = cn[hi + 1] - cn[np.arange(N) + 1]
-    ttft = queue_depth * sc.t_slice_ms * 0.5
-
-    # controller
     mode = cp.mode
     g = cp.tracking_factor(dt)
     setpoint = cp.setpoint_c
@@ -210,6 +295,7 @@ def _simulate_vector(config: RunConfig, plan: WorkloadPlan) -> RunResult:
         target = np.maximum(0.0, sensed - setpoint)
         bias = _one_pole(target, 1.0 - g, g, 0.0)
     else:
+        h_steps = _steps_of(sc.horizon_ms, dt)
         lead = min(max(1, _steps_of(cp.lead_ms, dt)), h_steps)
         warm = h_steps - lead
         # until the hint FIFO matures, anticipate with the preposition blend
@@ -228,149 +314,22 @@ def _simulate_vector(config: RunConfig, plan: WorkloadPlan) -> RunResult:
         bias = _one_pole(target, 1.0 - g, g, 0.0)
 
     residual = np.abs(dT - bias)
-    drift_nm = config.optics.kappa_to * residual
-
-    frame = TelemetryFrame(
+    return TelemetryFrame(
         step=np.arange(N, dtype=np.int64),
-        t_ms=t,
+        t_ms=plan.t_ms,
         load_state=[plan.state_names[i] for i in plan.state_idx],
-        rho=plan.rho,
-        t24=t24,
+        rho=trace.rho,
+        t24=density_to_throughput(trace.rho, config.affine_map),
         p_eic_w=P,
         hint_w=F,
-        eta=np.full(N, eta),
+        eta=np.full(N, preposition_fraction(sc.horizon_ms, thermal.tau_ms)),
         delta_t_c=dT,
         bias_c=bias,
         residual_c=residual,
-        drift_nm=drift_nm,
-        queue_depth=queue_depth.astype(np.int64),
-        ttft_ms=ttft,
+        drift_nm=config.optics.kappa_to * residual,
+        queue_depth=trace.queue_depth.astype(np.int64),
+        ttft_ms=trace.queue_depth * sc.t_slice_ms * 0.5,
     )
-    log = ForecastLog.from_arrays(t, np.full(N, sc.horizon_ms), F, newest, source)
-    return _finish(config, plan, frame, log, throttle_deferrals=0)
-
-
-# ---------------------------------------------------------------------------
-# reference engine (module composition; supports throttling)
-
-def _simulate_reference(config: RunConfig, plan: WorkloadPlan) -> RunResult:
-    sc = config.scheduler
-    cp = config.controller
-    thermal = config.thermal_resolved
-    optic = config.optics
-    wmap = config.affine_map
-    dt = plan.step_period_ms
-    N = plan.step_count
-    t = plan.t_ms
-
-    h_steps = _steps_of(sc.horizon_ms, dt)
-    adm_steps = _steps_of(sc.admission_lead_ms, dt)
-    slice_steps = max(1, _steps_of(sc.t_slice_ms, dt))
-    win_steps = max(1, _steps_of(sc.history_window_ms, dt))
-
-    # dispatch slots: step index -> list of queue entries
-    slots: dict[int, list[QueueEntry]] = {}
-
-    def admit(j: int, admitted_ms: float) -> None:
-        if 0 <= j < N:
-            slots.setdefault(j, []).append(QueueEntry(
-                dispatch_t_ms=float(t[j]), rho=float(plan.rho[j]),
-                n_streams=int(plan.n_streams[j]), admitted_t_ms=admitted_ms,
-            ))
-
-    for j in range(min(adm_steps, N)):
-        admit(j, 0.0)
-
-    history: list[tuple[float, float]] = []
-    plant = th.ThermalState()
-    ctrl = CompensationState()
-    log = ForecastLog()
-
-    cols: dict[str, list] = {k: [] for k in (
-        "rho", "t24", "p", "hint", "dT", "bias", "residual", "drift", "qd",
-    )}
-    state_col: list[str] = []
-    deferrals = 0
-
-    for k in range(N):
-        admit(k + adm_steps, float(t[k]))
-
-        executing = slots.pop(k, [])
-        rho_k = sum(e.rho for e in executing)
-        p_k = density_to_power(rho_k, wmap)
-        t24_k = density_to_throughput(rho_k, wmap)
-
-        history.append((float(t[k]), p_k))
-        if len(history) > win_steps:
-            history.pop(0)
-
-        pending = [e for js in sorted(slots) if js > k for e in slots[js]]
-        qd = sum(e.n_streams for e in pending)
-        snapshot = Filtration(
-            now_ms=float(t[k]),
-            power_history=tuple(history),
-            queue=tuple(pending),
-            queue_depth=qd,
-            slot_ms=dt,
-        )
-        hint = forecast(snapshot, float(t[k]), sc.horizon_ms, sc, wmap)
-        log.append(hint)
-
-        if sc.throttle_enabled:
-            decision = throttle_decision(
-                hint, sc.throttle_cap_c, thermal,
-                compensation_gain=sc.throttle_compensation_gain,
-                map_params=wmap,
-            )
-            if decision.fired:
-                deferrals += len(decision.deferred)
-                j = k + h_steps
-                kept = [
-                    e for e in slots.get(j, [])
-                    if not any(e is d for d in decision.deferred)
-                ]
-                slots[j] = kept
-                for e in decision.deferred:
-                    admit_j = j + slice_steps
-                    if admit_j < N:
-                        slots.setdefault(admit_j, []).append(
-                            replace(e, dispatch_t_ms=float(t[admit_j]))
-                        )
-
-        plant = th.step(plant, p_k - thermal.p_baseline_w, dt, thermal)
-        ctrl = control_step(ctrl, plant.delta_t_c, hint, dt, cp, thermal, optic)
-
-        state_col.append(plan.state_name(k))
-        cols["rho"].append(rho_k)
-        cols["t24"].append(t24_k)
-        cols["p"].append(p_k)
-        cols["hint"].append(hint.forecast_w)
-        cols["dT"].append(plant.delta_t_c)
-        cols["bias"].append(ctrl.bias_delta_t_c)
-        cols["residual"].append(ctrl.residual_delta_t_c)
-        cols["drift"].append(ctrl.residual_drift_nm)
-        cols["qd"].append(qd)
-
-    eta = preposition_fraction(sc.horizon_ms, sc.tau_th_ms)
-    qd_arr = np.asarray(cols["qd"], dtype=np.int64)
-    frame = TelemetryFrame(
-        step=np.arange(N, dtype=np.int64),
-        t_ms=t,
-        load_state=state_col,
-        rho=np.asarray(cols["rho"]),
-        t24=np.asarray(cols["t24"]),
-        p_eic_w=np.asarray(cols["p"]),
-        hint_w=np.asarray(cols["hint"]),
-        eta=np.full(N, eta),
-        delta_t_c=np.asarray(cols["dT"]),
-        bias_c=np.asarray(cols["bias"]),
-        residual_c=np.asarray(cols["residual"]),
-        drift_nm=np.asarray(cols["drift"]),
-        queue_depth=qd_arr,
-        ttft_ms=qd_arr * sc.t_slice_ms * 0.5,
-    )
-    return _finish(config, plan, frame, log, throttle_deferrals=deferrals)
-
 
 # ---------------------------------------------------------------------------
 # summary

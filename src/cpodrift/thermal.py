@@ -81,7 +81,6 @@ class ThermalState:
     """Lumped plant state at time t_ms."""
 
     delta_t_c: float = 0.0
-    last_power_w: float = 0.0
     t_ms: float = 0.0
 
 
@@ -122,9 +121,7 @@ def step(
     decay = math.exp(-dt_ms / params.tau_ms)
     target = params.gain * power_w
     new_delta = state.delta_t_c * decay + target * (1.0 - decay)
-    return ThermalState(
-        delta_t_c=new_delta, last_power_w=power_w, t_ms=state.t_ms + dt_ms
-    )
+    return ThermalState(delta_t_c=new_delta, t_ms=state.t_ms + dt_ms)
 
 
 # ---------------------------------------------------------------------------

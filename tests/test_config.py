@@ -101,6 +101,25 @@ def test_lead_must_fit_horizon():
         })
 
 
+def test_step_must_divide_scheduler_times():
+    # hints replay and the throttle defers whole dispatch slots
+    def cfg(step_ms, **scheduler):
+        return config_from_dict({"workload": {"step_period_ms": step_ms},
+                                 "scheduler": scheduler})
+
+    with pytest.raises(ConfigError, match="scheduler.horizon_ms"):
+        cfg(0.7)
+    for longer_than_horizon in (40.0, 100.0):
+        with pytest.raises(ConfigError, match="workload.step_period_ms"):
+            cfg(longer_than_horizon)
+    with pytest.raises(ConfigError, match="scheduler.t_slice_ms"):
+        cfg(5.0, t_slice_ms=82.0)
+    with pytest.raises(ConfigError, match="scheduler.admission_lead_ms"):
+        cfg(5.0, admission_lead_ms=82.0)
+    for on_grid in (1.0, 5.0):
+        assert cfg(on_grid).workload.step_period_ms == on_grid
+
+
 def test_distance_resolves_coupling_gamma():
     import math
     cfg = config_from_dict({"thermal": {"d_um": 15.0, "d_decay_um": 5.0}})

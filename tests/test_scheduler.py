@@ -8,7 +8,6 @@ from cpodrift.scheduler import (
     HintForecast,
     QueueEntry,
     SchedulerConfig,
-    SliceParams,
     causality_audit,
     forecast,
     preposition_fraction,
@@ -110,12 +109,7 @@ def test_scheduler_config_validation():
     with pytest.raises(ConfigError):
         SchedulerConfig(admission_lead_ms=40.0)  # < horizon_max
     with pytest.raises(ConfigError):
-        SliceParams(t_slice_ms=0.0)
-
-
-def test_slice_params_are_independent_of_tau():
-    sp = SliceParams(t_slice_ms=80.0, tau_th_ms=120.0)
-    assert sp.t_slice_ms != sp.tau_th_ms
+        SchedulerConfig(t_slice_ms=0.0)
 
 
 # ---------------------------------------------------------------------------
