@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -42,6 +43,11 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
         if self.controller.lead_ms > self.scheduler.horizon_ms:
             raise ConfigError(
                 f"controller.lead_ms = {self.controller.lead_ms} must not exceed "
@@ -155,8 +161,6 @@ def config_from_dict(data: dict) -> RunConfig:
 
     kwargs: dict = {}
     if "seed" in data:
-        if not isinstance(data["seed"], int):
-            raise ConfigError(f"seed: expected integer, got {data['seed']!r}")
         kwargs["seed"] = data["seed"]
     if "out_dir" in data:
         kwargs["out_dir"] = data["out_dir"]

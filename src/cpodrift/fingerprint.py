@@ -17,11 +17,11 @@ configured parameters to well inside 1%, 0.5 ms and 1e-9 respectively.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from .optics import drift
@@ -30,6 +30,11 @@ from .thermal import ThermalParams
 from .workload import STATE_BY_NAME
 
 RESPONSE_63_2 = 1.0 - float(np.exp(-1.0))  # 0.6321...
+
+# estimate_tau searches log tau within tau0 x/ 100 by golden section
+_TAU_BRACKET = math.log(100.0)
+_TAU_XTOL = 1e-10
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Printed fit reference for the throughput-coupling panel. These coefficients
 # are internally inconsistent with the diffusion heatmap band (the implied
@@ -200,10 +205,13 @@ def estimate_r_th(
 def estimate_tau(t_ms, delta_t_c) -> float:
     """Extract the RC time constant from a step-response trace.
 
-    The 63.2% crossing of the plateau estimate seeds a joint nonlinear fit
-    of amplitude and tau, y = y0 + A * (1 - exp(-t/tau)), which stays
-    unbiased even when the trace is shorter than the settle time. Falling
-    steps are handled by sign normalization.
+    The 63.2% crossing of the plateau estimate seeds a joint fit of
+    amplitude and tau, y = y0 + A * (1 - exp(-t/tau)), which stays unbiased
+    even when the trace is shorter than the settle time. Falling steps are
+    handled by sign normalization. The fit is a variable projection (Golub &
+    Pereyra 1973): for a fixed tau the amplitude is linear least squares,
+    so only log tau is searched, over a bracket of x/100 around the seed; a
+    minimum on the bracket edge (a trace that never settles) is an error.
     """
     t = np.asarray(t_ms, dtype=float)
     y = np.asarray(delta_t_c, dtype=float)
@@ -211,6 +219,8 @@ def estimate_tau(t_ms, delta_t_c) -> float:
         raise InputError("estimate_tau: t and delta_t must be equal-length 1-d")
     if t.size < 4:
         raise ExtractionError(f"estimate_tau: trace too short ({t.size} samples)")
+    if not np.all(np.diff(t) > 0):
+        raise InputError("estimate_tau: t must be strictly increasing")
 
     tt = t - t[0]
     yy = y - y[0]
@@ -226,20 +236,37 @@ def estimate_tau(t_ms, delta_t_c) -> float:
     crossed = np.nonzero(yy >= RESPONSE_63_2 * plateau)[0]
     if crossed.size == 0:
         raise ExtractionError("estimate_tau: trace never crosses 63.2% of its plateau")
-    tau0 = float(tt[crossed[0]])
-    if tau0 <= 0:
-        tau0 = float(tt[1] - tt[0])
+    tau0 = float(tt[crossed[0]])  # > 0: yy[0] = 0 never crosses
 
-    def model(x, amp, tau):
-        return amp * (1.0 - np.exp(-x / tau))
+    def sse(log_tau: float) -> float:
+        """Residual of the best amplitude for this tau."""
+        phi = -np.expm1(-tt / math.exp(log_tau))
+        r = yy - (float(phi @ yy) / float(phi @ phi)) * phi
+        return float(r @ r)
 
-    try:
-        popt, _ = curve_fit(model, tt, yy, p0=(plateau, tau0), maxfev=10_000)
-    except RuntimeError as exc:
-        raise ExtractionError(f"estimate_tau: fit did not converge ({exc})") from exc
-    tau = float(popt[1])
-    if not np.isfinite(tau) or tau <= 0:
+    lo = math.log(tau0) - _TAU_BRACKET
+    hi = math.log(tau0) + _TAU_BRACKET
+    a, b = lo, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = sse(c), sse(d)
+    while b - a > _TAU_XTOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = sse(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = sse(d)
+    log_tau = 0.5 * (a + b)
+    tau = math.exp(log_tau)
+    if not (math.isfinite(tau) and math.isfinite(min(fc, fd))):
         raise ExtractionError(f"estimate_tau: non-physical fit result tau = {tau}")
+    if min(log_tau - lo, hi - log_tau) <= 2.0 * _TAU_XTOL:
+        raise ExtractionError(
+            f"estimate_tau: best fit at the search edge (tau = {tau:.6g} ms, "
+            f"seed {tau0:.6g} ms): the trace does not settle"
+        )
     return tau
 
 
@@ -362,7 +389,7 @@ def build_report(
 
     if config is None:
         config = RunConfig()
-    thermal = config.thermal
+    thermal = config.thermal_resolved
     optic = config.optics
     wmap = config.affine_map
 

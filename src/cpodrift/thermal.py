@@ -14,7 +14,7 @@ reference 0.451 * 82 = 36.982 C rise for an 82 W idle-to-peak swing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,6 +57,10 @@ class ThermalParams:
     p_baseline_w: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"thermal.{f.name} must be finite, got {value}")
         if not self.r_th > 0:
             raise ConfigError(f"thermal.r_th must be > 0, got {self.r_th}")
         if not self.tau_ms > 0:

@@ -201,6 +201,11 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.step_count < 0:
             raise ConfigError(f"workload.step_count must be >= 0, got {self.step_count}")
+        for name in ("step_period_ms", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"workload.{name} must be finite, got {getattr(self, name)}"
+                )
         if self.step_period_ms <= 0:
             raise ConfigError(
                 f"workload.step_period_ms must be > 0, got {self.step_period_ms}"

@@ -48,6 +48,21 @@ def test_section_value_validation_paths():
         config_from_dict({"scheduler": {"horizon_ms": 90.0}})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"thermal": {"ambient_c": float("nan")}}, "thermal.ambient_c must be finite"),
+    ({"thermal": {"p_baseline_w": float("inf")}}, "thermal.p_baseline_w must be finite"),
+    ({"thermal": {"d_um": float("nan")}}, "thermal.d_um must be finite"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": True}, "seed must be a non-negative integer"),
+    ({"seed": 2.0}, "seed must be a non-negative integer"),
+    ({"workload": {"step_period_ms": float("nan")}}, "workload.step_period_ms must be finite"),
+    ({"workload": {"noise_sigma": float("nan")}}, "workload.noise_sigma must be finite"),
+])
+def test_bad_values_rejected_with_field_name(data, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+
+
 def test_round_trip_through_json(tmp_path):
     cfg = comparison_config(seed=99)
     path = tmp_path / "run.json"

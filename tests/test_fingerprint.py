@@ -1,6 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cpodrift.config import fingerprint_config
 from cpodrift.errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from cpodrift.fingerprint import (
     build_report,
@@ -14,6 +18,7 @@ from cpodrift.fingerprint import (
     table_text,
     write_report,
 )
+from cpodrift.simulate import simulate
 from cpodrift.telemetry import TelemetryFrame
 from cpodrift.thermal import ThermalParams
 
@@ -95,11 +100,22 @@ def test_estimate_tau_constant_trace_raises():
         estimate_tau(t, np.full(200, 7.5))
 
 
+def test_estimate_tau_unsettled_ramp_raises():
+    # a straight ramp fits best as tau -> infinity: the search ends on its edge
+    t = np.arange(400.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ExtractionError, match="edge"):
+            estimate_tau(t, t)
+
+
 def test_estimate_tau_input_validation():
     with pytest.raises(InputError):
         estimate_tau([0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ExtractionError):
         estimate_tau([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])  # too short
+    with pytest.raises(InputError):
+        estimate_tau([0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +262,17 @@ def test_report_on_compensated_telemetry(validation_run):
     spectral = next(r for r in report.pass_fail if r.panel == "Bottom-Right")
     assert spectral.verdict == "within spec"
     assert report.ok
+
+
+def test_report_theory_line_uses_resolved_coupling():
+    # d_um = 12 resolves gamma to 0.67: the plant and the theory line must
+    # both use it
+    cfg = fingerprint_config()
+    cfg = replace(cfg, thermal=replace(cfg.thermal, d_um=12.0))
+    report = build_report(simulate(cfg).frame, cfg)
+    agreement = next(r for r in report.pass_fail if r.panel == "Bottom-Center")
+    assert agreement.verdict == "Excellent"
+    assert report.r_th_unified == pytest.approx(cfg.thermal_resolved.gain, rel=0.01)
 
 
 def test_report_is_pure_function(fingerprint_run, fingerprint_cfg):

@@ -1,5 +1,10 @@
 import filecmp
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ import pytest
 from cpodrift.config import RunConfig
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
-from cpodrift.simulate import simulate
+from cpodrift.simulate import _one_pole, _scan_block, simulate
 from cpodrift.telemetry import write_csv
 from cpodrift.thermal import ThermalParams
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig
@@ -203,3 +208,36 @@ def test_runtime_budget_for_default_run():
     t0 = time.time()
     simulate(RunConfig(seed=77))
     assert time.time() - t0 < 10.0
+
+
+def _one_pole_loop(x, pole, gain_in, y_prev):
+    out = np.empty(len(x))
+    y = y_prev
+    for i, v in enumerate(x):
+        y = pole * y + gain_in * v
+        out[i] = y
+    return out
+
+
+@pytest.mark.parametrize("pole", [0.0, 0.40, math.exp(-1.0 / 80.0), 0.999])
+def test_one_pole_scan_matches_recursion(pole):
+    block = _scan_block(pole) if pole else 64
+    x = np.random.default_rng(3).random(3 * block + 7)
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+        got = _one_pole(x[:n], pole, 1.0 - pole, 2.5)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(
+            got, _one_pole_loop(x[:n], pole, 1.0 - pole, 2.5), rtol=1e-12, atol=0
+        )
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cpodrift; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
