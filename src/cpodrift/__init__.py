@@ -64,7 +64,7 @@ from .scheduler import (
     throttle_decision,
 )
 from .simulate import RunResult, SimulationSummary, simulate
-from .telemetry import COLUMNS, TelemetryFrame, TelemetryRecord, read_csv, write_csv
+from .telemetry import COLUMNS, TelemetryFrame, read_csv, write_csv
 from .thermal import (
     BoundaryStack,
     CouplingConfig,

@@ -16,7 +16,7 @@ from . import fingerprint as fp
 from .config import apply_overrides, comparison_config, load_config, RunConfig
 from .controller import run_comparison
 from .errors import CpodriftError
-from .experiments import EXPERIMENT_NAMES, run_experiment
+from .experiments import EXPERIMENT_NAMES, experiment_config, run_experiment
 from .simulate import simulate
 from .telemetry import read_csv, write_csv
 from .verify import verify
@@ -88,14 +88,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "experiment":
-        cfg = _config_for(args, fallback=None) if (args.config or args.seed
-                                                   or args.steps) else None
-        result = run_experiment(
-            args.name,
-            config=cfg,
-            out_dir=args.out or "out",
-            seed=args.seed if args.seed is not None else 24,
-        )
+        cfg = _config_for(args, fallback=experiment_config(args.name))
+        result = run_experiment(args.name, config=cfg, out_dir=args.out or "out")
         print(json.dumps(result.summary, indent=2, default=str))
         for f in result.files:
             print(f"wrote {f}", file=sys.stderr)

@@ -1,21 +1,23 @@
 """Run configuration: sections mirroring the model layers, JSON on disk.
 
 Every parameter defaults to the nominal calibration, so an empty config
-reproduces the flagship 90,000-step validation run. Unknown keys anywhere
-are hard errors carrying the dotted field path, which prevents silent
-miscalibration from typos.
+reproduces the flagship 90,000-step validation run. The JSON layout is
+``RunConfig`` itself, read and written by one walk over the dataclass
+fields; each section checks its own fields (:func:`check_fields`) and
+ranges. Unknown keys anywhere are hard errors carrying the dotted field
+path, which prevents silent miscalibration from typos.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .controller import ControllerParams, Mode
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, field_types
 from .optics import OpticParams
 from .scheduler import SchedulerConfig
 from .thermal import BoundaryStack, CouplingConfig, ThermalParams
@@ -43,11 +45,7 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ConfigError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
+        check_fields(self, "")
         if self.controller.lead_ms > self.scheduler.horizon_ms:
             raise ConfigError(
                 f"controller.lead_ms = {self.controller.lead_ms} must not exceed "
@@ -125,138 +123,55 @@ def transient_config(seed: int = DEFAULT_SEED) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization
+# JSON (de)serialization: the layout mirrors RunConfig field by field
 
-_WORKLOAD_KEYS = {"step_count", "step_period_ms", "schedule", "noise_sigma"}
-_MAP_KEYS = {"alpha", "beta", "p_idle_w", "p_peak_w", "p_max_w"}
-_THERMAL_KEYS = {"r_th", "tau_ms", "gamma", "d_um", "ambient_c", "p_baseline_w"}
-_COUPLING_KEYS = {"d_ref_um", "d_decay_um"}
-_BOUNDARY_KEYS = {"boundary_names", "boundary_cumulative"}
+def _from_json(tp, value, path: str):
+    """Build a value of annotation ``tp`` from parsed JSON.
+
+    Objects become dataclasses, lists tuples and enum values their members;
+    the sections' own ``check_fields`` then judges what was built.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
+        types = field_types(tp)
+        for key in value:
+            if key not in types:
+                raise ConfigError(f"{path or 'config'}.{key}: unknown key")
+        return tp(**{
+            key: _from_json(types[key], v, f"{path}.{key}" if path else key)
+            for key, v in value.items()
+        })
+    if isinstance(tp, enum.EnumMeta):
+        try:
+            return tp(value)
+        except (ValueError, TypeError):
+            raise ConfigError(
+                f"{path}: unknown value {value!r}; expected one of "
+                f"{[m.value for m in tp]}"
+            ) from None
+    if isinstance(value, list):
+        return tuple(_from_json(object, v, path) for v in value)
+    return value
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{section}.{key}: unknown key")
-
-
-def _build(section: str, cls, data: dict):
-    try:
-        return cls(**data)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+def _to_json(value):
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    allowed_sections = {
-        "seed", "workload", "thermal", "optics", "scheduler", "controller",
-        "out_dir",
-    }
-    _check_keys("config", data, allowed_sections)
-
-    kwargs: dict = {}
-    if "seed" in data:
-        kwargs["seed"] = data["seed"]
-    if "out_dir" in data:
-        kwargs["out_dir"] = data["out_dir"]
-
-    wl = dict(data.get("workload", {}))
-    _check_keys("workload", wl, _WORKLOAD_KEYS | _MAP_KEYS)
-    map_data = {k: wl.pop(k) for k in list(wl) if k in _MAP_KEYS}
-    if "schedule" in wl:
-        try:
-            wl["schedule"] = tuple((str(s), float(d)) for s, d in wl["schedule"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"workload.schedule: {exc}") from exc
-    kwargs["workload"] = _build("workload", WorkloadConfig, wl)
-    if map_data:
-        kwargs["affine_map"] = _build("workload", AffineMapParams, map_data)
-
-    th = dict(data.get("thermal", {}))
-    _check_keys("thermal", th, _THERMAL_KEYS | _COUPLING_KEYS | _BOUNDARY_KEYS)
-    coupling_data = {k: th.pop(k) for k in list(th) if k in _COUPLING_KEYS}
-    names = th.pop("boundary_names", None)
-    cumulative = th.pop("boundary_cumulative", None)
-    kwargs["thermal"] = _build("thermal", ThermalParams, th)
-    if coupling_data:
-        kwargs["coupling"] = _build("thermal", CouplingConfig, coupling_data)
-    if cumulative is not None:
-        bkw = {"cumulative": tuple(float(c) for c in cumulative)}
-        if names is not None:
-            bkw["names"] = tuple(str(n) for n in names)
-        else:
-            bkw["names"] = tuple(f"stage_{i}" for i in range(len(cumulative)))
-        kwargs["boundary"] = _build("thermal", BoundaryStack, bkw)
-
-    op = dict(data.get("optics", {}))
-    _check_keys("optics", op, {f.name for f in fields(OpticParams)})
-    kwargs["optics"] = _build("optics", OpticParams, op)
-
-    sc = dict(data.get("scheduler", {}))
-    _check_keys("scheduler", sc, {f.name for f in fields(SchedulerConfig)})
-    kwargs["scheduler"] = _build("scheduler", SchedulerConfig, sc)
-
-    ct = dict(data.get("controller", {}))
-    _check_keys("controller", ct, {f.name for f in fields(ControllerParams)})
-    if "mode" in ct:
-        ct["mode"] = Mode.from_str(str(ct["mode"]))
-    kwargs["controller"] = _build("controller", ControllerParams, ct)
-
-    return RunConfig(**kwargs)
+    """Inverse of :func:`config_to_dict`; missing keys keep their defaults."""
+    return _from_json(RunConfig, data, "")
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    wl = config.workload
-    return {
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-        "workload": {
-            "step_count": wl.step_count,
-            "step_period_ms": wl.step_period_ms,
-            "schedule": [[s, d] for s, d in wl.schedule],
-            "noise_sigma": wl.noise_sigma,
-            "alpha": config.affine_map.alpha,
-            "beta": config.affine_map.beta,
-            "p_idle_w": config.affine_map.p_idle_w,
-            "p_peak_w": config.affine_map.p_peak_w,
-            "p_max_w": config.affine_map.p_max_w,
-        },
-        "thermal": {
-            "r_th": config.thermal.r_th,
-            "tau_ms": config.thermal.tau_ms,
-            "gamma": config.thermal.gamma,
-            "d_um": config.thermal.d_um,
-            "ambient_c": config.thermal.ambient_c,
-            "p_baseline_w": config.thermal.p_baseline_w,
-            "d_ref_um": config.coupling.d_ref_um,
-            "d_decay_um": config.coupling.d_decay_um,
-            "boundary_names": list(config.boundary.names),
-            "boundary_cumulative": list(config.boundary.cumulative),
-        },
-        "optics": {
-            "kappa_to": config.optics.kappa_to,
-            "spec_band_nm": config.optics.spec_band_nm,
-            "tolerance_band_nm": config.optics.tolerance_band_nm,
-        },
-        "scheduler": {
-            f.name: getattr(config.scheduler, f.name)
-            for f in fields(SchedulerConfig)
-        },
-        "controller": {
-            "mode": config.controller.mode.value,
-            "sensor_latency_ms": config.controller.sensor_latency_ms,
-            "actuator_tau_ms": config.controller.actuator_tau_ms,
-            "gain": config.controller.gain,
-            "residual_cap_c": config.controller.residual_cap_c,
-            "setpoint_margin_c": config.controller.setpoint_margin_c,
-            "lead_ms": config.controller.lead_ms,
-        },
-    }
+    return _to_json(config)
 
 
 def load_config(path) -> RunConfig:
@@ -283,8 +198,6 @@ def apply_overrides(
     if seed is not None:
         config = replace(config, seed=seed)
     if steps is not None:
-        if steps < 0:
-            raise ConfigError(f"steps override must be >= 0, got {steps}")
         config = replace(config, workload=replace(config.workload, step_count=steps))
     if out_dir is not None:
         config = replace(config, out_dir=out_dir)

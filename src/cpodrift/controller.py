@@ -28,7 +28,10 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, ImplausibleInputError, InputError, MissingHintError, StepSizeError
+from .errors import (
+    ConfigError, ImplausibleInputError, InputError, MissingHintError, StepSizeError,
+    check_fields,
+)
 from .optics import OpticParams, drift
 from .scheduler import HintForecast
 from .thermal import ThermalParams
@@ -38,16 +41,6 @@ class Mode(enum.Enum):
     REACTIVE = "reactive"
     PREDICTIVE = "predictive"
     OPEN_LOOP = "open_loop"
-
-    @classmethod
-    def from_str(cls, name: str) -> "Mode":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ConfigError(
-                f"controller.mode: unknown mode {name!r}; expected one of "
-                f"{[m.value for m in cls]}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +63,7 @@ class ControllerParams:
     lead_ms: float = 1.0
 
     def __post_init__(self) -> None:
+        check_fields(self, "controller")
         if self.sensor_latency_ms < 0:
             raise ConfigError(
                 f"controller.sensor_latency_ms must be >= 0, got {self.sensor_latency_ms}"

@@ -1,10 +1,17 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the field rule behind :class:`ConfigError`.
 
 Every documented failure mode raises a distinct, catchable class so callers
 (and the acceptance suite) can tell degenerate inputs apart from bugs.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+import numbers
+import types
+import typing
+from dataclasses import fields
 
 
 class CpodriftError(Exception):
@@ -55,9 +62,59 @@ class ImplausibleInputError(InputError):
     """Physically implausible quantity (e.g. savings larger than baseline)."""
 
 
+class UsageError(CpodriftError):
+    """Unknown experiment or CLI usage problem."""
+
+
 class ConfigError(CpodriftError):
     """Invalid run configuration; message carries the dotted field path."""
 
 
-class UsageError(CpodriftError):
-    """Unknown experiment or CLI usage problem."""
+@functools.cache
+def field_types(cls) -> dict[str, object]:
+    """Resolved annotation of each dataclass field of ``cls``, in order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def check_fields(obj, section: str) -> None:
+    """Check every field of a config dataclass against its annotation.
+
+    A float is a finite real number, an int (counts and seeds) a
+    non-negative integer and a bool only a bool, none of them a bool in
+    disguise; ``X | None`` also takes None; a tuple is checked item by item;
+    any other annotation is an ``isinstance`` check. The message names the
+    dotted field, ``section`` giving its prefix ("" at the root).
+    """
+    for name, tp in field_types(type(obj)).items():
+        _check_value(tp, getattr(obj, name), f"{section}.{name}" if section else name)
+
+
+def _check_value(tp, value, path: str) -> None:
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{path} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
+    elif tp is int:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < 0):
+            raise ConfigError(f"{path} must be a non-negative integer, got {value!r}")
+    elif tp is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path} must be true or false, got {value!r}")
+    elif typing.get_origin(tp) is tuple:
+        if not isinstance(value, tuple):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        args = typing.get_args(tp)
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        if len(items) != len(value):
+            raise ConfigError(f"{path} must have {len(items)} items, got {len(value)}")
+        for i, (item_tp, item) in enumerate(zip(items, value)):
+            _check_value(item_tp, item, f"{path}[{i}]")
+    elif not isinstance(value, tp):
+        raise ConfigError(f"{path} must be a {tp.__name__}, got {value!r}")

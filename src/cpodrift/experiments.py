@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import fingerprint as fp
 from .config import (
+    DEFAULT_SEED,
     RunConfig,
     comparison_config,
     default_config,
@@ -55,8 +56,7 @@ def _write_run(run: RunResult, out: Path, stem: str) -> list[Path]:
     return files
 
 
-def _run_validation90k(config: RunConfig, out: Path, seed: int) -> ExperimentResult:
-    cfg = config if config is not None else default_config(seed)
+def _run_validation90k(cfg: RunConfig, out: Path) -> ExperimentResult:
     run = simulate(cfg)
     files = _write_run(run, out, "validation90k")
     fit = fp.regress(run.frame.rho, run.frame.delta_t_c)
@@ -72,8 +72,7 @@ def _run_validation90k(config: RunConfig, out: Path, seed: int) -> ExperimentRes
     return ExperimentResult("validation90k", tuple(files), summary, ok)
 
 
-def _run_transient300(config: RunConfig, out: Path, seed: int) -> ExperimentResult:
-    cfg = config if config is not None else transient_config(seed)
+def _run_transient300(cfg: RunConfig, out: Path) -> ExperimentResult:
     run = simulate(cfg)
     files = _write_run(run, out, "transient300")
     tau_est = fp.estimate_tau(run.frame.t_ms, run.frame.delta_t_c)
@@ -89,8 +88,7 @@ def _run_transient300(config: RunConfig, out: Path, seed: int) -> ExperimentResu
     return ExperimentResult("transient300", tuple(files), summary, ok)
 
 
-def _run_comparison(config: RunConfig, out: Path, seed: int) -> ExperimentResult:
-    cfg = config if config is not None else comparison_config(seed)
+def _run_comparison(cfg: RunConfig, out: Path) -> ExperimentResult:
     report = run_comparison(cfg)
     jpath = out / "comparison.json"
     _write_json(jpath, report.to_dict())
@@ -100,8 +98,7 @@ def _run_comparison(config: RunConfig, out: Path, seed: int) -> ExperimentResult
     return ExperimentResult("comparison", (jpath, tpath), report.to_dict(), ok)
 
 
-def _run_fingerprint(config: RunConfig, out: Path, seed: int) -> ExperimentResult:
-    cfg = config if config is not None else fingerprint_config(seed)
+def _run_fingerprint(cfg: RunConfig, out: Path) -> ExperimentResult:
     run = simulate(cfg)
     files = _write_run(run, out, "fingerprint")
     report = fp.build_report(run.frame, cfg)
@@ -111,8 +108,7 @@ def _run_fingerprint(config: RunConfig, out: Path, seed: int) -> ExperimentResul
     )
 
 
-def _run_stabilization(config: RunConfig, out: Path, seed: int) -> ExperimentResult:
-    cfg = config if config is not None else stabilization_config(seed)
+def _run_stabilization(cfg: RunConfig, out: Path) -> ExperimentResult:
     run = simulate(cfg)
     summary = run.summary.to_dict()
     spath = out / "stabilization1800_summary.json"
@@ -122,15 +118,29 @@ def _run_stabilization(config: RunConfig, out: Path, seed: int) -> ExperimentRes
     return ExperimentResult("stabilization1800", (spath,), summary, ok)
 
 
-_RUNNERS = {
-    "validation90k": _run_validation90k,
-    "transient300": _run_transient300,
-    "comparison": _run_comparison,
-    "fingerprint": _run_fingerprint,
-    "stabilization1800": _run_stabilization,
+# name -> (preset, runner)
+_EXPERIMENTS = {
+    "validation90k": (default_config, _run_validation90k),
+    "transient300": (transient_config, _run_transient300),
+    "comparison": (comparison_config, _run_comparison),
+    "fingerprint": (fingerprint_config, _run_fingerprint),
+    "stabilization1800": (stabilization_config, _run_stabilization),
 }
 
-EXPERIMENT_NAMES = tuple(_RUNNERS)
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+
+
+def _lookup(name: str):
+    if name not in _EXPERIMENTS:
+        raise UsageError(
+            f"unknown experiment {name!r}; expected one of {list(_EXPERIMENTS)}"
+        )
+    return _EXPERIMENTS[name]
+
+
+def experiment_config(name: str, seed: int = DEFAULT_SEED) -> RunConfig:
+    """The preset run config of a named experiment."""
+    return _lookup(name)[0](seed)
 
 
 def run_experiment(
@@ -138,19 +148,14 @@ def run_experiment(
     *,
     config: RunConfig | None = None,
     out_dir="out",
-    seed: int = 24,
+    seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
     """Run a named experiment and write its artifact files.
 
-    ``config`` overrides the experiment's own preset entirely (use the
-    preset constructors in :mod:`cpodrift.config` as starting points).
+    ``config`` replaces the experiment's preset (:func:`experiment_config`)
+    entirely, ``seed`` included; without it the preset runs with ``seed``.
     """
-    try:
-        runner = _RUNNERS[name]
-    except KeyError:
-        raise UsageError(
-            f"unknown experiment {name!r}; expected one of {list(_RUNNERS)}"
-        ) from None
+    preset, runner = _lookup(name)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return runner(config, out, seed)
+    return runner(config if config is not None else preset(seed), out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_fields
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class OpticParams:
     tolerance_band_nm: float = 1.7  # BER tolerance budget
 
     def __post_init__(self) -> None:
+        check_fields(self, "optics")
         if not self.kappa_to > 0:
             raise ConfigError(f"optics.kappa_to must be > 0, got {self.kappa_to}")
         if not 0 < self.spec_band_nm < self.tolerance_band_nm:

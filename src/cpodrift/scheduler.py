@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, SliceViolationError
+from .errors import ConfigError, InputError, SliceViolationError, check_fields
 from .thermal import ThermalParams, steady_state_delta_t
 from .workload import AffineMapParams, DEFAULT_MAP, density_to_power
 
@@ -41,7 +41,6 @@ class SchedulerConfig:
     horizon_min_ms: float = 20.0
     horizon_max_ms: float = 50.0
     t_slice_ms: float = 80.0
-    tau_th_ms: float = 80.0
     forecaster: str = "queue_replay"     # "queue_replay" | "ewma"
     ewma_half_life_ms: float = 40.0
     history_window_ms: float = 200.0     # power-history ring buffer span
@@ -52,6 +51,7 @@ class SchedulerConfig:
     throttle_compensation_gain: float = 0.95
 
     def __post_init__(self) -> None:
+        check_fields(self, "scheduler")
         if self.forecaster not in ("queue_replay", "ewma"):
             raise ConfigError(
                 f"scheduler.forecaster: unknown forecaster {self.forecaster!r}"
@@ -138,7 +138,6 @@ class HintForecast:
     horizon_ms: float
     forecast_w: float
     issued_at_ms: float
-    eta: float
     source: str = "queue_replay"        # "queue_replay" | "ewma"
     newest_input_ms: float = 0.0
     filtration: Filtration | None = None
@@ -192,7 +191,6 @@ def forecast(
             f"[{config.horizon_min_ms}, {config.horizon_max_ms}]"
         )
 
-    eta = preposition_fraction(horizon_ms, config.tau_th_ms)
     target = t_ms + horizon_ms
 
     if config.forecaster == "queue_replay":
@@ -211,7 +209,6 @@ def forecast(
                 horizon_ms=horizon_ms,
                 forecast_w=density_to_power(rho_slot, map_params),
                 issued_at_ms=t_ms,
-                eta=eta,
                 source="queue_replay",
                 newest_input_ms=newest,
                 filtration=f,
@@ -222,7 +219,6 @@ def forecast(
         horizon_ms=horizon_ms,
         forecast_w=_ewma_power(f.power_history, t_ms, config.ewma_half_life_ms),
         issued_at_ms=t_ms,
-        eta=eta,
         source="ewma",
         newest_input_ms=newest,
         filtration=f,
@@ -433,7 +429,6 @@ def throttle_slot(
         horizon_ms=config.horizon_ms,
         forecast_w=forecast_w,
         issued_at_ms=t_ms,
-        eta=preposition_fraction(config.horizon_ms, config.tau_th_ms),
         filtration=Filtration(now_ms=t_ms, queue=tuple(slot), slot_ms=slot_ms),
     )
     return throttle_decision(

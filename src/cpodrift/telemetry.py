@@ -8,44 +8,19 @@ config and seed produce byte-identical files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InputError
 
-COLUMNS = (
-    "step", "t_ms", "load_state", "rho", "t24", "p_eic_w", "hint_w", "eta",
-    "delta_t_c", "bias_c", "residual_c", "drift_nm", "queue_depth", "ttft_ms",
-)
-
 FLOAT_FMT = "%.9g"
 _CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """A single step's metrics (row view of the frame)."""
-
-    step: int
-    t_ms: float
-    load_state: str
-    rho: float
-    t24: float
-    p_eic_w: float
-    hint_w: float
-    eta: float
-    delta_t_c: float
-    bias_c: float
-    residual_c: float
-    drift_nm: float
-    queue_depth: int
-    ttft_ms: float
-
-
 @dataclass
 class TelemetryFrame:
-    """Column-oriented telemetry for a whole run."""
+    """Column-oriented telemetry for a whole run; field order is the schema."""
 
     step: np.ndarray
     t_ms: np.ndarray
@@ -66,25 +41,22 @@ class TelemetryFrame:
     def n(self) -> int:
         return int(self.step.shape[0])
 
-    def record(self, i: int) -> TelemetryRecord:
-        return TelemetryRecord(
-            step=int(self.step[i]), t_ms=float(self.t_ms[i]),
-            load_state=self.load_state[i], rho=float(self.rho[i]),
-            t24=float(self.t24[i]), p_eic_w=float(self.p_eic_w[i]),
-            hint_w=float(self.hint_w[i]), eta=float(self.eta[i]),
-            delta_t_c=float(self.delta_t_c[i]), bias_c=float(self.bias_c[i]),
-            residual_c=float(self.residual_c[i]), drift_nm=float(self.drift_nm[i]),
-            queue_depth=int(self.queue_depth[i]), ttft_ms=float(self.ttft_ms[i]),
-        )
-
     @classmethod
     def empty(cls) -> "TelemetryFrame":
-        f = np.empty(0, dtype=float)
-        i = np.empty(0, dtype=np.int64)
-        return cls(step=i, t_ms=f, load_state=[], rho=f.copy(), t24=f.copy(),
-                   p_eic_w=f.copy(), hint_w=f.copy(), eta=f.copy(),
-                   delta_t_c=f.copy(), bias_c=f.copy(), residual_c=f.copy(),
-                   drift_nm=f.copy(), queue_depth=i.copy(), ttft_ms=f.copy())
+        return cls(**_columns({c: [] for c in COLUMNS}))
+
+
+COLUMNS = tuple(f.name for f in fields(TelemetryFrame))
+_INT_COLUMNS = ("step", "queue_depth")
+
+
+def _columns(cols: dict[str, list]) -> dict:
+    """Column lists as frame fields: int64 counters, float metrics."""
+    return {
+        c: v if c == "load_state"
+        else np.asarray(v, dtype=np.int64 if c in _INT_COLUMNS else float)
+        for c, v in cols.items()
+    }
 
 
 def write_csv(frame: TelemetryFrame, path) -> None:
@@ -123,19 +95,4 @@ def read_csv(path) -> TelemetryFrame:
                 raise InputError(f"{path}: malformed row {row!r}")
             for c, v in zip(COLUMNS, row):
                 cols[c].append(v)
-    return TelemetryFrame(
-        step=np.asarray(cols["step"], dtype=np.int64),
-        t_ms=np.asarray(cols["t_ms"], dtype=float),
-        load_state=cols["load_state"],
-        rho=np.asarray(cols["rho"], dtype=float),
-        t24=np.asarray(cols["t24"], dtype=float),
-        p_eic_w=np.asarray(cols["p_eic_w"], dtype=float),
-        hint_w=np.asarray(cols["hint_w"], dtype=float),
-        eta=np.asarray(cols["eta"], dtype=float),
-        delta_t_c=np.asarray(cols["delta_t_c"], dtype=float),
-        bias_c=np.asarray(cols["bias_c"], dtype=float),
-        residual_c=np.asarray(cols["residual_c"], dtype=float),
-        drift_nm=np.asarray(cols["drift_nm"], dtype=float),
-        queue_depth=np.asarray(cols["queue_depth"], dtype=np.int64),
-        ttft_ms=np.asarray(cols["ttft_ms"], dtype=float),
-    )
+    return TelemetryFrame(**_columns(cols))

@@ -14,11 +14,11 @@ reference 0.451 * 82 = 36.982 C rise for an 82 W idle-to-peak swing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, StepSizeError
+from .errors import ConfigError, InputError, StepSizeError, check_fields
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,11 @@ class CouplingConfig:
 
     d_ref_um: float = 10.0     # separation at which coupling is unity
     d_decay_um: float = 5.0    # e-folding length of the decay
+
+    def __post_init__(self) -> None:
+        check_fields(self, "coupling")
+        if not self.d_decay_um > 0:
+            raise ConfigError(f"coupling.d_decay_um must be > 0, got {self.d_decay_um}")
 
 
 def gamma_of_distance(d_um: float, coupling: CouplingConfig = CouplingConfig()) -> float:
@@ -57,16 +62,15 @@ class ThermalParams:
     p_baseline_w: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"thermal.{f.name} must be finite, got {value}")
+        check_fields(self, "thermal")
         if not self.r_th > 0:
             raise ConfigError(f"thermal.r_th must be > 0, got {self.r_th}")
         if not self.tau_ms > 0:
             raise ConfigError(f"thermal.tau_ms must be > 0, got {self.tau_ms}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"thermal.gamma must be in (0, 1], got {self.gamma}")
+        if self.d_um is not None and not self.d_um > 0:
+            raise ConfigError(f"thermal.d_um must be > 0, got {self.d_um}")
 
     @property
     def gain(self) -> float:
@@ -147,15 +151,19 @@ class BoundaryStack:
     cumulative: tuple[float, ...] = DEFAULT_BOUNDARY_CUMULATIVE
 
     def __post_init__(self) -> None:
+        check_fields(self, "boundary")
         if len(self.names) != len(self.cumulative):
-            raise ConfigError("boundary stack: names and cumulative lengths differ")
+            raise ConfigError(
+                f"boundary.cumulative has {len(self.cumulative)} stages, "
+                f"boundary.names {len(self.names)}"
+            )
         if not self.cumulative:
-            raise ConfigError("boundary stack: at least one stage required")
+            raise ConfigError("boundary.cumulative: at least one stage required")
         prev = 0.0
         for i, c in enumerate(self.cumulative):
             if not c > prev:
                 raise ConfigError(
-                    f"boundary stack: cumulative[{i}] = {c} must exceed {prev}"
+                    f"boundary.cumulative[{i}] = {c} must exceed {prev}"
                 )
             prev = c
 

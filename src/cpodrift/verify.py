@@ -55,17 +55,16 @@ def verify(config: RunConfig | None = None) -> VerifyReport:
     """Run the analytic-oracle checks; failures are report content."""
     cfg = config if config is not None else RunConfig()
     thermal = cfg.thermal_resolved
-    sc = cfg.scheduler
     wmap = cfg.affine_map
     checks = []
 
     checks.append(_check(
         "preposition fraction at 20 ms",
-        0.2212, preposition_fraction(20.0, sc.tau_th_ms), 1e-4,
+        0.2212, preposition_fraction(20.0, thermal.tau_ms), 1e-4,
     ))
     checks.append(_check(
         "preposition fraction at 50 ms",
-        0.46474, preposition_fraction(50.0, sc.tau_th_ms), 1e-4,
+        0.46474, preposition_fraction(50.0, thermal.tau_ms), 1e-4,
     ))
     checks.append(_check(
         "steady-state gain at 82 W",

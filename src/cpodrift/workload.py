@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMapError, InputError
+from .errors import ConfigError, DegenerateMapError, InputError, check_fields
 
 RHO_MIN = 0.9
 RHO_MAX = 2.7
@@ -73,6 +73,7 @@ class AffineMapParams:
     p_max_w: float = 100.0      # package power envelope ceiling
 
     def __post_init__(self) -> None:
+        check_fields(self, "affine_map")
         if not self.alpha > 0:
             raise ConfigError(f"affine_map.alpha must be > 0, got {self.alpha}")
         if not self.p_idle_w < self.p_peak_w:
@@ -199,13 +200,7 @@ class WorkloadConfig:
     noise_sigma: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.step_count < 0:
-            raise ConfigError(f"workload.step_count must be >= 0, got {self.step_count}")
-        for name in ("step_period_ms", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"workload.{name} must be finite, got {getattr(self, name)}"
-                )
+        check_fields(self, "workload")
         if self.step_period_ms <= 0:
             raise ConfigError(
                 f"workload.step_period_ms must be > 0, got {self.step_period_ms}"
@@ -214,10 +209,7 @@ class WorkloadConfig:
             raise ConfigError(f"workload.noise_sigma must be >= 0, got {self.noise_sigma}")
         if not self.schedule:
             raise ConfigError("workload.schedule must contain at least one entry")
-        for i, entry in enumerate(self.schedule):
-            if len(entry) != 2:
-                raise ConfigError(f"workload.schedule[{i}]: expected (state, duration_ms)")
-            name, dur = entry
+        for i, (name, dur) in enumerate(self.schedule):
             if name not in STATE_BY_NAME:
                 raise ConfigError(
                     f"workload.schedule[{i}].state: unknown state {name!r}"

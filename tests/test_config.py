@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -13,8 +14,12 @@ from cpodrift.config import (
     save_config,
     stabilization_config,
 )
-from cpodrift.controller import Mode
+from cpodrift.controller import ControllerParams, Mode
 from cpodrift.errors import ConfigError
+from cpodrift.optics import OpticParams
+from cpodrift.scheduler import SchedulerConfig
+from cpodrift.thermal import BoundaryStack, CouplingConfig, ThermalParams
+from cpodrift.workload import AffineMapParams, WorkloadConfig
 
 
 def test_default_config_reproduces_nominal_setup():
@@ -57,10 +62,88 @@ def test_section_value_validation_paths():
     ({"seed": 2.0}, "seed must be a non-negative integer"),
     ({"workload": {"step_period_ms": float("nan")}}, "workload.step_period_ms must be finite"),
     ({"workload": {"noise_sigma": float("nan")}}, "workload.noise_sigma must be finite"),
+    ({"workload": {"step_count": 10.5}}, "workload.step_count must be a non-negative integer"),
+    ({"scheduler": {"throttle_cap_c": float("nan")}}, "scheduler.throttle_cap_c must be finite"),
+    ({"affine_map": {"alpha": float("inf")}}, "affine_map.alpha must be finite"),
+    ({"controller": {"sensor_latency_ms": float("nan")}},
+     "controller.sensor_latency_ms must be finite"),
+    ({"scheduler": {"throttle_enabled": "no"}}, "scheduler.throttle_enabled must be true or false"),
+    ({"boundary": {"cumulative": [1.0, "x"]}}, r"boundary.cumulative\[1\] must be a number"),
+    ({"thermal": 5}, "thermal must be an object"),
+    ({"scheduler": {"tau_th_ms": 80.0}}, "scheduler.tau_th_ms: unknown key"),
+    ({"workload": {"alpha": 0.361}}, "workload.alpha: unknown key"),
+    ({"thermal": {"d_decay_um": 5.0}}, "thermal.d_decay_um: unknown key"),
+    ({"coupling": {"d_decay_um": 0.0}}, "coupling.d_decay_um must be > 0"),
+    ({"thermal": {"d_um": 0.0}}, "thermal.d_um must be > 0"),
 ])
-def test_bad_values_rejected_with_field_name(data, message):
+def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
         config_from_dict(data)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_sections_built_in_python_get_the_same_rule():
+    with pytest.raises(ConfigError, match="thermal.r_th must be a number"):
+        ThermalParams(r_th=True)
+    with pytest.raises(ConfigError, match="workload.step_count must be a non-negative"):
+        WorkloadConfig(step_count=10.5)
+    with pytest.raises(ConfigError, match=r"workload.schedule\[0\] must be a list"):
+        WorkloadConfig(schedule=(["Peak", 300.0],))
+    with pytest.raises(ConfigError, match="scheduler.throttle_enabled"):
+        SchedulerConfig(throttle_enabled=1)
+    with pytest.raises(ConfigError, match="controller.mode must be a Mode"):
+        ControllerParams(mode="reactive")
+    with pytest.raises(ConfigError, match="workload must be a WorkloadConfig"):
+        RunConfig(workload={})
+
+
+def _every_field_changed(d_um):
+    return RunConfig(
+        seed=7,
+        workload=WorkloadConfig(
+            step_count=1234, step_period_ms=0.5,
+            schedule=(("Low", 250.0), ("Peak", 125.5)), noise_sigma=0.01),
+        affine_map=AffineMapParams(alpha=0.4, beta=19.0, p_idle_w=10.0,
+                                   p_peak_w=90.0, p_max_w=95.0),
+        thermal=ThermalParams(r_th=0.5, tau_ms=70.0, gamma=0.9, d_um=d_um,
+                              ambient_c=40.0, p_baseline_w=1.0),
+        coupling=CouplingConfig(d_ref_um=8.0, d_decay_um=4.0),
+        boundary=BoundaryStack(names=("a", "b"), cumulative=(0.5, 1.25)),
+        optics=OpticParams(kappa_to=0.08, spec_band_nm=0.4, tolerance_band_nm=1.5),
+        scheduler=SchedulerConfig(
+            horizon_ms=25.0, horizon_min_ms=15.0, horizon_max_ms=45.0,
+            t_slice_ms=75.0, forecaster="ewma", ewma_half_life_ms=30.0,
+            history_window_ms=150.0, admission_lead_ms=60.0, overhead_ms=0.25,
+            throttle_enabled=False, throttle_cap_c=4.0,
+            throttle_compensation_gain=0.9),
+        controller=ControllerParams(
+            mode=Mode.REACTIVE, sensor_latency_ms=15.0, actuator_tau_ms=2.0,
+            gain=0.9, residual_cap_c=4.0, setpoint_margin_c=0.05, lead_ms=2.0),
+        out_dir="runs/x",
+    )
+
+
+def test_every_field_round_trips_through_json(tmp_path):
+    cfg = _every_field_changed(d_um=12.5)
+    default = RunConfig()
+    for f in fields(RunConfig):
+        section, base = getattr(cfg, f.name), getattr(default, f.name)
+        if is_dataclass(section):
+            for g in fields(section):
+                assert getattr(section, g.name) != getattr(base, g.name), \
+                    f"{f.name}.{g.name}"
+        else:
+            assert section != base, f.name
+    for variant in (cfg, replace(cfg, thermal=replace(cfg.thermal, d_um=None))):
+        path = tmp_path / "run.json"
+        save_config(variant, path)
+        saved = json.loads(path.read_text())
+        assert list(saved) == [f.name for f in fields(RunConfig)]
+        assert list(saved["thermal"]) == [f.name for f in fields(ThermalParams)]
+        assert load_config(path) == variant
 
 
 def test_round_trip_through_json(tmp_path):
@@ -137,7 +220,8 @@ def test_step_must_divide_scheduler_times():
 
 def test_distance_resolves_coupling_gamma():
     import math
-    cfg = config_from_dict({"thermal": {"d_um": 15.0, "d_decay_um": 5.0}})
+    cfg = config_from_dict({"thermal": {"d_um": 15.0},
+                            "coupling": {"d_decay_um": 5.0}})
     assert cfg.thermal_resolved.gamma == pytest.approx(math.exp(-1.0))
     assert config_from_dict({}).thermal_resolved.gamma == 1.0
 

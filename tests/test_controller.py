@@ -29,7 +29,7 @@ OPTIC = OpticParams()
 
 def _hint(fw, t=0.0, horizon=30.0):
     return HintForecast(horizon_ms=horizon, forecast_w=fw, issued_at_ms=t,
-                        eta=0.31, source="queue_replay", newest_input_ms=t)
+                        source="queue_replay", newest_input_ms=t)
 
 
 def test_open_loop_residual_is_plant_delta():
@@ -122,7 +122,7 @@ def test_controller_params_validation():
     with pytest.raises(ConfigError):
         ControllerParams(setpoint_margin_c=5.0)
     with pytest.raises(ConfigError):
-        Mode.from_str("thermostat")
+        ControllerParams(mode="thermostat")
 
 
 def _burst_cfg(steps=6000):

@@ -122,3 +122,17 @@ def test_cli_bad_telemetry_file(tmp_path):
     p = tmp_path / "junk.csv"
     p.write_text("a,b\n1,2\n")
     assert main(["fingerprint", str(p)]) == 2
+
+
+def test_cli_experiment_overrides_keep_the_preset(tmp_path, capsys):
+    assert main(["experiment", "transient300", "--seed", "5",
+                 "--out", str(tmp_path / "s5")]) == 0
+    summary = json.loads((tmp_path / "s5" / "transient300_summary.json").read_text())
+    assert summary["steps"] == 300
+    # --seed 0 is a seed, not "no override"
+    assert main(["experiment", "transient300", "--seed", "0",
+                 "--out", str(tmp_path / "cli")]) == 0
+    run_experiment("transient300", seed=0, out_dir=tmp_path / "api")
+    name = "transient300_telemetry.csv"
+    assert (tmp_path / "cli" / name).read_bytes() == \
+        (tmp_path / "api" / name).read_bytes()

@@ -275,6 +275,22 @@ def test_report_theory_line_uses_resolved_coupling():
     assert report.r_th_unified == pytest.approx(cfg.thermal_resolved.gain, rel=0.01)
 
 
+def _resistance_row(cfg):
+    report = build_report(simulate(cfg).frame, cfg)
+    return report, next(r for r in report.pass_fail if r.panel == "Top-Left")
+
+
+def test_report_resistance_row_divides_out_coupling():
+    # the through-origin slope is gamma * r_th; the row judges r_th itself
+    cfg = fingerprint_config(24)
+    report, row = _resistance_row(
+        replace(cfg, thermal=replace(cfg.thermal, d_um=12.0)))
+    assert row.ok and row.measured == "0.451 C/W"
+    assert report.ok
+    _, row = _resistance_row(replace(cfg, thermal=ThermalParams(r_th=0.40)))
+    assert not row.ok and row.verdict == "Fail"
+
+
 def test_report_is_pure_function(fingerprint_run, fingerprint_cfg):
     a = build_report(fingerprint_run.frame, fingerprint_cfg)
     b = build_report(fingerprint_run.frame, fingerprint_cfg)

@@ -52,7 +52,6 @@ def test_forecast_constant_history_fallback():
     hint = forecast(_filtration(history=hist), 100.0, 30.0)
     assert hint.forecast_w == pytest.approx(50.0, rel=1e-12)
     assert hint.source == "ewma"
-    assert hint.eta == pytest.approx(preposition_fraction(30.0, 80.0))
 
 
 def test_forecast_queue_replay_hits_peak_dispatch():
@@ -117,7 +116,7 @@ def test_scheduler_config_validation():
 
 def _log_entry(issued, newest, fw=50.0):
     return HintForecast(horizon_ms=30.0, forecast_w=fw, issued_at_ms=issued,
-                        eta=0.3, source="ewma", newest_input_ms=newest)
+                        source="ewma", newest_input_ms=newest)
 
 
 def test_audit_clean_log():
@@ -180,7 +179,7 @@ def _hint_with_queue(rhos, issued=100.0, horizon=30.0):
     return HintForecast(
         horizon_ms=horizon,
         forecast_w=density_to_power(sum(rhos)),
-        issued_at_ms=issued, eta=0.3, source="queue_replay",
+        issued_at_ms=issued, source="queue_replay",
         newest_input_ms=50.0, filtration=f,
     )
 
@@ -215,7 +214,7 @@ def test_throttle_defers_lifo_until_under_cap():
 
 def test_throttle_empty_queue_noop():
     hint = HintForecast(horizon_ms=30.0, forecast_w=500.0, issued_at_ms=0.0,
-                        eta=0.3, filtration=_filtration(now=0.0))
+                        filtration=_filtration(now=0.0))
     d = throttle_decision(hint, 0.1, THERMAL)
     assert not d.fired
 

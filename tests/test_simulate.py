@@ -160,7 +160,7 @@ def test_summary_contents(validation_run):
 def test_eta_uses_the_plant_time_constant():
     cfg = replace(_small_cfg(steps=200), thermal=ThermalParams(tau_ms=120.0))
     run = simulate(cfg)
-    # 1 - exp(-30/120), where the scheduler's own tau_th_ms = 80 gives 0.3127
+    # 1 - exp(-30/120); tau = 80 ms would give 0.3127
     assert run.frame.eta == pytest.approx(np.full(200, 0.2212), abs=1e-4)
     assert run.summary.eta_min == run.summary.eta_max == run.frame.eta[0]
 

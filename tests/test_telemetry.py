@@ -10,14 +10,6 @@ def test_schema_has_exactly_14_columns():
     assert COLUMNS[0] == "step" and COLUMNS[-1] == "ttft_ms"
 
 
-def test_frame_record_view(validation_run):
-    frame = validation_run.frame
-    rec = frame.record(100)
-    assert rec.step == 100
-    assert rec.load_state == frame.load_state[100]
-    assert rec.drift_nm == pytest.approx(float(frame.drift_nm[100]))
-
-
 def test_row_invariants(validation_run):
     frame = validation_run.frame
     cfg = validation_run.config
