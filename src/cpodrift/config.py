@@ -20,7 +20,7 @@ from .controller import ControllerParams, Mode
 from .errors import ConfigError, check_fields, field_types
 from .optics import OpticParams
 from .scheduler import SchedulerConfig
-from .thermal import BoundaryStack, CouplingConfig, ThermalParams
+from .thermal import BoundaryStack, CouplingConfig, ThermalParams, gamma_of_distance
 from .workload import (
     AffineMapParams,
     BURST_SCHEDULE,
@@ -46,6 +46,14 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, "")
+        if self.thermal.d_um is not None and not (
+            gamma_of_distance(self.thermal.d_um, self.coupling) > 0
+        ):
+            raise ConfigError(
+                f"thermal.d_um = {self.thermal.d_um} leaves no coupling: gamma "
+                f"underflows to 0 with coupling.d_ref_um = {self.coupling.d_ref_um}, "
+                f"coupling.d_decay_um = {self.coupling.d_decay_um}"
+            )
         if self.controller.lead_ms > self.scheduler.horizon_ms:
             raise ConfigError(
                 f"controller.lead_ms = {self.controller.lead_ms} must not exceed "

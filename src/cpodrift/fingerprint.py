@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from .optics import drift
-from .telemetry import TelemetryFrame
+from .telemetry import FLOAT_FMT, TelemetryFrame, write_rows
 from .thermal import ThermalParams
 from .workload import STATE_BY_NAME
 
@@ -652,19 +652,14 @@ def report_dict(report: FingerprintReport) -> dict:
 
 def write_panel_csv(panel: Panel, path) -> None:
     """One CSV per panel; meta as commented key=value header lines."""
-    cols = list(panel.columns)
-    arrays = [panel.columns[c] for c in cols]
+    arrays = list(panel.columns.values())
     with open(path, "w", newline="") as fh:
         for k, v in panel.meta.items():
             fh.write(f"# {k}={v}\n")
-        fh.write(",".join(cols) + "\n")
-        for i in range(panel.n_rows):
-            cells = []
-            for a in arrays:
-                v = a[i]
-                cells.append(str(v) if isinstance(v, (str, np.str_))
-                             else "%.9g" % float(v))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(panel.columns) + "\n")
+        write_rows(
+            fh, arrays, ["%s" if a.dtype.kind == "U" else FLOAT_FMT for a in arrays]
+        )
 
 
 def write_report(report: FingerprintReport, out_dir) -> list[Path]:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, SliceViolationError, check_fields
+from .telemetry import FLOAT_FMT, write_rows
 from .thermal import ThermalParams, steady_state_delta_t
 from .workload import AffineMapParams, DEFAULT_MAP, density_to_power
 
@@ -289,15 +290,14 @@ class ForecastLog:
 
     def write_csv(self, path) -> None:
         c = self._materialize()
-        issued, horizon = c["issued_at_ms"], c["horizon_ms"]
-        fw, newest, src = c["forecast_w"], c["newest_input_ms"], c["source"]
         with open(path, "w", newline="") as fh:
-            fh.write("issued_at_ms,horizon_ms,forecast_w,newest_input_ms,source\n")
-            for i in range(len(self)):
-                fh.write(
-                    f"{issued[i]:.9g},{horizon[i]:.9g},{fw[i]:.9g},"
-                    f"{newest[i]:.9g},{_SOURCE_NAMES[int(src[i])]}\n"
-                )
+            fh.write(",".join(self._FIELDS) + "\n")
+            write_rows(
+                fh,
+                [c[name] for name in self._FIELDS[:-1]]
+                + [list(map(_SOURCE_NAMES.__getitem__, c["source"].tolist()))],
+                (FLOAT_FMT,) * 4 + ("%s",),
+            )
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,7 @@ def test_section_value_validation_paths():
     ({"thermal": {"d_decay_um": 5.0}}, "thermal.d_decay_um: unknown key"),
     ({"coupling": {"d_decay_um": 0.0}}, "coupling.d_decay_um must be > 0"),
     ({"thermal": {"d_um": 0.0}}, "thermal.d_um must be > 0"),
+    ({"thermal": {"d_um": 5000.0}}, "thermal.d_um = 5000.0 leaves no coupling"),
 ])
 def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):

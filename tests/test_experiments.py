@@ -5,6 +5,7 @@ import pytest
 from cpodrift.cli import main
 from cpodrift.errors import UsageError
 from cpodrift.experiments import EXPERIMENT_NAMES, run_experiment
+from cpodrift.telemetry import COLUMNS
 
 
 def test_experiment_names():
@@ -118,10 +119,13 @@ def test_cli_error_is_reported_not_raised(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_bad_telemetry_file(tmp_path):
+def test_cli_bad_telemetry_file(tmp_path, capsys):
     p = tmp_path / "junk.csv"
     p.write_text("a,b\n1,2\n")
     assert main(["fingerprint", str(p)]) == 2
+    p.write_text(",".join(COLUMNS) + "\n0,abc,Idle" + ",1" * 11 + "\n")
+    assert main(["fingerprint", str(p)]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_cli_experiment_overrides_keep_the_preset(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -310,3 +311,25 @@ def test_write_report_artifacts(tmp_path, fingerprint_report):
         assert "," in header
     txt = table_text(fingerprint_report)
     assert "outside spec (expected)" in txt
+
+
+# sha256 of each panel CSV of the seed-24 staircase report, as written by the
+# per-cell formatter that write_rows replaced
+PANEL_SHA256 = {
+    "rth_by_state": "318d4e888e28c4849d693c909325f54ff326b5cae5423b4f6d9d2423e66ecd3e",
+    "rth_validation": "acec911686f99c985ab28dae65115db3258db8e2a5b54a6b010204de4c0cc650",
+    "spectral_stability": "7a6861b41c713eff0e63e937e4985f4d445812d6364fafa0233013c0dfb7bbef",
+    "step_response": "1ee3ad8661e59bb035535af3fd40e90696472dd13863fbd44a84d7df89698a81",
+    "thermal_diffusion_heatmap":
+        "2b0bd4ce6044860e8387e289379b2851d12f385cb142790ffd06d149f2045ea9",
+    "throughput_coupling": "f4651d6d79a89666a185cf85347621da94a62cf68cd854feda396b4511a4159a",
+}
+
+
+def test_panel_csvs_are_byte_identical_to_golden(tmp_path, fingerprint_report):
+    write_report(fingerprint_report, tmp_path)
+    got = {
+        name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+        for name in PANEL_SHA256
+    }
+    assert got == PANEL_SHA256

@@ -1,8 +1,24 @@
+import csv
+import hashlib
+import io
+import warnings
+
 import numpy as np
 import pytest
 
 from cpodrift.errors import InputError
-from cpodrift.telemetry import COLUMNS, TelemetryFrame, read_csv, write_csv
+from cpodrift.telemetry import (
+    _CHUNK,
+    COLUMNS,
+    TelemetryFrame,
+    read_csv,
+    write_csv,
+    write_rows,
+)
+
+INT_COLUMNS = ("step", "queue_depth")
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+               0.5, 99999.99995, 1.0 / 3.0]
 
 
 def test_schema_has_exactly_14_columns():
@@ -53,3 +69,152 @@ def test_read_rejects_foreign_csv(tmp_path):
 def test_empty_frame():
     f = TelemetryFrame.empty()
     assert f.n == 0
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_default_run_csvs_are_byte_identical_to_golden(tmp_path, validation_run):
+    # seed-24 default run, as written by the per-cell formatter that
+    # write_rows replaced
+    write_csv(validation_run.frame, tmp_path / "t.csv")
+    validation_run.forecast_log.write_csv(tmp_path / "f.csv")
+    assert _sha256(tmp_path / "t.csv") == (
+        "634c6971709c8b9113c9ea81cbb61a914530cffdae6ce7dd65c704b44828e94b")
+    assert _sha256(tmp_path / "f.csv") == (
+        "47f27a680dca1c22e0b43dcf2967b9007122da6ebf9e578e54ebb1462cc0154d")
+
+
+def _edge_columns(n: int, seed: int = 0):
+    """Floats cycling the edge values then spanning 1e-300..1e300, int64
+    counters including both extremes, and state names up to 3,000 chars."""
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats = np.concatenate([EDGE_FLOATS, wide])[:n]
+    ints = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n,
+                        dtype=np.int64, endpoint=True)
+    ints[:2] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max][:n]
+    names = ["", "Idle", "a state name with spaces", "S" * 3000]
+    states = [names[i % len(names)] for i in range(n)]
+    return floats, ints, states
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_write_rows_matches_per_cell_format(n):
+    floats, ints, states = _edge_columns(n, seed=n)
+    fh = io.StringIO()
+    write_rows(fh, [floats, ints, states], ("%.9g", "%d", "%s"))
+    expected = "".join(
+        f"{'%.9g' % float(x)},{int(k)},{s}\n"
+        for x, k, s in zip(floats, ints, states)
+    )
+    assert fh.getvalue() == expected
+
+
+def _frame_from_columns(n: int) -> TelemetryFrame:
+    floats, ints, states = _edge_columns(n)
+    cols = {}
+    for j, c in enumerate(COLUMNS):
+        if c == "load_state":
+            cols[c] = states
+        elif c in INT_COLUMNS:
+            cols[c] = np.roll(ints, j)
+        else:
+            cols[c] = np.roll(floats, j)
+    return TelemetryFrame(**cols)
+
+
+def _parse_per_cell(path) -> dict:
+    """The reader the numpy one replaced: csv.reader, float()/int() per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return {
+        c: list(v) if c == "load_state"
+        else np.array([int(x) for x in v], dtype=np.int64) if c in INT_COLUMNS
+        else np.array([float(x) for x in v])
+        for c, v in zip(COLUMNS, zip(*rows))
+    }
+
+
+def _assert_frame_equals_per_cell(frame: TelemetryFrame, path) -> None:
+    ref = _parse_per_cell(path)
+    assert frame.load_state == ref["load_state"]
+    for c in COLUMNS:
+        if c == "load_state":
+            continue
+        got, want = getattr(frame, c), ref[c]
+        assert got.dtype == want.dtype, c
+        assert np.array_equal(got, want, equal_nan=True), c
+        assert np.array_equal(np.signbit(got), np.signbit(want)), c
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK + 1])
+def test_read_equals_per_cell_parse_on_edge_values(tmp_path, n):
+    path = tmp_path / "t.csv"
+    write_csv(_frame_from_columns(n), path)
+    back = read_csv(path)
+    _assert_frame_equals_per_cell(back, path)
+    assert back.load_state == _edge_columns(n)[2]
+
+
+def test_read_equals_per_cell_parse_on_a_run(tmp_path, fingerprint_run):
+    path = tmp_path / "t.csv"
+    write_csv(fingerprint_run.frame, path)
+    _assert_frame_equals_per_cell(read_csv(path), path)
+
+
+def test_read_accepts_crlf_lines(tmp_path, transient_run):
+    path = tmp_path / "t.csv"
+    write_csv(transient_run.frame, path)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = read_csv(path), read_csv(crlf)
+    assert b.load_state == a.load_state
+    for c in COLUMNS:
+        if c != "load_state":
+            assert np.array_equal(getattr(b, c), getattr(a, c)), c
+
+
+def test_empty_frame_round_trips_without_warning(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(TelemetryFrame.empty(), path)
+    assert path.read_text() == ",".join(COLUMNS) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_csv(path)
+    assert back.n == 0 and back.load_state == []
+    assert back.step.dtype == np.int64 and back.t_ms.dtype == float
+
+
+GOOD_ROW = "0,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200"
+
+
+@pytest.mark.parametrize("bad", [
+    "0,abc,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200",   # non-numeric float cell
+    "0.5,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200",  # non-integer step
+    "0,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,1.5,3200",  # non-integer queue_depth
+    "1e3,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200",  # step written as a float
+    "0,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0",         # 13 cells
+    "0,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200,9",  # 15 cells
+    "",                                                     # blank line
+])
+@pytest.mark.parametrize("where", [0, 2, 5000])
+def test_read_rejects_malformed_row_naming_the_line(tmp_path, bad, where):
+    lines = [GOOD_ROW] * 5001
+    lines[where] = bad
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(COLUMNS) + "\n" + "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=rf"bad\.csv: line {where + 2}: malformed"):
+            read_csv(path)
+
+
+def test_read_rejects_a_lone_blank_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(COLUMNS) + "\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="line 2: malformed"):
+            read_csv(path)
