@@ -79,6 +79,9 @@ class SchedulerConfig:
             raise ConfigError("scheduler.ewma_half_life_ms must be > 0")
         if not self.history_window_ms > 0:
             raise ConfigError("scheduler.history_window_ms must be > 0")
+        if not self.throttle_cap_c > 0:
+            raise ConfigError(
+                f"scheduler.throttle_cap_c must be > 0, got {self.throttle_cap_c}")
 
 
 def preposition_fraction(horizon_ms: float, tau_ms: float) -> float:
@@ -144,6 +147,22 @@ class HintForecast:
     filtration: Filtration | None = None
 
 
+def _slot_entries(f: Filtration, target_ms: float) -> list[QueueEntry]:
+    """Queue entries whose dispatch slot [dispatch, dispatch + slot)
+    contains ``target_ms``, in queue order."""
+    eps = 1e-6 * f.slot_ms  # guards slot boundaries against rounding in t + horizon
+    return [e for e in f.queue
+            if e.dispatch_t_ms - eps <= target_ms < e.dispatch_t_ms + f.slot_ms - eps]
+
+
+def ordered_sum(x) -> float:
+    """Sum of ``x`` added left to right, as Python 3.11's ``sum()`` adds
+    floats on every Python (3.12's ``sum()`` compensates; ``np.sum`` adds
+    pairwise)."""
+    x = np.asarray(x, dtype=float)
+    return float(x.cumsum()[-1]) if x.size else 0.0
+
+
 def _ewma_power(history, now_ms: float, half_life_ms: float) -> float:
     """Exponentially-weighted mean of the power history (newest-heavy)."""
     if not history:
@@ -194,26 +213,17 @@ def forecast(
 
     target = t_ms + horizon_ms
 
-    if config.forecaster == "queue_replay":
-        rho_slot = 0.0
-        hit = False
-        newest = 0.0
-        # epsilon guards slot boundaries against rounding in t + horizon
-        eps = 1e-6 * f.slot_ms
-        for e in f.queue:
-            if e.dispatch_t_ms - eps <= target < e.dispatch_t_ms + f.slot_ms - eps:
-                rho_slot += e.rho
-                newest = max(newest, e.admitted_t_ms)
-                hit = True
-        if hit:
-            return HintForecast(
-                horizon_ms=horizon_ms,
-                forecast_w=density_to_power(rho_slot, map_params),
-                issued_at_ms=t_ms,
-                source="queue_replay",
-                newest_input_ms=newest,
-                filtration=f,
-            )
+    slot = _slot_entries(f, target) if config.forecaster == "queue_replay" else []
+    if slot:
+        return HintForecast(
+            horizon_ms=horizon_ms,
+            forecast_w=density_to_power(ordered_sum([e.rho for e in slot]),
+                                        map_params),
+            issued_at_ms=t_ms,
+            source="queue_replay",
+            newest_input_ms=max([0.0] + [e.admitted_t_ms for e in slot]),
+            filtration=f,
+        )
 
     newest = f.power_history[-1][0] if f.power_history else t_ms
     return HintForecast(
@@ -346,13 +356,42 @@ class ThrottleDecision:
     projected_after_c: float           # after the returned deferrals
 
 
-def _projected_residual(
-    power_w: float, thermal: ThermalParams, compensation_gain: float
-) -> float:
-    """Steady-state residual left after proportional compensation headroom."""
-    delta_p = max(0.0, power_w - thermal.p_baseline_w)
+def _projected_residual(power_w, thermal: ThermalParams, compensation_gain: float):
+    """Steady-state residual left after proportional compensation headroom
+    (elementwise over an array of powers)."""
+    delta_p = np.maximum(0.0, power_w - thermal.p_baseline_w)
     full = steady_state_delta_t(thermal.r_th, delta_p, thermal.gamma)
     return (1.0 - compensation_gain) * full
+
+
+def lifo_cut(rho, forecast_w: float, cap_delta_t_c: float, thermal: ThermalParams,
+             compensation_gain: float, map_params: AffineMapParams = DEFAULT_MAP,
+             ) -> tuple[int, float]:
+    """How many of the newest entries of a slot the throttle defers.
+
+    ``rho`` holds the slot's densities in queue order and ``forecast_w`` is
+    the hint that forecasts the slot. If the hint's projected residual
+    breaches the cap, entries are deferred newest first (LIFO) until the
+    projection from the density left fits. The densities left after each
+    deferral are one prefix scan (Blelloch 1990), ``np.subtract.accumulate``
+    over the reversed slot, which subtracts in the order, and so with the
+    rounding, of a one-entry-at-a-time loop.
+
+    Returns ``(n_deferred, projected_after_c)``.
+    """
+    after = float(_projected_residual(forecast_w, thermal, compensation_gain))
+    rho = np.asarray(rho, dtype=float)
+    if after <= cap_delta_t_c or rho.size == 0:
+        return 0, after
+    left = np.subtract.accumulate(np.concatenate(([ordered_sum(rho)], rho[::-1])))
+    afters = _projected_residual(
+        density_to_power(np.maximum(left[1:], 0.0), map_params), thermal,
+        compensation_gain,
+    )
+    fits = afters <= cap_delta_t_c
+    first = int(fits.argmax())
+    n = first + 1 if fits[first] else rho.size
+    return n, float(afters[n - 1])
 
 
 def throttle_decision(
@@ -369,70 +408,18 @@ def throttle_decision(
     steady-state delta, the compensator is credited a proportional share
     (``compensation_gain``) and the remainder must fit under the cap. When
     it does not, the most recently enqueued entries in the forecast slot are
-    deferred (LIFO) until the projection fits. With an empty queue there is
-    nothing to defer and the decision is a no-op.
+    deferred (LIFO) until the projection fits (:func:`lifo_cut`). With an
+    empty queue there is nothing to defer and the decision is a no-op.
     """
     if not cap_delta_t_c > 0:
         raise InputError(f"cap_delta_t_c must be > 0, got {cap_delta_t_c}")
-    projected = _projected_residual(hint.forecast_w, thermal, compensation_gain)
-    f = hint.filtration
-    if projected <= cap_delta_t_c or f is None or not f.queue:
-        return ThrottleDecision(
-            fired=False, deferred=(), projected_residual_c=projected,
-            projected_after_c=projected,
-        )
-
-    target = hint.issued_at_ms + hint.horizon_ms
-    eps = 1e-6 * f.slot_ms
-    slot = [
-        e for e in f.queue
-        if e.dispatch_t_ms - eps <= target < e.dispatch_t_ms + f.slot_ms - eps
-    ]
-    if not slot:
-        return ThrottleDecision(
-            fired=False, deferred=(), projected_residual_c=projected,
-            projected_after_c=projected,
-        )
-
-    remaining_rho = sum(e.rho for e in slot)
-    deferred: list[QueueEntry] = []
-    after = projected
-    # LIFO: defer the most recently enqueued first
-    for e in reversed(slot):
-        if after <= cap_delta_t_c:
-            break
-        deferred.append(e)
-        remaining_rho -= e.rho
-        after = _projected_residual(
-            density_to_power(max(remaining_rho, 0.0), map_params), thermal,
-            compensation_gain,
-        )
+    f = hint.filtration or Filtration(now_ms=hint.issued_at_ms)
+    slot = _slot_entries(f, hint.issued_at_ms + hint.horizon_ms)
+    n, after = lifo_cut([e.rho for e in slot], hint.forecast_w, cap_delta_t_c,
+                        thermal, compensation_gain, map_params)
     return ThrottleDecision(
-        fired=bool(deferred), deferred=tuple(deferred),
-        projected_residual_c=projected, projected_after_c=after,
-    )
-
-
-def throttle_slot(
-    slot: list[QueueEntry],
-    forecast_w: float,
-    t_ms: float,
-    slot_ms: float,
-    config: SchedulerConfig,
-    thermal: ThermalParams,
-    map_params: AffineMapParams = DEFAULT_MAP,
-) -> ThrottleDecision:
-    """:func:`throttle_decision` on the hint issued at ``t_ms`` that
-    forecasts ``forecast_w``, when ``slot`` holds the queue entries
-    dispatched at ``t_ms + config.horizon_ms``."""
-    hint = HintForecast(
-        horizon_ms=config.horizon_ms,
-        forecast_w=forecast_w,
-        issued_at_ms=t_ms,
-        filtration=Filtration(now_ms=t_ms, queue=tuple(slot), slot_ms=slot_ms),
-    )
-    return throttle_decision(
-        hint, config.throttle_cap_c, thermal,
-        compensation_gain=config.throttle_compensation_gain,
-        map_params=map_params,
+        fired=n > 0, deferred=tuple(slot[::-1][:n]),
+        projected_residual_c=float(_projected_residual(
+            hint.forecast_w, thermal, compensation_gain)),
+        projected_after_c=after,
     )

@@ -11,10 +11,12 @@ decides from the hint and the queue alone, and the compensator reads only
 the forecast power and horizon of a hint. So a run is two passes.
 
 * Schedule pass (:func:`schedule`): from the workload plan alone, the
-  dispatched density, the hint stream with its provenance, the queue depth
-  and the deferral count. Array reads cover every step the throttle leaves
-  alone; a loop visits, in time order, only the steps whose hint breaches
-  the throttle cap and applies :func:`throttle_decision` there.
+  dispatched density, the hint stream with its provenance, the queue depth,
+  the deferral count and the work deferred past the last step. Array reads
+  cover every step the throttle leaves alone; a loop visits, in time order,
+  only the steps whose hint breaches the throttle cap and applies the
+  throttle's LIFO cut (:func:`lifo_cut`, the kernel behind
+  :func:`throttle_decision`) to the slot the hint forecasts, held as arrays.
 * Physics pass: the thermal plant and the compensator as one-pole IIR
   recursions (a numpy blocked scan, :func:`_one_pole`) over the dispatched
   power and the hint stream, exact for piecewise-constant inputs.
@@ -37,13 +39,12 @@ from .controller import Mode
 from .scheduler import (
     AuditReport,
     ForecastLog,
-    QueueEntry,
     causality_audit,
+    lifo_cut,
+    ordered_sum,
     preposition_fraction,
-    throttle_slot,
 )
 from .telemetry import TelemetryFrame
-from .thermal import steady_state_delta_t
 from .workload import (
     WorkloadPlan,
     density_to_power,
@@ -71,6 +72,8 @@ class SimulationSummary:
     stays_in_band: bool = False
     mean_rho_by_state: dict[str, float] = field(default_factory=dict)
     throttle_deferrals: int = 0
+    outstanding_density: float = 0.0    # deferred past the last step
+    outstanding_entries: int = 0
     audit_violations: int = 0
 
     def to_dict(self) -> dict:
@@ -118,6 +121,8 @@ class DispatchTrace:
     source: np.ndarray           # 0 = queue replay, 1 = EWMA fallback
     queue_depth: np.ndarray      # admitted streams pending after the step
     deferrals: int
+    outstanding_density: float   # deferred past the last step
+    outstanding_entries: int
 
 
 def simulate(config: RunConfig) -> RunResult:
@@ -135,7 +140,8 @@ def simulate(config: RunConfig) -> RunResult:
         trace.hint_w, trace.newest_input_ms, trace.source,
     )
     return _finish(config, plan, _physics(config, plan, trace), log,
-                   throttle_deferrals=trace.deferrals)
+                   trace.deferrals, trace.outstanding_density,
+                   trace.outstanding_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +152,14 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
 
     A hint replays the admitted queue at t + horizon and falls back to the
     half-life weighted mean of the dispatched power where the plan no longer
-    covers that slot. Where the throttle fires it defers entries of the
-    forecast slot by one execution slice (dropping those that would land
-    past the last step); that changes the dispatched power of two slots and
-    so the hints that read them, all later than the firing step.
+    covers that slot. Where the throttle fires it defers the newest entries
+    of the forecast slot by one execution slice; that changes the dispatched
+    power of two slots and so the hints that read them, all later than the
+    firing step. Entries that would land past the last step are outstanding:
+    counted, not dispatched.
+
+    A slot that differs from its plan entry is a pair of ``(rho,
+    n_streams)`` arrays in queue order, dropped once its hint is processed.
     """
     sc = config.scheduler
     wmap = config.affine_map
@@ -181,32 +191,26 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
     cn = np.concatenate(([0], np.cumsum(plan.n_streams)))
     steps = np.arange(N)
     queue_depth = cn[np.minimum(steps + adm, N - 1) + 1] - cn[steps + 1]
-    deferrals = 0
+    deferrals = outstanding_entries = 0
+    outstanding_density = 0.0
 
     if sc.throttle_enabled:
         thermal = config.thermal_resolved
         slice_steps = _steps_of(sc.t_slice_ms, dt)
+        cap, gain = sc.throttle_cap_c, sc.throttle_compensation_gain
         # deferred entries join their new slot behind its plan entry only if
         # that was admitted by the time they were deferred
         plan_first = adm >= h + slice_steps
         moved = np.zeros(N + 1, dtype=np.int64)  # queue-depth differences
 
-        def over_cap(hint_w):
-            # throttle_decision's projection with a hair of slack: a superset
-            # of the steps that fire; the decision itself stays authoritative
-            excess = np.maximum(0.0, hint_w - thermal.p_baseline_w)
-            return (1.0 - sc.throttle_compensation_gain) * steady_state_delta_t(
-                thermal.r_th, excess, thermal.gamma) > sc.throttle_cap_c - 1e-9
-
-        def plan_entry(j: int) -> QueueEntry:
-            return QueueEntry(
-                dispatch_t_ms=float(t[j]), rho=float(plan.rho[j]),
-                n_streams=int(plan.n_streams[j]),
-                admitted_t_ms=float(t[j - adm]) if j >= adm else 0.0,
-            )
-
-        slots: dict[int, list[QueueEntry]] = {}   # slots that left the plan
-        heap = np.flatnonzero(over_cap(F[:max(0, N - h)])).tolist()
+        # excess power over baseline past which lifo_cut may fire, less a
+        # hair of slack: the heap holds a superset of the steps that fire,
+        # and the cut itself stays authoritative
+        per_w = (1.0 - gain) * thermal.gamma * thermal.r_th
+        fire_w = cap * (1.0 - 1e-9) / per_w if per_w > 0 else math.inf
+        slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        heap = np.flatnonzero(
+            F[:max(0, N - h)] - thermal.p_baseline_w > fire_w).tolist()
         last = -1
         while heap:
             k = heapq.heappop(heap)
@@ -214,31 +218,33 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
                 continue
             last = k
             j, m = k + h, k + h + slice_steps
-            queue = slots.get(j) or [plan_entry(j)]
-            decision = throttle_slot(queue, float(F[k]), float(t[k]), dt, sc,
-                                     thermal, wmap)
-            if not decision.fired:
+            # the heap only moves forward, so slot j is never read again
+            q_rho, q_n = slots.pop(j, None) or (plan.rho[j:j + 1],
+                                                 plan.n_streams[j:j + 1])
+            cut, _ = lifo_cut(q_rho, F[k], cap, thermal, gain, wmap)
+            if not cut:
                 continue
-            deferrals += len(decision.deferred)
-            gone = {id(e) for e in decision.deferred}
-            slots[j] = [e for e in queue if id(e) not in gone]
-            n = sum(e.n_streams for e in decision.deferred)
+            keep = q_rho.size - cut
+            later = q_rho[keep:][::-1], q_n[keep:][::-1]   # newest first
+            n = int(later[1].sum())
+            deferrals += cut
+            rho[j] = ordered_sum(q_rho[:keep])
             changed = [j]
-            retimed = []
             if m < N:
-                later = [QueueEntry(float(t[m]), e.rho, e.n_streams,
-                                    e.admitted_t_ms) for e in decision.deferred]
-                slots[m] = [plan_entry(m)] + later if plan_first else \
-                    later + [plan_entry(m)]
+                own = plan.rho[m:m + 1], plan.n_streams[m:m + 1]
+                slots[m] = tuple(map(np.concatenate, zip(own, later) if
+                                     plan_first else zip(later, own)))
+                rho[m] = ordered_sum(slots[m][0])
                 moved[j] += n       # still pending over [j, m)
                 moved[m] -= n
                 changed.append(m)
             else:
-                moved[k + 1] -= n   # dropped: no longer pending over (k, j)
+                moved[k + 1] -= n   # outstanding: not pending over (k, j)
                 moved[j] += n
-            for s in changed:
-                rho[s] = sum(e.rho for e in slots[s])
-                P[s] = density_to_power(rho[s], wmap)
+                outstanding_density += float(later[0].sum())
+                outstanding_entries += cut
+            P[changed] = density_to_power(rho[changed], wmap)
+            retimed = []
             if m < N and m - h < replay:
                 F[m - h] = P[m]     # the hint that replays slot m
                 retimed.append(m - h)
@@ -247,13 +253,15 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
                 ewma(lo, hi)
                 retimed.extend(range(lo, hi))
             for s in retimed:
-                if s < N - h and over_cap(F[s]):
+                if s < N - h and F[s] - thermal.p_baseline_w > fire_w:
                     heapq.heappush(heap, s)
         queue_depth += np.cumsum(moved)[:N]
 
     return DispatchTrace(rho=rho, hint_w=F, newest_input_ms=newest,
                          source=source, queue_depth=queue_depth,
-                         deferrals=deferrals)
+                         deferrals=deferrals,
+                         outstanding_density=outstanding_density,
+                         outstanding_entries=outstanding_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +384,8 @@ def _physics(config: RunConfig, plan: WorkloadPlan,
 # summary
 
 def _finish(config: RunConfig, plan: WorkloadPlan, frame: TelemetryFrame,
-            log: ForecastLog, throttle_deferrals: int) -> RunResult:
+            log: ForecastLog, throttle_deferrals: int,
+            outstanding_density: float, outstanding_entries: int) -> RunResult:
     thermal = config.thermal_resolved
     dt = plan.step_period_ms
     N = frame.n
@@ -421,6 +430,8 @@ def _finish(config: RunConfig, plan: WorkloadPlan, frame: TelemetryFrame,
         stays_in_band=stays,
         mean_rho_by_state=by_state,
         throttle_deferrals=throttle_deferrals,
+        outstanding_density=outstanding_density,
+        outstanding_entries=outstanding_entries,
         audit_violations=len(audit.violations),
     )
     return RunResult(config=config, frame=frame, summary=summary,

@@ -75,7 +75,8 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         "rho", "t24", "p", "hint", "dT", "bias", "residual", "drift", "qd",
     )}
     state_col: list[str] = []
-    deferrals = 0
+    deferrals = outstanding_entries = 0
+    outstanding_density = 0.0
 
     for k in range(N):
         admit(k + adm_steps, float(t[k]))
@@ -121,6 +122,9 @@ def simulate_oracle(config: RunConfig) -> RunResult:
                         slots.setdefault(admit_j, []).append(
                             replace(e, dispatch_t_ms=float(t[admit_j]))
                         )
+                    else:   # past the last step: outstanding
+                        outstanding_density += e.rho
+                        outstanding_entries += 1
 
         plant = th.step(plant, p_k - thermal.p_baseline_w, dt, thermal)
         ctrl = control_step(ctrl, plant.delta_t_c, hint, dt, cp, thermal, optic)
@@ -154,4 +158,5 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         queue_depth=qd_arr,
         ttft_ms=qd_arr * sc.t_slice_ms * 0.5,
     )
-    return _finish(config, plan, frame, log, throttle_deferrals=deferrals)
+    return _finish(config, plan, frame, log, deferrals, outstanding_density,
+                   outstanding_entries)

@@ -64,6 +64,8 @@ def test_section_value_validation_paths():
     ({"workload": {"noise_sigma": float("nan")}}, "workload.noise_sigma must be finite"),
     ({"workload": {"step_count": 10.5}}, "workload.step_count must be a non-negative integer"),
     ({"scheduler": {"throttle_cap_c": float("nan")}}, "scheduler.throttle_cap_c must be finite"),
+    ({"scheduler": {"throttle_cap_c": 0.0}}, "scheduler.throttle_cap_c must be > 0"),
+    ({"scheduler": {"throttle_cap_c": -1.0}}, "scheduler.throttle_cap_c must be > 0"),
     ({"affine_map": {"alpha": float("inf")}}, "affine_map.alpha must be finite"),
     ({"controller": {"sensor_latency_ms": float("nan")}},
      "controller.sensor_latency_ms must be finite"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from cpodrift.scheduler import (
     SchedulerConfig,
     causality_audit,
     forecast,
+    lifo_cut,
+    ordered_sum,
     preposition_fraction,
     throttle_decision,
 )
 from cpodrift.thermal import ThermalParams, steady_state_delta_t
-from cpodrift.workload import density_to_power
+from cpodrift.workload import AffineMapParams, density_to_power
 
 CFG = SchedulerConfig()
 
@@ -210,6 +214,62 @@ def test_throttle_defers_lifo_until_under_cap():
         THERMAL.r_th, density_to_power(max(kept_rho, 0.0)), THERMAL.gamma
     )
     assert d.projected_after_c == pytest.approx(expected, rel=1e-9)
+
+
+def test_throttle_sums_the_slot_in_queue_order():
+    # added left to right the four 1e-16 entries vanish against 1.0; a
+    # compensated sum (the builtin sum() from Python 3.12) keeps them
+    rhos = [1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1.0]
+    in_order = 0.0
+    for r in rhos:
+        in_order += r
+    assert ordered_sum(rhos) == in_order != math.fsum(rhos)
+
+    def after(total):
+        return (1.0 - 0.95) * steady_state_delta_t(
+            THERMAL.r_th, density_to_power(total - rhos[-1]), THERMAL.gamma)
+
+    assert after(in_order) != after(math.fsum(rhos))
+    d = throttle_decision(_hint_with_queue(rhos), 1.0, THERMAL)
+    assert d.deferred == (d.deferred[0],) and d.deferred[0].rho == 1.0
+    assert d.projected_after_c == after(in_order)
+
+
+def _lifo_loop(rhos, forecast_w, cap, thermal, gain, wmap):
+    """The LIFO cut one entry at a time, in scalar arithmetic."""
+    def projection(power_w):
+        return (1.0 - gain) * steady_state_delta_t(
+            thermal.r_th, max(0.0, power_w - thermal.p_baseline_w), thermal.gamma)
+
+    after = projection(forecast_w)
+    remaining = 0.0
+    for r in rhos:
+        remaining += r
+    n = 0
+    for r in reversed(rhos):
+        if after <= cap:
+            break
+        n += 1
+        remaining -= r
+        after = projection(density_to_power(max(remaining, 0.0), wmap))
+    return n, after
+
+
+def test_lifo_cut_matches_the_entry_at_a_time_loop():
+    rng = np.random.default_rng(11)
+    thermal = ThermalParams(gamma=0.8, p_baseline_w=3.0)
+    wmap = AffineMapParams(p_peak_w=80.0, p_max_w=80.0)
+    fired = 0
+    for _ in range(400):
+        size = int(rng.integers(0, 40))
+        rhos = rng.uniform(0.0, 3.0, size) * 10.0 ** rng.integers(-17, 1, size)
+        forecast_w = float(rng.uniform(0.0, 120.0))
+        cap = float(rng.uniform(0.05, 6.0))
+        gain = float(rng.uniform(0.0, 1.0))
+        want = _lifo_loop(rhos.tolist(), forecast_w, cap, thermal, gain, wmap)
+        assert lifo_cut(rhos, forecast_w, cap, thermal, gain, wmap) == want
+        fired += want[0] > 0
+    assert 50 < fired < 400
 
 
 def test_throttle_empty_queue_noop():

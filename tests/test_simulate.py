@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import math
 import os
 import subprocess
@@ -9,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpodrift.config import RunConfig
+from cpodrift.config import RunConfig, default_config
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
 from cpodrift.simulate import _one_pole, _scan_block, simulate
 from cpodrift.telemetry import write_csv
 from cpodrift.thermal import ThermalParams
-from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig
+from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
 from oracle import simulate_oracle
 
 
@@ -57,6 +58,9 @@ def _assert_matches_oracle(cfg, col_tol=1e-12):
     np.testing.assert_allclose(run.forecast_log.forecast_w,
                                ref.forecast_log.forecast_w, atol=1e-9)
     assert run.summary.throttle_deferrals == ref.summary.throttle_deferrals
+    assert run.summary.outstanding_entries == ref.summary.outstanding_entries
+    assert run.summary.outstanding_density == pytest.approx(
+        ref.summary.outstanding_density, rel=1e-9, abs=1e-9)
     assert np.array_equal(run.frame.queue_depth, ref.frame.queue_depth)
     assert run.frame.load_state == ref.frame.load_state
     np.testing.assert_array_equal(run.forecast_log.newest_input_ms,
@@ -108,6 +112,58 @@ def test_deferred_work_lines_up_behind_admitted_work():
     # the LIFO throttle then defers them in the other order
     run = _assert_matches_oracle(_throttled_cfg(admission_lead_ms=120.0))
     assert run.summary.throttle_deferrals > 0
+
+
+def test_throttled_runs_conserve_planned_work():
+    # seeded random throttled configs: every planned density is dispatched
+    # or still outstanding past the last step
+    rng = np.random.default_rng(2026)
+    outstanding = []
+    for _ in range(12):
+        step_ms = float(rng.choice([1.0, 2.0, 5.0]))
+        cfg = RunConfig(
+            seed=int(rng.integers(0, 2**31)),
+            workload=WorkloadConfig(step_count=int(rng.integers(300, 1500)),
+                                    step_period_ms=step_ms,
+                                    schedule=THROTTLE_SCHEDULE),
+            scheduler=SchedulerConfig(
+                throttle_compensation_gain=float(rng.uniform(0.3, 0.95)),
+                throttle_cap_c=float(rng.uniform(0.5, 4.5)),
+                admission_lead_ms=float(rng.choice([80.0, 100.0, 120.0, 160.0]))),
+        )
+        run = simulate(cfg)
+        planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
+        assert planned == pytest.approx(
+            run.frame.rho.sum() + run.summary.outstanding_density, rel=1e-9)
+        outstanding.append(run.summary.outstanding_entries)
+    assert max(outstanding) > 0
+
+
+def _gain_half_cfg(steps):
+    cfg = default_config(24)
+    return replace(cfg, workload=replace(cfg.workload, step_count=steps),
+                   scheduler=replace(cfg.scheduler, throttle_compensation_gain=0.5))
+
+
+# sha256 of the telemetry and forecast-log CSVs of throttled runs, as
+# written by the per-entry throttle loop that the array slots replaced
+@pytest.mark.parametrize("cfg, deferrals, max_queue, telemetry, forecast_log", [
+    (_throttled_cfg(), 5542, 2856,
+     "c14488da435425e510000d575e91c66deb35e459a1ef386ba891781ff437f2b9",
+     "e443b2b4581ebdc8d939a50294b34f973694bff02b129251abbe4d1a6b859feb"),
+    (_gain_half_cfg(10_000), 191_820, 11_913,
+     "03ec7e9fe9cc1609faf010b36b24efb93047ba79974fda4dfbc8987b413596e3",
+     "f690e6f5b3a0e98e9dba900a9b76681908b2373f8b85c39d95d9f26d3aa66e4a"),
+], ids=["throttled_cfg", "gain_half_10k"])
+def test_throttled_run_csvs_are_byte_identical_to_golden(
+        tmp_path, cfg, deferrals, max_queue, telemetry, forecast_log):
+    run = simulate(cfg)
+    assert run.summary.throttle_deferrals == deferrals
+    assert run.frame.queue_depth.max() == max_queue
+    write_csv(run.frame, tmp_path / "t.csv")
+    run.forecast_log.write_csv(tmp_path / "f.csv")
+    for name, digest in (("t.csv", telemetry), ("f.csv", forecast_log)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_byte_identical_telemetry_and_forecast_logs(tmp_path):
