@@ -18,11 +18,9 @@ from .config import (
     transient_config,
 )
 from .controller import (
-    CompensationState,
     ComparisonReport,
     ControllerParams,
     Mode,
-    control_step,
     energy_margin_estimate,
     run_comparison,
 )

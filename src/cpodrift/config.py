@@ -20,7 +20,13 @@ from .controller import ControllerParams, Mode
 from .errors import ConfigError, check_fields, field_types
 from .optics import OpticParams
 from .scheduler import SchedulerConfig
-from .thermal import BoundaryStack, CouplingConfig, ThermalParams, gamma_of_distance
+from .thermal import (
+    SCAN_MAX_INPUT,
+    BoundaryStack,
+    CouplingConfig,
+    ThermalParams,
+    gamma_of_distance,
+)
 from .workload import (
     AffineMapParams,
     BURST_SCHEDULE,
@@ -53,6 +59,17 @@ class RunConfig:
                 f"thermal.d_um = {self.thermal.d_um} leaves no coupling: gamma "
                 f"underflows to 0 with coupling.d_ref_um = {self.coupling.d_ref_um}, "
                 f"coupling.d_decay_um = {self.coupling.d_decay_um}"
+            )
+        thermal, p_max = self.thermal_resolved, self.affine_map.p_max_w
+        swing = thermal.gain * max(abs(thermal.p_baseline_w),
+                                   abs(p_max - thermal.p_baseline_w))
+        if not swing <= SCAN_MAX_INPUT:
+            raise ConfigError(
+                f"thermal.r_th = {thermal.r_th}, thermal.gamma = {thermal.gamma} "
+                f"and thermal.p_baseline_w = {thermal.p_baseline_w} put the plant "
+                f"delta for powers in [0, affine_map.p_max_w = {p_max}] W up to "
+                f"{swing:.3g} C, past the {SCAN_MAX_INPUT:.0e} C the plant scan "
+                "holds"
             )
         if self.controller.lead_ms > self.scheduler.horizon_ms:
             raise ConfigError(

@@ -20,6 +20,10 @@ The residual is |plant delta - bias| and the residual drift is kappa times
 that, so overcompensation is penalized symmetrically. A max(now, ahead)
 guard keeps the predictive lead from undershooting into announced falls
 while the plant is still hot.
+
+:func:`compensate` computes the bias of a whole run: each mode is a
+first-order recursion over the plant response, and the predictive replica
+is :func:`thermal.respond` over the hint stream.
 """
 
 from __future__ import annotations
@@ -28,13 +32,10 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    ConfigError, ImplausibleInputError, InputError, MissingHintError, StepSizeError,
-    check_fields,
-)
-from .optics import OpticParams, drift
-from .scheduler import HintForecast
-from .thermal import ThermalParams
+import numpy as np
+
+from .errors import ConfigError, ImplausibleInputError, InputError, check_fields
+from .thermal import ThermalParams, _one_pole, respond
 
 
 class Mode(enum.Enum):
@@ -92,124 +93,52 @@ class ControllerParams:
         return self.gain * (1.0 - math.exp(-dt_ms / self.actuator_tau_ms))
 
 
-@dataclass(frozen=True)
-class CompensationState:
-    """Controller state after a step.
-
-    ``sensor_buf`` is the delay line of plant observations (reactive path);
-    ``hint_buf`` holds hint powers whose coverage time has not yet entered
-    the lead window (predictive path); ``replica_ahead_c`` is the thermal
-    replica advanced ``lead_ms`` into the hinted future.
-    """
-
-    bias_delta_t_c: float = 0.0
-    residual_delta_t_c: float = 0.0
-    residual_drift_nm: float = 0.0
-    t_ms: float = 0.0
-    sensor_buf: tuple[float, ...] = ()
-    hint_buf: tuple[float, ...] = ()
-    replica_ahead_c: float = 0.0
-    replica_live: bool = False
-
-
-def control_step(
-    state: CompensationState,
-    plant_delta_t: float,
-    hint: HintForecast | None,
+def compensate(
+    delta_t_c: np.ndarray,
+    hint_w: np.ndarray,
     dt_ms: float,
-    params: ControllerParams = ControllerParams(),
-    thermal: ThermalParams = ThermalParams(),
-    optic: OpticParams = OpticParams(),
-) -> CompensationState:
-    """Advance the compensator one step and recompute residuals.
+    params: ControllerParams,
+    thermal: ThermalParams,
+    horizon_ms: float,
+) -> np.ndarray:
+    """Bias delta applied at the end of each step of a run.
 
-    ``plant_delta_t`` is the plant temperature delta at the end of the
-    current step. In predictive mode a hint is mandatory; its forecast power
-    feeds the replica once its coverage time falls inside the lead window
-    (warm-up steps slave the replica to the plant, which the power-driven
-    replica equals exactly for a deterministic plant).
+    ``delta_t_c`` is the plant temperature delta at the end of each step
+    (:func:`thermal.respond`) and ``hint_w`` the hint power issued at each
+    step for ``horizon_ms`` ahead. The predictive replica runs the hints
+    through the plant law once their coverage time falls inside the lead
+    window; until the hint FIFO matures it anticipates with the
+    preposition blend of the plant state and the hint-implied steady state.
+    The run starts from rest: zero bias and an empty sensor delay line.
     """
-    if not dt_ms > 0:
-        raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
-
+    dT = delta_t_c
+    N = dT.size
     mode = params.mode
     if mode is Mode.OPEN_LOOP:
-        bias = 0.0
-        residual = abs(plant_delta_t - bias)
-        return CompensationState(
-            bias_delta_t_c=bias,
-            residual_delta_t_c=residual,
-            residual_drift_nm=drift(residual, optic),
-            t_ms=state.t_ms + dt_ms,
-        )
-
-    setpoint = params.setpoint_c
+        return np.zeros(N)
     g = params.tracking_factor(dt_ms)
-
+    setpoint = params.setpoint_c
     if mode is Mode.REACTIVE:
-        lag_steps = int(round(params.sensor_latency_ms / dt_ms))
-        buf = state.sensor_buf
-        sensed = buf[0] if len(buf) >= lag_steps and lag_steps > 0 else (
-            plant_delta_t if lag_steps == 0 else 0.0
-        )
-        target = max(0.0, sensed - setpoint)
-        new_buf = (buf + (plant_delta_t,))[-lag_steps:] if lag_steps > 0 else ()
-        bias = (1.0 - g) * state.bias_delta_t_c + g * target
-        residual = abs(plant_delta_t - bias)
-        return CompensationState(
-            bias_delta_t_c=bias,
-            residual_delta_t_c=residual,
-            residual_drift_nm=drift(residual, optic),
-            t_ms=state.t_ms + dt_ms,
-            sensor_buf=new_buf,
-        )
-
-    # predictive
-    if hint is None:
-        raise MissingHintError("predictive controller stepped without a hint")
-    if params.lead_ms > hint.horizon_ms:
-        raise InputError(
-            f"lead_ms = {params.lead_ms} exceeds the hint horizon {hint.horizon_ms}"
-        )
-    h_steps = int(round(hint.horizon_ms / dt_ms))
-    lead_steps = max(1, int(round(params.lead_ms / dt_ms)))
-    lead_steps = min(lead_steps, h_steps)
-    warm = h_steps - lead_steps
-
-    decay = math.exp(-dt_ms / thermal.tau_ms)
-    buf = state.hint_buf + (hint.forecast_w,)
-    if len(buf) > warm and state.replica_live:
-        coverage_w, buf = buf[0], buf[1:]
-        ahead = state.replica_ahead_c * decay + thermal.gain * (
-            coverage_w - thermal.p_baseline_w
-        ) * (1.0 - decay)
-        live = True
+        lag = int(round(params.sensor_latency_ms / dt_ms))
+        sensed = np.concatenate((np.zeros(min(lag, N)), dT[:max(0, N - lag)])) \
+            if lag > 0 else dT
+        target = np.maximum(0.0, sensed - setpoint)
     else:
-        # hint FIFO still maturing: anticipate with the preposition blend of
-        # the current plant state and the hint-implied steady state
-        wl = 1.0 - math.exp(-(lead_steps * dt_ms) / thermal.tau_ms)
-        ahead = (1.0 - wl) * plant_delta_t + wl * thermal.gain * (
-            hint.forecast_w - thermal.p_baseline_w
+        h_steps = int(round(horizon_ms / dt_ms))
+        lead = min(max(1, int(round(params.lead_ms / dt_ms))), h_steps)
+        warm = h_steps - lead
+        wl = 1.0 - math.exp(-(lead * dt_ms) / thermal.tau_ms)
+        upto = min(warm + 1, N)
+        ahead = np.empty(N)
+        ahead[:upto] = (1.0 - wl) * dT[:upto] + wl * thermal.gain * (
+            hint_w[:upto] - thermal.p_baseline_w
         )
-        if len(buf) > warm:
-            # window just filled: discard the stale head, go live
-            _, buf = buf[0], buf[1:]
-            live = True
-        else:
-            live = False
-
-    target = max(0.0, max(plant_delta_t, ahead) - setpoint)
-    bias = (1.0 - g) * state.bias_delta_t_c + g * target
-    residual = abs(plant_delta_t - bias)
-    return CompensationState(
-        bias_delta_t_c=bias,
-        residual_delta_t_c=residual,
-        residual_drift_nm=drift(residual, optic),
-        t_ms=state.t_ms + dt_ms,
-        hint_buf=buf,
-        replica_ahead_c=ahead,
-        replica_live=live,
-    )
+        if N > warm + 1:
+            # matured: the replica integrates the hint stream at the lead delay
+            ahead[warm + 1:] = respond(hint_w[1:N - warm] - thermal.p_baseline_w,
+                                       thermal, dt_ms, ahead[warm])
+        target = np.maximum(0.0, np.maximum(dT, ahead) - setpoint)
+    return _one_pole(target, 1.0 - g, g, 0.0)
 
 
 def energy_margin_estimate(

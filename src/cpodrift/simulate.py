@@ -17,13 +17,15 @@ the forecast power and horizon of a hint. So a run is two passes.
   only the steps whose hint breaches the throttle cap and applies the
   throttle's LIFO cut (:func:`lifo_cut`, the kernel behind
   :func:`throttle_decision`) to the slot the hint forecasts, held as arrays.
-* Physics pass: the thermal plant and the compensator as one-pole IIR
-  recursions (a numpy blocked scan, :func:`_one_pole`) over the dispatched
-  power and the hint stream, exact for piecewise-constant inputs.
+* Physics pass: the plant's response to the dispatched power
+  (:func:`thermal.respond`), then the compensator's bias from that response
+  and the hint stream (:func:`controller.compensate`), both one-pole
+  recursions exact for piecewise-constant inputs.
 
 ``tests/oracle.py`` composes the module-level operations step by step
-(Filtration snapshots, forecast(), throttle_decision(), thermal.step(),
-control_step()); the equivalence tests check this module against it.
+(Filtration snapshots, forecast(), throttle_decision(), thermal.step() and
+a per-step compensator); the equivalence tests check this module against
+it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .controller import Mode
+from .controller import compensate
 from .scheduler import (
     AuditReport,
     ForecastLog,
@@ -45,6 +47,7 @@ from .scheduler import (
     preposition_fraction,
 )
 from .telemetry import TelemetryFrame
+from .thermal import respond
 from .workload import (
     WorkloadPlan,
     density_to_power,
@@ -167,8 +170,17 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
     N = plan.step_count
     t = plan.t_ms
     h = _steps_of(sc.horizon_ms, dt)
+    slice_steps = _steps_of(sc.t_slice_ms, dt)
     adm = _steps_of(sc.admission_lead_ms, dt)
-    win = max(1, _steps_of(sc.history_window_ms, dt))
+    # deferred entries join their new slot behind its plan entry only if
+    # that was admitted by the time they were deferred
+    plan_first = adm >= h + slice_steps
+    # Past N steps a horizon, an admission lead or a window reads nothing
+    # more, so cap them to keep huge configured times within array sizes.
+    # The window keeps one step past N, which leaves np.convolve's operand
+    # order, and so its rounding, as it is for any longer window.
+    h, adm = min(h, N), min(adm, N)
+    win = min(max(1, _steps_of(sc.history_window_ms, dt)), N + 1)
     w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
 
     rho = plan.rho.copy()
@@ -196,11 +208,7 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
 
     if sc.throttle_enabled:
         thermal = config.thermal_resolved
-        slice_steps = _steps_of(sc.t_slice_ms, dt)
         cap, gain = sc.throttle_cap_c, sc.throttle_compensation_gain
-        # deferred entries join their new slot behind its plan entry only if
-        # that was admitted by the time they were deferred
-        plan_first = adm >= h + slice_steps
         moved = np.zeros(N + 1, dtype=np.int64)  # queue-depth differences
 
         # excess power over baseline past which lifo_cut may fire, less a
@@ -267,101 +275,17 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
 # ---------------------------------------------------------------------------
 # physics pass
 
-# The scan scales by a^(+-j), j < B. Keeping |log a^B| <= 500 holds those
-# factors within e^(+-500), so inputs up to ~1e80 neither overflow nor
-# underflow; poles far from 1 (the actuator's 1 - g ~ 0.40) get short blocks.
-_SCAN_LOG_SPAN = 500.0
-_SCAN_MAX_BLOCK = 4096
-
-
-def _scan_block(pole: float) -> int:
-    """Largest scan block B for a nonzero pole with |log |a|^B| in range."""
-    log_a = abs(math.log(abs(pole)))
-    if log_a == 0.0:
-        return _SCAN_MAX_BLOCK
-    return max(1, min(_SCAN_MAX_BLOCK, int(_SCAN_LOG_SPAN / log_a)))
-
-
-def _one_pole(x: np.ndarray, pole: float, gain_in: float, y_prev: float) -> np.ndarray:
-    """y[n] = pole * y[n-1] + gain_in * x[n], continuing from y_prev.
-
-    A blocked scan (Blelloch 1990) in one output buffer: within a block of
-    B steps y[j] = a^j * cumsum(gain_in * x * a^-j), the state entering each
-    block (carried across blocks with pole a^B) folded into its column 0.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if pole == 0.0 or n == 0:
-        return gain_in * x
-    block = min(n, _scan_block(pole))
-    n_blocks = -(-n // block)
-    powers = pole ** np.arange(block, dtype=float)      # a^j
-    scaled_gain = gain_in / powers                      # gain * a^-j
-
-    y = np.empty(n_blocks * block)
-    y[:n] = x
-    y[n:] = 0.0
-    rows = y.reshape(n_blocks, block)
-    rows *= scaled_gain
-
-    # block ends without the incoming state, then the state entering each
-    ends = (rows @ np.full(block, powers[-1])).tolist()
-    pole_block = powers[-1] * pole
-    carry = []
-    state = y_prev
-    for end in ends:
-        carry.append(state)
-        state = pole_block * state + end
-    rows[:, 0] += pole * np.asarray(carry)
-    np.cumsum(rows, axis=1, out=rows)
-    rows *= powers
-    return y[:n]
-
-
 def _physics(config: RunConfig, plan: WorkloadPlan,
              trace: DispatchTrace) -> TelemetryFrame:
     sc = config.scheduler
-    cp = config.controller
     thermal = config.thermal_resolved
     dt = plan.step_period_ms
     N = plan.step_count
     F = trace.hint_w
 
     P = density_to_power(trace.rho, config.affine_map)
-    decay = math.exp(-dt / thermal.tau_ms)
-    dT = _one_pole(thermal.gain * (P - thermal.p_baseline_w), decay,
-                   1.0 - decay, 0.0)
-
-    mode = cp.mode
-    g = cp.tracking_factor(dt)
-    setpoint = cp.setpoint_c
-    if mode is Mode.OPEN_LOOP:
-        bias = np.zeros(N)
-    elif mode is Mode.REACTIVE:
-        lag = _steps_of(cp.sensor_latency_ms, dt)
-        sensed = np.concatenate((np.zeros(min(lag, N)), dT[:max(0, N - lag)])) \
-            if lag > 0 else dT
-        target = np.maximum(0.0, sensed - setpoint)
-        bias = _one_pole(target, 1.0 - g, g, 0.0)
-    else:
-        h_steps = _steps_of(sc.horizon_ms, dt)
-        lead = min(max(1, _steps_of(cp.lead_ms, dt)), h_steps)
-        warm = h_steps - lead
-        # until the hint FIFO matures, anticipate with the preposition blend
-        # of current plant state and hint-implied steady state at the lead
-        wl = 1.0 - math.exp(-(lead * dt) / thermal.tau_ms)
-        upto = min(warm + 1, N)
-        ahead = np.empty(N)
-        ahead[:upto] = (1.0 - wl) * dT[:upto] + wl * thermal.gain * (
-            F[:upto] - thermal.p_baseline_w
-        )
-        if N > warm + 1:
-            # matured: replica integrates the hint stream at the lead delay
-            q = thermal.gain * (F[1:N - warm] - thermal.p_baseline_w)
-            ahead[warm + 1:] = _one_pole(q, decay, 1.0 - decay, ahead[warm])
-        target = np.maximum(0.0, np.maximum(dT, ahead) - setpoint)
-        bias = _one_pole(target, 1.0 - g, g, 0.0)
-
+    dT = respond(P - thermal.p_baseline_w, thermal, dt)
+    bias = compensate(dT, F, dt, config.controller, thermal, sc.horizon_ms)
     residual = np.abs(dT - bias)
     return TelemetryFrame(
         step=np.arange(N, dtype=np.int64),

@@ -108,27 +108,93 @@ def step_response_fraction(t_ms: float, tau_ms: float) -> float:
     return 1.0 - math.exp(-t_ms / tau_ms)
 
 
+# The scan scales by a^(+-j), j < B. Keeping |log a^B| <= 500 holds those
+# factors within e^(+-500), so inputs up to SCAN_MAX_INPUT neither overflow
+# nor underflow; poles far from 1 (the actuator's 1 - g ~ 0.40) get short
+# blocks.
+_SCAN_LOG_SPAN = 500.0
+_SCAN_MAX_BLOCK = 4096
+SCAN_MAX_INPUT = 1e80
+
+
+def _scan_block(pole: float) -> int:
+    """Largest scan block B for a nonzero pole with |log |a|^B| in range."""
+    log_a = abs(math.log(abs(pole)))
+    if log_a == 0.0:
+        return _SCAN_MAX_BLOCK
+    return max(1, min(_SCAN_MAX_BLOCK, int(_SCAN_LOG_SPAN / log_a)))
+
+
+def _one_pole(x: np.ndarray, pole: float, gain_in: float, y_prev: float) -> np.ndarray:
+    """y[n] = pole * y[n-1] + gain_in * x[n], continuing from y_prev.
+
+    A blocked scan (Blelloch 1990) in one output buffer: within a block of
+    B steps y[j] = a^j * cumsum(gain_in * x * a^-j), the state entering each
+    block (carried across blocks with pole a^B) folded into its column 0.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if pole == 0.0 or n == 0:
+        return gain_in * x
+    block = min(n, _scan_block(pole))
+    n_blocks = -(-n // block)
+    powers = pole ** np.arange(block, dtype=float)      # a^j
+    scaled_gain = gain_in / powers                      # gain * a^-j
+
+    y = np.empty(n_blocks * block)
+    y[:n] = x
+    y[n:] = 0.0
+    rows = y.reshape(n_blocks, block)
+    rows *= scaled_gain
+
+    # block ends without the incoming state, then the state entering each
+    ends = (rows @ np.full(block, powers[-1])).tolist()
+    pole_block = powers[-1] * pole
+    carry = []
+    state = y_prev
+    for end in ends:
+        carry.append(state)
+        state = pole_block * state + end
+    rows[:, 0] += pole * np.asarray(carry)
+    np.cumsum(rows, axis=1, out=rows)
+    rows *= powers
+    return y[:n]
+
+
+def respond(
+    power_w,
+    params: ThermalParams,
+    dt_ms: float,
+    delta_t_c: float = 0.0,
+) -> np.ndarray:
+    """Plant temperature delta at the end of each step of a power sequence.
+
+    ``power_w[n]`` is the dissipation delta above ``params.p_baseline_w``
+    held over step n, and ``delta_t_c`` the delta entering the first step.
+    Each step applies
+
+        dT' = dT * exp(-dt/tau) + gain * dP * (1 - exp(-dt/tau)),
+
+    the analytic response to piecewise-constant input, so no discretization
+    error accumulates regardless of dt. To continue a run, pass its last
+    output back as ``delta_t_c``.
+    """
+    if not dt_ms > 0:
+        raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
+    decay = math.exp(-dt_ms / params.tau_ms)
+    return _one_pole(params.gain * np.asarray(power_w, dtype=float), decay,
+                     1.0 - decay, delta_t_c)
+
+
 def step(
     state: ThermalState,
     power_w: float,
     dt_ms: float,
     params: ThermalParams = ThermalParams(),
 ) -> ThermalState:
-    """Advance the plant by dt_ms under a constant dissipation delta.
-
-    ``power_w`` is the delta above ``params.p_baseline_w`` held over
-    [t, t + dt). The update
-
-        dT' = dT * exp(-dt/tau) + gain * dP * (1 - exp(-dt/tau))
-
-    is the analytic response to piecewise-constant input, so no
-    discretization error accumulates regardless of dt.
-    """
-    if not dt_ms > 0:
-        raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
-    decay = math.exp(-dt_ms / params.tau_ms)
-    target = params.gain * power_w
-    new_delta = state.delta_t_c * decay + target * (1.0 - decay)
+    """Advance the plant by dt_ms under a constant dissipation delta: the
+    one-step :func:`respond`."""
+    new_delta = float(respond((power_w,), params, dt_ms, state.delta_t_c)[0])
     return ThermalState(delta_t_c=new_delta, t_ms=state.t_ms + dt_ms)
 
 

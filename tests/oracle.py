@@ -6,20 +6,29 @@ work, then advances the plant with :func:`thermal.step` and the compensator
 with :func:`control_step`. It is the literal module-by-module reading of the
 model, and much slower than ``simulate``; the equivalence tests check
 ``simulate`` against it.
+
+:func:`control_step` and :class:`CompensationState` are the per-step
+compensator, written here as a delay line, a hint FIFO and a replica state
+rather than as the recursions of :func:`cpodrift.controller.compensate`, so
+the oracle shares no compensator code with the path it checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from cpodrift import thermal as th
 from cpodrift.config import RunConfig
-from cpodrift.controller import CompensationState, control_step
+from cpodrift.controller import ControllerParams, Mode
+from cpodrift.errors import InputError, MissingHintError, StepSizeError
+from cpodrift.optics import OpticParams, drift
 from cpodrift.scheduler import (
     Filtration,
     ForecastLog,
+    HintForecast,
     QueueEntry,
     forecast,
     preposition_fraction,
@@ -27,7 +36,128 @@ from cpodrift.scheduler import (
 )
 from cpodrift.simulate import RunResult, _finish, simulate
 from cpodrift.telemetry import TelemetryFrame
+from cpodrift.thermal import ThermalParams
 from cpodrift.workload import density_to_power, density_to_throughput, generate_workload
+
+
+@dataclass(frozen=True)
+class CompensationState:
+    """Controller state after a step.
+
+    ``sensor_buf`` is the delay line of plant observations (reactive path);
+    ``hint_buf`` holds hint powers whose coverage time has not yet entered
+    the lead window (predictive path); ``replica_ahead_c`` is the thermal
+    replica advanced ``lead_ms`` into the hinted future.
+    """
+
+    bias_delta_t_c: float = 0.0
+    residual_delta_t_c: float = 0.0
+    residual_drift_nm: float = 0.0
+    t_ms: float = 0.0
+    sensor_buf: tuple[float, ...] = ()
+    hint_buf: tuple[float, ...] = ()
+    replica_ahead_c: float = 0.0
+    replica_live: bool = False
+
+
+def control_step(
+    state: CompensationState,
+    plant_delta_t: float,
+    hint: HintForecast | None,
+    dt_ms: float,
+    params: ControllerParams = ControllerParams(),
+    thermal: ThermalParams = ThermalParams(),
+    optic: OpticParams = OpticParams(),
+) -> CompensationState:
+    """Advance the compensator one step and recompute residuals.
+
+    ``plant_delta_t`` is the plant temperature delta at the end of the
+    current step. In predictive mode a hint is mandatory; its forecast power
+    feeds the replica once its coverage time falls inside the lead window
+    (warm-up steps slave the replica to the plant, which the power-driven
+    replica equals exactly for a deterministic plant).
+    """
+    if not dt_ms > 0:
+        raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
+
+    mode = params.mode
+    if mode is Mode.OPEN_LOOP:
+        bias = 0.0
+        residual = abs(plant_delta_t - bias)
+        return CompensationState(
+            bias_delta_t_c=bias,
+            residual_delta_t_c=residual,
+            residual_drift_nm=drift(residual, optic),
+            t_ms=state.t_ms + dt_ms,
+        )
+
+    setpoint = params.setpoint_c
+    g = params.tracking_factor(dt_ms)
+
+    if mode is Mode.REACTIVE:
+        lag_steps = int(round(params.sensor_latency_ms / dt_ms))
+        buf = state.sensor_buf
+        sensed = buf[0] if len(buf) >= lag_steps and lag_steps > 0 else (
+            plant_delta_t if lag_steps == 0 else 0.0
+        )
+        target = max(0.0, sensed - setpoint)
+        new_buf = (buf + (plant_delta_t,))[-lag_steps:] if lag_steps > 0 else ()
+        bias = (1.0 - g) * state.bias_delta_t_c + g * target
+        residual = abs(plant_delta_t - bias)
+        return CompensationState(
+            bias_delta_t_c=bias,
+            residual_delta_t_c=residual,
+            residual_drift_nm=drift(residual, optic),
+            t_ms=state.t_ms + dt_ms,
+            sensor_buf=new_buf,
+        )
+
+    # predictive
+    if hint is None:
+        raise MissingHintError("predictive controller stepped without a hint")
+    if params.lead_ms > hint.horizon_ms:
+        raise InputError(
+            f"lead_ms = {params.lead_ms} exceeds the hint horizon {hint.horizon_ms}"
+        )
+    h_steps = int(round(hint.horizon_ms / dt_ms))
+    lead_steps = max(1, int(round(params.lead_ms / dt_ms)))
+    lead_steps = min(lead_steps, h_steps)
+    warm = h_steps - lead_steps
+
+    decay = math.exp(-dt_ms / thermal.tau_ms)
+    buf = state.hint_buf + (hint.forecast_w,)
+    if len(buf) > warm and state.replica_live:
+        coverage_w, buf = buf[0], buf[1:]
+        ahead = state.replica_ahead_c * decay + thermal.gain * (
+            coverage_w - thermal.p_baseline_w
+        ) * (1.0 - decay)
+        live = True
+    else:
+        # hint FIFO still maturing: anticipate with the preposition blend of
+        # the current plant state and the hint-implied steady state
+        wl = 1.0 - math.exp(-(lead_steps * dt_ms) / thermal.tau_ms)
+        ahead = (1.0 - wl) * plant_delta_t + wl * thermal.gain * (
+            hint.forecast_w - thermal.p_baseline_w
+        )
+        if len(buf) > warm:
+            # window just filled: discard the stale head, go live
+            _, buf = buf[0], buf[1:]
+            live = True
+        else:
+            live = False
+
+    target = max(0.0, max(plant_delta_t, ahead) - setpoint)
+    bias = (1.0 - g) * state.bias_delta_t_c + g * target
+    residual = abs(plant_delta_t - bias)
+    return CompensationState(
+        bias_delta_t_c=bias,
+        residual_delta_t_c=residual,
+        residual_drift_nm=drift(residual, optic),
+        t_ms=state.t_ms + dt_ms,
+        hint_buf=buf,
+        replica_ahead_c=ahead,
+        replica_live=live,
+    )
 
 
 def _steps_of(ms: float, dt: float) -> int:

@@ -78,6 +78,10 @@ def test_section_value_validation_paths():
     ({"coupling": {"d_decay_um": 0.0}}, "coupling.d_decay_um must be > 0"),
     ({"thermal": {"d_um": 0.0}}, "thermal.d_um must be > 0"),
     ({"thermal": {"d_um": 5000.0}}, "thermal.d_um = 5000.0 leaves no coupling"),
+    ({"thermal": {"r_th": 1e200}}, r"thermal.r_th = 1e\+200.*past the 1e\+80 C"),
+    ({"thermal": {"r_th": 1e300}}, r"thermal.r_th = 1e\+300.*past the 1e\+80 C"),
+    ({"thermal": {"p_baseline_w": 1e300}},
+     r"thermal.p_baseline_w = 1e\+300.*past the 1e\+80 C"),
 ])
 def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):

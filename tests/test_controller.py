@@ -1,13 +1,13 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cpodrift.config import comparison_config
 from cpodrift.controller import (
-    CompensationState,
     ControllerParams,
     Mode,
-    control_step,
+    compensate,
     energy_margin_estimate,
     run_comparison,
 )
@@ -18,10 +18,11 @@ from cpodrift.errors import (
     MissingHintError,
     StepSizeError,
 )
-from cpodrift.optics import OpticParams
+from cpodrift.optics import OpticParams, drift
 from cpodrift.scheduler import HintForecast
 from cpodrift.simulate import simulate
 from cpodrift.thermal import ThermalParams
+from oracle import CompensationState, control_step
 
 THERMAL = ThermalParams()
 OPTIC = OpticParams()
@@ -32,23 +33,26 @@ def _hint(fw, t=0.0, horizon=30.0):
                         source="queue_replay", newest_input_ms=t)
 
 
+def _residual(params, plant_c, hint_w=0.0, steps=1, horizon=30.0):
+    """Last-step residual of ``steps`` steps of constant plant and hint."""
+    dT = np.full(steps, plant_c)
+    bias = compensate(dT, np.full(steps, hint_w), 1.0, params, THERMAL, horizon)
+    assert bias.shape == (steps,)
+    return float(abs(dT - bias)[-1]), float(bias[-1])
+
+
 def test_open_loop_residual_is_plant_delta():
-    params = ControllerParams(mode=Mode.OPEN_LOOP)
-    s = control_step(CompensationState(), 40.0, None, 1.0, params, THERMAL, OPTIC)
-    assert s.bias_delta_t_c == 0.0
-    assert s.residual_delta_t_c == 40.0
-    assert s.residual_drift_nm == pytest.approx(3.408, abs=1e-9)
+    residual, bias = _residual(ControllerParams(mode=Mode.OPEN_LOOP), 40.0)
+    assert bias == 0.0
+    assert residual == 40.0
+    assert drift(residual, OPTIC) == pytest.approx(3.408, abs=1e-9)
 
 
 def test_zero_plant_zero_residual_every_mode():
     for mode in Mode:
-        params = ControllerParams(mode=mode)
-        s = CompensationState()
-        for k in range(200):
-            s = control_step(s, 0.0, _hint(0.0, float(k)), 1.0, params,
-                             THERMAL, OPTIC)
-        assert s.residual_delta_t_c == pytest.approx(0.0, abs=1e-12)
-        assert s.residual_drift_nm == pytest.approx(0.0, abs=1e-12)
+        residual, _ = _residual(ControllerParams(mode=mode), 0.0, steps=200)
+        assert residual == pytest.approx(0.0, abs=1e-12)
+        assert drift(residual, OPTIC) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_predictive_requires_hint():
@@ -75,23 +79,16 @@ def test_predictive_converges_to_cap_setpoint():
     # under the cap, and the drift under the compensated budget
     params = ControllerParams()
     peak_w = 94.0
-    delta_ss = THERMAL.gain * peak_w
-    s = CompensationState()
-    for k in range(3000):
-        s = control_step(s, delta_ss, _hint(peak_w, float(k)), 1.0, params,
-                         THERMAL, OPTIC)
-    assert s.residual_delta_t_c <= 4.15 + 1e-9
-    assert s.residual_delta_t_c == pytest.approx(params.setpoint_c, abs=1e-6)
-    assert s.residual_drift_nm <= 0.3536
+    residual, _ = _residual(params, THERMAL.gain * peak_w, peak_w, steps=3000)
+    assert residual <= 4.15 + 1e-9
+    assert residual == pytest.approx(params.setpoint_c, abs=1e-6)
+    assert drift(residual, OPTIC) <= 0.3536
 
 
 def test_reactive_converges_to_cap_setpoint():
     params = ControllerParams(mode=Mode.REACTIVE)
-    delta_ss = 20.0
-    s = CompensationState()
-    for _ in range(3000):
-        s = control_step(s, delta_ss, None, 1.0, params, THERMAL, OPTIC)
-    assert s.residual_delta_t_c == pytest.approx(params.setpoint_c, abs=1e-6)
+    residual, _ = _residual(params, 20.0, steps=3000)
+    assert residual == pytest.approx(params.setpoint_c, abs=1e-6)
 
 
 def test_energy_margin_reference_points():

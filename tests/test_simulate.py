@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +13,9 @@ import pytest
 from cpodrift.config import RunConfig, default_config
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
-from cpodrift.simulate import _one_pole, _scan_block, simulate
+from cpodrift.simulate import schedule, simulate
 from cpodrift.telemetry import write_csv
-from cpodrift.thermal import ThermalParams
+from cpodrift.thermal import ThermalParams, _one_pole, _scan_block
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
 from oracle import simulate_oracle
 
@@ -104,6 +104,59 @@ def test_throttled_run_matches_oracle(mode, forecaster, step_ms):
     cfg = _throttled_cfg(mode, forecaster=forecaster, step_ms=step_ms)
     run = _assert_matches_oracle(cfg)
     assert run.summary.throttle_deferrals > 0
+
+
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("times", [
+    {"history_window_ms": 1e300},
+    {"admission_lead_ms": 1e300},
+    {"t_slice_ms": 1e300, "admission_lead_ms": 1e300},
+    {"horizon_ms": 1e299, "horizon_max_ms": 1e300, "t_slice_ms": 1e300,
+     "admission_lead_ms": 1e300},
+], ids=["window", "admission", "slice", "horizon"])
+def test_huge_scheduler_times_match_oracle(times, forecaster):
+    # times far past the run's reach are valid and read what the run's
+    # length does; a hint past the last step has nothing to throttle
+    run = _assert_matches_oracle(_throttled_cfg(forecaster=forecaster, **times))
+    assert (run.summary.throttle_deferrals > 0) == ("horizon_ms" not in times)
+
+
+@pytest.mark.parametrize("mode", [Mode.PREDICTIVE, Mode.REACTIVE, Mode.OPEN_LOOP])
+def test_largest_accepted_plant_gain_stays_finite(mode):
+    # gain * max|P - p_baseline_w| = 1e80, the most the scan holds (a larger
+    # r_th is rejected at load): every column finite and on the oracle to
+    # the usual 1e-12, relative to the column's scale
+    cfg = replace(_small_cfg(mode, steps=400), thermal=ThermalParams(r_th=1e78))
+    run, ref = simulate(cfg), simulate_oracle(cfg)
+    for col in EQUIV_COLS:
+        a, b = getattr(run.frame, col), getattr(ref.frame, col)
+        assert np.isfinite(a).all(), col
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b))), col
+
+
+def _bits(trace):
+    return {f.name: (v.dtype.str, v.shape, v.tobytes())
+            for f in fields(trace)
+            for v in [np.asarray(getattr(trace, f.name))]}
+
+
+@pytest.mark.parametrize("throttle", [True, False])
+def test_schedule_reads_no_controller_field(throttle):
+    # domain separation: no compensator setting, every mode included, moves
+    # a bit of the dispatch trace
+    cfg = _throttled_cfg(throttle_enabled=throttle)
+    plan = generate_workload(cfg.workload, cfg.seed)
+    trace = schedule(cfg, plan)
+    assert (trace.deferrals > 0) == throttle
+    base = _bits(trace)
+    cp = cfg.controller
+    variants = [replace(cp, mode=m) for m in Mode] + [
+        replace(cp, **{f.name: getattr(cp, f.name) * 0.5})
+        for f in fields(cp) if f.name != "mode"
+    ]
+    for variant in variants:
+        assert _bits(schedule(replace(cfg, controller=variant), plan)) == base, \
+            variant
 
 
 def test_deferred_work_lines_up_behind_admitted_work():

@@ -12,6 +12,7 @@ from cpodrift.thermal import (
     boundary_temperatures,
     gamma_of_distance,
     junction_temperature,
+    respond,
     steady_state_delta_t,
     step,
     step_response_fraction,
@@ -66,6 +67,28 @@ def test_step_rejects_nonpositive_dt():
         step(ThermalState(), 10.0, 0.0, DEFAULTS)
     with pytest.raises(StepSizeError):
         step(ThermalState(), 10.0, -1.0, DEFAULTS)
+
+
+def test_step_is_the_exact_one_step_update():
+    rng = np.random.default_rng(11)
+    params = ThermalParams(r_th=0.6, tau_ms=35.0, gamma=0.7)
+    for _ in range(200):
+        d0, p = rng.uniform(-50.0, 50.0, 2)
+        dt = float(rng.choice([1e-3, 0.5, 1.0, 7.0, 80.0, 1e5]))
+        decay = math.exp(-dt / params.tau_ms)
+        out = step(ThermalState(delta_t_c=d0), p, dt, params)
+        assert out.delta_t_c == d0 * decay + params.gain * p * (1.0 - decay)
+
+
+def test_respond_continues_from_its_last_value():
+    # two half-runs chained through the last delta equal one full run,
+    # across scan block boundaries
+    power = np.random.default_rng(5).uniform(-10.0, 82.0, 10_000)
+    full = respond(power, DEFAULTS, 1.0, 3.0)
+    head = respond(power[:4321], DEFAULTS, 1.0, 3.0)
+    tail = respond(power[4321:], DEFAULTS, 1.0, head[-1])
+    np.testing.assert_allclose(np.concatenate((head, tail)), full,
+                               rtol=1e-12, atol=1e-12)
 
 
 def _response(powers, dts, params=DEFAULTS):
