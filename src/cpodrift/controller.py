@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ImplausibleInputError, InputError, check_fields
-from .thermal import ThermalParams, _one_pole, respond
+from .thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _response
 
 
 class Mode(enum.Enum):
@@ -111,34 +111,89 @@ def compensate(
     preposition blend of the plant state and the hint-implied steady state.
     The run starts from rest: zero bias and an empty sensor delay line.
     """
-    dT = delta_t_c
-    N = dT.size
-    mode = params.mode
-    if mode is Mode.OPEN_LOOP:
-        return np.zeros(N)
-    g = params.tracking_factor(dt_ms)
-    setpoint = params.setpoint_c
-    if mode is Mode.REACTIVE:
-        lag = int(round(params.sensor_latency_ms / dt_ms))
-        sensed = np.concatenate((np.zeros(min(lag, N)), dT[:max(0, N - lag)])) \
-            if lag > 0 else dT
-        target = np.maximum(0.0, sensed - setpoint)
-    else:
-        h_steps = int(round(horizon_ms / dt_ms))
-        lead = min(max(1, int(round(params.lead_ms / dt_ms))), h_steps)
-        warm = h_steps - lead
-        wl = 1.0 - math.exp(-(lead * dt_ms) / thermal.tau_ms)
-        upto = min(warm + 1, N)
-        ahead = np.empty(N)
-        ahead[:upto] = (1.0 - wl) * dT[:upto] + wl * thermal.gain * (
-            hint_w[:upto] - thermal.p_baseline_w
-        )
-        if N > warm + 1:
-            # matured: the replica integrates the hint stream at the lead delay
-            ahead[warm + 1:] = respond(hint_w[1:N - warm] - thermal.p_baseline_w,
-                                       thermal, dt_ms, ahead[warm])
-        target = np.maximum(0.0, np.maximum(dT, ahead) - setpoint)
-    return _one_pole(target, 1.0 - g, g, 0.0)
+    return _Compensator(hint_w, dt_ms, params, thermal, horizon_ms)(delta_t_c)
+
+
+class _Compensator:
+    """:func:`compensate` one chunk of the run at a time.
+
+    Calls pass the plant deltas of consecutive chunks. The actuator bias,
+    the sensor delay line (reactive) and the replica (predictive) carry
+    across chunk edges, so chunks of whole multiples of
+    ``thermal._SCAN_MAX_BLOCK`` steps give the one-call bias bit for bit.
+    The replica scans the hint stream on its own grid, which starts at the
+    step after the warm-up, in pieces of such multiples.
+    """
+
+    def __init__(self, hint_w: np.ndarray, dt_ms: float,
+                 params: ControllerParams, thermal: ThermalParams,
+                 horizon_ms: float) -> None:
+        self.mode = params.mode
+        self.g = params.tracking_factor(dt_ms)
+        self.setpoint = params.setpoint_c
+        self.bias = 0.0     # actuator scan state
+        self.lo = 0         # first step of the next chunk
+        n = hint_w.size
+        if self.mode is Mode.REACTIVE:
+            lag = int(round(params.sensor_latency_ms / dt_ms))
+            self.line = np.zeros(min(lag, n))   # readings in flight
+        elif self.mode is Mode.PREDICTIVE:
+            h_steps = int(round(horizon_ms / dt_ms))
+            lead = min(max(1, int(round(params.lead_ms / dt_ms))), h_steps)
+            self.warm = h_steps - lead
+            self.wl = 1.0 - math.exp(-(lead * dt_ms) / thermal.tau_ms)
+            self.hint_w, self.thermal, self.dt_ms = hint_w, thermal, dt_ms
+            self.replica = 0.0          # scan state, seeded at step warm
+            self.scanned = 0            # replica inputs consumed
+            self.ready = np.empty(0)    # replica outputs not yet used
+
+    def __call__(self, dT: np.ndarray) -> np.ndarray:
+        n = dT.size
+        lo = self.lo
+        self.lo += n
+        if self.mode is Mode.OPEN_LOOP:
+            return np.zeros(n)
+        if self.mode is Mode.REACTIVE:
+            sensed = dT
+            if self.line.size:
+                full = np.concatenate((self.line, dT))
+                sensed, self.line = full[:n], full[n:]
+            target = np.maximum(0.0, sensed - self.setpoint)
+        else:
+            ahead = self._ahead(dT, lo)
+            target = np.maximum(0.0, np.maximum(dT, ahead) - self.setpoint)
+        bias, self.bias = _one_pole(target, 1.0 - self.g, self.g, self.bias)
+        return bias
+
+    def _ahead(self, dT: np.ndarray, lo: int) -> np.ndarray:
+        """The replica's lead-ahead delta over steps [lo, lo + dT.size)."""
+        thermal, warm, hint_w = self.thermal, self.warm, self.hint_w
+        hi = lo + dT.size
+        ahead = np.empty(dT.size)
+        upto = min(warm + 1, hi)
+        if lo < upto:
+            ahead[:upto - lo] = (1.0 - self.wl) * dT[:upto - lo] + \
+                self.wl * thermal.gain * (hint_w[lo:upto] - thermal.p_baseline_w)
+            if upto == warm + 1:
+                self.replica = ahead[warm - lo]
+        if hi > warm + 1:
+            # matured: the replica integrates the hint stream at the lead
+            # delay, input i (step warm + 1 + i) reading hint i + 1
+            start = max(lo, warm + 1)
+            need = hi - start
+            if self.ready.size < need:
+                i = self.scanned
+                short = need - self.ready.size
+                m = min(hint_w.size - warm - 1 - i,
+                        -(-short // _SCAN_MAX_BLOCK) * _SCAN_MAX_BLOCK)
+                y, self.replica = _response(
+                    hint_w[1 + i:1 + i + m] - thermal.p_baseline_w,
+                    thermal, self.dt_ms, self.replica)
+                self.scanned += m
+                self.ready = np.concatenate((self.ready, y))
+            ahead[start - lo:] = self.ready[:need]
+            self.ready = self.ready[need:]
+        return ahead
 
 
 def energy_margin_estimate(

@@ -8,7 +8,7 @@
 * ``fingerprint``: five-state staircase in open loop, then the six-panel
   fingerprint report.
 * ``stabilization1800``: sustained 1,800 s predictive run (convenience
-  extension of the standard four).
+  extension of the standard four); summary-only, so it keeps no frame.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .config import (
 )
 from .controller import run_comparison
 from .errors import UsageError
-from .simulate import RunResult, simulate
+from .simulate import RunResult, _summarize, simulate
 from .telemetry import write_csv
 
 
@@ -109,12 +109,13 @@ def _run_fingerprint(cfg: RunConfig, out: Path) -> ExperimentResult:
 
 
 def _run_stabilization(cfg: RunConfig, out: Path) -> ExperimentResult:
-    run = simulate(cfg)
-    summary = run.summary.to_dict()
+    # summary-only: no frame is kept, and no telemetry is written
+    result = _summarize(cfg)
+    summary = result.to_dict()
     spath = out / "stabilization1800_summary.json"
     _write_json(spath, summary)
-    stab = run.summary.stabilization_ms
-    ok = stab is not None and stab <= 50_000.0 and run.summary.stays_in_band
+    stab = result.stabilization_ms
+    ok = stab is not None and stab <= 50_000.0 and result.stays_in_band
     return ExperimentResult("stabilization1800", (spath,), summary, ok)
 
 

@@ -1,4 +1,5 @@
-"""Lock-step co-simulation in two passes.
+"""Lock-step co-simulation: a schedule pass, a chunked physics pass and a
+streaming summary.
 
 Per step: dispatch the planned workload slice, map density to throughput
 and power, issue the look-ahead hint (which may throttle queued work),
@@ -10,17 +11,26 @@ The scheduler never reads the plant or the compensator: the throttle
 decides from the hint and the queue alone, and the compensator reads only
 the forecast power and horizon of a hint. So a run is two passes.
 
-* Schedule pass (:func:`schedule`): from the workload plan alone, the
-  dispatched density, the hint stream with its provenance, the queue depth,
-  the deferral count and the work deferred past the last step. Array reads
-  cover every step the throttle leaves alone; a loop visits, in time order,
-  only the steps whose hint breaches the throttle cap and applies the
-  throttle's LIFO cut (:func:`lifo_cut`, the kernel behind
-  :func:`throttle_decision`) to the slot the hint forecasts, held as arrays.
-* Physics pass: the plant's response to the dispatched power
-  (:func:`thermal.respond`), then the compensator's bias from that response
-  and the hint stream (:func:`controller.compensate`), both one-pole
-  recursions exact for piecewise-constant inputs.
+* Schedule pass (:func:`schedule`), whole-run: from the workload plan
+  alone, the dispatched density and power, the hint stream with its
+  provenance, the queue depth, the deferral count and the work deferred
+  past the last step. Array reads cover every step the throttle leaves
+  alone; a loop visits, in time order, only the steps whose hint breaches
+  the throttle cap and applies the throttle's LIFO cut (:func:`lifo_cut`,
+  the kernel behind :func:`throttle_decision`) to the slot the hint
+  forecasts, held as arrays.
+* Physics pass (:func:`_physics`), ``_CHUNK_STEPS`` steps at a time: the
+  plant's response to the dispatched power (:func:`thermal.respond`), then
+  the compensator's bias from that response and the hint stream
+  (:func:`controller.compensate`), both one-pole recursions exact for
+  piecewise-constant inputs. The plant state, the actuator bias, the
+  predictive replica and the reactive sensor delay line carry across chunk
+  edges, so the chunks give a one-chunk run's columns bit for bit.
+
+Each chunk goes to the streaming summary (:class:`_Summary`), and
+:func:`simulate` also copies it into the preallocated telemetry frame. A
+summary-only run (:func:`_summarize`) keeps no frame, so past the schedule
+pass it holds one chunk of physics at a time.
 
 ``tests/oracle.py`` composes the module-level operations step by step
 (Filtration snapshots, forecast(), throttle_decision(), thermal.step() and
@@ -33,11 +43,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .config import RunConfig
-from .controller import compensate
+from .controller import _Compensator
 from .scheduler import (
     AuditReport,
     ForecastLog,
@@ -47,7 +58,7 @@ from .scheduler import (
     preposition_fraction,
 )
 from .telemetry import TelemetryFrame
-from .thermal import respond
+from .thermal import _response
 from .workload import (
     WorkloadPlan,
     density_to_power,
@@ -119,6 +130,7 @@ class DispatchTrace:
     """Outcome of the schedule pass, one entry per step."""
 
     rho: np.ndarray              # dispatched density
+    power_w: np.ndarray          # dispatched power
     hint_w: np.ndarray           # look-ahead hint power
     newest_input_ms: np.ndarray  # newest input stamp each hint read
     source: np.ndarray           # 0 = queue replay, 1 = EWMA fallback
@@ -134,21 +146,57 @@ def simulate(config: RunConfig) -> RunResult:
     Deterministic per (config, seed): byte-identical telemetry and forecast
     logs across repeated runs.
     """
+    return _run(config, keep_frame=True)
+
+
+def _summarize(config: RunConfig) -> SimulationSummary:
+    """``simulate(config).summary`` without the telemetry frame: the physics
+    chunks go to the streaming summary alone, so past the schedule pass the
+    run holds one chunk of physics at a time."""
+    return _run(config, keep_frame=False).summary
+
+
+def _run(config: RunConfig, keep_frame: bool) -> RunResult:
+    """Both passes and the summary; without ``keep_frame`` the result's
+    frame is None."""
     plan = generate_workload(config.workload, config.seed)
     if plan.step_count == 0:
         return _empty_result(config)
     trace = schedule(config, plan)
+    frame = _frame(config, plan, trace) if keep_frame else None
+    names = np.array(plan.state_names, dtype=object)
+    stats = _Summary(config, plan)
+    for chunk in _physics(config, plan, trace):
+        if frame is not None:
+            hi = chunk.lo + chunk.delta_t_c.size
+            for col in _PHYSICS_COLUMNS:
+                getattr(frame, col)[chunk.lo:hi] = getattr(chunk, col)
+            frame.load_state.extend(names[plan.state_idx[chunk.lo:hi]].tolist())
+        stats.add(chunk)
     log = ForecastLog.from_arrays(
-        plan.t_ms, np.full(plan.step_count, config.scheduler.horizon_ms),
+        plan.t_ms, np.broadcast_to(config.scheduler.horizon_ms, plan.step_count),
         trace.hint_w, trace.newest_input_ms, trace.source,
     )
-    return _finish(config, plan, _physics(config, plan, trace), log,
-                   trace.deferrals, trace.outstanding_density,
-                   trace.outstanding_entries)
+    summary, audit = stats.finish(trace.rho, log, trace.deferrals,
+                                  trace.outstanding_density,
+                                  trace.outstanding_entries)
+    return RunResult(config=config, frame=frame, summary=summary,
+                     forecast_log=log, audit=audit)
 
 
 # ---------------------------------------------------------------------------
 # schedule pass
+
+def _planned_queue_depth(n_streams: np.ndarray, adm: int) -> np.ndarray:
+    """Pending queue depth as planned: the streams admitted after each step,
+    those of the next ``adm`` steps, or of all steps left."""
+    cs = np.cumsum(n_streams)
+    depth = cs[-1] - cs
+    m = cs.size - adm
+    if m > 0:
+        np.subtract(cs[adm:], cs[:m], out=depth[:m])
+    return depth
+
 
 def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
     """Dispatch, hints, queue depth and deferrals from the plan alone.
@@ -189,7 +237,9 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
     F = np.empty(N)
     F[:replay] = P[h:h + replay]
     newest = t.copy()
-    newest[:replay] = np.maximum(0, np.arange(replay) + h - adm) * dt
+    head = newest[:replay]
+    np.maximum(np.arange(h - adm, h - adm + replay, dtype=float), 0.0, out=head)
+    head *= dt
     source = np.zeros(N, dtype=int)
     source[replay:] = 1
 
@@ -199,18 +249,13 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
 
     ewma(replay, N)
 
-    # pending queue depth as planned: admitted dispatches after each step
-    cn = np.concatenate(([0], np.cumsum(plan.n_streams)))
-    steps = np.arange(N)
-    queue_depth = cn[np.minimum(steps + adm, N - 1) + 1] - cn[steps + 1]
+    queue_depth = _planned_queue_depth(plan.n_streams, adm)
     deferrals = outstanding_entries = 0
     outstanding_density = 0.0
 
     if sc.throttle_enabled:
         thermal = config.thermal_resolved
         cap, gain = sc.throttle_cap_c, sc.throttle_compensation_gain
-        moved = np.zeros(N + 1, dtype=np.int64)  # queue-depth differences
-
         # excess power over baseline past which lifo_cut may fire, less a
         # hair of slack: the heap holds a superset of the steps that fire,
         # and the cut itself stays authoritative
@@ -219,6 +264,7 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
         slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         heap = np.flatnonzero(
             F[:max(0, N - h)] - thermal.p_baseline_w > fire_w).tolist()
+        moved = np.zeros(N + 1, dtype=np.int64)  # queue-depth differences
         last = -1
         while heap:
             k = heapq.heappop(heap)
@@ -263,9 +309,9 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
             for s in retimed:
                 if s < N - h and F[s] - thermal.p_baseline_w > fire_w:
                     heapq.heappush(heap, s)
-        queue_depth += np.cumsum(moved)[:N]
+        queue_depth += np.cumsum(moved, out=moved)[:N]
 
-    return DispatchTrace(rho=rho, hint_w=F, newest_input_ms=newest,
+    return DispatchTrace(rho=rho, power_w=P, hint_w=F, newest_input_ms=newest,
                          source=source, queue_depth=queue_depth,
                          deferrals=deferrals,
                          outstanding_density=outstanding_density,
@@ -275,88 +321,147 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
 # ---------------------------------------------------------------------------
 # physics pass
 
+# Steps per physics chunk: a multiple of every scan block, so the chunked
+# scans continue bit for bit across chunk edges.
+_CHUNK_STEPS = 1 << 16
+_PHYSICS_COLUMNS = ("delta_t_c", "bias_c", "residual_c", "drift_nm")
+
+
+class _Chunk(NamedTuple):
+    """The physics columns of steps [lo, lo + len)."""
+
+    lo: int
+    delta_t_c: np.ndarray
+    bias_c: np.ndarray
+    residual_c: np.ndarray
+    drift_nm: np.ndarray
+
+
 def _physics(config: RunConfig, plan: WorkloadPlan,
-             trace: DispatchTrace) -> TelemetryFrame:
-    sc = config.scheduler
+             trace: DispatchTrace) -> Iterator[_Chunk]:
+    """The plant's response to the dispatched power (:func:`respond`), the
+    compensator's bias from it and the hint stream (:func:`compensate`), and
+    the residual and drift, ``_CHUNK_STEPS`` steps at a time."""
     thermal = config.thermal_resolved
     dt = plan.step_period_ms
-    N = plan.step_count
-    F = trace.hint_w
+    P = trace.power_w
+    bias_of = _Compensator(trace.hint_w, dt, config.controller, thermal,
+                           config.scheduler.horizon_ms)
+    plant = 0.0
+    for lo in range(0, plan.step_count, _CHUNK_STEPS):
+        dT, plant = _response(P[lo:lo + _CHUNK_STEPS] - thermal.p_baseline_w,
+                              thermal, dt, plant)
+        bias = bias_of(dT)
+        residual = np.abs(dT - bias)
+        yield _Chunk(lo, dT, bias, residual, config.optics.kappa_to * residual)
 
-    P = density_to_power(trace.rho, config.affine_map)
-    dT = respond(P - thermal.p_baseline_w, thermal, dt)
-    bias = compensate(dT, F, dt, config.controller, thermal, sc.horizon_ms)
-    residual = np.abs(dT - bias)
+
+def _frame(config: RunConfig, plan: WorkloadPlan,
+           trace: DispatchTrace) -> TelemetryFrame:
+    """The run's frame: the columns the schedule pass fixes, the physics
+    columns allocated and ``load_state`` empty, both for the chunks to fill."""
+    sc = config.scheduler
+    N = plan.step_count
+    eta = preposition_fraction(sc.horizon_ms, config.thermal_resolved.tau_ms)
     return TelemetryFrame(
         step=np.arange(N, dtype=np.int64),
         t_ms=plan.t_ms,
-        load_state=[plan.state_names[i] for i in plan.state_idx],
+        load_state=[],
         rho=trace.rho,
         t24=density_to_throughput(trace.rho, config.affine_map),
-        p_eic_w=P,
-        hint_w=F,
-        eta=np.full(N, preposition_fraction(sc.horizon_ms, thermal.tau_ms)),
-        delta_t_c=dT,
-        bias_c=bias,
-        residual_c=residual,
-        drift_nm=config.optics.kappa_to * residual,
-        queue_depth=trace.queue_depth.astype(np.int64),
+        p_eic_w=trace.power_w,
+        hint_w=trace.hint_w,
+        eta=np.full(N, eta),
+        queue_depth=trace.queue_depth.astype(np.int64, copy=False),
         ttft_ms=trace.queue_depth * sc.t_slice_ms * 0.5,
+        **{col: np.empty(N) for col in _PHYSICS_COLUMNS},
     )
+
 
 # ---------------------------------------------------------------------------
 # summary
 
-def _finish(config: RunConfig, plan: WorkloadPlan, frame: TelemetryFrame,
-            log: ForecastLog, throttle_deferrals: int,
-            outstanding_density: float, outstanding_entries: int) -> RunResult:
-    thermal = config.thermal_resolved
-    dt = plan.step_period_ms
-    N = frame.n
+class _Summary:
+    """Streaming summary of a run, fed its physics chunks in step order.
 
-    audit = causality_audit(log, np.column_stack((frame.t_ms, frame.p_eic_w)))
+    Maxima and the stabilization window are exact whatever the chunking; the
+    trailing window's cumulative sum carries across chunk edges. The means
+    sum per chunk, so with more than one chunk they may differ from
+    ``np.mean`` of the whole column in the last bits (1e-12 relative bounds
+    it). Any object with the physics columns is a chunk: the oracle feeds
+    its whole frame as one.
+    """
 
-    idle_ss = thermal.gain * (config.affine_map.p_idle_w - thermal.p_baseline_w)
-    peak_delta = float(frame.delta_t_c.max())
-    cap = config.controller.residual_cap_c
+    def __init__(self, config: RunConfig, plan: WorkloadPlan) -> None:
+        self.config, self.plan = config, plan
+        self.window = max(1, _steps_of(_STAB_WINDOW_MS, plan.step_period_ms))
+        self.max_residual = self.max_drift = self.peak_delta = -math.inf
+        self.sum_residual = self.sum_drift = 0.0
+        self.cum = np.zeros(1)  # cumulative residual at the last window steps
+        self.done = 0           # trailing means computed so far
+        self.first: int | None = None   # first trailing mean in band
+        self.stays = False
 
-    stab_ms = None
-    stays = False
-    window = max(1, _steps_of(_STAB_WINDOW_MS, dt))
-    if N >= window:
-        c = np.concatenate(([0.0], np.cumsum(frame.residual_c)))
-        trailing = (c[window:] - c[:-window]) / window
-        inband = np.abs(trailing - cap) <= STABILIZATION_BAND_C
-        hits = np.nonzero(inband)[0]
-        if hits.size:
-            first = int(hits[0])
-            stab_ms = float((first + window) * dt)
-            stays = bool(inband[first:].all())
+    def add(self, chunk) -> None:
+        r = chunk.residual_c
+        self.max_residual = float(np.maximum(self.max_residual, r.max()))
+        self.max_drift = float(np.maximum(self.max_drift, chunk.drift_nm.max()))
+        self.peak_delta = float(np.maximum(self.peak_delta,
+                                           chunk.delta_t_c.max()))
+        self.sum_residual += float(r.sum())
+        self.sum_drift += float(chunk.drift_nm.sum())
 
-    by_state: dict[str, float] = {}
-    for i, name in enumerate(plan.state_names):
-        mask = plan.state_idx == i
-        if mask.any():
-            by_state[name] = float(frame.rho[mask].mean())
+        w, k = self.window, self.cum.size
+        c = np.concatenate((self.cum, r))
+        np.cumsum(c[k - 1:], out=c[k - 1:])     # on from the carried sum
+        trailing = (c[w:] - c[:-w]) / w
+        inband = np.abs(trailing - self.config.controller.residual_cap_c) \
+            <= STABILIZATION_BAND_C
+        if self.first is None:
+            hits = np.flatnonzero(inband)
+            if hits.size:
+                self.first = self.done + int(hits[0])
+                self.stays = bool(inband[hits[0]:].all())
+        else:
+            self.stays = self.stays and bool(inband.all())
+        self.done += trailing.size
+        self.cum = c[-w:]
 
-    summary = SimulationSummary(
-        steps=N,
-        duration_ms=float(N * dt),
-        max_residual_c=float(frame.residual_c.max()),
-        mean_residual_c=float(frame.residual_c.mean()),
-        max_drift_nm=float(frame.drift_nm.max()),
-        mean_drift_nm=float(frame.drift_nm.mean()),
-        peak_delta_t_c=peak_delta,
-        peak_junction_temp_c=thermal.ambient_c + peak_delta - idle_ss,
-        eta_min=float(frame.eta.min()),
-        eta_max=float(frame.eta.max()),
-        stabilization_ms=stab_ms,
-        stays_in_band=stays,
-        mean_rho_by_state=by_state,
-        throttle_deferrals=throttle_deferrals,
-        outstanding_density=outstanding_density,
-        outstanding_entries=outstanding_entries,
-        audit_violations=len(audit.violations),
-    )
-    return RunResult(config=config, frame=frame, summary=summary,
-                     forecast_log=log, audit=audit)
+    def finish(self, rho: np.ndarray, log: ForecastLog, throttle_deferrals: int,
+               outstanding_density: float, outstanding_entries: int,
+               ) -> tuple[SimulationSummary, AuditReport]:
+        config, plan = self.config, self.plan
+        thermal = config.thermal_resolved
+        dt = plan.step_period_ms
+        N = plan.step_count
+        audit = causality_audit(log, plan.t_ms)
+        idle_ss = thermal.gain * (config.affine_map.p_idle_w - thermal.p_baseline_w)
+        eta = preposition_fraction(config.scheduler.horizon_ms, thermal.tau_ms)
+
+        by_state: dict[str, float] = {}
+        for i, name in enumerate(plan.state_names):
+            mask = plan.state_idx == i
+            if mask.any():
+                by_state[name] = float(rho[mask].mean())
+
+        summary = SimulationSummary(
+            steps=N,
+            duration_ms=float(N * dt),
+            max_residual_c=self.max_residual,
+            mean_residual_c=self.sum_residual / N,
+            max_drift_nm=self.max_drift,
+            mean_drift_nm=self.sum_drift / N,
+            peak_delta_t_c=self.peak_delta,
+            peak_junction_temp_c=thermal.ambient_c + self.peak_delta - idle_ss,
+            eta_min=eta,
+            eta_max=eta,
+            stabilization_ms=None if self.first is None else
+            float((self.first + self.window) * dt),
+            stays_in_band=self.stays,
+            mean_rho_by_state=by_state,
+            throttle_deferrals=throttle_deferrals,
+            outstanding_density=outstanding_density,
+            outstanding_entries=outstanding_entries,
+            audit_violations=len(audit.violations),
+        )
+        return summary, audit

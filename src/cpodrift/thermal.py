@@ -111,31 +111,42 @@ def step_response_fraction(t_ms: float, tau_ms: float) -> float:
 # The scan scales by a^(+-j), j < B. Keeping |log a^B| <= 500 holds those
 # factors within e^(+-500), so inputs up to SCAN_MAX_INPUT neither overflow
 # nor underflow; poles far from 1 (the actuator's 1 - g ~ 0.40) get short
-# blocks.
+# blocks. Blocks are powers of two, so every block divides any multiple of
+# _SCAN_MAX_BLOCK, the length a run is cut into when it is scanned in pieces.
 _SCAN_LOG_SPAN = 500.0
 _SCAN_MAX_BLOCK = 4096
 SCAN_MAX_INPUT = 1e80
 
 
 def _scan_block(pole: float) -> int:
-    """Largest scan block B for a nonzero pole with |log |a|^B| in range."""
+    """Largest power-of-two scan block B for a nonzero pole with |log |a|^B|
+    in range."""
     log_a = abs(math.log(abs(pole)))
     if log_a == 0.0:
         return _SCAN_MAX_BLOCK
-    return max(1, min(_SCAN_MAX_BLOCK, int(_SCAN_LOG_SPAN / log_a)))
+    b = max(1, min(_SCAN_MAX_BLOCK, int(_SCAN_LOG_SPAN / log_a)))
+    return 1 << (b.bit_length() - 1)
 
 
-def _one_pole(x: np.ndarray, pole: float, gain_in: float, y_prev: float) -> np.ndarray:
+def _one_pole(x: np.ndarray, pole: float, gain_in: float,
+              y_prev: float) -> tuple[np.ndarray, float]:
     """y[n] = pole * y[n-1] + gain_in * x[n], continuing from y_prev.
 
     A blocked scan (Blelloch 1990) in one output buffer: within a block of
     B steps y[j] = a^j * cumsum(gain_in * x * a^-j), the state entering each
     block (carried across blocks with pole a^B) folded into its column 0.
+
+    Returns y and the state entering the block after the last. Passed back
+    as ``y_prev``, that state continues the scan bit for bit where ``x``
+    was a whole number of blocks: any multiple of ``_SCAN_MAX_BLOCK`` is.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if pole == 0.0 or n == 0:
-        return gain_in * x
+        return gain_in * x, y_prev
+    if n == 1:      # the scan's own arithmetic for one element
+        y = gain_in * x[0] + pole * y_prev
+        return np.array([y]), y
     block = min(n, _scan_block(pole))
     n_blocks = -(-n // block)
     powers = pole ** np.arange(block, dtype=float)      # a^j
@@ -147,8 +158,10 @@ def _one_pole(x: np.ndarray, pole: float, gain_in: float, y_prev: float) -> np.n
     rows = y.reshape(n_blocks, block)
     rows *= scaled_gain
 
-    # block ends without the incoming state, then the state entering each
-    ends = (rows @ np.full(block, powers[-1])).tolist()
+    # block ends without the incoming state, then the state entering each;
+    # numpy's row sums, unlike a BLAS product, round each row the same
+    # whatever the number of rows, so a run scanned in pieces keeps its bits
+    ends = (rows.sum(axis=1) * powers[-1]).tolist()
     pole_block = powers[-1] * pole
     carry = []
     state = y_prev
@@ -158,7 +171,22 @@ def _one_pole(x: np.ndarray, pole: float, gain_in: float, y_prev: float) -> np.n
     rows[:, 0] += pole * np.asarray(carry)
     np.cumsum(rows, axis=1, out=rows)
     rows *= powers
-    return y[:n]
+    return y[:n], state
+
+
+def _response(power_w, params: ThermalParams, dt_ms: float,
+              state: float) -> tuple[np.ndarray, float]:
+    """:func:`respond` from a scan state, returning the state after it.
+
+    A run cut into pieces of whole multiples of ``_SCAN_MAX_BLOCK`` steps,
+    each continued from the state the last one returned, gives the one-call
+    response bit for bit.
+    """
+    if not dt_ms > 0:
+        raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
+    decay = math.exp(-dt_ms / params.tau_ms)
+    return _one_pole(params.gain * np.asarray(power_w, dtype=float), decay,
+                     1.0 - decay, state)
 
 
 def respond(
@@ -179,11 +207,7 @@ def respond(
     error accumulates regardless of dt. To continue a run, pass its last
     output back as ``delta_t_c``.
     """
-    if not dt_ms > 0:
-        raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
-    decay = math.exp(-dt_ms / params.tau_ms)
-    return _one_pole(params.gain * np.asarray(power_w, dtype=float), decay,
-                     1.0 - decay, delta_t_c)
+    return _response(power_w, params, dt_ms, delta_t_c)[0]
 
 
 def step(

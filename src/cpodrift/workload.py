@@ -288,20 +288,25 @@ def generate_workload(config: WorkloadConfig, seed: int) -> WorkloadPlan:
             n_streams=np.empty(0, dtype=np.int64),
         )
 
+    # the schedule's holds, cycled until they cover n steps, the last cut short
     name_to_idx = {nm: i for i, nm in enumerate(names)}
-    cycle_idx: list[int] = []
-    for state, dur_ms in config.schedule:
-        steps = max(1, int(round(dur_ms / dt)))
-        cycle_idx.extend([name_to_idx[state]] * steps)
-    cycle = np.asarray(cycle_idx, dtype=np.int64)
-    reps = int(np.ceil(n / cycle.shape[0]))
-    state_idx = np.tile(cycle, reps)[:n]
+    idx = np.array([name_to_idx[state] for state, _ in config.schedule],
+                   dtype=np.int64)
+    holds = np.array([max(1, int(round(dur_ms / dt)))
+                      for _, dur_ms in config.schedule], dtype=np.int64)
+    reps = -(-n // int(holds.sum()))
+    holds = np.tile(holds, reps)
+    ends = np.cumsum(holds)
+    last = int(np.searchsorted(ends, n))
+    holds = holds[:last + 1]
+    holds[last] -= ends[last] - n
+    state_idx = np.repeat(np.tile(idx, reps)[:last + 1], holds)
 
     rho_targets = np.asarray([STATE_BY_NAME[nm].rho_target for nm in names])
-    rho = rho_targets[state_idx].astype(float)
+    rho = rho_targets[state_idx]
     if config.noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        rho = rho + rng.normal(0.0, config.noise_sigma, n)
+        rho += rng.normal(0.0, config.noise_sigma, n)
 
     n_streams = np.maximum(
         1, np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64)

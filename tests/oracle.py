@@ -34,7 +34,7 @@ from cpodrift.scheduler import (
     preposition_fraction,
     throttle_decision,
 )
-from cpodrift.simulate import RunResult, _finish, simulate
+from cpodrift.simulate import RunResult, _Summary, simulate
 from cpodrift.telemetry import TelemetryFrame
 from cpodrift.thermal import ThermalParams
 from cpodrift.workload import density_to_power, density_to_throughput, generate_workload
@@ -288,5 +288,9 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         queue_depth=qd_arr,
         ttft_ms=qd_arr * sc.t_slice_ms * 0.5,
     )
-    return _finish(config, plan, frame, log, deferrals, outstanding_density,
-                   outstanding_entries)
+    stats = _Summary(config, plan)
+    stats.add(frame)
+    summary, audit = stats.finish(frame.rho, log, deferrals, outstanding_density,
+                                  outstanding_entries)
+    return RunResult(config=config, frame=frame, summary=summary,
+                     forecast_log=log, audit=audit)

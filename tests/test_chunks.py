@@ -1,0 +1,173 @@
+"""The chunked physics pass and the streaming summary.
+
+``simulate`` runs the plant and the compensator ``_CHUNK_STEPS`` steps at a
+time, and the summary-only run (``_summarize``) feeds the same chunks to the
+streaming summary without keeping a frame. Here the chunk is cut to 8192
+steps, so runs of C - 1, C, C + 1 and 2C + 7 steps put their edges
+everywhere that matters, and every run is checked against a one-chunk run:
+
+* the telemetry frame is bitwise equal;
+* the summary-only summary equals ``simulate``'s field for field;
+* maxima, peaks, eta, the per-state means and the stabilization verdict are
+  exact whatever the chunking. The two means sum per chunk, so they are held
+  to 1e-12 relative of ``np.mean`` over the whole column.
+"""
+
+import importlib
+import math
+import tracemalloc
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from cpodrift.config import RunConfig, stabilization_config
+from cpodrift.controller import ControllerParams, Mode
+from cpodrift.scheduler import SchedulerConfig
+from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
+from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig
+from test_simulate import _assert_matches_oracle
+
+# the package attribute ``simulate`` is the function, not the module
+sim = importlib.import_module("cpodrift.simulate")
+
+C = 8192
+ONE_CHUNK = 1 << 40
+MEANS = ("mean_residual_c", "mean_drift_nm")
+
+
+# a throttle cap each forecaster's hints breach a few hundred times in 2C
+# steps of bursts, short of the runaway re-deferral of a lower cap
+_CAP = {"queue_replay": 4.36, "ewma": 4.2}
+
+
+def _cfg(steps, mode=Mode.PREDICTIVE, forecaster="queue_replay", throttle=True,
+         schedule=BURST_SCHEDULE, scheduler=None, **controller_kw):
+    return RunConfig(
+        seed=5,
+        workload=WorkloadConfig(step_count=steps, schedule=schedule),
+        scheduler=scheduler or SchedulerConfig(
+            forecaster=forecaster, throttle_enabled=throttle,
+            throttle_compensation_gain=0.9, throttle_cap_c=_CAP[forecaster]),
+        controller=ControllerParams(mode=mode, **controller_kw),
+    )
+
+
+def _chunked(monkeypatch, cfg, chunk=C):
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
+    return sim.simulate(cfg), sim._summarize(cfg)
+
+
+def _assert_frames_equal(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "load_state":
+            assert x == y
+        else:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
+
+def _assert_chunking_changes_nothing(monkeypatch, cfg):
+    run, only = _chunked(monkeypatch, cfg)
+    whole, _ = _chunked(monkeypatch, cfg, ONE_CHUNK)
+    _assert_frames_equal(run.frame, whole.frame)
+    assert only == run.summary
+    got, ref = run.summary.to_dict(), whole.summary.to_dict()
+    for key in MEANS:
+        assert got.pop(key) == pytest.approx(ref.pop(key), rel=1e-12, abs=0)
+    assert got == ref
+    assert run.summary.mean_residual_c == pytest.approx(
+        np.mean(run.frame.residual_c), rel=1e-12, abs=0)
+    assert run.summary.mean_drift_nm == pytest.approx(
+        np.mean(run.frame.drift_nm), rel=1e-12, abs=0)
+    return run
+
+
+@pytest.mark.parametrize("steps", [C - 1, C, C + 1, 2 * C + 7])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_chunk_edges_change_no_bit(monkeypatch, steps, mode):
+    _assert_chunking_changes_nothing(monkeypatch, _cfg(steps, mode))
+
+
+@pytest.mark.parametrize("throttle", [True, False])
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_chunk_edges_change_no_bit_for_every_forecaster(
+        monkeypatch, mode, forecaster, throttle):
+    run = _assert_chunking_changes_nothing(
+        monkeypatch, _cfg(2 * C + 7, mode, forecaster, throttle))
+    assert (run.summary.throttle_deferrals > 0) == throttle
+
+
+def test_reactive_delay_line_longer_than_a_chunk(monkeypatch):
+    # 9000 readings in flight: the line spans a whole chunk edge
+    _assert_chunking_changes_nothing(monkeypatch, _cfg(
+        2 * C + 7, Mode.REACTIVE, sensor_latency_ms=9000.0))
+
+
+def test_predictive_warm_up_past_a_chunk_edge(monkeypatch):
+    # an 8200-step horizon: the warm-up blend runs past the first edge and
+    # the replica's own scan grid starts 8 steps into the second chunk
+    sc = SchedulerConfig(horizon_ms=8200.0, horizon_max_ms=1e4, t_slice_ms=2e4,
+                         admission_lead_ms=1e4)
+    run = _assert_chunking_changes_nothing(monkeypatch, _cfg(
+        2 * C + 7, Mode.PREDICTIVE, scheduler=sc))
+    assert run.frame.n > 8200 + 1 > C
+
+
+def test_stabilization_window_across_a_chunk_edge(monkeypatch):
+    # idle, with the plant's zero at idle power, until just before the edge:
+    # the trailing 1 s mean enters the band with its window straddling the
+    # first edge, and stays there
+    cfg = replace(_cfg(2 * C + 7, schedule=(("Idle", 7800.0), ("Peak", 1e6))),
+                  thermal=ThermalParams(p_baseline_w=12.0))
+    run = _assert_chunking_changes_nothing(monkeypatch, cfg)
+    stab = run.summary.stabilization_ms
+    assert stab is not None and stab - 1000.0 < C < stab
+    assert run.summary.stays_in_band
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_chunked_run_matches_the_oracle(monkeypatch, mode):
+    # the reactive delay line and the predictive replica's lead window both
+    # cross the edge at step C
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", C)
+    run = _assert_matches_oracle(_cfg(C + 1, mode))
+    assert run.summary.throttle_deferrals > 0
+
+
+@pytest.mark.parametrize("pole", [math.exp(-1.0 / 80.0), 0.4, 0.5, 0.999])
+def test_scan_in_pieces_equals_one_scan(pole):
+    x = np.random.default_rng(8).normal(size=5 * _SCAN_MAX_BLOCK + 11)
+    whole, _ = _one_pole(x, pole, 1.0 - pole, 0.7)
+    state, parts = 0.7, []
+    for lo in range(0, x.size, 2 * _SCAN_MAX_BLOCK):
+        y, state = _one_pole(x[lo:lo + 2 * _SCAN_MAX_BLOCK], pole, 1.0 - pole,
+                             state)
+        parts.append(y)
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("pole", [1e-300, 1e-9, 0.3995, 0.4, 0.5, 0.9,
+                                  math.exp(-1.0 / 80.0), 0.999, 1.0 - 1e-12])
+def test_scan_blocks_divide_the_chunk(pole):
+    b = _scan_block(pole)
+    assert b > 0 and b & (b - 1) == 0
+    assert sim._CHUNK_STEPS % b == 0 and C % b == 0
+
+
+def _traced_peak(fn, cfg):
+    tracemalloc.start()
+    try:
+        fn(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_summary_only_run_keeps_no_frame():
+    cfg = stabilization_config()
+    cfg = replace(cfg, workload=replace(cfg.workload, step_count=400_000))
+    only = _traced_peak(sim._summarize, cfg)
+    full = _traced_peak(sim.simulate, cfg)
+    assert only <= 0.65 * full, (only, full)

@@ -159,6 +159,32 @@ def test_schedule_reads_no_controller_field(throttle):
             variant
 
 
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("times", [
+    {},
+    {"admission_lead_ms": 160.0},
+    {"admission_lead_ms": 1e300},
+    {"horizon_ms": 1e299, "horizon_max_ms": 1e300, "t_slice_ms": 1e300,
+     "admission_lead_ms": 1e300},
+], ids=["default", "lead", "huge_lead", "huge_horizon"])
+def test_planned_queue_depth_and_input_stamps(times, forecaster):
+    # the whole-run index arithmetic these columns were first built with
+    cfg = _throttled_cfg(forecaster=forecaster, throttle_enabled=False, **times)
+    plan = generate_workload(cfg.workload, cfg.seed)
+    trace = schedule(cfg, plan)
+    N, dt, sc = plan.step_count, plan.step_period_ms, cfg.scheduler
+    h = min(round(sc.horizon_ms / dt), N)
+    adm = min(round(sc.admission_lead_ms / dt), N)
+    cn = np.concatenate(([0], np.cumsum(plan.n_streams)))
+    steps = np.arange(N)
+    depth = cn[np.minimum(steps + adm, N - 1) + 1] - cn[steps + 1]
+    replay = max(0, N - h) if forecaster == "queue_replay" else 0
+    newest = plan.t_ms.copy()
+    newest[:replay] = np.maximum(0, np.arange(replay) + h - adm) * dt
+    for got, want in ((trace.queue_depth, depth), (trace.newest_input_ms, newest)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_deferred_work_lines_up_behind_admitted_work():
     # deferred entries join their new slot ahead of its plan entry unless
     # that was admitted first, as here (admission lead >= horizon + slice);
@@ -333,7 +359,7 @@ def test_one_pole_scan_matches_recursion(pole):
     block = _scan_block(pole) if pole else 64
     x = np.random.default_rng(3).random(3 * block + 7)
     for n in (0, 1, block - 1, block, block + 1, 3 * block + 7):
-        got = _one_pole(x[:n], pole, 1.0 - pole, 2.5)
+        got, _ = _one_pole(x[:n], pole, 1.0 - pole, 2.5)
         assert got.shape == (n,)
         np.testing.assert_allclose(
             got, _one_pole_loop(x[:n], pole, 1.0 - pole, 2.5), rtol=1e-12, atol=0

@@ -91,6 +91,18 @@ def test_respond_continues_from_its_last_value():
                                rtol=1e-12, atol=1e-12)
 
 
+def test_one_step_is_the_first_step_of_a_longer_run():
+    # the one-element path of the scan rounds exactly as the scan does
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        p, q = rng.uniform(-50.0, 150.0, 2)
+        params = ThermalParams(r_th=float(rng.uniform(0.05, 5.0)),
+                               tau_ms=float(rng.uniform(0.5, 500.0)))
+        dt, d0 = float(rng.uniform(0.01, 100.0)), float(rng.uniform(-40.0, 40.0))
+        one = respond([p], params, dt, d0)[0]
+        assert one.tobytes() == respond([p, q], params, dt, d0)[0].tobytes()
+
+
 def _response(powers, dts, params=DEFAULTS):
     s = ThermalState()
     out = []

@@ -124,6 +124,38 @@ def test_generate_workload_deterministic():
     assert not np.array_equal(a.rho, c.rho)
 
 
+def _per_step_expansion(cfg, seed):
+    # the schedule expanded one Python list entry per step, cycled with
+    # np.tile, and the noise added to a copy
+    names = tuple(s.name for s in LOAD_STATES)
+    cycle = []
+    for state, dur_ms in cfg.schedule:
+        cycle.extend([names.index(state)] * max(1, int(round(dur_ms / cfg.step_period_ms))))
+    cycle = np.asarray(cycle, dtype=np.int64)
+    state_idx = np.tile(cycle, int(np.ceil(cfg.step_count / cycle.size)))[:cfg.step_count]
+    rho = np.asarray([s.rho_target for s in LOAD_STATES])[state_idx].astype(float)
+    if cfg.noise_sigma > 0:
+        rho = rho + np.random.default_rng(seed).normal(0.0, cfg.noise_sigma,
+                                                       cfg.step_count)
+    return state_idx, rho
+
+
+@pytest.mark.parametrize("schedule", [
+    WorkloadConfig().schedule,
+    (("Low", 3.0), ("Peak", 0.2), ("Idle", 1.5), ("High", 0.6), ("Medium", 2.5)),
+    (("Peak", 7.0),),
+], ids=["validation", "sub_step_holds", "one_hold"])
+@pytest.mark.parametrize("step_ms", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("steps", [1, 6, 1000, 50_001])
+def test_schedule_expansion_matches_the_per_step_expansion(schedule, step_ms, steps):
+    cfg = WorkloadConfig(step_count=steps, step_period_ms=step_ms, schedule=schedule)
+    plan = generate_workload(cfg, seed=3)
+    state_idx, rho = _per_step_expansion(cfg, seed=3)
+    assert plan.state_idx.dtype == state_idx.dtype
+    assert plan.state_idx.tobytes() == state_idx.tobytes()
+    assert plan.rho.tobytes() == rho.tobytes()
+
+
 def test_generate_constant_peak_no_noise():
     cfg = WorkloadConfig(step_count=500, schedule=(("Peak", 500),), noise_sigma=0.0)
     plan = generate_workload(cfg, seed=1)
