@@ -111,29 +111,33 @@ def compensate(
     preposition blend of the plant state and the hint-implied steady state.
     The run starts from rest: zero bias and an empty sensor delay line.
     """
-    return _Compensator(hint_w, dt_ms, params, thermal, horizon_ms)(delta_t_c)
+    bias_of = _Compensator(hint_w.size, dt_ms, params, thermal, horizon_ms)
+    bias_of.feed(hint_w)
+    return bias_of(delta_t_c)
 
 
 class _Compensator:
-    """:func:`compensate` one chunk of the run at a time.
+    """:func:`compensate` one chunk of an ``n``-step run at a time.
 
-    Calls pass the plant deltas of consecutive chunks. The actuator bias,
-    the sensor delay line (reactive) and the replica (predictive) carry
-    across chunk edges, so chunks of whole multiples of
-    ``thermal._SCAN_MAX_BLOCK`` steps give the one-call bias bit for bit.
-    The replica scans the hint stream on its own grid, which starts at the
-    step after the warm-up, in pieces of such multiples.
+    Calls pass the plant deltas of consecutive chunks, and :meth:`feed`
+    passes the hint stream in order, ahead of them: the predictive replica
+    reads up to one scan block past the chunk. The actuator bias, the sensor
+    delay line (reactive) and the replica (predictive) carry across chunk
+    edges, so chunks of whole multiples of ``thermal._SCAN_MAX_BLOCK`` steps
+    give the one-call bias bit for bit. The replica scans the hint stream on
+    its own grid, which starts at the step after the warm-up, in pieces of
+    such multiples; the hints it has yet to read are all that is kept of the
+    stream.
     """
 
-    def __init__(self, hint_w: np.ndarray, dt_ms: float,
-                 params: ControllerParams, thermal: ThermalParams,
-                 horizon_ms: float) -> None:
+    def __init__(self, n: int, dt_ms: float, params: ControllerParams,
+                 thermal: ThermalParams, horizon_ms: float) -> None:
         self.mode = params.mode
         self.g = params.tracking_factor(dt_ms)
         self.setpoint = params.setpoint_c
         self.bias = 0.0     # actuator scan state
         self.lo = 0         # first step of the next chunk
-        n = hint_w.size
+        self.n = n
         if self.mode is Mode.REACTIVE:
             lag = int(round(params.sensor_latency_ms / dt_ms))
             self.line = np.zeros(min(lag, n))   # readings in flight
@@ -142,10 +146,22 @@ class _Compensator:
             lead = min(max(1, int(round(params.lead_ms / dt_ms))), h_steps)
             self.warm = h_steps - lead
             self.wl = 1.0 - math.exp(-(lead * dt_ms) / thermal.tau_ms)
-            self.hint_w, self.thermal, self.dt_ms = hint_w, thermal, dt_ms
+            self.thermal, self.dt_ms = thermal, dt_ms
+            self.hints = np.empty(0)    # hint stream from step self.first on
+            self.first = 0
             self.replica = 0.0          # scan state, seeded at step warm
             self.scanned = 0            # replica inputs consumed
             self.ready = np.empty(0)    # replica outputs not yet used
+
+    def feed(self, hint_w: np.ndarray) -> None:
+        """Pass the hints of the next steps of the stream."""
+        if self.mode is Mode.PREDICTIVE:
+            self.hints = np.concatenate((self.hints, hint_w))
+
+    def _hint_w(self, lo: int, hi: int) -> np.ndarray:
+        """The hints of steps [lo, hi)."""
+        assert self.first <= lo and hi <= self.first + self.hints.size
+        return self.hints[lo - self.first:hi - self.first]
 
     def __call__(self, dT: np.ndarray) -> np.ndarray:
         n = dT.size
@@ -167,13 +183,14 @@ class _Compensator:
 
     def _ahead(self, dT: np.ndarray, lo: int) -> np.ndarray:
         """The replica's lead-ahead delta over steps [lo, lo + dT.size)."""
-        thermal, warm, hint_w = self.thermal, self.warm, self.hint_w
+        thermal, warm = self.thermal, self.warm
         hi = lo + dT.size
         ahead = np.empty(dT.size)
         upto = min(warm + 1, hi)
         if lo < upto:
             ahead[:upto - lo] = (1.0 - self.wl) * dT[:upto - lo] + \
-                self.wl * thermal.gain * (hint_w[lo:upto] - thermal.p_baseline_w)
+                self.wl * thermal.gain * (self._hint_w(lo, upto) -
+                                          thermal.p_baseline_w)
             if upto == warm + 1:
                 self.replica = ahead[warm - lo]
         if hi > warm + 1:
@@ -184,15 +201,20 @@ class _Compensator:
             if self.ready.size < need:
                 i = self.scanned
                 short = need - self.ready.size
-                m = min(hint_w.size - warm - 1 - i,
+                m = min(self.n - warm - 1 - i,
                         -(-short // _SCAN_MAX_BLOCK) * _SCAN_MAX_BLOCK)
                 y, self.replica = _response(
-                    hint_w[1 + i:1 + i + m] - thermal.p_baseline_w,
+                    self._hint_w(1 + i, 1 + i + m) - thermal.p_baseline_w,
                     thermal, self.dt_ms, self.replica)
                 self.scanned += m
                 self.ready = np.concatenate((self.ready, y))
             ahead[start - lo:] = self.ready[:need]
             self.ready = self.ready[need:]
+        # keep the hints still to be read: the replica's next inputs, or
+        # the warm-up's if the replica never starts
+        keep = 1 + self.scanned if warm + 1 < self.n else hi
+        self.hints = self.hints[keep - self.first:]
+        self.first = keep
         return ahead
 
 
@@ -301,9 +323,10 @@ def run_comparison(
 
     Every mode sees the identical workload plan (same config, same seed);
     results are therefore directly comparable and deterministic per seed.
+    Each mode runs summary-only: no telemetry frame is built.
     """
     from .config import comparison_config
-    from .simulate import simulate
+    from .simulate import _summarize
 
     if config is None:
         config = comparison_config()
@@ -319,23 +342,15 @@ def run_comparison(
     results = []
     audit_ok = True
     for mp in modes:
-        run = simulate(replace(config, controller=mp))
-        audit_ok = audit_ok and run.audit.ok
-        fr = run.frame
-        if fr.n:
-            max_d = float(fr.drift_nm.max())
-            mean_d = float(fr.drift_nm.mean())
-            max_r = float(fr.residual_c.max())
-            mean_r = float(fr.residual_c.mean())
-        else:
-            max_d = mean_d = max_r = mean_r = 0.0
+        summary = _summarize(replace(config, controller=mp))
+        audit_ok = audit_ok and summary.audit_violations == 0
         results.append(ModeResult(
             mode=mp.mode.value,
-            max_drift_nm=max_d,
-            mean_drift_nm=mean_d,
-            max_residual_c=max_r,
-            mean_residual_c=mean_r,
-            budget_fraction=max_d / config.optics.tolerance_band_nm,
+            max_drift_nm=summary.max_drift_nm,
+            mean_drift_nm=summary.mean_drift_nm,
+            max_residual_c=summary.max_residual_c,
+            mean_residual_c=summary.mean_residual_c,
+            budget_fraction=summary.max_drift_nm / config.optics.tolerance_band_nm,
         ))
 
     by_mode = {r.mode: r for r in results}

@@ -1,5 +1,5 @@
-"""Lock-step co-simulation: a schedule pass, a chunked physics pass and a
-streaming summary.
+"""Lock-step co-simulation, streamed: plan, schedule pass and physics pass
+one chunk at a time, into a streaming summary.
 
 Per step: dispatch the planned workload slice, map density to throughput
 and power, issue the look-ahead hint (which may throttle queued work),
@@ -9,28 +9,37 @@ drift, and record one telemetry row. Everything is a pure function of
 
 The scheduler never reads the plant or the compensator: the throttle
 decides from the hint and the queue alone, and the compensator reads only
-the forecast power and horizon of a hint. So a run is two passes.
+the forecast power and horizon of a hint. So a run is two passes, and
+:func:`_chunks` runs both ``_CHUNK_STEPS`` steps at a time.
 
-* Schedule pass (:func:`schedule`), whole-run: from the workload plan
-  alone, the dispatched density and power, the hint stream with its
-  provenance, the queue depth, the deferral count and the work deferred
-  past the last step. Array reads cover every step the throttle leaves
-  alone; a loop visits, in time order, only the steps whose hint breaches
-  the throttle cap and applies the throttle's LIFO cut (:func:`lifo_cut`,
-  the kernel behind :func:`throttle_decision`) to the slot the hint
-  forecasts, held as arrays.
-* Physics pass (:func:`_physics`), ``_CHUNK_STEPS`` steps at a time: the
-  plant's response to the dispatched power (:func:`thermal.respond`), then
-  the compensator's bias from that response and the hint stream
-  (:func:`controller.compensate`), both one-pole recursions exact for
-  piecewise-constant inputs. The plant state, the actuator bias, the
-  predictive replica and the reactive sensor delay line carry across chunk
-  edges, so the chunks give a one-chunk run's columns bit for bit.
+* The plan (:class:`workload._PlanStream`): the load state and noisy
+  density of each step, the noise drawn from one generator in order.
+* Schedule pass (:func:`_dispatch`): from the plan alone, the dispatched
+  density and power, the hint stream with its provenance, the queue depth,
+  the deferral count and the work deferred past the last step. Array reads
+  cover every step the throttle leaves alone; a heap visits, in time order,
+  only the steps whose hint breaches the throttle cap and applies the
+  throttle's LIFO cut (:func:`lifo_cut`, the kernel behind
+  :func:`throttle_decision`) to the slot the hint forecasts, held as
+  arrays. A firing edits only steps at or after its own, so a chunk is
+  final once its steps are visited; the pass reads the plan as far ahead
+  as a firing or the queue depth reaches and keeps the power of the EWMA
+  window behind the chunk.
+* Physics pass: the plant's response to the dispatched power
+  (:func:`thermal.respond`), then the compensator's bias from that
+  response and the hint stream (:func:`controller.compensate`), both
+  one-pole recursions exact for piecewise-constant inputs. The plant state,
+  the actuator bias, the predictive replica with the hints it has yet to
+  read, and the reactive sensor delay line carry across chunk edges. The
+  schedule pass runs one chunk ahead, since the replica reads hints past
+  its chunk.
 
-Each chunk goes to the streaming summary (:class:`_Summary`), and
-:func:`simulate` also copies it into the preallocated telemetry frame. A
-summary-only run (:func:`_summarize`) keeps no frame, so past the schedule
-pass it holds one chunk of physics at a time.
+The chunks give a one-chunk run's columns bit for bit. Each goes to the
+streaming summary (:class:`_Summary`), and :func:`simulate` also copies it
+into the preallocated telemetry frame and forecast log. A summary-only run
+(:func:`_summarize`) keeps nothing whole-run, so its memory does not grow
+with the step count. :func:`generate_workload` and :func:`schedule` are the
+plan and the schedule pass of a whole run, joined from the same chunks.
 
 ``tests/oracle.py`` composes the module-level operations step by step
 (Filtration snapshots, forecast(), throttle_decision(), thermal.step() and
@@ -42,8 +51,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,10 +70,12 @@ from .scheduler import (
 from .telemetry import TelemetryFrame
 from .thermal import _response
 from .workload import (
+    STATE_BY_NAME,
+    AffineMapParams,
     WorkloadPlan,
+    _PlanStream,
     density_to_power,
     density_to_throughput,
-    generate_workload,
 )
 
 STABILIZATION_BAND_C = 0.05     # | trailing-mean residual - cap | tolerance
@@ -109,14 +121,6 @@ def _steps_of(ms: float, dt: float) -> int:
     return int(round(ms / dt))
 
 
-def _window_means(P: np.ndarray, lo: int, hi: int, w: np.ndarray) -> np.ndarray:
-    """Weighted mean of the trailing power window ending at each step in
-    [lo, hi); ``w[d]`` weighs the power d steps back."""
-    a = max(0, lo - w.size + 1)
-    num = np.convolve(P[a:hi], w)[lo - a:hi - a]
-    return num / np.cumsum(w)[np.minimum(np.arange(lo, hi), w.size - 1)]
-
-
 def _empty_result(config: RunConfig) -> RunResult:
     frame = TelemetryFrame.empty()
     summary = SimulationSummary(steps=0, duration_ms=0.0)
@@ -127,7 +131,8 @@ def _empty_result(config: RunConfig) -> RunResult:
 
 @dataclass(frozen=True)
 class DispatchTrace:
-    """Outcome of the schedule pass, one entry per step."""
+    """Outcome of the schedule pass, one entry per step of a run or of a
+    chunk of it; the counts of a chunk are totals through its last step."""
 
     rho: np.ndarray              # dispatched density
     power_w: np.ndarray          # dispatched power
@@ -146,60 +151,159 @@ def simulate(config: RunConfig) -> RunResult:
     Deterministic per (config, seed): byte-identical telemetry and forecast
     logs across repeated runs.
     """
-    return _run(config, keep_frame=True)
+    N = config.workload.step_count
+    if N == 0:
+        return _empty_result(config)
+    sc = config.scheduler
+    eta = preposition_fraction(sc.horizon_ms, config.thermal_resolved.tau_ms)
+    frame = TelemetryFrame(
+        step=np.arange(N, dtype=np.int64), load_state=[], eta=np.full(N, eta),
+        queue_depth=np.empty(N, dtype=np.int64),
+        **{c: np.empty(N) for c in ("t_ms", "rho", "t24", "p_eic_w", "hint_w",
+                                     "ttft_ms", *_PHYSICS_COLUMNS)})
+    newest, source = np.empty(N), np.empty(N, dtype=int)
+    names = np.array(tuple(STATE_BY_NAME), dtype=object)
+    stats = _Summary(config)
+    for chunk in _chunks(config):
+        at = slice(chunk.lo, chunk.lo + chunk.t_ms.size)
+        tr = chunk.trace
+        frame.load_state.extend(names[chunk.state_idx].tolist())
+        for col, values in (
+            (frame.t_ms, chunk.t_ms), (frame.rho, tr.rho),
+            (frame.t24, density_to_throughput(tr.rho, config.affine_map)),
+            (frame.p_eic_w, tr.power_w), (frame.hint_w, tr.hint_w),
+            (frame.queue_depth, tr.queue_depth),
+            (frame.ttft_ms, tr.queue_depth * sc.t_slice_ms * 0.5),
+            (newest, tr.newest_input_ms), (source, tr.source),
+            *((getattr(frame, c), getattr(chunk, c)) for c in _PHYSICS_COLUMNS),
+        ):
+            col[at] = values
+        stats.add(chunk)
+    log = ForecastLog.from_arrays(frame.t_ms, np.broadcast_to(sc.horizon_ms, N),
+                                  frame.hint_w, newest, source)
+    summary, audit = stats.finish()
+    return RunResult(config=config, frame=frame, summary=summary,
+                     forecast_log=log, audit=audit)
 
 
 def _summarize(config: RunConfig) -> SimulationSummary:
-    """``simulate(config).summary`` without the telemetry frame: the physics
-    chunks go to the streaming summary alone, so past the schedule pass the
-    run holds one chunk of physics at a time."""
-    return _run(config, keep_frame=False).summary
-
-
-def _run(config: RunConfig, keep_frame: bool) -> RunResult:
-    """Both passes and the summary; without ``keep_frame`` the result's
-    frame is None."""
-    plan = generate_workload(config.workload, config.seed)
-    if plan.step_count == 0:
-        return _empty_result(config)
-    trace = schedule(config, plan)
-    frame = _frame(config, plan, trace) if keep_frame else None
-    names = np.array(plan.state_names, dtype=object)
-    stats = _Summary(config, plan)
-    for chunk in _physics(config, plan, trace):
-        if frame is not None:
-            hi = chunk.lo + chunk.delta_t_c.size
-            for col in _PHYSICS_COLUMNS:
-                getattr(frame, col)[chunk.lo:hi] = getattr(chunk, col)
-            frame.load_state.extend(names[plan.state_idx[chunk.lo:hi]].tolist())
+    """``simulate(config).summary`` without the telemetry frame: the chunks
+    go to the streaming summary alone, so the run holds a few chunks at a
+    time whatever its length."""
+    if config.workload.step_count == 0:
+        return SimulationSummary(steps=0, duration_ms=0.0)
+    stats = _Summary(config)
+    for chunk in _chunks(config):
         stats.add(chunk)
-    log = ForecastLog.from_arrays(
-        plan.t_ms, np.broadcast_to(config.scheduler.horizon_ms, plan.step_count),
-        trace.hint_w, trace.newest_input_ms, trace.source,
-    )
-    summary, audit = stats.finish(trace.rho, log, trace.deferrals,
-                                  trace.outstanding_density,
-                                  trace.outstanding_entries)
-    return RunResult(config=config, frame=frame, summary=summary,
-                     forecast_log=log, audit=audit)
+    return stats.finish()[0]
+
+
+# Steps per chunk: a multiple of every scan block, so the chunked scans
+# continue bit for bit across chunk edges. The chunks in flight peak at
+# about 5 MB of arrays at this size and 20 MB at 65,536 steps (tracemalloc,
+# summary-only); simulate() pays that on top of its frame, and at 65,536 a
+# 90k-step run peaked 10 % above the whole-run schedule pass it replaced.
+_CHUNK_STEPS = 1 << 14
+_PHYSICS_COLUMNS = ("delta_t_c", "bias_c", "residual_c", "drift_nm")
+
+
+class _Chunk(NamedTuple):
+    """Steps [lo, lo + len) of a run: their plan, dispatch and physics."""
+
+    lo: int
+    t_ms: np.ndarray
+    state_idx: np.ndarray
+    trace: DispatchTrace
+    delta_t_c: np.ndarray
+    bias_c: np.ndarray
+    residual_c: np.ndarray
+    drift_nm: np.ndarray
+
+
+def _chunks(config: RunConfig) -> Iterator[_Chunk]:
+    """The run of ``config``, which has steps, ``_CHUNK_STEPS`` steps at a
+    time.
+
+    Each chunk of the plan (:class:`_PlanStream`) goes through the schedule
+    pass (:func:`_dispatch`) and then the physics: the plant's response to
+    the dispatched power (:func:`respond`), the compensator's bias from it
+    and the hint stream (:func:`compensate`), and the residual and drift.
+    """
+    wl = config.workload
+    thermal = config.thermal_resolved
+    N, dt = wl.step_count, wl.step_period_ms
+    bias_of = _Compensator(N, dt, config.controller, thermal,
+                           config.scheduler.horizon_ms)
+    steps = _dispatch(config, _PlanStream(wl, config.seed), N)
+    # the schedule pass runs a chunk ahead of the physics: the predictive
+    # replica reads hints up to a scan block past its chunk
+    ahead = next(steps)
+    bias_of.feed(ahead[1].hint_w)
+    plant = 0.0
+    lo = 0
+    for nxt in chain(steps, [None]):
+        if nxt is not None:
+            bias_of.feed(nxt[1].hint_w)
+        (state_idx, trace), ahead = ahead, nxt
+        dT, plant = _response(trace.power_w - thermal.p_baseline_w, thermal,
+                              dt, plant)
+        bias = bias_of(dT)
+        residual = np.abs(dT - bias)
+        t = np.arange(lo, lo + dT.size, dtype=float) * dt
+        yield _Chunk(lo, t, state_idx, trace, dT, bias, residual,
+                     config.optics.kappa_to * residual)
+        lo += dT.size
 
 
 # ---------------------------------------------------------------------------
 # schedule pass
 
-def _planned_queue_depth(n_streams: np.ndarray, adm: int) -> np.ndarray:
-    """Pending queue depth as planned: the streams admitted after each step,
-    those of the next ``adm`` steps, or of all steps left."""
-    cs = np.cumsum(n_streams)
-    depth = cs[-1] - cs
-    m = cs.size - adm
-    if m > 0:
-        np.subtract(cs[adm:], cs[:m], out=depth[:m])
-    return depth
+# state_idx, rho and n_streams of consecutive steps
+_Plan = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
-    """Dispatch, hints, queue depth and deferrals from the plan alone.
+    """The schedule pass over a whole plan: :func:`_dispatch`'s chunks
+    joined."""
+    parts = [trace for _, trace in _dispatch(
+        config, lambda lo, hi: (plan.state_idx[lo:hi], plan.rho[lo:hi],
+                                plan.n_streams[lo:hi]), plan.step_count)]
+    return replace(parts[-1], **{
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(DispatchTrace)
+        if isinstance(getattr(parts[0], f.name), np.ndarray)})
+
+
+def _planned_queue_depth(n_streams: np.ndarray, lo: int, hi: int, adm: int,
+                         N: int) -> np.ndarray:
+    """Pending queue depth as planned for steps [lo, hi) of an ``N``-step
+    run: the streams admitted after each step, those of the next ``adm``
+    steps or of all steps left. ``n_streams`` starts at step lo."""
+    cs = np.cumsum(n_streams[:min(N, hi + adm) - lo])
+    depth = np.full(hi - lo, cs[-1])    # all steps left
+    full = max(0, min(hi, N - adm) - lo)
+    depth[:full] = cs[adm:adm + full]
+    depth -= cs[:hi - lo]
+    return depth
+
+
+def _extended(buffers: tuple[np.ndarray, ...], plan: _Plan,
+              wmap: AffineMapParams) -> tuple[np.ndarray, ...]:
+    """The state, planned density, planned streams, dispatched density and
+    power buffers of :func:`_dispatch` with the steps of ``plan`` added."""
+    state_idx, rho, n_streams = plan
+    return tuple(map(np.concatenate, zip(buffers, (
+        state_idx, rho, n_streams, rho, density_to_power(rho, wmap)))))
+
+
+def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
+              N: int) -> Iterator[tuple[np.ndarray, DispatchTrace]]:
+    """Dispatch, hints, queue depth and deferrals of an ``N``-step run from
+    its plan alone, ``_CHUNK_STEPS`` steps at a time, each with the load
+    state of its steps.
+
+    ``read_plan(lo, hi)`` gives ``state_idx``, ``rho`` and ``n_streams`` of
+    steps [lo, hi), read in step order.
 
     A hint replays the admitted queue at t + horizon and falls back to the
     half-life weighted mean of the dispatched power where the plan no longer
@@ -209,14 +313,22 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
     firing step. Entries that would land past the last step are outstanding:
     counted, not dispatched.
 
-    A slot that differs from its plan entry is a pair of ``(rho,
-    n_streams)`` arrays in queue order, dropped once its hint is processed.
+    Array reads cover every step the throttle leaves alone; a heap visits,
+    in time order, only the steps whose hint breaches the throttle cap and
+    applies the throttle's LIFO cut (:func:`lifo_cut`) to the slot the hint
+    forecasts. A slot that differs from its plan entry is a pair of ``(rho,
+    n_streams)`` arrays in queue order.
+
+    Every edit of a firing lands at or after its step, so a chunk's rows are
+    final once the steps before its end are visited. The pass holds the
+    plan, the dispatched density and the power from ``win`` steps before
+    the chunk (the EWMA window) to as far past it as a firing reaches
+    (horizon plus slice) or the queue depth reads (admission lead); the
+    slots and queue-depth moves pending past the chunk carry over.
     """
     sc = config.scheduler
     wmap = config.affine_map
-    dt = plan.step_period_ms
-    N = plan.step_count
-    t = plan.t_ms
+    dt = config.workload.step_period_ms
     h = _steps_of(sc.horizon_ms, dt)
     slice_steps = _steps_of(sc.t_slice_ms, dt)
     adm = _steps_of(sc.admission_lead_ms, dt)
@@ -230,28 +342,9 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
     h, adm = min(h, N), min(adm, N)
     win = min(max(1, _steps_of(sc.history_window_ms, dt)), N + 1)
     w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
-
-    rho = plan.rho.copy()
-    P = density_to_power(rho, wmap)
+    norm = np.cumsum(w)
+    reach = max(h + slice_steps, adm)
     replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
-    F = np.empty(N)
-    F[:replay] = P[h:h + replay]
-    newest = t.copy()
-    head = newest[:replay]
-    np.maximum(np.arange(h - adm, h - adm + replay, dtype=float), 0.0, out=head)
-    head *= dt
-    source = np.zeros(N, dtype=int)
-    source[replay:] = 1
-
-    def ewma(lo: int, hi: int) -> None:
-        if lo < hi:
-            F[lo:hi] = _window_means(P, lo, hi, w)
-
-    ewma(replay, N)
-
-    queue_depth = _planned_queue_depth(plan.n_streams, adm)
-    deferrals = outstanding_entries = 0
-    outstanding_density = 0.0
 
     if sc.throttle_enabled:
         thermal = config.thermal_resolved
@@ -261,148 +354,153 @@ def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
         # and the cut itself stays authoritative
         per_w = (1.0 - gain) * thermal.gamma * thermal.r_th
         fire_w = cap * (1.0 - 1e-9) / per_w if per_w > 0 else math.inf
-        slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        heap = np.flatnonzero(
-            F[:max(0, N - h)] - thermal.p_baseline_w > fire_w).tolist()
-        moved = np.zeros(N + 1, dtype=np.int64)  # queue-depth differences
-        last = -1
-        while heap:
-            k = heapq.heappop(heap)
-            if k == last:
-                continue
-            last = k
-            j, m = k + h, k + h + slice_steps
-            # the heap only moves forward, so slot j is never read again
-            q_rho, q_n = slots.pop(j, None) or (plan.rho[j:j + 1],
-                                                 plan.n_streams[j:j + 1])
-            cut, _ = lifo_cut(q_rho, F[k], cap, thermal, gain, wmap)
-            if not cut:
-                continue
-            keep = q_rho.size - cut
-            later = q_rho[keep:][::-1], q_n[keep:][::-1]   # newest first
-            n = int(later[1].sum())
-            deferrals += cut
-            rho[j] = ordered_sum(q_rho[:keep])
-            changed = [j]
-            if m < N:
-                own = plan.rho[m:m + 1], plan.n_streams[m:m + 1]
-                slots[m] = tuple(map(np.concatenate, zip(own, later) if
-                                     plan_first else zip(later, own)))
-                rho[m] = ordered_sum(slots[m][0])
-                moved[j] += n       # still pending over [j, m)
-                moved[m] -= n
-                changed.append(m)
-            else:
-                moved[k + 1] -= n   # outstanding: not pending over (k, j)
-                moved[j] += n
-                outstanding_density += float(later[0].sum())
-                outstanding_entries += cut
-            P[changed] = density_to_power(rho[changed], wmap)
-            retimed = []
-            if m < N and m - h < replay:
-                F[m - h] = P[m]     # the hint that replays slot m
-                retimed.append(m - h)
-            for s in changed:
-                lo, hi = max(s, replay), min(s + win, N)
-                ewma(lo, hi)
-                retimed.extend(range(lo, hi))
-            for s in retimed:
-                if s < N - h and F[s] - thermal.p_baseline_w > fire_w:
-                    heapq.heappush(heap, s)
-        queue_depth += np.cumsum(moved, out=moved)[:N]
+    slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    deferrals = outstanding_entries = 0
+    outstanding_density = 0.0
 
-    return DispatchTrace(rho=rho, power_w=P, hint_w=F, newest_input_ms=newest,
-                         source=source, queue_depth=queue_depth,
-                         deferrals=deferrals,
-                         outstanding_density=outstanding_density,
-                         outstanding_entries=outstanding_entries)
+    # the plan (state, density, streams), dispatched density and power of
+    # steps [b, top), and the queue-depth differences of steps [lo, top]
+    sidx, pn = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    prho = rho = P = np.empty(0)
+    b = top = 0
+    moved = np.zeros(1, dtype=np.int64)
+    moved_before = 0    # the moves of the steps before lo, summed
 
+    def ewma(s0: int, s1: int) -> None:
+        """F over steps [s0, s1): the weighted mean of the trailing power
+        window ending at each, ``w[d]`` weighing the power d steps back."""
+        a = max(0, s0 - win + 1)
+        x = P[a - b:s1 - b]
+        if x.size < win <= N:
+            # keep the power the longer operand, as over the whole run:
+            # np.convolve swaps its operands otherwise, and so its rounding
+            x = np.concatenate((x, np.zeros(win - x.size)))
+        F[s0 - lo:s1 - lo] = np.convolve(x, w)[s0 - a:s1 - a] / \
+            norm[np.minimum(np.arange(s0, s1), win - 1)]
 
-# ---------------------------------------------------------------------------
-# physics pass
+    for lo in range(0, N, _CHUNK_STEPS):
+        hi = min(lo + _CHUNK_STEPS, N)
+        if top < min(N, hi + reach):
+            sidx, prho, pn, rho, P = _extended(
+                (sidx, prho, pn, rho, P), read_plan(top, min(N, hi + reach)),
+                wmap)
+            top = min(N, hi + reach)
+            moved = np.concatenate((moved, np.zeros(top + 1 - lo - moved.size,
+                                                    dtype=np.int64)))
 
-# Steps per physics chunk: a multiple of every scan block, so the chunked
-# scans continue bit for bit across chunk edges.
-_CHUNK_STEPS = 1 << 16
-_PHYSICS_COLUMNS = ("delta_t_c", "bias_c", "residual_c", "drift_nm")
+        F = np.empty(hi - lo)
+        r = max(0, min(hi, replay) - lo)    # replay rows
+        F[:r] = P[lo + h - b:lo + h + r - b]
+        ewma(lo + r, hi)
+        newest = np.arange(lo, hi, dtype=float)
+        np.maximum(newest[:r] + (h - adm), 0.0, out=newest[:r])
+        newest *= dt
+        source = np.zeros(hi - lo, dtype=int)
+        source[r:] = 1
 
+        if sc.throttle_enabled:
+            heap = (np.flatnonzero(F[:max(0, min(hi, N - h) - lo)] -
+                                   thermal.p_baseline_w > fire_w) + lo).tolist()
+            last = -1
+            while heap:
+                k = heapq.heappop(heap)
+                if k == last:
+                    continue
+                last = k
+                j, m = k + h, k + h + slice_steps
+                # the heap only moves forward, so slot j is never read again
+                q_rho, q_n = slots.pop(j, None) or (prho[j - b:j - b + 1],
+                                                     pn[j - b:j - b + 1])
+                cut, _ = lifo_cut(q_rho, F[k - lo], cap, thermal, gain, wmap)
+                if not cut:
+                    continue
+                keep = q_rho.size - cut
+                later = q_rho[keep:][::-1], q_n[keep:][::-1]   # newest first
+                n = int(later[1].sum())
+                deferrals += cut
+                rho[j - b] = ordered_sum(q_rho[:keep])
+                changed = [j]
+                if m < N:
+                    own = prho[m - b:m - b + 1], pn[m - b:m - b + 1]
+                    slots[m] = tuple(map(np.concatenate, zip(own, later) if
+                                         plan_first else zip(later, own)))
+                    rho[m - b] = ordered_sum(slots[m][0])
+                    moved[j - lo] += n      # still pending over [j, m)
+                    moved[m - lo] -= n
+                    changed.append(m)
+                else:
+                    moved[k + 1 - lo] -= n  # outstanding: not pending over (k, j)
+                    moved[j - lo] += n
+                    outstanding_density += float(later[0].sum())
+                    outstanding_entries += cut
+                at = np.array(changed) - b
+                P[at] = density_to_power(rho[at], wmap)
+                # the hints of this chunk that read a changed slot; later
+                # ones are read when their chunk starts
+                retimed = []
+                if m < N and m - h < min(replay, hi):
+                    F[m - h - lo] = P[m - b]    # the hint that replays slot m
+                    retimed.append(m - h)
+                for s in changed:
+                    s0, s1 = max(s, replay), min(s + win, hi)
+                    if s0 < s1:
+                        ewma(s0, s1)
+                        retimed.extend(range(s0, s1))
+                for s in retimed:
+                    if s < N - h and F[s - lo] - thermal.p_baseline_w > fire_w:
+                        heapq.heappush(heap, s)
+            # the slots of the steps visited are read no more
+            for j in [j for j in slots if j < hi + h]:
+                del slots[j]
 
-class _Chunk(NamedTuple):
-    """The physics columns of steps [lo, lo + len)."""
+        depth = _planned_queue_depth(pn[lo - b:], lo, hi, adm, N)
+        depth += moved_before + np.cumsum(moved[:hi - lo])
+        moved_before += int(moved[:hi - lo].sum())
 
-    lo: int
-    delta_t_c: np.ndarray
-    bias_c: np.ndarray
-    residual_c: np.ndarray
-    drift_nm: np.ndarray
-
-
-def _physics(config: RunConfig, plan: WorkloadPlan,
-             trace: DispatchTrace) -> Iterator[_Chunk]:
-    """The plant's response to the dispatched power (:func:`respond`), the
-    compensator's bias from it and the hint stream (:func:`compensate`), and
-    the residual and drift, ``_CHUNK_STEPS`` steps at a time."""
-    thermal = config.thermal_resolved
-    dt = plan.step_period_ms
-    P = trace.power_w
-    bias_of = _Compensator(trace.hint_w, dt, config.controller, thermal,
-                           config.scheduler.horizon_ms)
-    plant = 0.0
-    for lo in range(0, plan.step_count, _CHUNK_STEPS):
-        dT, plant = _response(P[lo:lo + _CHUNK_STEPS] - thermal.p_baseline_w,
-                              thermal, dt, plant)
-        bias = bias_of(dT)
-        residual = np.abs(dT - bias)
-        yield _Chunk(lo, dT, bias, residual, config.optics.kappa_to * residual)
-
-
-def _frame(config: RunConfig, plan: WorkloadPlan,
-           trace: DispatchTrace) -> TelemetryFrame:
-    """The run's frame: the columns the schedule pass fixes, the physics
-    columns allocated and ``load_state`` empty, both for the chunks to fill."""
-    sc = config.scheduler
-    N = plan.step_count
-    eta = preposition_fraction(sc.horizon_ms, config.thermal_resolved.tau_ms)
-    return TelemetryFrame(
-        step=np.arange(N, dtype=np.int64),
-        t_ms=plan.t_ms,
-        load_state=[],
-        rho=trace.rho,
-        t24=density_to_throughput(trace.rho, config.affine_map),
-        p_eic_w=trace.power_w,
-        hint_w=trace.hint_w,
-        eta=np.full(N, eta),
-        queue_depth=trace.queue_depth.astype(np.int64, copy=False),
-        ttft_ms=trace.queue_depth * sc.t_slice_ms * 0.5,
-        **{col: np.empty(N) for col in _PHYSICS_COLUMNS},
-    )
+        yield sidx[lo - b:hi - b], DispatchTrace(
+            rho=rho[lo - b:hi - b], power_w=P[lo - b:hi - b], hint_w=F,
+            newest_input_ms=newest, source=source, queue_depth=depth,
+            deferrals=deferrals, outstanding_density=outstanding_density,
+            outstanding_entries=outstanding_entries)
+        moved = moved[hi - lo:]
+        drop = max(0, hi - win + 1) - b
+        sidx, prho, pn, rho, P = (x[drop:] for x in (sidx, prho, pn, rho, P))
+        b += drop
 
 
 # ---------------------------------------------------------------------------
 # summary
 
 class _Summary:
-    """Streaming summary of a run, fed its physics chunks in step order.
+    """Streaming summary of a run, fed its chunks in step order.
 
     Maxima and the stabilization window are exact whatever the chunking; the
-    trailing window's cumulative sum carries across chunk edges. The means
-    sum per chunk, so with more than one chunk they may differ from
-    ``np.mean`` of the whole column in the last bits (1e-12 relative bounds
-    it). Any object with the physics columns is a chunk: the oracle feeds
-    its whole frame as one.
+    trailing window's cumulative sum carries across chunk edges. The means,
+    the per-state dispatched-density means among them, sum per chunk, so
+    with more than one chunk they may differ from ``np.mean`` of the whole
+    column in the last bits (1e-12 relative bounds it). The causality audit
+    runs per chunk. Any ``_Chunk`` is a chunk: the oracle feeds its whole
+    run as one.
     """
 
-    def __init__(self, config: RunConfig, plan: WorkloadPlan) -> None:
-        self.config, self.plan = config, plan
-        self.window = max(1, _steps_of(_STAB_WINDOW_MS, plan.step_period_ms))
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+        self.window = max(1, _steps_of(_STAB_WINDOW_MS,
+                                       config.workload.step_period_ms))
         self.max_residual = self.max_drift = self.peak_delta = -math.inf
         self.sum_residual = self.sum_drift = 0.0
         self.cum = np.zeros(1)  # cumulative residual at the last window steps
         self.done = 0           # trailing means computed so far
         self.first: int | None = None   # first trailing mean in band
         self.stays = False
+        self.rho_sums = [0.0] * len(STATE_BY_NAME)    # per state
+        self.rho_steps = np.zeros(len(STATE_BY_NAME), dtype=np.int64)
+        self.n_checked = 0
+        self.violations: list[tuple[float, float]] = []
+        self.t_last = np.empty(0)   # the last issue stamp audited
+        self.trace: DispatchTrace | None = None
 
-    def add(self, chunk) -> None:
+    def add(self, chunk: _Chunk) -> None:
         r = chunk.residual_c
         self.max_residual = float(np.maximum(self.max_residual, r.max()))
         self.max_drift = float(np.maximum(self.max_drift, chunk.drift_nm.max()))
@@ -427,22 +525,33 @@ class _Summary:
         self.done += trailing.size
         self.cum = c[-w:]
 
-    def finish(self, rho: np.ndarray, log: ForecastLog, throttle_deferrals: int,
-               outstanding_density: float, outstanding_entries: int,
-               ) -> tuple[SimulationSummary, AuditReport]:
-        config, plan = self.config, self.plan
+        tr = chunk.trace
+        steps = np.bincount(chunk.state_idx, minlength=self.rho_steps.size)
+        for i in np.flatnonzero(steps):
+            self.rho_sums[i] += float(tr.rho[chunk.state_idx == i].sum())
+        self.rho_steps += steps
+
+        n = chunk.t_ms.size
+        log = ForecastLog.from_arrays(
+            chunk.t_ms, np.broadcast_to(self.config.scheduler.horizon_ms, n),
+            tr.hint_w, tr.newest_input_ms, tr.source)
+        # the last stamp of the chunk before carries the sortedness check
+        # across the edge
+        audit = causality_audit(log, np.concatenate((self.t_last, chunk.t_ms)))
+        self.t_last = chunk.t_ms[-1:]
+        self.n_checked += audit.n_checked
+        self.violations.extend(audit.violations)
+        self.trace = tr
+
+    def finish(self) -> tuple[SimulationSummary, AuditReport]:
+        config, tr = self.config, self.trace
         thermal = config.thermal_resolved
-        dt = plan.step_period_ms
-        N = plan.step_count
-        audit = causality_audit(log, plan.t_ms)
+        dt = config.workload.step_period_ms
+        N = config.workload.step_count
         idle_ss = thermal.gain * (config.affine_map.p_idle_w - thermal.p_baseline_w)
         eta = preposition_fraction(config.scheduler.horizon_ms, thermal.tau_ms)
-
-        by_state: dict[str, float] = {}
-        for i, name in enumerate(plan.state_names):
-            mask = plan.state_idx == i
-            if mask.any():
-                by_state[name] = float(rho[mask].mean())
+        audit = AuditReport(n_checked=self.n_checked,
+                            violations=tuple(self.violations))
 
         summary = SimulationSummary(
             steps=N,
@@ -458,10 +567,12 @@ class _Summary:
             stabilization_ms=None if self.first is None else
             float((self.first + self.window) * dt),
             stays_in_band=self.stays,
-            mean_rho_by_state=by_state,
-            throttle_deferrals=throttle_deferrals,
-            outstanding_density=outstanding_density,
-            outstanding_entries=outstanding_entries,
+            mean_rho_by_state={
+                name: float(self.rho_sums[i] / self.rho_steps[i])
+                for i, name in enumerate(STATE_BY_NAME) if self.rho_steps[i]},
+            throttle_deferrals=tr.deferrals,
+            outstanding_density=tr.outstanding_density,
+            outstanding_entries=tr.outstanding_entries,
             audit_violations=len(audit.violations),
         )
         return summary, audit

@@ -13,6 +13,7 @@ reference 0.451 * 82 = 36.982 C rise for an 82 W idle-to-peak swing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -128,6 +129,17 @@ def _scan_block(pole: float) -> int:
     return 1 << (b.bit_length() - 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_factors(pole: float, gain_in: float,
+                  block: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^j and gain * a^-j for j < block, read-only: every chunk of a
+    chunked run scans with the same ones."""
+    powers = pole ** np.arange(block, dtype=float)
+    scaled_gain = gain_in / powers
+    powers.flags.writeable = scaled_gain.flags.writeable = False
+    return powers, scaled_gain
+
+
 def _one_pole(x: np.ndarray, pole: float, gain_in: float,
               y_prev: float) -> tuple[np.ndarray, float]:
     """y[n] = pole * y[n-1] + gain_in * x[n], continuing from y_prev.
@@ -149,8 +161,7 @@ def _one_pole(x: np.ndarray, pole: float, gain_in: float,
         return np.array([y]), y
     block = min(n, _scan_block(pole))
     n_blocks = -(-n // block)
-    powers = pole ** np.arange(block, dtype=float)      # a^j
-    scaled_gain = gain_in / powers                      # gain * a^-j
+    powers, scaled_gain = _scan_factors(pole, gain_in, block)
 
     y = np.empty(n_blocks * block)
     y[:n] = x

@@ -269,50 +269,60 @@ class WorkloadPlan:
             yield float(self.t_ms[k]), self.streams_at(k)
 
 
+class _PlanStream:
+    """The plan of :func:`generate_workload`, read in step order, any number
+    of steps at a time.
+
+    The state of step k is read from its position in the schedule's cycle,
+    so nothing step-sized is built past the steps read. The noise is drawn
+    from one generator read after read, which gives the one-call draw bit
+    for bit.
+    """
+
+    def __init__(self, config: WorkloadConfig, seed: int) -> None:
+        self.config = config
+        dt = config.step_period_ms
+        name_to_idx = {nm: i for i, nm in enumerate(STATE_BY_NAME)}
+        self.idx = np.array([name_to_idx[state] for state, _ in config.schedule],
+                            dtype=np.int64)
+        # where each hold of the cycle ends, in steps
+        self.ends = np.cumsum([max(1, int(round(dur_ms / dt)))
+                               for _, dur_ms in config.schedule])
+        self.rho_targets = np.asarray([s.rho_target
+                                       for s in STATE_BY_NAME.values()])
+        self.rng = np.random.default_rng(seed) if config.noise_sigma > 0 \
+            else None
+        self.top = 0    # steps read
+
+    def __call__(self, lo: int, hi: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``state_idx``, ``rho`` and ``n_streams`` of steps [lo, hi), where
+        ``lo`` is the step the last read ended at."""
+        assert lo == self.top
+        self.top = hi
+        pos = np.arange(lo, hi) % int(self.ends[-1])
+        state_idx = self.idx[np.searchsorted(self.ends, pos, side="right")]
+        rho = self.rho_targets[state_idx]
+        if self.rng is not None:
+            rho += self.rng.normal(0.0, self.config.noise_sigma, hi - lo)
+        n_streams = np.maximum(
+            1, np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64))
+        return state_idx, rho, n_streams
+
+
 def generate_workload(config: WorkloadConfig, seed: int) -> WorkloadPlan:
     """Expand a schedule into a per-step plan; pure function of (config, seed).
 
     The schedule cycles until ``step_count`` steps are covered. Gaussian
     noise (sigma = ``noise_sigma``) is added to the per-step density, so the
     per-state mean density stays on target while individual steps scatter.
+    The plan is one read of a :class:`_PlanStream`.
     """
     n = config.step_count
     dt = config.step_period_ms
-    names = tuple(STATE_BY_NAME)
-
-    if n == 0:
-        empty_f = np.empty(0, dtype=float)
-        return WorkloadPlan(
-            seed=seed, step_period_ms=dt, t_ms=empty_f, state_names=names,
-            state_idx=np.empty(0, dtype=np.int64), rho=empty_f,
-            n_streams=np.empty(0, dtype=np.int64),
-        )
-
-    # the schedule's holds, cycled until they cover n steps, the last cut short
-    name_to_idx = {nm: i for i, nm in enumerate(names)}
-    idx = np.array([name_to_idx[state] for state, _ in config.schedule],
-                   dtype=np.int64)
-    holds = np.array([max(1, int(round(dur_ms / dt)))
-                      for _, dur_ms in config.schedule], dtype=np.int64)
-    reps = -(-n // int(holds.sum()))
-    holds = np.tile(holds, reps)
-    ends = np.cumsum(holds)
-    last = int(np.searchsorted(ends, n))
-    holds = holds[:last + 1]
-    holds[last] -= ends[last] - n
-    state_idx = np.repeat(np.tile(idx, reps)[:last + 1], holds)
-
-    rho_targets = np.asarray([STATE_BY_NAME[nm].rho_target for nm in names])
-    rho = rho_targets[state_idx]
-    if config.noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        rho += rng.normal(0.0, config.noise_sigma, n)
-
-    n_streams = np.maximum(
-        1, np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64)
-    )
-    t_ms = np.arange(n, dtype=float) * dt
+    state_idx, rho, n_streams = _PlanStream(config, seed)(0, n)
     return WorkloadPlan(
-        seed=seed, step_period_ms=dt, t_ms=t_ms, state_names=names,
-        state_idx=state_idx, rho=rho, n_streams=n_streams,
+        seed=seed, step_period_ms=dt, t_ms=np.arange(n, dtype=float) * dt,
+        state_names=tuple(STATE_BY_NAME), state_idx=state_idx, rho=rho,
+        n_streams=n_streams,
     )

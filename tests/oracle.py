@@ -16,7 +16,8 @@ the oracle shares no compensator code with the path it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from cpodrift.scheduler import (
     preposition_fraction,
     throttle_decision,
 )
-from cpodrift.simulate import RunResult, _Summary, simulate
+from cpodrift.simulate import DispatchTrace, RunResult, _Chunk, _Summary, simulate
 from cpodrift.telemetry import TelemetryFrame
 from cpodrift.thermal import ThermalParams
 from cpodrift.workload import density_to_power, density_to_throughput, generate_workload
@@ -47,15 +48,17 @@ class CompensationState:
     ``sensor_buf`` is the delay line of plant observations (reactive path);
     ``hint_buf`` holds hint powers whose coverage time has not yet entered
     the lead window (predictive path); ``replica_ahead_c`` is the thermal
-    replica advanced ``lead_ms`` into the hinted future.
+    replica advanced ``lead_ms`` into the hinted future. The buffers are
+    deques that each step advances in place, so a step costs the same
+    whatever their length, and a state is current only until the next step.
     """
 
     bias_delta_t_c: float = 0.0
     residual_delta_t_c: float = 0.0
     residual_drift_nm: float = 0.0
     t_ms: float = 0.0
-    sensor_buf: tuple[float, ...] = ()
-    hint_buf: tuple[float, ...] = ()
+    sensor_buf: deque[float] = field(default_factory=deque)
+    hint_buf: deque[float] = field(default_factory=deque)
     replica_ahead_c: float = 0.0
     replica_live: bool = False
 
@@ -101,7 +104,10 @@ def control_step(
             plant_delta_t if lag_steps == 0 else 0.0
         )
         target = max(0.0, sensed - setpoint)
-        new_buf = (buf + (plant_delta_t,))[-lag_steps:] if lag_steps > 0 else ()
+        if lag_steps > 0:   # the last lag_steps observations
+            buf.append(plant_delta_t)
+            if len(buf) > lag_steps:
+                buf.popleft()
         bias = (1.0 - g) * state.bias_delta_t_c + g * target
         residual = abs(plant_delta_t - bias)
         return CompensationState(
@@ -109,7 +115,7 @@ def control_step(
             residual_delta_t_c=residual,
             residual_drift_nm=drift(residual, optic),
             t_ms=state.t_ms + dt_ms,
-            sensor_buf=new_buf,
+            sensor_buf=buf,
         )
 
     # predictive
@@ -125,9 +131,10 @@ def control_step(
     warm = h_steps - lead_steps
 
     decay = math.exp(-dt_ms / thermal.tau_ms)
-    buf = state.hint_buf + (hint.forecast_w,)
+    buf = state.hint_buf
+    buf.append(hint.forecast_w)
     if len(buf) > warm and state.replica_live:
-        coverage_w, buf = buf[0], buf[1:]
+        coverage_w = buf.popleft()
         ahead = state.replica_ahead_c * decay + thermal.gain * (
             coverage_w - thermal.p_baseline_w
         ) * (1.0 - decay)
@@ -141,7 +148,7 @@ def control_step(
         )
         if len(buf) > warm:
             # window just filled: discard the stale head, go live
-            _, buf = buf[0], buf[1:]
+            buf.popleft()
             live = True
         else:
             live = False
@@ -183,15 +190,19 @@ def simulate_oracle(config: RunConfig) -> RunResult:
     slice_steps = max(1, _steps_of(sc.t_slice_ms, dt))
     win_steps = max(1, _steps_of(sc.history_window_ms, dt))
 
-    # dispatch slots: step index -> list of queue entries
+    # dispatch slots: step index -> list of queue entries, and the streams
+    # of all of them
     slots: dict[int, list[QueueEntry]] = {}
+    queued = 0
 
     def admit(j: int, admitted_ms: float) -> None:
+        nonlocal queued
         if 0 <= j < N:
             slots.setdefault(j, []).append(QueueEntry(
                 dispatch_t_ms=float(t[j]), rho=float(plan.rho[j]),
                 n_streams=int(plan.n_streams[j]), admitted_t_ms=admitted_ms,
             ))
+            queued += int(plan.n_streams[j])
 
     for j in range(min(adm_steps, N)):
         admit(j, 0.0)
@@ -212,6 +223,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         admit(k + adm_steps, float(t[k]))
 
         executing = slots.pop(k, [])
+        queued -= sum(e.n_streams for e in executing)
         rho_k = sum(e.rho for e in executing)
         p_k = density_to_power(rho_k, wmap)
         t24_k = density_to_throughput(rho_k, wmap)
@@ -220,12 +232,18 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         if len(history) > win_steps:
             history.pop(0)
 
-        pending = [e for js in sorted(slots) if js > k for e in slots[js]]
-        qd = sum(e.n_streams for e in pending)
+        # every slot left is pending; forecast() and throttle_decision()
+        # read only the one holding the hint's target, so the filtration
+        # carries that slot and its neighbours, and a step costs the same
+        # whatever the admission lead
+        target = k + h_steps
+        near = [e for js in (target - 1, target, target + 1) if js > k
+                for e in slots.get(js, ())]
+        qd = queued
         snapshot = Filtration(
             now_ms=float(t[k]),
             power_history=tuple(history),
-            queue=tuple(pending),
+            queue=tuple(near),
             queue_depth=qd,
             slot_ms=dt,
         )
@@ -255,6 +273,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
                     else:   # past the last step: outstanding
                         outstanding_density += e.rho
                         outstanding_entries += 1
+                        queued -= e.n_streams
 
         plant = th.step(plant, p_k - thermal.p_baseline_w, dt, thermal)
         ctrl = control_step(ctrl, plant.delta_t_c, hint, dt, cp, thermal, optic)
@@ -288,9 +307,16 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         queue_depth=qd_arr,
         ttft_ms=qd_arr * sc.t_slice_ms * 0.5,
     )
-    stats = _Summary(config, plan)
-    stats.add(frame)
-    summary, audit = stats.finish(frame.rho, log, deferrals, outstanding_density,
-                                  outstanding_entries)
+    stats = _Summary(config)
+    stats.add(_Chunk(
+        0, t, plan.state_idx,
+        DispatchTrace(rho=frame.rho, power_w=frame.p_eic_w,
+                      hint_w=log.forecast_w,
+                      newest_input_ms=log.newest_input_ms, source=log.source,
+                      queue_depth=qd_arr, deferrals=deferrals,
+                      outstanding_density=outstanding_density,
+                      outstanding_entries=outstanding_entries),
+        frame.delta_t_c, frame.bias_c, frame.residual_c, frame.drift_nm))
+    summary, audit = stats.finish()
     return RunResult(config=config, frame=frame, summary=summary,
                      forecast_log=log, audit=audit)

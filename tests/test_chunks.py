@@ -1,16 +1,20 @@
-"""The chunked physics pass and the streaming summary.
+"""The streamed run: plan, schedule pass, physics pass and summary one chunk
+at a time.
 
-``simulate`` runs the plant and the compensator ``_CHUNK_STEPS`` steps at a
-time, and the summary-only run (``_summarize``) feeds the same chunks to the
-streaming summary without keeping a frame. Here the chunk is cut to 8192
-steps, so runs of C - 1, C, C + 1 and 2C + 7 steps put their edges
-everywhere that matters, and every run is checked against a one-chunk run:
+``simulate`` runs the whole chain ``_CHUNK_STEPS`` steps at a time, and the
+summary-only run (``_summarize``) feeds the same chunks to the streaming
+summary without keeping a frame. Here the chunk is cut to 8192 steps, so
+runs of C - 1, C, C + 1 and 2C + 7 steps put their edges everywhere that
+matters, and every run is checked against a one-chunk run:
 
-* the telemetry frame is bitwise equal;
+* the telemetry frame, the forecast log and the ``DispatchTrace`` of the
+  schedule pass, deferrals and outstanding work included, are bitwise
+  equal;
 * the summary-only summary equals ``simulate``'s field for field;
-* maxima, peaks, eta, the per-state means and the stabilization verdict are
-  exact whatever the chunking. The two means sum per chunk, so they are held
-  to 1e-12 relative of ``np.mean`` over the whole column.
+* maxima, peaks, eta and the stabilization verdict are exact whatever the
+  chunking. The means sum per chunk, so they are held to 1e-12 relative of
+  ``np.mean`` over the whole column, the per-state density means included;
+* planned work is dispatched or outstanding.
 """
 
 import importlib
@@ -25,8 +29,8 @@ from cpodrift.config import RunConfig, stabilization_config
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
-from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig
-from test_simulate import _assert_matches_oracle
+from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
+from test_simulate import _assert_matches_oracle, _bits
 
 # the package attribute ``simulate`` is the function, not the module
 sim = importlib.import_module("cpodrift.simulate")
@@ -55,7 +59,8 @@ def _cfg(steps, mode=Mode.PREDICTIVE, forecaster="queue_replay", throttle=True,
 
 def _chunked(monkeypatch, cfg, chunk=C):
     monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
-    return sim.simulate(cfg), sim._summarize(cfg)
+    plan = generate_workload(cfg.workload, cfg.seed)
+    return sim.simulate(cfg), sim._summarize(cfg), sim.schedule(cfg, plan)
 
 
 def _assert_frames_equal(a, b):
@@ -68,18 +73,35 @@ def _assert_frames_equal(a, b):
 
 
 def _assert_chunking_changes_nothing(monkeypatch, cfg):
-    run, only = _chunked(monkeypatch, cfg)
-    whole, _ = _chunked(monkeypatch, cfg, ONE_CHUNK)
+    run, only, trace = _chunked(monkeypatch, cfg)
+    whole, _, whole_trace = _chunked(monkeypatch, cfg, ONE_CHUNK)
+    assert _bits(trace) == _bits(whole_trace)
     _assert_frames_equal(run.frame, whole.frame)
+    for name in ("issued_at_ms", "forecast_w", "newest_input_ms", "source"):
+        assert getattr(run.forecast_log, name).tobytes() == \
+            getattr(whole.forecast_log, name).tobytes(), name
+    assert run.audit == whole.audit and run.audit.n_checked == run.frame.n
+
     assert only == run.summary
     got, ref = run.summary.to_dict(), whole.summary.to_dict()
     for key in MEANS:
         assert got.pop(key) == pytest.approx(ref.pop(key), rel=1e-12, abs=0)
+    by_state, ref_by_state = got.pop("mean_rho_by_state"), \
+        ref.pop("mean_rho_by_state")
+    assert by_state == pytest.approx(ref_by_state, rel=1e-12, abs=0)
     assert got == ref
     assert run.summary.mean_residual_c == pytest.approx(
         np.mean(run.frame.residual_c), rel=1e-12, abs=0)
     assert run.summary.mean_drift_nm == pytest.approx(
         np.mean(run.frame.drift_nm), rel=1e-12, abs=0)
+    states = np.array(run.frame.load_state)
+    assert by_state == pytest.approx(
+        {s: np.mean(run.frame.rho[states == s]) for s in set(run.frame.load_state)},
+        rel=1e-12, abs=0)
+
+    planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
+    assert planned == pytest.approx(
+        run.frame.rho.sum() + run.summary.outstanding_density, rel=1e-9)
     return run
 
 
@@ -99,10 +121,44 @@ def test_chunk_edges_change_no_bit_for_every_forecaster(
     assert (run.summary.throttle_deferrals > 0) == throttle
 
 
+@pytest.mark.parametrize("admission_lead_ms", [80.0, 160.0],
+                         ids=["deferred_first", "plan_first"])
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("steps", [C - 1, C, C + 1, 2 * C + 7])
+def test_schedule_pass_chunk_edges(monkeypatch, steps, forecaster,
+                                   admission_lead_ms):
+    # deferred entries join their new slot ahead of its plan entry, or
+    # behind it once the admission lead covers horizon plus slice
+    sc = SchedulerConfig(forecaster=forecaster, throttle_compensation_gain=0.9,
+                         throttle_cap_c=_CAP[forecaster],
+                         admission_lead_ms=admission_lead_ms)
+    run = _assert_chunking_changes_nothing(monkeypatch, _cfg(steps, scheduler=sc))
+    assert run.summary.throttle_deferrals > 0
+
+
+@pytest.mark.parametrize("admission_lead_ms", [80.0, 160.0])
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+def test_throttle_work_straddles_a_chunk_edge(monkeypatch, forecaster,
+                                              admission_lead_ms):
+    # a weak compensation credit and a cap only Peak breaches; Peak starts
+    # 292 steps before the edge and the run ends 60 steps after it, so
+    # firings, the slots they move work into, the EWMA windows they retime
+    # and the work they push past the last step all lie on both sides
+    sc = SchedulerConfig(forecaster=forecaster, throttle_compensation_gain=0.5,
+                         throttle_cap_c=20.0, admission_lead_ms=admission_lead_ms)
+    cfg = _cfg(C + 60, schedule=(("Low", 7900.0), ("Peak", 600.0)), scheduler=sc)
+    run = _assert_chunking_changes_nothing(monkeypatch, cfg)
+    assert run.summary.outstanding_entries > 0
+    moved = run.frame.rho != generate_workload(cfg.workload, cfg.seed).rho
+    assert moved[C - 300:C].any() and moved[C:].any()
+    _assert_matches_oracle(cfg)
+
+
 def test_reactive_delay_line_longer_than_a_chunk(monkeypatch):
     # 9000 readings in flight: the line spans a whole chunk edge
-    _assert_chunking_changes_nothing(monkeypatch, _cfg(
-        2 * C + 7, Mode.REACTIVE, sensor_latency_ms=9000.0))
+    cfg = _cfg(2 * C + 7, Mode.REACTIVE, sensor_latency_ms=9000.0)
+    _assert_chunking_changes_nothing(monkeypatch, cfg)
+    _assert_matches_oracle(cfg)
 
 
 def test_predictive_warm_up_past_a_chunk_edge(monkeypatch):
@@ -110,9 +166,10 @@ def test_predictive_warm_up_past_a_chunk_edge(monkeypatch):
     # the replica's own scan grid starts 8 steps into the second chunk
     sc = SchedulerConfig(horizon_ms=8200.0, horizon_max_ms=1e4, t_slice_ms=2e4,
                          admission_lead_ms=1e4)
-    run = _assert_chunking_changes_nothing(monkeypatch, _cfg(
-        2 * C + 7, Mode.PREDICTIVE, scheduler=sc))
+    cfg = _cfg(2 * C + 7, Mode.PREDICTIVE, scheduler=sc)
+    run = _assert_chunking_changes_nothing(monkeypatch, cfg)
     assert run.frame.n > 8200 + 1 > C
+    _assert_matches_oracle(cfg)
 
 
 def test_stabilization_window_across_a_chunk_edge(monkeypatch):
@@ -156,18 +213,40 @@ def test_scan_blocks_divide_the_chunk(pole):
     assert sim._CHUNK_STEPS % b == 0 and C % b == 0
 
 
-def _traced_peak(fn, cfg):
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        fn(cfg)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_summary_only_run_keeps_no_frame():
-    cfg = stabilization_config()
-    cfg = replace(cfg, workload=replace(cfg.workload, step_count=400_000))
-    only = _traced_peak(sim._summarize, cfg)
-    full = _traced_peak(sim.simulate, cfg)
-    assert only <= 0.65 * full, (only, full)
+@pytest.mark.parametrize("make", [
+    lambda steps: replace(stabilization_config(), workload=replace(
+        stabilization_config().workload, step_count=steps)),
+    lambda steps: _cfg(steps, Mode.REACTIVE, "ewma", throttle=False),
+], ids=["stabilization", "bursts"])
+def test_summary_only_memory_does_not_grow_with_the_run(make):
+    c = sim._CHUNK_STEPS
+    short = _traced_peak(sim._summarize, make(4 * c))
+    long = _traced_peak(sim._summarize, make(16 * c))
+    assert long <= 1.05 * short, (short, long)
+
+
+def test_a_huge_step_count_streams():
+    # a trillion steps of 2 and 3 ms holds: the first chunk needs no
+    # step-sized array, no tiled schedule and no plan of the whole run
+    c = sim._CHUNK_STEPS
+    cfg = _cfg(10**12, schedule=(("Low", 3.0), ("Peak", 2.0)), throttle=False)
+
+    def first_chunk():
+        chunk = next(sim._chunks(cfg))
+        sim._Summary(cfg).add(chunk)
+        return chunk
+
+    peak = _traced_peak(first_chunk)
+    assert peak < 40 * 8 * c, peak
+    chunk = first_chunk()
+    assert chunk.lo == 0 and chunk.t_ms.size == c
+    assert chunk.state_idx.tolist() == ([1, 1, 1, 4, 4] * c)[:c]

@@ -11,6 +11,7 @@ from cpodrift.workload import (
     RHO_MIN,
     StreamDescriptor,
     WorkloadConfig,
+    _PlanStream,
     density,
     density_to_power,
     density_to_throughput,
@@ -154,6 +155,21 @@ def test_schedule_expansion_matches_the_per_step_expansion(schedule, step_ms, st
     assert plan.state_idx.dtype == state_idx.dtype
     assert plan.state_idx.tobytes() == state_idx.tobytes()
     assert plan.rho.tobytes() == rho.tobytes()
+
+
+@pytest.mark.parametrize("split, steps", [
+    (1, 3000), (7, 3000), (65_535, 200_001), (65_536, 200_001),
+    (100_000, 200_001)])
+def test_plan_read_in_pieces_equals_one_read(split, steps):
+    # one noise generator drawn from read after read gives the one-call
+    # draw bit for bit
+    cfg = WorkloadConfig(step_count=steps, schedule=WorkloadConfig().schedule[5:])
+    plan = generate_workload(cfg, seed=11)
+    stream = _PlanStream(cfg, seed=11)
+    parts = [stream(lo, min(lo + split, steps)) for lo in range(0, steps, split)]
+    for whole, part in zip((plan.state_idx, plan.rho, plan.n_streams), zip(*parts)):
+        joined = np.concatenate(part)
+        assert joined.dtype == whole.dtype and joined.tobytes() == whole.tobytes()
 
 
 def test_generate_constant_peak_no_noise():
