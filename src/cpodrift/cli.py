@@ -16,7 +16,8 @@ from . import fingerprint as fp
 from .config import apply_overrides, comparison_config, load_config, RunConfig
 from .controller import run_comparison
 from .errors import CpodriftError
-from .experiments import EXPERIMENT_NAMES, experiment_config, run_experiment
+from .experiments import (EXPERIMENT_NAMES, experiment_config, run_experiment,
+                          write_json)
 from .simulate import simulate
 from .telemetry import read_csv, write_csv
 from .verify import verify
@@ -25,7 +26,8 @@ from .verify import verify
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON run config")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
+    p.add_argument("--out", type=Path, default=None,
+                   help="output directory (overrides the config's out_dir)")
     p.add_argument("--steps", type=int, default=None, help="override step count")
 
 
@@ -79,8 +81,8 @@ def _dispatch(args) -> int:
         cfg = _config_for(args)
         run = simulate(cfg)
         print(json.dumps(run.summary.to_dict(), indent=2, default=str))
-        if args.out:
-            out = Path(args.out)
+        if cfg.out_dir:
+            out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             write_csv(run.frame, out / "telemetry.csv")
             run.forecast_log.write_csv(out / "forecast_log.csv")
@@ -89,7 +91,7 @@ def _dispatch(args) -> int:
 
     if args.command == "experiment":
         cfg = _config_for(args, fallback=experiment_config(args.name))
-        result = run_experiment(args.name, config=cfg, out_dir=args.out or "out")
+        result = run_experiment(args.name, config=cfg, out_dir=cfg.out_dir or "out")
         print(json.dumps(result.summary, indent=2, default=str))
         for f in result.files:
             print(f"wrote {f}", file=sys.stderr)
@@ -99,8 +101,7 @@ def _dispatch(args) -> int:
         frame = read_csv(args.telemetry)
         cfg = _config_for(args)
         report = fp.build_report(frame, cfg)
-        out = args.out or Path("out")
-        files = fp.write_report(report, out)
+        files = fp.write_report(report, cfg.out_dir or "out")
         print(fp.table_text(report))
         for f in files:
             print(f"wrote {f}", file=sys.stderr)
@@ -110,12 +111,10 @@ def _dispatch(args) -> int:
         cfg = _config_for(args, fallback=comparison_config())
         report = run_comparison(cfg)
         print(report.to_text())
-        if args.out:
-            out = Path(args.out)
+        if cfg.out_dir:
+            out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            (out / "comparison.json").write_text(
-                json.dumps(report.to_dict(), indent=2)
-            )
+            write_json(out / "comparison.json", report.to_dict())
         return 0
 
     if args.command == "verify":

@@ -6,6 +6,10 @@ reproduces the flagship 90,000-step validation run. The JSON layout is
 fields; each section checks its own fields (:func:`check_fields`) and
 ranges. Unknown keys anywhere are hard errors carrying the dotted field
 path, which prevents silent miscalibration from typos.
+
+A ``thermal.d_um`` resolves ``thermal.gamma`` once, when the config is
+built: ``config.thermal`` is the plant every reader uses, and a saved
+config records the gamma its run used.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class RunConfig:
                 f"underflows to 0 with coupling.d_ref_um = {self.coupling.d_ref_um}, "
                 f"coupling.d_decay_um = {self.coupling.d_decay_um}"
             )
-        thermal, p_max = self.thermal_resolved, self.affine_map.p_max_w
+        object.__setattr__(self, "thermal", self.thermal.with_distance(self.coupling))
+        thermal, p_max = self.thermal, self.affine_map.p_max_w
         swing = thermal.gain * max(abs(thermal.p_baseline_w),
                                    abs(p_max - thermal.p_baseline_w))
         if not swing <= SCAN_MAX_INPUT:
@@ -90,11 +95,6 @@ class RunConfig:
                     f"scheduler.{name} = {value} is not a whole number of "
                     f"workload.step_period_ms = {dt}"
                 )
-
-    @property
-    def thermal_resolved(self) -> ThermalParams:
-        """Thermal params with gamma resolved from distance, if configured."""
-        return self.thermal.with_distance(self.coupling)
 
 
 # ---------------------------------------------------------------------------

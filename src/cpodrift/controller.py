@@ -29,13 +29,20 @@ is :func:`thermal.respond` over the hint stream.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ImplausibleInputError, InputError, check_fields
-from .thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _response
+from .thermal import (_SCAN_MAX_BLOCK, ThermalParams, _one_pole, _response,
+                      step_response_fraction)
+from .workload import steps_of
+
+# The residual budget, 4.15 C (0.354 nm of drift at kappa_to = 0.0852 nm/C),
+# and the compensator's proportional gain; the throttle's projection
+# defaults to both.
+RESIDUAL_CAP_C = 4.15
+COMPENSATION_GAIN = 0.95
 
 
 class Mode(enum.Enum):
@@ -58,8 +65,8 @@ class ControllerParams:
     mode: Mode = Mode.PREDICTIVE
     sensor_latency_ms: float = 20.0
     actuator_tau_ms: float = 1.0
-    gain: float = 0.95
-    residual_cap_c: float = 4.15
+    gain: float = COMPENSATION_GAIN
+    residual_cap_c: float = RESIDUAL_CAP_C
     setpoint_margin_c: float = 0.035
     lead_ms: float = 1.0
 
@@ -90,7 +97,7 @@ class ControllerParams:
 
     def tracking_factor(self, dt_ms: float) -> float:
         """Per-step actuator convergence factor."""
-        return self.gain * (1.0 - math.exp(-dt_ms / self.actuator_tau_ms))
+        return self.gain * step_response_fraction(dt_ms, self.actuator_tau_ms)
 
 
 def compensate(
@@ -139,13 +146,13 @@ class _Compensator:
         self.lo = 0         # first step of the next chunk
         self.n = n
         if self.mode is Mode.REACTIVE:
-            lag = int(round(params.sensor_latency_ms / dt_ms))
+            lag = steps_of(params.sensor_latency_ms, dt_ms)
             self.line = np.zeros(min(lag, n))   # readings in flight
         elif self.mode is Mode.PREDICTIVE:
-            h_steps = int(round(horizon_ms / dt_ms))
-            lead = min(max(1, int(round(params.lead_ms / dt_ms))), h_steps)
+            h_steps = steps_of(horizon_ms, dt_ms)
+            lead = min(max(1, steps_of(params.lead_ms, dt_ms)), h_steps)
             self.warm = h_steps - lead
-            self.wl = 1.0 - math.exp(-(lead * dt_ms) / thermal.tau_ms)
+            self.wl = step_response_fraction(lead * dt_ms, thermal.tau_ms)
             self.thermal, self.dt_ms = thermal, dt_ms
             self.hints = np.empty(0)    # hint stream from step self.first on
             self.first = 0

@@ -31,6 +31,7 @@ from .controller import run_comparison
 from .errors import UsageError
 from .simulate import RunResult, _summarize, simulate
 from .telemetry import write_csv
+from .thermal import JUNCTION_CEILING_C
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ class ExperimentResult:
     ok: bool
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict) -> None:
+    """The JSON layout of every experiment artifact: indented, sorted keys."""
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
@@ -65,10 +67,10 @@ def _run_validation90k(cfg: RunConfig, out: Path) -> ExperimentResult:
         "audit_ok": run.audit.ok,
     }
     spath = out / "validation90k_summary.json"
-    _write_json(spath, summary)
+    write_json(spath, summary)
     files.append(spath)
     ok = fit.r_squared >= 0.98 and run.audit.ok and \
-        run.summary.peak_junction_temp_c <= 85.0
+        run.summary.peak_junction_temp_c <= JUNCTION_CEILING_C
     return ExperimentResult("validation90k", tuple(files), summary, ok)
 
 
@@ -82,7 +84,7 @@ def _run_transient300(cfg: RunConfig, out: Path) -> ExperimentResult:
         "tau_configured_ms": tau_cfg,
     }
     spath = out / "transient300_summary.json"
-    _write_json(spath, summary)
+    write_json(spath, summary)
     files.append(spath)
     ok = abs(tau_est - tau_cfg) <= 2.0
     return ExperimentResult("transient300", tuple(files), summary, ok)
@@ -91,7 +93,7 @@ def _run_transient300(cfg: RunConfig, out: Path) -> ExperimentResult:
 def _run_comparison(cfg: RunConfig, out: Path) -> ExperimentResult:
     report = run_comparison(cfg)
     jpath = out / "comparison.json"
-    _write_json(jpath, report.to_dict())
+    write_json(jpath, report.to_dict())
     tpath = out / "comparison.txt"
     tpath.write_text(report.to_text() + "\n")
     ok = report.improvement_ratio is not None and report.improvement_ratio > 1.0
@@ -113,7 +115,7 @@ def _run_stabilization(cfg: RunConfig, out: Path) -> ExperimentResult:
     result = _summarize(cfg)
     summary = result.to_dict()
     spath = out / "stabilization1800_summary.json"
-    _write_json(spath, summary)
+    write_json(spath, summary)
     stab = result.stabilization_ms
     ok = stab is not None and stab <= 50_000.0 and result.stays_in_band
     return ExperimentResult("stabilization1800", (spath,), summary, ok)

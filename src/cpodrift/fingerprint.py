@@ -26,10 +26,11 @@ import numpy as np
 from .errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from .optics import drift
 from .telemetry import FLOAT_FMT, TelemetryFrame, write_rows
-from .thermal import ThermalParams
-from .workload import STATE_BY_NAME
+from .thermal import (JUNCTION_CEILING_C, ThermalParams, peak_junction_temperature,
+                      step_response_fraction)
+from .workload import STATE_BY_NAME, steps_of
 
-RESPONSE_63_2 = 1.0 - float(np.exp(-1.0))  # 0.6321...
+RESPONSE_63_2 = step_response_fraction(1.0, 1.0)  # 0.6321...
 
 # estimate_tau searches log tau within tau0 x/ 100 by golden section
 _TAU_BRACKET = math.log(100.0)
@@ -139,6 +140,9 @@ class RthEstimate:
     per_state: dict[str, float]
     unified: float
     n_points: int
+    # mean dissipation and mean delta-T of each state's steady windows
+    steady_power_w: dict[str, float]
+    steady_delta_t_c: dict[str, float]
 
 
 def estimate_r_th(
@@ -152,14 +156,15 @@ def estimate_r_th(
 
     Steady state means the last 20% of a constant-load hold at least
     ``min_hold_tau`` time constants long. Per state: mean delta-T over mean
-    dissipation delta. Unified: through-origin least squares of delta-T on
-    the dissipation delta across all steady samples (theory-line form
-    dT = R * (P - P0)).
+    dissipation delta, for states whose mean power exceeds the baseline.
+    Unified: through-origin least squares of delta-T on the dissipation
+    delta across all steady samples (theory-line form dT = R * (P - P0)).
+    Also returns the mean power and mean delta-T of every steady state.
     """
     if frame.n == 0:
         raise InsufficientDataError("estimate_r_th: empty telemetry")
     dt_ms = float(frame.t_ms[1] - frame.t_ms[0]) if frame.n > 1 else 1.0
-    min_steps = int(round(min_hold_tau * thermal.tau_ms / dt_ms))
+    min_steps = steps_of(min_hold_tau * thermal.tau_ms, dt_ms)
 
     per_state_x: dict[str, list[np.ndarray]] = {}
     per_state_y: dict[str, list[np.ndarray]] = {}
@@ -178,13 +183,17 @@ def estimate_r_th(
 
     p0 = thermal.p_baseline_w
     per_state: dict[str, float] = {}
+    steady_power: dict[str, float] = {}
+    steady_delta: dict[str, float] = {}
     xs, ys = [], []
     for state in per_state_x:
         p = np.concatenate(per_state_x[state])
         d = np.concatenate(per_state_y[state])
-        dp = float(p.mean()) - p0
+        steady_power[state] = float(p.mean())
+        steady_delta[state] = float(d.mean())
+        dp = steady_power[state] - p0
         if dp > 0:
-            per_state[state] = float(d.mean()) / dp
+            per_state[state] = steady_delta[state] / dp
         # zero-delta samples still anchor the through-origin fit
         xs.append(p - p0)
         ys.append(d)
@@ -196,7 +205,8 @@ def estimate_r_th(
             "estimate_r_th: need at least 2 distinct steady-state power points"
         )
     unified = regress_through_origin(x, y).slope
-    return RthEstimate(per_state=per_state, unified=unified, n_points=int(x.size))
+    return RthEstimate(per_state=per_state, unified=unified, n_points=int(x.size),
+                       steady_power_w=steady_power, steady_delta_t_c=steady_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +399,7 @@ def build_report(
 
     if config is None:
         config = RunConfig()
-    thermal = config.thermal_resolved
+    thermal = config.thermal
     optic = config.optics
     wmap = config.affine_map
 
@@ -430,27 +440,23 @@ def build_report(
     observed_max_drift = float(np.abs(frame.drift_nm).max())
     stress_drift = drift(stress_delta_t_c, optic)
     peak_delta = float(frame.delta_t_c.max())
-    idle_ss = thermal.gain * (wmap.p_idle_w - thermal.p_baseline_w)
-    peak_junction = thermal.ambient_c + peak_delta - idle_ss
+    peak_junction = peak_junction_temperature(peak_delta, wmap.p_idle_w, thermal)
 
     # panels ----------------------------------------------------------------
     state_names = list(STATE_BY_NAME)
-    steady_power, steady_delta = {}, {}
+    steady_power, steady_delta = rth.steady_power_w, rth.steady_delta_t_c
     for state in state_names:
-        windows = [
-            steady_window(h) for h in holds
-            if h.state == state
-            and h.length >= int(round(5.0 * thermal.tau_ms / dt_ms))
-        ]
-        if not windows:
+        if state not in steady_power:
             raise InsufficientDataError(
                 f"fingerprint: state {state!r} never holds for 5 tau, cannot "
                 "place its steady-state panel point"
             )
-        p = np.concatenate([frame.p_eic_w[lo:hi] for lo, hi in windows])
-        d = np.concatenate([frame.delta_t_c[lo:hi] for lo, hi in windows])
-        steady_power[state] = float(p.mean())
-        steady_delta[state] = float(d.mean())
+        if state not in rth.per_state:
+            raise InsufficientDataError(
+                f"fingerprint: state {state!r} has a steady mean power of "
+                f"{steady_power[state]:.6g} W, at or below thermal.p_baseline_w = "
+                f"{thermal.p_baseline_w} W, so its thermal resistance is undefined"
+            )
 
     p_rth = Panel(
         name="rth_by_state",
@@ -559,9 +565,9 @@ def build_report(
                  "Pass" if r_th > 0.42 else "Fail", r_th > 0.42),
         TableRow("Top-Center", "Peak temperature delta",
                  f"{peak_delta:.1f} C",
-                 "junction <= 85 C absolute",
-                 "Pass" if peak_junction <= 85.0 else "Fail",
-                 peak_junction <= 85.0),
+                 f"junction <= {JUNCTION_CEILING_C:.0f} C absolute",
+                 "Pass" if peak_junction <= JUNCTION_CEILING_C else "Fail",
+                 peak_junction <= JUNCTION_CEILING_C),
         TableRow("Top-Right", "Density-temperature R^2",
                  f"{r2:.4f}", "> 0.92",
                  "Exceeded" if r2 > 0.98 else ("Pass" if r2 > 0.92 else "Fail"),

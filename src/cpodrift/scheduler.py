@@ -23,14 +23,14 @@ tau = 80 ms).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .controller import COMPENSATION_GAIN, RESIDUAL_CAP_C
 from .errors import ConfigError, InputError, SliceViolationError, check_fields
 from .telemetry import FLOAT_FMT, write_rows
-from .thermal import ThermalParams, steady_state_delta_t
+from .thermal import ThermalParams, steady_state_delta_t, step_response_fraction
 from .workload import AffineMapParams, DEFAULT_MAP, density_to_power
 
 
@@ -48,8 +48,8 @@ class SchedulerConfig:
     admission_lead_ms: float = 80.0      # how far ahead dispatches are admitted
     overhead_ms: float = 0.5             # synthetic per-forecast cost
     throttle_enabled: bool = True
-    throttle_cap_c: float = 4.15
-    throttle_compensation_gain: float = 0.95
+    throttle_cap_c: float = RESIDUAL_CAP_C
+    throttle_compensation_gain: float = COMPENSATION_GAIN
 
     def __post_init__(self) -> None:
         check_fields(self, "scheduler")
@@ -84,14 +84,9 @@ class SchedulerConfig:
                 f"scheduler.throttle_cap_c must be > 0, got {self.throttle_cap_c}")
 
 
-def preposition_fraction(horizon_ms: float, tau_ms: float) -> float:
-    """eta = 1 - exp(-horizon/tau): steady-state fraction developed inside
-    the look-ahead window."""
-    if not tau_ms > 0:
-        raise InputError(f"tau_ms must be > 0, got {tau_ms}")
-    if horizon_ms < 0:
-        raise InputError(f"horizon_ms must be >= 0, got {horizon_ms}")
-    return 1.0 - math.exp(-horizon_ms / tau_ms)
+# eta = 1 - exp(-horizon/tau): the steady-state fraction developed inside
+# the look-ahead window, the plant's step response at the horizon
+preposition_fraction = step_response_fraction
 
 
 @dataclass(frozen=True)
@@ -243,69 +238,33 @@ _SOURCE_CODES = {"queue_replay": 0, "ewma": 1}
 _SOURCE_NAMES = {v: k for k, v in _SOURCE_CODES.items()}
 
 
+@dataclass(frozen=True)
 class ForecastLog:
-    """Append-only struct-of-arrays log of issued hints.
+    """Struct-of-arrays log of issued hints, one entry per hint."""
 
-    Appends buffer into lists; column access materializes numpy arrays
-    (cached until the next append). Bulk construction via
-    :meth:`from_arrays` stores the arrays directly.
-    """
-
-    __slots__ = ("_rows", "_cols")
-
-    _FIELDS = ("issued_at_ms", "horizon_ms", "forecast_w", "newest_input_ms",
-               "source")
-
-    def __init__(self):
-        self._rows: list[tuple] = []
-        self._cols: dict[str, np.ndarray] | None = None
-
-    def append(self, hint: HintForecast) -> None:
-        self._rows.append((
-            hint.issued_at_ms, hint.horizon_ms, hint.forecast_w,
-            hint.newest_input_ms, _SOURCE_CODES[hint.source],
-        ))
-        self._cols = None
+    issued_at_ms: np.ndarray
+    horizon_ms: np.ndarray
+    forecast_w: np.ndarray
+    newest_input_ms: np.ndarray
+    source: np.ndarray          # 0 = queue replay, 1 = EWMA fallback
 
     @classmethod
-    def from_arrays(cls, issued_at_ms, horizon_ms, forecast_w, newest_input_ms, source):
-        log = cls()
-        log._cols = {
-            "issued_at_ms": np.asarray(issued_at_ms, dtype=float),
-            "horizon_ms": np.asarray(horizon_ms, dtype=float),
-            "forecast_w": np.asarray(forecast_w, dtype=float),
-            "newest_input_ms": np.asarray(newest_input_ms, dtype=float),
-            "source": np.asarray(source, dtype=int),
-        }
-        return log
-
-    def _materialize(self) -> dict[str, np.ndarray]:
-        if self._cols is None:
-            cols = list(zip(*self._rows)) if self._rows else [[]] * 5
-            self._cols = {
-                name: np.asarray(col, dtype=int if name == "source" else float)
-                for name, col in zip(self._FIELDS, cols)
-            }
-        return self._cols
-
-    def __getattr__(self, name):
-        if name in ForecastLog._FIELDS:
-            return self._materialize()[name]
-        raise AttributeError(name)
-
-    def __len__(self) -> int:
-        if self._cols is not None:
-            return int(self._cols["issued_at_ms"].shape[0])
-        return len(self._rows)
+    def from_hints(cls, hints) -> "ForecastLog":
+        """The log of hints (:class:`HintForecast`), in the order given."""
+        hints = tuple(hints)
+        return cls(*(np.array([getattr(h, name) for h in hints], dtype=float)
+                     for name in ("issued_at_ms", "horizon_ms", "forecast_w",
+                                  "newest_input_ms")),
+                   np.array([_SOURCE_CODES[h.source] for h in hints], dtype=int))
 
     def write_csv(self, path) -> None:
-        c = self._materialize()
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(self._FIELDS) + "\n")
+            fh.write("issued_at_ms,horizon_ms,forecast_w,newest_input_ms,source\n")
             write_rows(
                 fh,
-                [c[name] for name in self._FIELDS[:-1]]
-                + [list(map(_SOURCE_NAMES.__getitem__, c["source"].tolist()))],
+                [self.issued_at_ms, self.horizon_ms, self.forecast_w,
+                 self.newest_input_ms,
+                 list(map(_SOURCE_NAMES.__getitem__, self.source.tolist()))],
                 (FLOAT_FMT,) * 4 + ("%s",),
             )
 
@@ -399,7 +358,7 @@ def throttle_decision(
     cap_delta_t_c: float,
     thermal: ThermalParams = ThermalParams(),
     *,
-    compensation_gain: float = 0.95,
+    compensation_gain: float = COMPENSATION_GAIN,
     map_params: AffineMapParams = DEFAULT_MAP,
 ) -> ThrottleDecision:
     """Defer queued work if the hinted load would breach the residual cap.

@@ -68,7 +68,7 @@ from .scheduler import (
     preposition_fraction,
 )
 from .telemetry import TelemetryFrame
-from .thermal import _response
+from .thermal import _response, peak_junction_temperature
 from .workload import (
     STATE_BY_NAME,
     AffineMapParams,
@@ -76,6 +76,7 @@ from .workload import (
     _PlanStream,
     density_to_power,
     density_to_throughput,
+    steps_of,
 )
 
 STABILIZATION_BAND_C = 0.05     # | trailing-mean residual - cap | tolerance
@@ -117,15 +118,11 @@ class RunResult:
     audit: AuditReport
 
 
-def _steps_of(ms: float, dt: float) -> int:
-    return int(round(ms / dt))
-
-
 def _empty_result(config: RunConfig) -> RunResult:
     frame = TelemetryFrame.empty()
     summary = SimulationSummary(steps=0, duration_ms=0.0)
     return RunResult(config=config, frame=frame, summary=summary,
-                     forecast_log=ForecastLog(),
+                     forecast_log=ForecastLog.from_hints(()),
                      audit=AuditReport(n_checked=0, violations=()))
 
 
@@ -155,7 +152,7 @@ def simulate(config: RunConfig) -> RunResult:
     if N == 0:
         return _empty_result(config)
     sc = config.scheduler
-    eta = preposition_fraction(sc.horizon_ms, config.thermal_resolved.tau_ms)
+    eta = preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)
     frame = TelemetryFrame(
         step=np.arange(N, dtype=np.int64), load_state=[], eta=np.full(N, eta),
         queue_depth=np.empty(N, dtype=np.int64),
@@ -179,8 +176,8 @@ def simulate(config: RunConfig) -> RunResult:
         ):
             col[at] = values
         stats.add(chunk)
-    log = ForecastLog.from_arrays(frame.t_ms, np.broadcast_to(sc.horizon_ms, N),
-                                  frame.hint_w, newest, source)
+    log = ForecastLog(frame.t_ms, np.broadcast_to(float(sc.horizon_ms), N),
+                      frame.hint_w, newest, source)
     summary, audit = stats.finish()
     return RunResult(config=config, frame=frame, summary=summary,
                      forecast_log=log, audit=audit)
@@ -230,7 +227,7 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
     and the hint stream (:func:`compensate`), and the residual and drift.
     """
     wl = config.workload
-    thermal = config.thermal_resolved
+    thermal = config.thermal
     N, dt = wl.step_count, wl.step_period_ms
     bias_of = _Compensator(N, dt, config.controller, thermal,
                            config.scheduler.horizon_ms)
@@ -329,9 +326,9 @@ def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
     sc = config.scheduler
     wmap = config.affine_map
     dt = config.workload.step_period_ms
-    h = _steps_of(sc.horizon_ms, dt)
-    slice_steps = _steps_of(sc.t_slice_ms, dt)
-    adm = _steps_of(sc.admission_lead_ms, dt)
+    h = steps_of(sc.horizon_ms, dt)
+    slice_steps = steps_of(sc.t_slice_ms, dt)
+    adm = steps_of(sc.admission_lead_ms, dt)
     # deferred entries join their new slot behind its plan entry only if
     # that was admitted by the time they were deferred
     plan_first = adm >= h + slice_steps
@@ -340,14 +337,14 @@ def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
     # The window keeps one step past N, which leaves np.convolve's operand
     # order, and so its rounding, as it is for any longer window.
     h, adm = min(h, N), min(adm, N)
-    win = min(max(1, _steps_of(sc.history_window_ms, dt)), N + 1)
+    win = min(max(1, steps_of(sc.history_window_ms, dt)), N + 1)
     w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
     norm = np.cumsum(w)
     reach = max(h + slice_steps, adm)
     replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
 
     if sc.throttle_enabled:
-        thermal = config.thermal_resolved
+        thermal = config.thermal
         cap, gain = sc.throttle_cap_c, sc.throttle_compensation_gain
         # excess power over baseline past which lifo_cut may fire, less a
         # hair of slack: the heap holds a superset of the steps that fire,
@@ -485,8 +482,8 @@ class _Summary:
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
-        self.window = max(1, _steps_of(_STAB_WINDOW_MS,
-                                       config.workload.step_period_ms))
+        self.window = max(1, steps_of(_STAB_WINDOW_MS,
+                                      config.workload.step_period_ms))
         self.max_residual = self.max_drift = self.peak_delta = -math.inf
         self.sum_residual = self.sum_drift = 0.0
         self.cum = np.zeros(1)  # cumulative residual at the last window steps
@@ -532,9 +529,9 @@ class _Summary:
         self.rho_steps += steps
 
         n = chunk.t_ms.size
-        log = ForecastLog.from_arrays(
-            chunk.t_ms, np.broadcast_to(self.config.scheduler.horizon_ms, n),
-            tr.hint_w, tr.newest_input_ms, tr.source)
+        horizon = float(self.config.scheduler.horizon_ms)
+        log = ForecastLog(chunk.t_ms, np.broadcast_to(horizon, n), tr.hint_w,
+                          tr.newest_input_ms, tr.source)
         # the last stamp of the chunk before carries the sortedness check
         # across the edge
         audit = causality_audit(log, np.concatenate((self.t_last, chunk.t_ms)))
@@ -545,10 +542,9 @@ class _Summary:
 
     def finish(self) -> tuple[SimulationSummary, AuditReport]:
         config, tr = self.config, self.trace
-        thermal = config.thermal_resolved
+        thermal = config.thermal
         dt = config.workload.step_period_ms
         N = config.workload.step_count
-        idle_ss = thermal.gain * (config.affine_map.p_idle_w - thermal.p_baseline_w)
         eta = preposition_fraction(config.scheduler.horizon_ms, thermal.tau_ms)
         audit = AuditReport(n_checked=self.n_checked,
                             violations=tuple(self.violations))
@@ -561,7 +557,8 @@ class _Summary:
             max_drift_nm=self.max_drift,
             mean_drift_nm=self.sum_drift / N,
             peak_delta_t_c=self.peak_delta,
-            peak_junction_temp_c=thermal.ambient_c + self.peak_delta - idle_ss,
+            peak_junction_temp_c=peak_junction_temperature(
+                self.peak_delta, config.affine_map.p_idle_w, thermal),
             eta_min=eta,
             eta_max=eta,
             stabilization_ms=None if self.first is None else

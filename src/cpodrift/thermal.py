@@ -101,7 +101,8 @@ def steady_state_delta_t(r_th: float, delta_p_w: float, gamma: float = 1.0) -> f
 
 
 def step_response_fraction(t_ms: float, tau_ms: float) -> float:
-    """Fraction of the final value reached t_ms after a step: 1 - exp(-t/tau)."""
+    """Fraction of the final value reached t_ms after a step: 1 - exp(-t/tau);
+    also the preposition fraction, the actuator tracking and the 63.2 % mark."""
     if not tau_ms > 0:
         raise InputError(f"tau_ms must be > 0, got {tau_ms}")
     if t_ms < 0:
@@ -300,6 +301,9 @@ def boundary_temperatures(
     )
 
 
+JUNCTION_CEILING_C = 85.0   # absolute junction temperature limit
+
+
 def junction_temperature(
     delta_p_w: float, params: ThermalParams = ThermalParams()
 ) -> float:
@@ -309,3 +313,11 @@ def junction_temperature(
     the idle operating point, so only the rise above idle is added.
     """
     return params.ambient_c + steady_state_delta_t(params.r_th, delta_p_w, params.gamma)
+
+
+def peak_junction_temperature(peak_delta_t_c: float, p_idle_w: float,
+                              params: ThermalParams) -> float:
+    """Absolute junction temperature at a run's peak plant delta (measured
+    from ``p_baseline_w``), less the idle steady state ``ambient_c`` covers."""
+    idle_ss = params.gain * (p_idle_w - params.p_baseline_w)
+    return params.ambient_c + peak_delta_t_c - idle_ss

@@ -8,13 +8,14 @@ expected-vs-actual mismatch rather than a silent recalibration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import RunConfig
+from .fingerprint import RESPONSE_63_2
 from .optics import assess, drift
 from .scheduler import preposition_fraction
-from .thermal import ThermalState, boundary_temperatures, step, steady_state_delta_t
+from .thermal import (JUNCTION_CEILING_C, ThermalState, boundary_temperatures,
+                      junction_temperature, step, steady_state_delta_t)
 from .workload import density_to_power, density_to_throughput, throughput_to_density
 
 
@@ -54,7 +55,7 @@ def _check(name: str, expected: float, actual: float, tol: float) -> CheckResult
 def verify(config: RunConfig | None = None) -> VerifyReport:
     """Run the analytic-oracle checks; failures are report content."""
     cfg = config if config is not None else RunConfig()
-    thermal = cfg.thermal_resolved
+    thermal = cfg.thermal
     wmap = cfg.affine_map
     checks = []
 
@@ -75,7 +76,7 @@ def verify(config: RunConfig | None = None) -> VerifyReport:
     ss = steady_state_delta_t(thermal.r_th, 82.0, thermal.gamma)
     checks.append(_check(
         "single-step response fraction at t = tau",
-        1.0 - math.exp(-1.0),
+        RESPONSE_63_2,
         one_tau.delta_t_c / ss if ss else float("nan"), 1e-4,
     ))
 
@@ -106,10 +107,8 @@ def verify(config: RunConfig | None = None) -> VerifyReport:
         thermal.ambient_c + 1.995 * 82.0, temps[-1][1], 1e-9,
     ))
     checks.append(_check(
-        "junction peak under the 85 C ceiling",
-        81.982,
-        thermal.ambient_c + steady_state_delta_t(thermal.r_th, 82.0, thermal.gamma),
-        1e-3,
+        f"junction peak under the {JUNCTION_CEILING_C:.0f} C ceiling",
+        81.982, junction_temperature(82.0, thermal), 1e-3,
     ))
 
     rho = 1.7

@@ -191,6 +191,11 @@ STAIRCASE_SCHEDULE: tuple[ScheduleEntry, ...] = (
 )
 
 
+def steps_of(ms: float, step_period_ms: float) -> int:
+    """The whole number of steps nearest to a duration of ``ms``."""
+    return int(round(ms / step_period_ms))
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Workload generator settings (one config section of a run)."""
@@ -286,7 +291,7 @@ class _PlanStream:
         self.idx = np.array([name_to_idx[state] for state, _ in config.schedule],
                             dtype=np.int64)
         # where each hold of the cycle ends, in steps
-        self.ends = np.cumsum([max(1, int(round(dur_ms / dt)))
+        self.ends = np.cumsum([max(1, steps_of(dur_ms, dt))
                                for _, dur_ms in config.schedule])
         self.rho_targets = np.asarray([s.rho_target
                                        for s in STATE_BY_NAME.values()])

@@ -178,7 +178,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
 
     sc = config.scheduler
     cp = config.controller
-    thermal = config.thermal_resolved
+    thermal = config.thermal
     optic = config.optics
     wmap = config.affine_map
     dt = plan.step_period_ms
@@ -210,7 +210,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
     history: list[tuple[float, float]] = []
     plant = th.ThermalState()
     ctrl = CompensationState()
-    log = ForecastLog()
+    hints: list[HintForecast] = []
 
     cols: dict[str, list] = {k: [] for k in (
         "rho", "t24", "p", "hint", "dT", "bias", "residual", "drift", "qd",
@@ -248,7 +248,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
             slot_ms=dt,
         )
         hint = forecast(snapshot, float(t[k]), sc.horizon_ms, sc, wmap)
-        log.append(hint)
+        hints.append(hint)
 
         if sc.throttle_enabled:
             decision = throttle_decision(
@@ -289,6 +289,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         cols["drift"].append(ctrl.residual_drift_nm)
         cols["qd"].append(qd)
 
+    log = ForecastLog.from_hints(hints)
     eta = preposition_fraction(sc.horizon_ms, thermal.tau_ms)
     qd_arr = np.asarray(cols["qd"], dtype=np.int64)
     frame = TelemetryFrame(

@@ -229,8 +229,17 @@ def test_distance_resolves_coupling_gamma():
     import math
     cfg = config_from_dict({"thermal": {"d_um": 15.0},
                             "coupling": {"d_decay_um": 5.0}})
-    assert cfg.thermal_resolved.gamma == pytest.approx(math.exp(-1.0))
-    assert config_from_dict({}).thermal_resolved.gamma == 1.0
+    assert cfg.thermal.gamma == pytest.approx(math.exp(-1.0))
+    assert config_from_dict({}).thermal.gamma == 1.0
+
+
+def test_saved_config_records_the_resolved_gamma(tmp_path):
+    cfg = config_from_dict({"thermal": {"d_um": 15.0}})
+    path = tmp_path / "run.json"
+    save_config(cfg, path)
+    saved = json.loads(path.read_text())["thermal"]
+    assert saved["gamma"] == cfg.thermal.gamma < 1.0 and saved["d_um"] == 15.0
+    assert load_config(path) == cfg
 
 
 def test_presets_shapes():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -140,3 +141,57 @@ def test_cli_experiment_overrides_keep_the_preset(tmp_path, capsys):
     name = "transient300_telemetry.csv"
     assert (tmp_path / "cli" / name).read_bytes() == \
         (tmp_path / "api" / name).read_bytes()
+
+
+def test_config_out_dir_is_the_output_directory(tmp_path, capsys):
+    # a config file's out_dir takes effect without --out; --out overrides it
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "runs" / "x"),
+                               "workload": {"step_count": 300}}))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert (tmp_path / "runs" / "x" / "telemetry.csv").exists()
+    assert main(["experiment", "transient300", "--config", str(cfg)]) == 0
+    assert (tmp_path / "runs" / "x" / "transient300_summary.json").exists()
+    assert main(["experiment", "transient300", "--config", str(cfg),
+                 "--out", str(tmp_path / "cli")]) == 0
+    assert (tmp_path / "cli" / "transient300_summary.json").exists()
+
+
+def test_compare_writes_the_experiment_comparison_json(tmp_path, capsys):
+    assert main(["compare", "--out", str(tmp_path / "cli")]) == 0
+    run_experiment("comparison", out_dir=tmp_path / "exp")
+    assert (tmp_path / "cli" / "comparison.json").read_bytes() == \
+        (tmp_path / "exp" / "comparison.json").read_bytes()
+
+
+# sha256 of the JSON and text artifacts of the seed-24 experiments
+ARTIFACT_SHA256 = {
+    "validation90k": {
+        "validation90k_summary.json":
+            "76d6beff9e41814c6a6053821c7e8dce1705f9fec013b8afd410edc72cb6ac83",
+    },
+    "transient300": {
+        "transient300_summary.json":
+            "68816af7a2bcf9e9bc1ff8d9a394eae648c3ade4677e15e06b0d061bef0a6afa",
+    },
+    "comparison": {
+        "comparison.json":
+            "5b1a2112bb3c5b481104750df48a5cd54eb791fba9775a99e379f9f8854f5875",
+        "comparison.txt":
+            "b88a24d72a061ac7ca0a816c974ca2c74368fec3ac0a1d37972226abc9cb6398",
+    },
+    "fingerprint": {
+        "fingerprint_report.json":
+            "42fcec19f23e10985a5ff8459f872471ad6580cbe5ec3e338728b63986a2d43d",
+        "fingerprint_table.txt":
+            "56aa3f9638df17b604d483f8aac7f2befb26725c13adf8ef753c0104802d720a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ARTIFACT_SHA256)
+def test_json_and_text_artifacts_are_byte_identical_to_golden(tmp_path, name):
+    run_experiment(name, out_dir=tmp_path, seed=24)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in ARTIFACT_SHA256[name]}
+    assert got == ARTIFACT_SHA256[name]

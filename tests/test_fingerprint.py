@@ -273,7 +273,16 @@ def test_report_theory_line_uses_resolved_coupling():
     report = build_report(simulate(cfg).frame, cfg)
     agreement = next(r for r in report.pass_fail if r.panel == "Bottom-Center")
     assert agreement.verdict == "Excellent"
-    assert report.r_th_unified == pytest.approx(cfg.thermal_resolved.gain, rel=0.01)
+    assert report.r_th_unified == pytest.approx(cfg.thermal.gain, rel=0.01)
+
+
+def test_state_at_or_below_the_baseline_power_is_named():
+    # Idle dissipates ~12 W: with a 13 W baseline its resistance is undefined
+    cfg = fingerprint_config()
+    cfg = replace(cfg, thermal=replace(cfg.thermal, p_baseline_w=13.0))
+    with pytest.raises(InsufficientDataError,
+                       match=r"'Idle'.*thermal\.p_baseline_w = 13\.0"):
+        build_report(simulate(cfg).frame, cfg)
 
 
 def _resistance_row(cfg):

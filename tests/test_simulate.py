@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpodrift.config import RunConfig, default_config
+from cpodrift.config import RunConfig, comparison_config, default_config
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
 from cpodrift.simulate import schedule, simulate
 from cpodrift.telemetry import write_csv
-from cpodrift.thermal import ThermalParams, _one_pole, _scan_block
+from cpodrift.thermal import ThermalParams, _one_pole, _scan_block, gamma_of_distance
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
 from oracle import simulate_oracle
 
@@ -257,6 +257,23 @@ def test_byte_identical_telemetry_and_forecast_logs(tmp_path):
         paths.append((tpath, fpath))
     assert filecmp.cmp(paths[0][0], paths[1][0], shallow=False)
     assert filecmp.cmp(paths[0][1], paths[1][1], shallow=False)
+
+
+def test_distance_run_equals_the_run_at_its_resolved_gamma():
+    # gamma is resolved once, at load: a d_um run and the same run with that
+    # gamma written in are the same run, bit for bit
+    cfg = comparison_config()
+    by_distance = replace(cfg, thermal=replace(cfg.thermal, d_um=12.0))
+    by_gamma = replace(cfg, thermal=replace(cfg.thermal,
+                                            gamma=gamma_of_distance(12.0)))
+    assert by_distance.thermal.gamma == by_gamma.thermal.gamma < 1.0
+    a, b = simulate(by_distance), simulate(by_gamma)
+    for f in fields(a.frame):
+        x, y = getattr(a.frame, f.name), getattr(b.frame, f.name)
+        assert x == y if f.name == "load_state" else x.tobytes() == y.tobytes(), \
+            f.name
+    assert a.summary == b.summary
+    assert a.summary.peak_delta_t_c != simulate(cfg).summary.peak_delta_t_c
 
 
 def test_different_seed_changes_output():
