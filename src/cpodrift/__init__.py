@@ -59,7 +59,6 @@ from .scheduler import (
     causality_audit,
     forecast,
     preposition_fraction,
-    throttle_decision,
 )
 from .simulate import RunResult, SimulationSummary, simulate
 from .telemetry import COLUMNS, TelemetryFrame, read_csv, write_csv

@@ -307,78 +307,35 @@ def causality_audit(trace: ForecastLog, power_trace) -> AuditReport:
 # ---------------------------------------------------------------------------
 # pre-emptive throttling
 
-@dataclass(frozen=True)
-class ThrottleDecision:
-    fired: bool
-    deferred: tuple[QueueEntry, ...]
-    projected_residual_c: float        # before any deferral
-    projected_after_c: float           # after the returned deferrals
+def throttle_cut(slot: list[float], forecast_w: float, cap_delta_t_c: float,
+                 thermal: ThermalParams, compensation_gain: float,
+                 map_params: AffineMapParams = DEFAULT_MAP) -> tuple[int, float]:
+    """How many of the newest entries of a slot the throttle takes out.
 
+    ``slot`` holds the densities of the slot's entries in queue order, and
+    ``forecast_w`` is the hint that forecasts the slot. The projection is
+    conservative budget arithmetic: of the steady-state delta of the power
+    over baseline, the compensator is credited a proportional share
+    (``compensation_gain``), and the rest must fit under the cap. While it
+    does not, entries come out newest first (LIFO) and the projection is
+    taken again of the density left: the slot's total, added left to
+    right, less each entry taken, in turn. A slot holds at most two
+    entries, so this is a few float operations.
 
-def _projected_residual(power_w, thermal: ThermalParams, compensation_gain: float):
-    """Steady-state residual left after proportional compensation headroom
-    (elementwise over an array of powers)."""
-    delta_p = np.maximum(0.0, power_w - thermal.p_baseline_w)
-    full = steady_state_delta_t(thermal.r_th, delta_p, thermal.gamma)
-    return (1.0 - compensation_gain) * full
-
-
-def lifo_cut(rho, forecast_w: float, cap_delta_t_c: float, thermal: ThermalParams,
-             compensation_gain: float, map_params: AffineMapParams = DEFAULT_MAP,
-             ) -> tuple[int, float]:
-    """How many of the newest entries of a slot the throttle defers.
-
-    ``rho`` holds the slot's densities in queue order and ``forecast_w`` is
-    the hint that forecasts the slot. If the hint's projected residual
-    breaches the cap, entries are deferred newest first (LIFO) until the
-    projection from the density left fits. The densities left after each
-    deferral are one prefix scan (Blelloch 1990), ``np.subtract.accumulate``
-    over the reversed slot, which subtracts in the order, and so with the
-    rounding, of a one-entry-at-a-time loop.
-
-    Returns ``(n_deferred, projected_after_c)``.
+    Returns ``(n_taken, projected_after_c)``.
     """
-    after = float(_projected_residual(forecast_w, thermal, compensation_gain))
-    rho = np.asarray(rho, dtype=float)
-    if after <= cap_delta_t_c or rho.size == 0:
-        return 0, after
-    left = np.subtract.accumulate(np.concatenate(([ordered_sum(rho)], rho[::-1])))
-    afters = _projected_residual(
-        density_to_power(np.maximum(left[1:], 0.0), map_params), thermal,
-        compensation_gain,
-    )
-    fits = afters <= cap_delta_t_c
-    first = int(fits.argmax())
-    n = first + 1 if fits[first] else rho.size
-    return n, float(afters[n - 1])
+    def projection(power_w: float) -> float:
+        return (1.0 - compensation_gain) * steady_state_delta_t(
+            thermal.r_th, max(0.0, power_w - thermal.p_baseline_w),
+            thermal.gamma)
 
-
-def throttle_decision(
-    hint: HintForecast,
-    cap_delta_t_c: float,
-    thermal: ThermalParams = ThermalParams(),
-    *,
-    compensation_gain: float = COMPENSATION_GAIN,
-    map_params: AffineMapParams = DEFAULT_MAP,
-) -> ThrottleDecision:
-    """Defer queued work if the hinted load would breach the residual cap.
-
-    The projection is conservative budget arithmetic: of the hint-implied
-    steady-state delta, the compensator is credited a proportional share
-    (``compensation_gain``) and the remainder must fit under the cap. When
-    it does not, the most recently enqueued entries in the forecast slot are
-    deferred (LIFO) until the projection fits (:func:`lifo_cut`). With an
-    empty queue there is nothing to defer and the decision is a no-op.
-    """
-    if not cap_delta_t_c > 0:
-        raise InputError(f"cap_delta_t_c must be > 0, got {cap_delta_t_c}")
-    f = hint.filtration or Filtration(now_ms=hint.issued_at_ms)
-    slot = _slot_entries(f, hint.issued_at_ms + hint.horizon_ms)
-    n, after = lifo_cut([e.rho for e in slot], hint.forecast_w, cap_delta_t_c,
-                        thermal, compensation_gain, map_params)
-    return ThrottleDecision(
-        fired=n > 0, deferred=tuple(slot[::-1][:n]),
-        projected_residual_c=float(_projected_residual(
-            hint.forecast_w, thermal, compensation_gain)),
-        projected_after_c=after,
-    )
+    after = projection(forecast_w)
+    left = 0.0
+    for rho in slot:
+        left += rho
+    n = 0
+    while after > cap_delta_t_c and n < len(slot):
+        n += 1
+        left -= slot[-n]
+        after = projection(density_to_power(max(left, 0.0), map_params))
+    return n, after

@@ -16,12 +16,13 @@ the forecast power and horizon of a hint. So a run is two passes, and
   density of each step, the noise drawn from one generator in order.
 * Schedule pass (:func:`_dispatch`): from the plan alone, the dispatched
   density and power, the hint stream with its provenance, the queue depth,
-  the deferral count and the work deferred past the last step. Array reads
-  cover every step the throttle leaves alone; a heap visits, in time order,
-  only the steps whose hint breaches the throttle cap and applies the
-  throttle's LIFO cut (:func:`lifo_cut`, the kernel behind
-  :func:`throttle_decision`) to the slot the hint forecasts, held as
-  arrays. A firing edits only steps at or after its own, so a chunk is
+  the deferral count, and the work shed or deferred past the last step.
+  Array reads cover every step the throttle leaves alone; a heap visits,
+  in time order, only the steps whose hint breaches the throttle cap and
+  applies the throttle's LIFO cut (:func:`throttle_cut`) to the slot the
+  hint forecasts. An entry is deferred at most once, so a slot holds at
+  most two entries and the cut is a few float operations. A firing edits
+  only steps at or after its own, so a chunk is
   final once its steps are visited; the pass reads the plan as far ahead
   as a firing or the queue depth reaches and keeps the power of the EWMA
   window behind the chunk.
@@ -42,9 +43,9 @@ with the step count. :func:`generate_workload` and :func:`schedule` are the
 plan and the schedule pass of a whole run, joined from the same chunks.
 
 ``tests/oracle.py`` composes the module-level operations step by step
-(Filtration snapshots, forecast(), throttle_decision(), thermal.step() and
-a per-step compensator); the equivalence tests check this module against
-it.
+(Filtration snapshots, forecast(), thermal.step(), and its own per-entry
+throttle and per-step compensator); the equivalence tests check this
+module against it.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ from .scheduler import (
     AuditReport,
     ForecastLog,
     causality_audit,
-    lifo_cut,
-    ordered_sum,
     preposition_fraction,
+    throttle_cut,
 )
 from .telemetry import TelemetryFrame
 from .thermal import _response, peak_junction_temperature
@@ -101,10 +101,17 @@ class SimulationSummary:
     throttle_deferrals: int = 0
     outstanding_density: float = 0.0    # deferred past the last step
     outstanding_entries: int = 0
+    shed_density: float = 0.0           # deferred once, then taken out again
+    shed_entries: int = 0
     audit_violations: int = 0
 
     def to_dict(self) -> dict:
+        """The fields as a dict. The shed counters appear only for a run
+        that shed work, so the summary artifacts of every other run keep
+        their layout."""
         d = dict(vars(self))
+        if not self.shed_entries:
+            del d["shed_density"], d["shed_entries"]
         d["mean_rho_by_state"] = dict(self.mean_rho_by_state)
         return d
 
@@ -140,6 +147,8 @@ class DispatchTrace:
     deferrals: int
     outstanding_density: float   # deferred past the last step
     outstanding_entries: int
+    shed_density: float          # taken out a second time: dropped
+    shed_entries: int
 
 
 def simulate(config: RunConfig) -> RunResult:
@@ -295,26 +304,27 @@ def _extended(buffers: tuple[np.ndarray, ...], plan: _Plan,
 
 def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
               N: int) -> Iterator[tuple[np.ndarray, DispatchTrace]]:
-    """Dispatch, hints, queue depth and deferrals of an ``N``-step run from
-    its plan alone, ``_CHUNK_STEPS`` steps at a time, each with the load
-    state of its steps.
+    """Dispatch, hints, queue depth, deferrals and shed work of an ``N``-step
+    run from its plan alone, ``_CHUNK_STEPS`` steps at a time, each with the
+    load state of its steps.
 
     ``read_plan(lo, hi)`` gives ``state_idx``, ``rho`` and ``n_streams`` of
     steps [lo, hi), read in step order.
 
     A hint replays the admitted queue at t + horizon and falls back to the
     half-life weighted mean of the dispatched power where the plan no longer
-    covers that slot. Where the throttle fires it defers the newest entries
-    of the forecast slot by one execution slice; that changes the dispatched
-    power of two slots and so the hints that read them, all later than the
-    firing step. Entries that would land past the last step are outstanding:
-    counted, not dispatched.
+    covers that slot. Where the throttle fires it takes the newest entries
+    out of the forecast slot (:func:`throttle_cut`). An entry taken out for
+    the first time is deferred by one execution slice; that changes the
+    dispatched power of two slots and so the hints that read them, all
+    later than the firing step. One that would land past the last step is
+    outstanding: counted, not dispatched. An entry that was deferred before
+    is shed: counted and dropped. So a slot holds its plan entry and at most
+    the one entry deferred into it from a slice before, kept in ``slots``
+    as ``(rho, n_streams, True)``, and a run defers at most once per step.
 
     Array reads cover every step the throttle leaves alone; a heap visits,
-    in time order, only the steps whose hint breaches the throttle cap and
-    applies the throttle's LIFO cut (:func:`lifo_cut`) to the slot the hint
-    forecasts. A slot that differs from its plan entry is a pair of ``(rho,
-    n_streams)`` arrays in queue order.
+    in time order, only the steps whose hint breaches the throttle cap.
 
     Every edit of a firing lands at or after its step, so a chunk's rows are
     final once the steps before its end are visited. The pass holds the
@@ -346,14 +356,15 @@ def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
     if sc.throttle_enabled:
         thermal = config.thermal
         cap, gain = sc.throttle_cap_c, sc.throttle_compensation_gain
-        # excess power over baseline past which lifo_cut may fire, less a
+        # excess power over baseline past which throttle_cut may fire, less a
         # hair of slack: the heap holds a superset of the steps that fire,
         # and the cut itself stays authoritative
         per_w = (1.0 - gain) * thermal.gamma * thermal.r_th
         fire_w = cap * (1.0 - 1e-9) / per_w if per_w > 0 else math.inf
-    slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    deferrals = outstanding_entries = 0
-    outstanding_density = 0.0
+    # step -> the (rho, n_streams, deferred) entry deferred into its slot
+    slots: dict[int, tuple[float, int, bool]] = {}
+    deferrals = outstanding_entries = shed_entries = 0
+    outstanding_density = shed_density = 0.0
 
     # the plan (state, density, streams), dispatched density and power of
     # steps [b, top), and the queue-depth differences of steps [lo, top]
@@ -405,37 +416,46 @@ def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
                     continue
                 last = k
                 j, m = k + h, k + h + slice_steps
-                # the heap only moves forward, so slot j is never read again
-                q_rho, q_n = slots.pop(j, None) or (prho[j - b:j - b + 1],
-                                                     pn[j - b:j - b + 1])
-                cut, _ = lifo_cut(q_rho, F[k - lo], cap, thermal, gain, wmap)
+                # slot j: its plan entry and the entry deferred into it, if
+                # any, in queue order; the heap only moves forward, so the
+                # slot is never read again
+                own = float(prho[j - b]), int(pn[j - b]), False
+                moved_in = slots.pop(j, None)
+                slot = [own] if moved_in is None else \
+                    [own, moved_in] if plan_first else [moved_in, own]
+                cut, _ = throttle_cut([e[0] for e in slot], float(F[k - lo]),
+                                      cap, thermal, gain, wmap)
                 if not cut:
                     continue
-                keep = q_rho.size - cut
-                later = q_rho[keep:][::-1], q_n[keep:][::-1]   # newest first
-                n = int(later[1].sum())
-                deferrals += cut
-                rho[j - b] = ordered_sum(q_rho[:keep])
+                # what is left is the oldest entry, or nothing
+                rho_j = slot[0][0] if cut < len(slot) else 0.0
+                rho[j - b], P[j - b] = rho_j, density_to_power(rho_j, wmap)
                 changed = [j]
-                if m < N:
-                    own = prho[m - b:m - b + 1], pn[m - b:m - b + 1]
-                    slots[m] = tuple(map(np.concatenate, zip(own, later) if
-                                         plan_first else zip(later, own)))
-                    rho[m - b] = ordered_sum(slots[m][0])
-                    moved[j - lo] += n      # still pending over [j, m)
-                    moved[m - lo] -= n
-                    changed.append(m)
-                else:
-                    moved[k + 1 - lo] -= n  # outstanding: not pending over (k, j)
+                for r, n, deferred_before in slot[len(slot) - cut:]:
+                    if not deferred_before and m < N:
+                        deferrals += 1
+                        slots[m] = r, n, True
+                        own_m = float(prho[m - b])
+                        rho_m = own_m + r if plan_first else r + own_m
+                        rho[m - b], P[m - b] = rho_m, density_to_power(rho_m, wmap)
+                        moved[j - lo] += n      # still pending over [j, m)
+                        moved[m - lo] -= n
+                        changed.append(m)
+                        continue
+                    # shed, or outstanding: not pending over (k, j)
+                    moved[k + 1 - lo] -= n
                     moved[j - lo] += n
-                    outstanding_density += float(later[0].sum())
-                    outstanding_entries += cut
-                at = np.array(changed) - b
-                P[at] = density_to_power(rho[at], wmap)
+                    if deferred_before:
+                        shed_density += r
+                        shed_entries += 1
+                    else:
+                        deferrals += 1
+                        outstanding_density += r
+                        outstanding_entries += 1
                 # the hints of this chunk that read a changed slot; later
                 # ones are read when their chunk starts
                 retimed = []
-                if m < N and m - h < min(replay, hi):
+                if changed[-1] == m and m - h < min(replay, hi):
                     F[m - h - lo] = P[m - b]    # the hint that replays slot m
                     retimed.append(m - h)
                 for s in changed:
@@ -458,7 +478,8 @@ def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
             rho=rho[lo - b:hi - b], power_w=P[lo - b:hi - b], hint_w=F,
             newest_input_ms=newest, source=source, queue_depth=depth,
             deferrals=deferrals, outstanding_density=outstanding_density,
-            outstanding_entries=outstanding_entries)
+            outstanding_entries=outstanding_entries, shed_density=shed_density,
+            shed_entries=shed_entries)
         moved = moved[hi - lo:]
         drop = max(0, hi - win + 1) - b
         sidx, prho, pn, rho, P = (x[drop:] for x in (sidx, prho, pn, rho, P))
@@ -570,6 +591,8 @@ class _Summary:
             throttle_deferrals=tr.deferrals,
             outstanding_density=tr.outstanding_density,
             outstanding_entries=tr.outstanding_entries,
+            shed_density=tr.shed_density,
+            shed_entries=tr.shed_entries,
             audit_violations=len(audit.violations),
         )
         return summary, audit

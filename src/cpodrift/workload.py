@@ -25,6 +25,7 @@ from .errors import ConfigError, DegenerateMapError, InputError, check_fields
 
 RHO_MIN = 0.9
 RHO_MAX = 2.7
+NOISE_SIGMA_MAX = 1.8   # RHO_MAX - RHO_MIN, the width of the density domain
 
 # mean per-stream density contribution under the default factor distributions:
 # E[attn] * E[activation] * E[routing] = 1.0 * 0.65 * 1.0
@@ -144,8 +145,12 @@ def density_to_power(rho: float, params: AffineMapParams = DEFAULT_MAP):
     Affine ramp from (RHO_MIN, p_idle) to (RHO_MAX, p_peak), clamped to the
     [0, p_max] package envelope; monotone nondecreasing in rho.
     """
+    scalar = isinstance(rho, float)     # Python arithmetic: no numpy call cost
     span = params.p_peak_w - params.p_idle_w
-    p = params.p_idle_w + span * (np.asarray(rho) - RHO_MIN) / (RHO_MAX - RHO_MIN)
+    p = params.p_idle_w + span * ((rho if scalar else np.asarray(rho)) - RHO_MIN) \
+        / (RHO_MAX - RHO_MIN)
+    if scalar:
+        return float(min(max(p, 0.0), params.p_max_w))
     # np.clip's bounds, without its per-call dispatch cost
     p = np.minimum(np.maximum(0.0, p), params.p_max_w)
     return float(p) if np.ndim(rho) == 0 else p
@@ -211,8 +216,10 @@ class WorkloadConfig:
             raise ConfigError(
                 f"workload.step_period_ms must be > 0, got {self.step_period_ms}"
             )
-        if self.noise_sigma < 0:
-            raise ConfigError(f"workload.noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma <= NOISE_SIGMA_MAX:
+            raise ConfigError(
+                f"workload.noise_sigma must be in [0, {NOISE_SIGMA_MAX}], the "
+                f"width of the density domain, got {self.noise_sigma}")
         if not self.schedule:
             raise ConfigError("workload.schedule must contain at least one entry")
         for i, (name, dur) in enumerate(self.schedule):

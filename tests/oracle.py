@@ -1,11 +1,20 @@
 """Per-step reference composition of the co-simulation: the test oracle.
 
 Each step dispatches its queue slot, snapshots a :class:`Filtration`, issues
-the hint with :func:`forecast`, lets :func:`throttle_decision` defer queued
-work, then advances the plant with :func:`thermal.step` and the compensator
-with :func:`control_step`. It is the literal module-by-module reading of the
-model, and much slower than ``simulate``; the equivalence tests check
-``simulate`` against it.
+the hint with :func:`forecast`, lets :func:`throttle` take queued work out
+of the slot the hint forecasts, then advances the plant with
+:func:`thermal.step` and the compensator with :func:`control_step`. It is
+the literal module-by-module reading of the model, and much slower than
+``simulate``; the equivalence tests check ``simulate`` against it.
+
+:func:`throttle` is the throttle's own reading here: it pops the newest
+queue entry of the slot while the projected residual breaches the cap,
+with the projection and the power map written inline. Each slot entry
+carries a flag that says whether it was deferred before. A popped entry
+that was not is deferred by one slice, or is outstanding if that lands
+past the last step; one that was is shed. It shares with
+``scheduler.throttle_cut`` only the documented order of the density left:
+the slot's total, added left to right, less each popped entry in turn.
 
 :func:`control_step` and :class:`CompensationState` are the per-step
 compensator, written here as a delay line, a hint FIFO and a replica state
@@ -33,12 +42,17 @@ from cpodrift.scheduler import (
     QueueEntry,
     forecast,
     preposition_fraction,
-    throttle_decision,
 )
 from cpodrift.simulate import DispatchTrace, RunResult, _Chunk, _Summary, simulate
 from cpodrift.telemetry import TelemetryFrame
 from cpodrift.thermal import ThermalParams
-from cpodrift.workload import density_to_power, density_to_throughput, generate_workload
+from cpodrift.workload import (
+    RHO_MAX,
+    RHO_MIN,
+    AffineMapParams,
+    density_to_throughput,
+    generate_workload,
+)
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,41 @@ def _steps_of(ms: float, dt: float) -> int:
     return int(round(ms / dt))
 
 
+def _power(rho: float, wmap: AffineMapParams) -> float:
+    """The affine density-to-power ramp, clamped to [0, p_max]."""
+    p = wmap.p_idle_w + (wmap.p_peak_w - wmap.p_idle_w) * (rho - RHO_MIN) \
+        / (RHO_MAX - RHO_MIN)
+    return min(max(p, 0.0), wmap.p_max_w)
+
+
+def throttle(slot: list, forecast_w: float, cap_c: float, gain: float,
+             thermal: ThermalParams, wmap: AffineMapParams
+             ) -> tuple[list, float]:
+    """Pop the newest ``[QueueEntry, deferred]`` item of ``slot`` (in queue
+    order) while the projected residual breaches ``cap_c``; return the
+    popped items, newest first, and the projection left.
+
+    The projected residual of a power P is the part of its steady-state
+    delta over baseline that the compensation credit does not cover,
+    (1 - gain) * (gamma * R_th * max(0, P - P0)): first of the hint, then of
+    the power of the density left in the slot.
+    """
+    def projected(power_w):
+        return (1.0 - gain) * (thermal.gamma * thermal.r_th *
+                               max(0.0, power_w - thermal.p_baseline_w))
+
+    left = 0.0
+    for entry, _ in slot:
+        left += entry.rho
+    popped = []
+    after = projected(forecast_w)
+    while after > cap_c and slot:
+        popped.append(slot.pop())
+        left -= popped[-1][0].rho
+        after = projected(_power(max(left, 0.0), wmap))
+    return popped, after
+
+
 def simulate_oracle(config: RunConfig) -> RunResult:
     plan = generate_workload(config.workload, config.seed)
     if plan.step_count == 0:
@@ -190,18 +239,18 @@ def simulate_oracle(config: RunConfig) -> RunResult:
     slice_steps = max(1, _steps_of(sc.t_slice_ms, dt))
     win_steps = max(1, _steps_of(sc.history_window_ms, dt))
 
-    # dispatch slots: step index -> list of queue entries, and the streams
-    # of all of them
-    slots: dict[int, list[QueueEntry]] = {}
+    # dispatch slots: step index -> list of [queue entry, deferred before]
+    # items, and the streams of all of them
+    slots: dict[int, list[list]] = {}
     queued = 0
 
     def admit(j: int, admitted_ms: float) -> None:
         nonlocal queued
         if 0 <= j < N:
-            slots.setdefault(j, []).append(QueueEntry(
+            slots.setdefault(j, []).append([QueueEntry(
                 dispatch_t_ms=float(t[j]), rho=float(plan.rho[j]),
                 n_streams=int(plan.n_streams[j]), admitted_t_ms=admitted_ms,
-            ))
+            ), False])
             queued += int(plan.n_streams[j])
 
     for j in range(min(adm_steps, N)):
@@ -216,29 +265,31 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         "rho", "t24", "p", "hint", "dT", "bias", "residual", "drift", "qd",
     )}
     state_col: list[str] = []
-    deferrals = outstanding_entries = 0
-    outstanding_density = 0.0
+    deferrals = outstanding_entries = shed_entries = 0
+    outstanding_density = shed_density = 0.0
 
     for k in range(N):
         admit(k + adm_steps, float(t[k]))
 
-        executing = slots.pop(k, [])
+        executing = [e for e, _ in slots.pop(k, [])]
         queued -= sum(e.n_streams for e in executing)
-        rho_k = sum(e.rho for e in executing)
-        p_k = density_to_power(rho_k, wmap)
+        rho_k = 0.0
+        for e in executing:
+            rho_k += e.rho
+        p_k = _power(rho_k, wmap)
         t24_k = density_to_throughput(rho_k, wmap)
 
         history.append((float(t[k]), p_k))
         if len(history) > win_steps:
             history.pop(0)
 
-        # every slot left is pending; forecast() and throttle_decision()
-        # read only the one holding the hint's target, so the filtration
-        # carries that slot and its neighbours, and a step costs the same
-        # whatever the admission lead
+        # every slot left is pending; forecast() and throttle() read only
+        # the one holding the hint's target, so the filtration carries that
+        # slot and its neighbours, and a step costs the same whatever the
+        # admission lead
         target = k + h_steps
         near = [e for js in (target - 1, target, target + 1) if js > k
-                for e in slots.get(js, ())]
+                for e, _ in slots.get(js, ())]
         qd = queued
         snapshot = Filtration(
             now_ms=float(t[k]),
@@ -250,30 +301,25 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         hint = forecast(snapshot, float(t[k]), sc.horizon_ms, sc, wmap)
         hints.append(hint)
 
-        if sc.throttle_enabled:
-            decision = throttle_decision(
-                hint, sc.throttle_cap_c, thermal,
-                compensation_gain=sc.throttle_compensation_gain,
-                map_params=wmap,
-            )
-            if decision.fired:
-                deferrals += len(decision.deferred)
-                j = k + h_steps
-                kept = [
-                    e for e in slots.get(j, [])
-                    if not any(e is d for d in decision.deferred)
-                ]
-                slots[j] = kept
-                for e in decision.deferred:
-                    admit_j = j + slice_steps
-                    if admit_j < N:
-                        slots.setdefault(admit_j, []).append(
-                            replace(e, dispatch_t_ms=float(t[admit_j]))
-                        )
-                    else:   # past the last step: outstanding
-                        outstanding_density += e.rho
-                        outstanding_entries += 1
-                        queued -= e.n_streams
+        if sc.throttle_enabled and target in slots:
+            later = target + slice_steps
+            popped, _ = throttle(slots[target], hint.forecast_w,
+                                 sc.throttle_cap_c,
+                                 sc.throttle_compensation_gain, thermal, wmap)
+            for entry, deferred_before in popped:
+                if deferred_before:         # its second cut: shed
+                    shed_density += entry.rho
+                    shed_entries += 1
+                    queued -= entry.n_streams
+                    continue
+                deferrals += 1
+                if later < N:
+                    slots.setdefault(later, []).append(
+                        [replace(entry, dispatch_t_ms=float(t[later])), True])
+                else:   # past the last step: outstanding
+                    outstanding_density += entry.rho
+                    outstanding_entries += 1
+                    queued -= entry.n_streams
 
         plant = th.step(plant, p_k - thermal.p_baseline_w, dt, thermal)
         ctrl = control_step(ctrl, plant.delta_t_c, hint, dt, cp, thermal, optic)
@@ -316,7 +362,8 @@ def simulate_oracle(config: RunConfig) -> RunResult:
                       newest_input_ms=log.newest_input_ms, source=log.source,
                       queue_depth=qd_arr, deferrals=deferrals,
                       outstanding_density=outstanding_density,
-                      outstanding_entries=outstanding_entries),
+                      outstanding_entries=outstanding_entries,
+                      shed_density=shed_density, shed_entries=shed_entries),
         frame.delta_t_c, frame.bias_c, frame.residual_c, frame.drift_nm))
     summary, audit = stats.finish()
     return RunResult(config=config, frame=frame, summary=summary,

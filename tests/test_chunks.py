@@ -8,13 +8,13 @@ runs of C - 1, C, C + 1 and 2C + 7 steps put their edges everywhere that
 matters, and every run is checked against a one-chunk run:
 
 * the telemetry frame, the forecast log and the ``DispatchTrace`` of the
-  schedule pass, deferrals and outstanding work included, are bitwise
+  schedule pass, deferrals, shed and outstanding work included, are bitwise
   equal;
 * the summary-only summary equals ``simulate``'s field for field;
 * maxima, peaks, eta and the stabilization verdict are exact whatever the
   chunking. The means sum per chunk, so they are held to 1e-12 relative of
   ``np.mean`` over the whole column, the per-state density means included;
-* planned work is dispatched or outstanding.
+* planned work is dispatched, shed or outstanding.
 """
 
 import importlib
@@ -81,6 +81,9 @@ def _assert_chunking_changes_nothing(monkeypatch, cfg):
         assert getattr(run.forecast_log, name).tobytes() == \
             getattr(whole.forecast_log, name).tobytes(), name
     assert run.audit == whole.audit and run.audit.n_checked == run.frame.n
+    for name in ("throttle_deferrals", "shed_entries", "shed_density",
+                 "outstanding_entries", "outstanding_density"):
+        assert getattr(run.summary, name) == getattr(whole.summary, name), name
 
     assert only == run.summary
     got, ref = run.summary.to_dict(), whole.summary.to_dict()
@@ -101,7 +104,8 @@ def _assert_chunking_changes_nothing(monkeypatch, cfg):
 
     planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
     assert planned == pytest.approx(
-        run.frame.rho.sum() + run.summary.outstanding_density, rel=1e-9)
+        run.frame.rho.sum() + run.summary.shed_density
+        + run.summary.outstanding_density, rel=1e-9)
     return run
 
 
@@ -142,13 +146,17 @@ def test_throttle_work_straddles_a_chunk_edge(monkeypatch, forecaster,
                                               admission_lead_ms):
     # a weak compensation credit and a cap only Peak breaches; Peak starts
     # 292 steps before the edge and the run ends 60 steps after it, so
-    # firings, the slots they move work into, the EWMA windows they retime
-    # and the work they push past the last step all lie on both sides
+    # firings, the slots they move work into, the work they shed, the EWMA
+    # windows they retime and the work they push past the last step all lie
+    # on both sides
     sc = SchedulerConfig(forecaster=forecaster, throttle_compensation_gain=0.5,
                          throttle_cap_c=20.0, admission_lead_ms=admission_lead_ms)
     cfg = _cfg(C + 60, schedule=(("Low", 7900.0), ("Peak", 600.0)), scheduler=sc)
     run = _assert_chunking_changes_nothing(monkeypatch, cfg)
     assert run.summary.outstanding_entries > 0
+    # the replayed hint sees the entries deferred into a slot and sheds
+    # them; the trailing mean lets them through
+    assert (run.summary.shed_entries > 0) == (forecaster == "queue_replay")
     moved = run.frame.rho != generate_workload(cfg.workload, cfg.seed).rho
     assert moved[C - 300:C].any() and moved[C:].any()
     _assert_matches_oracle(cfg)

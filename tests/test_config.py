@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -82,6 +83,11 @@ def test_section_value_validation_paths():
     ({"thermal": {"r_th": 1e300}}, r"thermal.r_th = 1e\+300.*past the 1e\+80 C"),
     ({"thermal": {"p_baseline_w": 1e300}},
      r"thermal.p_baseline_w = 1e\+300.*past the 1e\+80 C"),
+    # wider than the density domain, and far too wide to cast to streams
+    ({"workload": {"noise_sigma": math.nextafter(1.8, 2.0)}},
+     r"workload.noise_sigma must be in \[0, 1.8\]"),
+    ({"workload": {"noise_sigma": 2e298}},
+     r"workload.noise_sigma must be in \[0, 1.8\]"),
 ])
 def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):

@@ -12,13 +12,14 @@ from cpodrift.scheduler import (
     SchedulerConfig,
     causality_audit,
     forecast,
-    lifo_cut,
     ordered_sum,
     preposition_fraction,
-    throttle_decision,
+    throttle_cut,
 )
 from cpodrift.thermal import ThermalParams, steady_state_delta_t
 from cpodrift.workload import AffineMapParams, density_to_power
+
+import oracle
 
 CFG = SchedulerConfig()
 
@@ -166,48 +167,34 @@ def test_forecast_log_csv_round_trip(tmp_path):
 # throttle
 
 THERMAL = ThermalParams()
+GAIN = 0.95
 
 
-def _hint_with_queue(rhos, issued=100.0, horizon=30.0):
-    q = tuple(
-        QueueEntry(dispatch_t_ms=issued + horizon, rho=r, admitted_t_ms=50.0)
-        for r in rhos
-    )
-    f = _filtration(now=issued, queue=q)
-    return HintForecast(
-        horizon_ms=horizon,
-        forecast_w=density_to_power(sum(rhos)),
-        issued_at_ms=issued, source="queue_replay",
-        newest_input_ms=50.0, filtration=f,
-    )
+def _projection(power_w, thermal=THERMAL, gain=GAIN):
+    return (1.0 - gain) * steady_state_delta_t(
+        thermal.r_th, max(0.0, power_w - thermal.p_baseline_w), thermal.gamma)
 
 
 def test_throttle_noop_under_cap():
     # peak-load projection with default headroom: 0.05 * 36.982 + idle share
-    hint = _hint_with_queue([2.7])
-    d = throttle_decision(hint, 4.15, THERMAL)
-    assert not d.fired and d.deferred == ()
-    assert d.projected_residual_c == pytest.approx(
+    n, after = throttle_cut([2.7], density_to_power(2.7), 4.15, THERMAL, GAIN)
+    assert n == 0
+    assert after == pytest.approx(
         0.05 * steady_state_delta_t(0.451, 94.0), rel=1e-9
     )
 
 
 def test_throttle_defers_lifo_until_under_cap():
-    hint = _hint_with_queue([0.9, 0.9, 0.9])
+    # the newest entries come out first: taking out the 0.9 alone leaves
+    # 2.0, which still breaches the cap; taking out the 1.5 as well leaves
+    # 0.5, which fits
+    rhos = [0.5, 1.5, 0.9]
+    total = 0.5 + 1.5 + 0.9
     cap = 1.0
-    d = throttle_decision(hint, cap, THERMAL)
-    assert d.fired
-    assert d.projected_after_c <= cap
-    # LIFO: the most recently enqueued entries go first
-    assert d.deferred[0] is hint.filtration.queue[-1]
-    # oracle: recompute the projection from the kept entries
-    kept_rho = sum(e.rho for e in hint.filtration.queue) - sum(
-        e.rho for e in d.deferred
-    )
-    expected = 0.05 * steady_state_delta_t(
-        THERMAL.r_th, density_to_power(max(kept_rho, 0.0)), THERMAL.gamma
-    )
-    assert d.projected_after_c == pytest.approx(expected, rel=1e-9)
+    n, after = throttle_cut(rhos, density_to_power(total), cap, THERMAL, GAIN)
+    assert n == 2
+    assert _projection(density_to_power(total - 0.9)) > cap >= after
+    assert after == _projection(density_to_power(max(total - 0.9 - 1.5, 0.0)))
 
 
 def test_throttle_sums_the_slot_in_queue_order():
@@ -220,60 +207,39 @@ def test_throttle_sums_the_slot_in_queue_order():
     assert ordered_sum(rhos) == in_order != math.fsum(rhos)
 
     def after(total):
-        return (1.0 - 0.95) * steady_state_delta_t(
-            THERMAL.r_th, density_to_power(total - rhos[-1]), THERMAL.gamma)
+        return _projection(density_to_power(total - rhos[-1]))
 
     assert after(in_order) != after(math.fsum(rhos))
-    d = throttle_decision(_hint_with_queue(rhos), 1.0, THERMAL)
-    assert d.deferred == (d.deferred[0],) and d.deferred[0].rho == 1.0
-    assert d.projected_after_c == after(in_order)
+    n, got = throttle_cut(rhos, density_to_power(in_order), 1.0, THERMAL, GAIN)
+    assert n == 1 and got == after(in_order)
 
 
-def _lifo_loop(rhos, forecast_w, cap, thermal, gain, wmap):
-    """The LIFO cut one entry at a time, in scalar arithmetic."""
-    def projection(power_w):
-        return (1.0 - gain) * steady_state_delta_t(
-            thermal.r_th, max(0.0, power_w - thermal.p_baseline_w), thermal.gamma)
-
-    after = projection(forecast_w)
-    remaining = 0.0
-    for r in rhos:
-        remaining += r
-    n = 0
-    for r in reversed(rhos):
-        if after <= cap:
-            break
-        n += 1
-        remaining -= r
-        after = projection(density_to_power(max(remaining, 0.0), wmap))
-    return n, after
-
-
-def test_lifo_cut_matches_the_entry_at_a_time_loop():
+def test_throttle_cut_matches_the_oracle_loop():
+    # the oracle pops QueueEntry items with its own law; both take out the
+    # same newest entries and leave the same projection, bit for bit
     rng = np.random.default_rng(11)
     thermal = ThermalParams(gamma=0.8, p_baseline_w=3.0)
     wmap = AffineMapParams(p_peak_w=80.0, p_max_w=80.0)
     fired = 0
-    for _ in range(400):
-        size = int(rng.integers(0, 40))
+    for _ in range(600):
+        # mostly the slots of at most two entries the run holds
+        size = int(rng.integers(0, 3) if rng.random() < 0.8 else
+                   rng.integers(3, 40))
         rhos = rng.uniform(0.0, 3.0, size) * 10.0 ** rng.integers(-17, 1, size)
         forecast_w = float(rng.uniform(0.0, 120.0))
         cap = float(rng.uniform(0.05, 6.0))
         gain = float(rng.uniform(0.0, 1.0))
-        want = _lifo_loop(rhos.tolist(), forecast_w, cap, thermal, gain, wmap)
-        assert lifo_cut(rhos, forecast_w, cap, thermal, gain, wmap) == want
-        fired += want[0] > 0
-    assert 50 < fired < 400
+        slot = [[QueueEntry(0.0, r), False] for r in rhos.tolist()]
+        popped, want = oracle.throttle(list(slot), forecast_w, cap, gain,
+                                       thermal, wmap)
+        n, after = throttle_cut(rhos.tolist(), forecast_w, cap, thermal, gain,
+                                wmap)
+        assert (n, after) == (len(popped), want)
+        assert all(a is b for a, b in zip(popped, slot[::-1]))
+        fired += n > 0
+    assert 50 < fired < 600
 
 
 def test_throttle_empty_queue_noop():
-    hint = HintForecast(horizon_ms=30.0, forecast_w=500.0, issued_at_ms=0.0,
-                        filtration=_filtration(now=0.0))
-    d = throttle_decision(hint, 0.1, THERMAL)
-    assert not d.fired
-
-
-def test_throttle_validates_cap():
-    hint = _hint_with_queue([1.0])
-    with pytest.raises(InputError):
-        throttle_decision(hint, 0.0, THERMAL)
+    n, after = throttle_cut([], 500.0, 0.1, THERMAL, GAIN)
+    assert n == 0 and after == _projection(500.0) > 0.1

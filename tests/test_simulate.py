@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import importlib
 import math
 import os
 import subprocess
@@ -12,12 +13,15 @@ import pytest
 
 from cpodrift.config import RunConfig, comparison_config, default_config
 from cpodrift.controller import ControllerParams, Mode
-from cpodrift.scheduler import SchedulerConfig
+from cpodrift.scheduler import SchedulerConfig, throttle_cut
 from cpodrift.simulate import schedule, simulate
 from cpodrift.telemetry import write_csv
 from cpodrift.thermal import ThermalParams, _one_pole, _scan_block, gamma_of_distance
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
 from oracle import simulate_oracle
+
+# the package attribute ``simulate`` is the function, not the module
+sim = importlib.import_module("cpodrift.simulate")
 
 
 def _small_cfg(mode=Mode.PREDICTIVE, steps=3000, seed=7, **controller_kw):
@@ -28,8 +32,9 @@ def _small_cfg(mode=Mode.PREDICTIVE, steps=3000, seed=7, **controller_kw):
     )
 
 
-# Bursts at Peak with a weak compensation credit: the throttle fires,
-# re-defers what it deferred and drops work past the last step.
+# Bursts at Peak with a weak compensation credit: the throttle fires, sheds
+# what it had deferred once already and leaves work past the last step
+# outstanding.
 THROTTLE_SCHEDULE = (("Low", 150), ("Peak", 300), ("Low", 150), ("Peak", 150))
 
 
@@ -61,6 +66,9 @@ def _assert_matches_oracle(cfg, col_tol=1e-12):
     assert run.summary.outstanding_entries == ref.summary.outstanding_entries
     assert run.summary.outstanding_density == pytest.approx(
         ref.summary.outstanding_density, rel=1e-9, abs=1e-9)
+    assert run.summary.shed_entries == ref.summary.shed_entries
+    assert run.summary.shed_density == pytest.approx(
+        ref.summary.shed_density, rel=1e-9, abs=1e-9)
     assert np.array_equal(run.frame.queue_depth, ref.frame.queue_depth)
     assert run.frame.load_state == ref.frame.load_state
     np.testing.assert_array_equal(run.forecast_log.newest_input_ms,
@@ -194,10 +202,10 @@ def test_deferred_work_lines_up_behind_admitted_work():
 
 
 def test_throttled_runs_conserve_planned_work():
-    # seeded random throttled configs: every planned density is dispatched
-    # or still outstanding past the last step
+    # seeded random throttled configs: every planned density is dispatched,
+    # shed, or still outstanding past the last step
     rng = np.random.default_rng(2026)
-    outstanding = []
+    outstanding, shed = [], []
     for _ in range(12):
         step_ms = float(rng.choice([1.0, 2.0, 5.0]))
         cfg = RunConfig(
@@ -213,9 +221,11 @@ def test_throttled_runs_conserve_planned_work():
         run = simulate(cfg)
         planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
         assert planned == pytest.approx(
-            run.frame.rho.sum() + run.summary.outstanding_density, rel=1e-9)
+            run.frame.rho.sum() + run.summary.shed_density
+            + run.summary.outstanding_density, rel=1e-9)
         outstanding.append(run.summary.outstanding_entries)
-    assert max(outstanding) > 0
+        shed.append(run.summary.shed_entries)
+    assert max(outstanding) > 0 and max(shed) > 0
 
 
 def _gain_half_cfg(steps):
@@ -224,15 +234,37 @@ def _gain_half_cfg(steps):
                    scheduler=replace(cfg.scheduler, throttle_compensation_gain=0.5))
 
 
-# sha256 of the telemetry and forecast-log CSVs of throttled runs, as
-# written by the per-entry throttle loop that the array slots replaced
+@pytest.mark.parametrize("steps", [5_000, 10_000, 20_000])
+def test_an_entry_is_deferred_at_most_once(monkeypatch, steps):
+    # every slot holds its plan entry and at most the one entry deferred
+    # into it, so the deferrals stay within one per step
+    sizes = []
+
+    def counting_cut(slot, *args):
+        sizes.append(len(slot))
+        return throttle_cut(slot, *args)
+
+    monkeypatch.setattr(sim, "throttle_cut", counting_cut)
+    cfg = _gain_half_cfg(steps)
+    run = simulate(cfg)
+    s = run.summary
+    assert 0 < s.throttle_deferrals <= steps
+    assert max(sizes) == 2
+    assert s.shed_entries > 0 and s.outstanding_entries > 0
+    planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
+    assert planned == pytest.approx(
+        run.frame.rho.sum() + s.shed_density + s.outstanding_density, rel=1e-9)
+
+
+# sha256 of the telemetry and forecast-log CSVs of throttled runs under the
+# defer-once policy, recorded once the per-step oracle agreed with them
 @pytest.mark.parametrize("cfg, deferrals, max_queue, telemetry, forecast_log", [
-    (_throttled_cfg(), 5542, 2856,
-     "c14488da435425e510000d575e91c66deb35e459a1ef386ba891781ff437f2b9",
-     "e443b2b4581ebdc8d939a50294b34f973694bff02b129251abbe4d1a6b859feb"),
-    (_gain_half_cfg(10_000), 191_820, 11_913,
-     "03ec7e9fe9cc1609faf010b36b24efb93047ba79974fda4dfbc8987b413596e3",
-     "f690e6f5b3a0e98e9dba900a9b76681908b2373f8b85c39d95d9f26d3aa66e4a"),
+    (_throttled_cfg(), 1040, 578,
+     "c9f61636b9a1923fe71906c375c2cce1186a315543006370412b12b8ca8cb539",
+     "8917e5f6ef55c472e9249d10114b3ab8b41d3bb4c92d9bdc60e8c79a2b5e5a19"),
+    (_gain_half_cfg(10_000), 5_500, 393,
+     "74bb4eb1096f9f6fef2a385409df1435d9fc00a22b05d59635f7dc581b15b1b2",
+     "c621bba98961d702729039b2d8db5696a4ef4ca72cf944dd64621a9617d459a5"),
 ], ids=["throttled_cfg", "gain_half_10k"])
 def test_throttled_run_csvs_are_byte_identical_to_golden(
         tmp_path, cfg, deferrals, max_queue, telemetry, forecast_log):
