@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, InputError, check_fields
 
 
@@ -42,13 +44,13 @@ class DriftAssessment:
 
 
 def drift(delta_t_c, params: OpticParams = OpticParams()):
-    """Resonant wavelength drift, nm: kappa_to * delta_t. Accepts arrays."""
-    try:
-        if not math.isfinite(float(delta_t_c)):
-            raise InputError(f"delta_t_c must be finite, got {delta_t_c!r}")
-        return params.kappa_to * float(delta_t_c)
-    except TypeError:
-        return params.kappa_to * delta_t_c  # ndarray input
+    """Resonant wavelength drift, nm: kappa_to * delta_t. Accepts arrays,
+    one element long too, and gives an array for them."""
+    if np.ndim(delta_t_c):
+        return params.kappa_to * delta_t_c
+    if not math.isfinite(float(delta_t_c)):
+        raise InputError(f"delta_t_c must be finite, got {delta_t_c!r}")
+    return params.kappa_to * float(delta_t_c)
 
 
 def assess(drift_nm: float, params: OpticParams = OpticParams()) -> DriftAssessment:

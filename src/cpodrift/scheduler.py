@@ -234,8 +234,7 @@ def forecast(
 # ---------------------------------------------------------------------------
 # forecast log + causality audit
 
-_SOURCE_CODES = {"queue_replay": 0, "ewma": 1}
-_SOURCE_NAMES = {v: k for k, v in _SOURCE_CODES.items()}
+_SOURCE_NAMES = ("queue_replay", "ewma")     # by source code
 
 
 @dataclass(frozen=True)
@@ -247,15 +246,6 @@ class ForecastLog:
     forecast_w: np.ndarray
     newest_input_ms: np.ndarray
     source: np.ndarray          # 0 = queue replay, 1 = EWMA fallback
-
-    @classmethod
-    def from_hints(cls, hints) -> "ForecastLog":
-        """The log of hints (:class:`HintForecast`), in the order given."""
-        hints = tuple(hints)
-        return cls(*(np.array([getattr(h, name) for h in hints], dtype=float)
-                     for name in ("issued_at_ms", "horizon_ms", "forecast_w",
-                                  "newest_input_ms")),
-                   np.array([_SOURCE_CODES[h.source] for h in hints], dtype=int))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

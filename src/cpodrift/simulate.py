@@ -35,12 +35,12 @@ the forecast power and horizon of a hint. So a run is two passes, and
   schedule pass runs one chunk ahead, since the replica reads hints past
   its chunk.
 
-The chunks give a one-chunk run's columns bit for bit. Each goes to the
+The chunks give a one-chunk run's columns bit for bit, and :func:`_chunks`
+is the one reader of the plan and the schedule pass. Each chunk goes to the
 streaming summary (:class:`_Summary`), and :func:`simulate` also copies it
 into the preallocated telemetry frame and forecast log. A summary-only run
 (:func:`_summarize`) keeps nothing whole-run, so its memory does not grow
-with the step count. :func:`generate_workload` and :func:`schedule` are the
-plan and the schedule pass of a whole run, joined from the same chunks.
+with the step count. A run of no steps yields no chunk.
 
 ``tests/oracle.py`` composes the module-level operations step by step
 (Filtration snapshots, forecast(), thermal.step(), and its own per-entry
@@ -52,14 +52,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .config import RunConfig
 from .controller import _Compensator
+from .optics import drift
 from .scheduler import (
     AuditReport,
     ForecastLog,
@@ -72,7 +73,6 @@ from .thermal import _response, peak_junction_temperature
 from .workload import (
     STATE_BY_NAME,
     AffineMapParams,
-    WorkloadPlan,
     _PlanStream,
     density_to_power,
     density_to_throughput,
@@ -125,18 +125,10 @@ class RunResult:
     audit: AuditReport
 
 
-def _empty_result(config: RunConfig) -> RunResult:
-    frame = TelemetryFrame.empty()
-    summary = SimulationSummary(steps=0, duration_ms=0.0)
-    return RunResult(config=config, frame=frame, summary=summary,
-                     forecast_log=ForecastLog.from_hints(()),
-                     audit=AuditReport(n_checked=0, violations=()))
-
-
 @dataclass(frozen=True)
 class DispatchTrace:
-    """Outcome of the schedule pass, one entry per step of a run or of a
-    chunk of it; the counts of a chunk are totals through its last step."""
+    """Outcome of the schedule pass over one chunk of a run, one entry per
+    step; the counts are totals through the chunk's last step."""
 
     rho: np.ndarray              # dispatched density
     power_w: np.ndarray          # dispatched power
@@ -158,8 +150,6 @@ def simulate(config: RunConfig) -> RunResult:
     logs across repeated runs.
     """
     N = config.workload.step_count
-    if N == 0:
-        return _empty_result(config)
     sc = config.scheduler
     eta = preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)
     frame = TelemetryFrame(
@@ -196,8 +186,6 @@ def _summarize(config: RunConfig) -> SimulationSummary:
     """``simulate(config).summary`` without the telemetry frame: the chunks
     go to the streaming summary alone, so the run holds a few chunks at a
     time whatever its length."""
-    if config.workload.step_count == 0:
-        return SimulationSummary(steps=0, duration_ms=0.0)
     stats = _Summary(config)
     for chunk in _chunks(config):
         stats.add(chunk)
@@ -227,8 +215,8 @@ class _Chunk(NamedTuple):
 
 
 def _chunks(config: RunConfig) -> Iterator[_Chunk]:
-    """The run of ``config``, which has steps, ``_CHUNK_STEPS`` steps at a
-    time.
+    """The run of ``config``, ``_CHUNK_STEPS`` steps at a time; none for a
+    run of no steps.
 
     Each chunk of the plan (:class:`_PlanStream`) goes through the schedule
     pass (:func:`_dispatch`) and then the physics: the plant's response to
@@ -240,10 +228,12 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
     N, dt = wl.step_count, wl.step_period_ms
     bias_of = _Compensator(N, dt, config.controller, thermal,
                            config.scheduler.horizon_ms)
-    steps = _dispatch(config, _PlanStream(wl, config.seed), N)
+    steps = _dispatch(config)
     # the schedule pass runs a chunk ahead of the physics: the predictive
     # replica reads hints up to a scan block past its chunk
-    ahead = next(steps)
+    ahead = next(steps, None)
+    if ahead is None:
+        return
     bias_of.feed(ahead[1].hint_w)
     plant = 0.0
     lo = 0
@@ -257,28 +247,12 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
         residual = np.abs(dT - bias)
         t = np.arange(lo, lo + dT.size, dtype=float) * dt
         yield _Chunk(lo, t, state_idx, trace, dT, bias, residual,
-                     config.optics.kappa_to * residual)
+                     drift(residual, config.optics))
         lo += dT.size
 
 
 # ---------------------------------------------------------------------------
 # schedule pass
-
-# state_idx, rho and n_streams of consecutive steps
-_Plan = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def schedule(config: RunConfig, plan: WorkloadPlan) -> DispatchTrace:
-    """The schedule pass over a whole plan: :func:`_dispatch`'s chunks
-    joined."""
-    parts = [trace for _, trace in _dispatch(
-        config, lambda lo, hi: (plan.state_idx[lo:hi], plan.rho[lo:hi],
-                                plan.n_streams[lo:hi]), plan.step_count)]
-    return replace(parts[-1], **{
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in fields(DispatchTrace)
-        if isinstance(getattr(parts[0], f.name), np.ndarray)})
-
 
 def _planned_queue_depth(n_streams: np.ndarray, lo: int, hi: int, adm: int,
                          N: int) -> np.ndarray:
@@ -293,23 +267,20 @@ def _planned_queue_depth(n_streams: np.ndarray, lo: int, hi: int, adm: int,
     return depth
 
 
-def _extended(buffers: tuple[np.ndarray, ...], plan: _Plan,
+def _extended(buffers: tuple[np.ndarray, ...], plan: tuple[np.ndarray, ...],
               wmap: AffineMapParams) -> tuple[np.ndarray, ...]:
     """The state, planned density, planned streams, dispatched density and
-    power buffers of :func:`_dispatch` with the steps of ``plan`` added."""
+    power buffers of :func:`_dispatch` with the steps of ``plan`` (its
+    ``state_idx``, ``rho`` and ``n_streams``) added."""
     state_idx, rho, n_streams = plan
     return tuple(map(np.concatenate, zip(buffers, (
         state_idx, rho, n_streams, rho, density_to_power(rho, wmap)))))
 
 
-def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
-              N: int) -> Iterator[tuple[np.ndarray, DispatchTrace]]:
-    """Dispatch, hints, queue depth, deferrals and shed work of an ``N``-step
-    run from its plan alone, ``_CHUNK_STEPS`` steps at a time, each with the
-    load state of its steps.
-
-    ``read_plan(lo, hi)`` gives ``state_idx``, ``rho`` and ``n_streams`` of
-    steps [lo, hi), read in step order.
+def _dispatch(config: RunConfig) -> Iterator[tuple[np.ndarray, DispatchTrace]]:
+    """Dispatch, hints, queue depth, deferrals and shed work of the run of
+    ``config`` from its plan (:class:`_PlanStream`) alone, ``_CHUNK_STEPS``
+    steps at a time, each with the load state of its steps.
 
     A hint replays the admitted queue at t + horizon and falls back to the
     half-life weighted mean of the dispatched power where the plan no longer
@@ -335,7 +306,8 @@ def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
     """
     sc = config.scheduler
     wmap = config.affine_map
-    dt = config.workload.step_period_ms
+    N, dt = config.workload.step_count, config.workload.step_period_ms
+    plan = _PlanStream(config.workload, config.seed)
     h = steps_of(sc.horizon_ms, dt)
     slice_steps = steps_of(sc.t_slice_ms, dt)
     adm = steps_of(sc.admission_lead_ms, dt)
@@ -390,8 +362,7 @@ def _dispatch(config: RunConfig, read_plan: Callable[[int, int], _Plan],
         hi = min(lo + _CHUNK_STEPS, N)
         if top < min(N, hi + reach):
             sidx, prho, pn, rho, P = _extended(
-                (sidx, prho, pn, rho, P), read_plan(top, min(N, hi + reach)),
-                wmap)
+                (sidx, prho, pn, rho, P), plan(top, min(N, hi + reach)), wmap)
             top = min(N, hi + reach)
             moved = np.concatenate((moved, np.zeros(top + 1 - lo - moved.size,
                                                     dtype=np.int64)))
@@ -563,12 +534,14 @@ class _Summary:
 
     def finish(self) -> tuple[SimulationSummary, AuditReport]:
         config, tr = self.config, self.trace
+        audit = AuditReport(n_checked=self.n_checked,
+                            violations=tuple(self.violations))
+        if tr is None:      # no chunk: a run of no steps
+            return SimulationSummary(steps=0, duration_ms=0.0), audit
         thermal = config.thermal
         dt = config.workload.step_period_ms
         N = config.workload.step_count
         eta = preposition_fraction(config.scheduler.horizon_ms, thermal.tau_ms)
-        audit = AuditReport(n_checked=self.n_checked,
-                            violations=tuple(self.violations))
 
         summary = SimulationSummary(
             steps=N,

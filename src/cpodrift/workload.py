@@ -276,10 +276,6 @@ class WorkloadPlan:
             for a, w, r in zip(attn, act, rout)
         )
 
-    def __iter__(self):
-        for k in range(self.step_count):
-            yield float(self.t_ms[k]), self.streams_at(k)
-
 
 class _PlanStream:
     """The plan of :func:`generate_workload`, read in step order, any number
@@ -288,7 +284,8 @@ class _PlanStream:
     The state of step k is read from its position in the schedule's cycle,
     so nothing step-sized is built past the steps read. The noise is drawn
     from one generator read after read, which gives the one-call draw bit
-    for bit.
+    for bit. A stream set has no negative density, so a read that draws one
+    raises a ``ConfigError`` naming ``workload.noise_sigma``.
     """
 
     def __init__(self, config: WorkloadConfig, seed: int) -> None:
@@ -302,6 +299,7 @@ class _PlanStream:
                                for _, dur_ms in config.schedule])
         self.rho_targets = np.asarray([s.rho_target
                                        for s in STATE_BY_NAME.values()])
+        self.seed = seed
         self.rng = np.random.default_rng(seed) if config.noise_sigma > 0 \
             else None
         self.top = 0    # steps read
@@ -316,7 +314,14 @@ class _PlanStream:
         state_idx = self.idx[np.searchsorted(self.ends, pos, side="right")]
         rho = self.rho_targets[state_idx]
         if self.rng is not None:
-            rho += self.rng.normal(0.0, self.config.noise_sigma, hi - lo)
+            sigma = self.config.noise_sigma
+            rho += self.rng.normal(0.0, sigma, hi - lo)
+            negative = np.flatnonzero(rho < 0)
+            if negative.size:
+                raise ConfigError(
+                    f"workload.noise_sigma = {sigma} draws a negative density "
+                    f"with seed {self.seed}, first at step "
+                    f"{lo + int(negative[0])}; a stream set cannot have one")
         n_streams = np.maximum(
             1, np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64))
         return state_idx, rho, n_streams

@@ -335,7 +335,11 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         cols["drift"].append(ctrl.residual_drift_nm)
         cols["qd"].append(qd)
 
-    log = ForecastLog.from_hints(hints)
+    log = ForecastLog(
+        *(np.array([getattr(h, name) for h in hints], dtype=float)
+          for name in ("issued_at_ms", "horizon_ms", "forecast_w",
+                       "newest_input_ms")),
+        np.array([h.source == "ewma" for h in hints], dtype=int))
     eta = preposition_fraction(sc.horizon_ms, thermal.tau_ms)
     qd_arr = np.asarray(cols["qd"], dtype=np.int64)
     frame = TelemetryFrame(

@@ -68,7 +68,8 @@ def test_validation90k_row_count(tmp_path):
     res = run_experiment("validation90k", out_dir=tmp_path)
     assert res.ok
     tele = tmp_path / "validation90k_telemetry.csv"
-    assert sum(1 for _ in open(tele)) == 90_001  # header + 90,000 rows
+    with open(tele) as fh:
+        assert sum(1 for _ in fh) == 90_001  # header + 90,000 rows
     assert res.summary["rho_dt_fit"]["r_squared"] >= 0.98
 
 

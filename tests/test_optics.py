@@ -17,6 +17,8 @@ def test_drift_linear_and_sign_preserving():
     for t in (-20.0, -1.0, 0.5, 12.0):
         assert drift(3.0 * t) == pytest.approx(3.0 * drift(t), rel=1e-12)
         assert (drift(t) < 0) == (t < 0)
+    for t in (np.array([12.0]), np.array([-1.0, 0.5])):
+        assert drift(t).tobytes() == (P.kappa_to * t).tobytes()
 
 
 def test_drift_rejects_nonfinite():

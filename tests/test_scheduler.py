@@ -7,7 +7,6 @@ from cpodrift.errors import ConfigError, InputError, SliceViolationError
 from cpodrift.scheduler import (
     Filtration,
     ForecastLog,
-    HintForecast,
     QueueEntry,
     SchedulerConfig,
     causality_audit,
@@ -119,43 +118,47 @@ def test_scheduler_config_validation():
 # ---------------------------------------------------------------------------
 # causality audit
 
-def _log_entry(issued, newest, fw=50.0):
-    return HintForecast(horizon_ms=30.0, forecast_w=fw, issued_at_ms=issued,
-                        source="ewma", newest_input_ms=newest)
+def _log(*stamps):
+    """The log of EWMA hints issued and reading input at the given
+    (issued, newest) stamp pairs."""
+    issued, newest = np.array(stamps, dtype=float).reshape(-1, 2).T
+    n = issued.size
+    return ForecastLog(issued, np.full(n, 30.0), np.full(n, 50.0), newest,
+                       np.ones(n, dtype=int))
 
 
 def test_audit_clean_log():
-    log = ForecastLog.from_hints(_log_entry(t, t - 0.5) for t in (0.0, 1.0, 2.0))
+    log = _log(*((t, t - 0.5) for t in (0.0, 1.0, 2.0)))
     rep = causality_audit(log, np.array([[0.0, 10.0], [1.0, 11.0], [2.0, 12.0]]))
     assert rep.ok and rep.n_checked == 3
 
 
 def test_audit_detects_planted_future_read():
-    log = ForecastLog.from_hints((
-        _log_entry(0.0, 0.0),
-        _log_entry(1.0, 5.0),  # reads 4 ms into the future
-    ))
+    log = _log(
+        (0.0, 0.0),
+        (1.0, 5.0),  # reads 4 ms into the future
+    )
     rep = causality_audit(log, np.array([[0.0, 10.0], [1.0, 11.0]]))
     assert not rep.ok
     assert rep.violations == ((1.0, 5.0),)
 
 
 def test_audit_empty_traces():
-    rep = causality_audit(ForecastLog.from_hints(()), np.empty((0, 2)))
+    rep = causality_audit(_log(), np.empty((0, 2)))
     assert rep.ok and rep.n_checked == 0 and rep.violations == ()
 
 
 def test_audit_rejects_unsorted_traces():
-    log = ForecastLog.from_hints((_log_entry(5.0, 1.0), _log_entry(2.0, 1.0)))
+    log = _log((5.0, 1.0), (2.0, 1.0))
     with pytest.raises(InputError):
         causality_audit(log, np.array([[0.0, 1.0]]))
-    ok_log = ForecastLog.from_hints((_log_entry(0.0, 0.0),))
+    ok_log = _log((0.0, 0.0))
     with pytest.raises(InputError):
         causality_audit(ok_log, np.array([[1.0, 5.0], [0.0, 6.0]]))
 
 
 def test_forecast_log_csv_round_trip(tmp_path):
-    log = ForecastLog.from_hints((_log_entry(0.0, 0.0), _log_entry(1.0, 0.5)))
+    log = _log((0.0, 0.0), (1.0, 0.5))
     p = tmp_path / "log.csv"
     log.write_csv(p)
     lines = p.read_text().splitlines()

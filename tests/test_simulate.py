@@ -13,9 +13,10 @@ import pytest
 
 from cpodrift.config import RunConfig, comparison_config, default_config
 from cpodrift.controller import ControllerParams, Mode
-from cpodrift.scheduler import SchedulerConfig, throttle_cut
-from cpodrift.simulate import schedule, simulate
-from cpodrift.telemetry import write_csv
+from cpodrift.errors import ConfigError
+from cpodrift.scheduler import ForecastLog, SchedulerConfig, throttle_cut
+from cpodrift.simulate import simulate
+from cpodrift.telemetry import TelemetryFrame, write_csv
 from cpodrift.thermal import ThermalParams, _one_pole, _scan_block, gamma_of_distance
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
 from oracle import simulate_oracle
@@ -142,28 +143,38 @@ def test_largest_accepted_plant_gain_stays_finite(mode):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b))), col
 
 
-def _bits(trace):
-    return {f.name: (v.dtype.str, v.shape, v.tobytes())
-            for f in fields(trace)
-            for v in [np.asarray(getattr(trace, f.name))]}
+# what the schedule pass gives a run: these columns and throttle counters
+_SCHEDULE_COLUMNS = (("frame", ("rho", "p_eic_w", "hint_w", "queue_depth")),
+                     ("forecast_log", ("newest_input_ms", "source")))
+_THROTTLE_COUNTERS = ("throttle_deferrals", "outstanding_density",
+                      "outstanding_entries", "shed_density", "shed_entries")
+
+
+def _bits(run):
+    """The schedule pass's outcome in ``run``, bit for bit."""
+    bits = {name: getattr(run.summary, name) for name in _THROTTLE_COUNTERS}
+    for part, names in _SCHEDULE_COLUMNS:
+        for name in names:
+            v = getattr(getattr(run, part), name)
+            bits[name] = v.dtype.str, v.shape, v.tobytes()
+    return bits
 
 
 @pytest.mark.parametrize("throttle", [True, False])
 def test_schedule_reads_no_controller_field(throttle):
     # domain separation: no compensator setting, every mode included, moves
-    # a bit of the dispatch trace
+    # a bit of the schedule pass's outcome
     cfg = _throttled_cfg(throttle_enabled=throttle)
-    plan = generate_workload(cfg.workload, cfg.seed)
-    trace = schedule(cfg, plan)
-    assert (trace.deferrals > 0) == throttle
-    base = _bits(trace)
+    run = simulate(cfg)
+    assert (run.summary.throttle_deferrals > 0) == throttle
+    base = _bits(run)
     cp = cfg.controller
     variants = [replace(cp, mode=m) for m in Mode] + [
         replace(cp, **{f.name: getattr(cp, f.name) * 0.5})
         for f in fields(cp) if f.name != "mode"
     ]
     for variant in variants:
-        assert _bits(schedule(replace(cfg, controller=variant), plan)) == base, \
+        assert _bits(simulate(replace(cfg, controller=variant))) == base, \
             variant
 
 
@@ -179,7 +190,7 @@ def test_planned_queue_depth_and_input_stamps(times, forecaster):
     # the whole-run index arithmetic these columns were first built with
     cfg = _throttled_cfg(forecaster=forecaster, throttle_enabled=False, **times)
     plan = generate_workload(cfg.workload, cfg.seed)
-    trace = schedule(cfg, plan)
+    run = simulate(cfg)
     N, dt, sc = plan.step_count, plan.step_period_ms, cfg.scheduler
     h = min(round(sc.horizon_ms / dt), N)
     adm = min(round(sc.admission_lead_ms / dt), N)
@@ -189,7 +200,8 @@ def test_planned_queue_depth_and_input_stamps(times, forecaster):
     replay = max(0, N - h) if forecaster == "queue_replay" else 0
     newest = plan.t_ms.copy()
     newest[:replay] = np.maximum(0, np.arange(replay) + h - adm) * dt
-    for got, want in ((trace.queue_depth, depth), (trace.newest_input_ms, newest)):
+    for got, want in ((run.frame.queue_depth, depth),
+                      (run.forecast_log.newest_input_ms, newest)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -321,7 +333,39 @@ def test_zero_duration_run():
     assert run.frame.n == 0
     assert run.summary.steps == 0
     assert run.summary.max_drift_nm == 0.0
-    assert run.audit.ok
+    assert run.audit.ok and run.audit.n_checked == 0
+    assert sim._summarize(cfg) == run.summary
+    empty = TelemetryFrame.empty()
+    for f in fields(empty):
+        assert np.asarray(getattr(run.frame, f.name)).dtype == \
+            np.asarray(getattr(empty, f.name)).dtype, f.name
+    for f in fields(ForecastLog):
+        col = getattr(run.forecast_log, f.name)
+        assert col.shape == (0,) and col.dtype == (
+            int if f.name == "source" else float), f.name
+
+
+@pytest.mark.parametrize("run", [simulate, sim._summarize,
+                                 lambda cfg: generate_workload(cfg.workload,
+                                                               cfg.seed)],
+                         ids=["simulate", "summarize", "generate_workload"])
+def test_a_plan_that_draws_a_negative_density_is_rejected(run):
+    # a stream set has no negative density, and no power below idle's ramp
+    # may be clamped silently: such a noise draw is refused, naming the field
+    cfg = default_config(24)
+    cfg = replace(cfg, workload=replace(cfg.workload, step_count=20_000,
+                                        noise_sigma=1.0))
+    with pytest.raises(ConfigError, match=r"workload\.noise_sigma .*seed 24"):
+        run(cfg)
+
+
+def test_a_wide_noise_that_stays_positive_runs():
+    cfg = default_config(24)
+    cfg = replace(cfg, workload=replace(cfg.workload, step_count=20_000,
+                                        noise_sigma=0.15))
+    run = simulate(cfg)
+    assert run.summary.steps == 20_000 and run.audit.ok
+    assert run.frame.rho.min() > 0
 
 
 def test_causality_audit_clean_on_default_runs(validation_run, transient_run,
