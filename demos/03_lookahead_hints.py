@@ -27,7 +27,6 @@ f = Filtration(
     now_ms=100.0,
     power_history=tuple((float(t), 32.5) for t in range(80, 101)),
     queue=(QueueEntry(dispatch_t_ms=130.0, rho=2.7, admitted_t_ms=60.0),),
-    queue_depth=1,
 )
 hint = forecast(f, 100.0, 30.0)
 print(f"\nqueue replay: forecast {hint.forecast_w:.1f} W at t+30 ms "

@@ -17,13 +17,7 @@ from .config import (
     stabilization_config,
     transient_config,
 )
-from .controller import (
-    ComparisonReport,
-    ControllerParams,
-    Mode,
-    energy_margin_estimate,
-    run_comparison,
-)
+from .controller import ControllerParams, Mode, energy_margin_estimate
 from .errors import (
     ConfigError,
     CoverageError,
@@ -38,7 +32,13 @@ from .errors import (
     StepSizeError,
     UsageError,
 )
-from .experiments import EXPERIMENT_NAMES, ExperimentResult, run_experiment
+from .experiments import (
+    EXPERIMENT_NAMES,
+    ComparisonReport,
+    ExperimentResult,
+    run_comparison,
+    run_experiment,
+)
 from .fingerprint import (
     FingerprintReport,
     RegressionResult,

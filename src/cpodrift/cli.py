@@ -14,10 +14,9 @@ from pathlib import Path
 
 from . import fingerprint as fp
 from .config import apply_overrides, comparison_config, load_config, RunConfig
-from .controller import run_comparison
 from .errors import CpodriftError
-from .experiments import (EXPERIMENT_NAMES, experiment_config, run_experiment,
-                          write_json)
+from .experiments import (EXPERIMENT_NAMES, experiment_config, run_comparison,
+                          run_experiment, write_json)
 from .simulate import simulate
 from .telemetry import read_csv, write_csv
 from .verify import verify

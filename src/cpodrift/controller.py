@@ -29,7 +29,7 @@ is :func:`thermal.respond` over the hint stream.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,140 +246,3 @@ def energy_margin_estimate(
             "pJ/bit baseline"
         )
     return savings_pj_per_bit / baseline_pj_per_bit
-
-
-# ---------------------------------------------------------------------------
-# mode comparison
-
-@dataclass(frozen=True)
-class ModeResult:
-    mode: str
-    max_drift_nm: float
-    mean_drift_nm: float
-    max_residual_c: float
-    mean_residual_c: float
-    budget_fraction: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    modes: tuple[ModeResult, ...]
-    improvement_ratio: float | None     # reactive max drift / predictive max drift
-    energy_margin_fraction: float
-    energy_note: str
-    seed: int
-    notes: tuple[str, ...]
-    audit_ok: bool = True               # causality audit across all mode runs
-
-    def by_mode(self, name: str) -> ModeResult:
-        for m in self.modes:
-            if m.mode == name:
-                return m
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "modes": {
-                m.mode: {
-                    "max_drift_nm": m.max_drift_nm,
-                    "mean_drift_nm": m.mean_drift_nm,
-                    "max_residual_c": m.max_residual_c,
-                    "mean_residual_c": m.mean_residual_c,
-                    "budget_fraction": m.budget_fraction,
-                }
-                for m in self.modes
-            },
-            "improvement_ratio": self.improvement_ratio,
-            "energy_margin_fraction": self.energy_margin_fraction,
-            "energy_note": self.energy_note,
-            "seed": self.seed,
-            "notes": list(self.notes),
-            "audit_ok": self.audit_ok,
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"{'mode':<12} {'max drift':>10} {'mean drift':>11} "
-            f"{'max resid':>10} {'budget':>8}",
-            "-" * 56,
-        ]
-        for m in self.modes:
-            lines.append(
-                f"{m.mode:<12} {m.max_drift_nm:>8.4f} nm {m.mean_drift_nm:>8.4f} nm "
-                f"{m.max_residual_c:>8.3f} C {m.budget_fraction:>7.1%}"
-            )
-        if self.improvement_ratio is not None:
-            lines.append(f"improvement ratio (reactive/predictive): "
-                         f"{self.improvement_ratio:.2f}x")
-        lines.append(
-            f"energy margin: {self.energy_margin_fraction:.0%} ({self.energy_note})"
-        )
-        for n in self.notes:
-            lines.append(f"note: {n}")
-        return "\n".join(lines)
-
-
-def run_comparison(
-    config=None,
-    modes: tuple[ControllerParams, ...] | None = None,
-    *,
-    baseline_pj_per_bit: float = 5.0,
-    savings_pj_per_bit: float = 0.85,
-) -> ComparisonReport:
-    """Run the same seeded workload under several controller modes.
-
-    Every mode sees the identical workload plan (same config, same seed);
-    results are therefore directly comparable and deterministic per seed.
-    Each mode runs summary-only: no telemetry frame is built.
-    """
-    from .config import comparison_config
-    from .simulate import _summarize
-
-    if config is None:
-        config = comparison_config()
-    if modes is None:
-        modes = (
-            replace(config.controller, mode=Mode.REACTIVE),
-            replace(config.controller, mode=Mode.PREDICTIVE),
-            replace(config.controller, mode=Mode.OPEN_LOOP),
-        )
-    if not modes:
-        raise ConfigError("run_comparison: empty mode set")
-
-    results = []
-    audit_ok = True
-    for mp in modes:
-        summary = _summarize(replace(config, controller=mp))
-        audit_ok = audit_ok and summary.audit_violations == 0
-        results.append(ModeResult(
-            mode=mp.mode.value,
-            max_drift_nm=summary.max_drift_nm,
-            mean_drift_nm=summary.mean_drift_nm,
-            max_residual_c=summary.max_residual_c,
-            mean_residual_c=summary.mean_residual_c,
-            budget_fraction=summary.max_drift_nm / config.optics.tolerance_band_nm,
-        ))
-
-    by_mode = {r.mode: r for r in results}
-    ratio = None
-    if "reactive" in by_mode and "predictive" in by_mode:
-        pred = by_mode["predictive"].max_drift_nm
-        ratio = by_mode["reactive"].max_drift_nm / pred if pred > 0 else None
-
-    return ComparisonReport(
-        modes=tuple(results),
-        improvement_ratio=ratio,
-        energy_margin_fraction=energy_margin_estimate(
-            baseline_pj_per_bit, savings_pj_per_bit
-        ),
-        energy_note="calculated savings, not directly measured",
-        seed=config.seed,
-        audit_ok=audit_ok,
-        notes=(
-            "reactive baseline band and the improvement ratio are "
-            "calibration-dependent (sensor latency tuned to the anecdotal "
-            "0.8-1.2 nm industry band), not physics claims",
-            "microheater steady draw 10-20 mW per channel (informational, "
-            "not simulated electrically)",
-        ),
-    )

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from .optics import drift
 from .telemetry import FLOAT_FMT, TelemetryFrame, write_rows
@@ -42,6 +43,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # idle delta is ~16 C against the heatmap's 5-10 C), so they are emitted for
 # side-by-side comparison only and excluded from pass/fail.
 T24_FIT_REFERENCE = {"slope": 63.0, "intercept": -1256.6}
+
+# steady state: the last 20 % of a constant-load hold at least 5 tau long
+_STEADY_HOLD_TAU = 5.0
+_STEADY_WINDOW_FRAC = 0.2
+# the open-loop stress excursion of the spectral panel's drift figure
+_STRESS_DELTA_T_C = 40.0
 
 
 @dataclass(frozen=True)
@@ -129,9 +136,9 @@ def find_holds(frame: TelemetryFrame) -> tuple[Hold, ...]:
     return tuple(holds)
 
 
-def steady_window(hold: Hold, window_frac: float = 0.2) -> tuple[int, int]:
-    """Last ``window_frac`` of a hold, where transients have died out."""
-    w = max(1, int(round(hold.length * window_frac)))
+def steady_window(hold: Hold) -> tuple[int, int]:
+    """Last 20 % of a hold, where transients have died out."""
+    w = max(1, int(round(hold.length * _STEADY_WINDOW_FRAC)))
     return hold.stop - w, hold.stop
 
 
@@ -139,23 +146,16 @@ def steady_window(hold: Hold, window_frac: float = 0.2) -> tuple[int, int]:
 class RthEstimate:
     per_state: dict[str, float]
     unified: float
-    n_points: int
     # mean dissipation and mean delta-T of each state's steady windows
     steady_power_w: dict[str, float]
     steady_delta_t_c: dict[str, float]
 
 
-def estimate_r_th(
-    frame: TelemetryFrame,
-    thermal: ThermalParams = ThermalParams(),
-    *,
-    min_hold_tau: float = 5.0,
-    window_frac: float = 0.2,
-) -> RthEstimate:
+def estimate_r_th(frame: TelemetryFrame, thermal: ThermalParams) -> RthEstimate:
     """Per-state and unified thermal resistance from steady-state telemetry.
 
-    Steady state means the last 20% of a constant-load hold at least
-    ``min_hold_tau`` time constants long. Per state: mean delta-T over mean
+    Steady state means the last 20% of a constant-load hold at least 5 time
+    constants long. Per state: mean delta-T over mean
     dissipation delta, for states whose mean power exceeds the baseline.
     Unified: through-origin least squares of delta-T on the dissipation
     delta across all steady samples (theory-line form dT = R * (P - P0)).
@@ -164,21 +164,21 @@ def estimate_r_th(
     if frame.n == 0:
         raise InsufficientDataError("estimate_r_th: empty telemetry")
     dt_ms = float(frame.t_ms[1] - frame.t_ms[0]) if frame.n > 1 else 1.0
-    min_steps = steps_of(min_hold_tau * thermal.tau_ms, dt_ms)
+    min_steps = steps_of(_STEADY_HOLD_TAU * thermal.tau_ms, dt_ms)
 
     per_state_x: dict[str, list[np.ndarray]] = {}
     per_state_y: dict[str, list[np.ndarray]] = {}
     for hold in find_holds(frame):
         if hold.length < min_steps:
             continue
-        lo, hi = steady_window(hold, window_frac)
+        lo, hi = steady_window(hold)
         per_state_x.setdefault(hold.state, []).append(frame.p_eic_w[lo:hi])
         per_state_y.setdefault(hold.state, []).append(frame.delta_t_c[lo:hi])
 
     if not per_state_x:
         raise InsufficientDataError(
             "estimate_r_th: no steady-state segment found (need holds of at "
-            f"least {min_hold_tau} tau = {min_hold_tau * thermal.tau_ms} ms)"
+            f"least {_STEADY_HOLD_TAU} tau = {_STEADY_HOLD_TAU * thermal.tau_ms} ms)"
         )
 
     p0 = thermal.p_baseline_w
@@ -205,7 +205,7 @@ def estimate_r_th(
             "estimate_r_th: need at least 2 distinct steady-state power points"
         )
     unified = regress_through_origin(x, y).slope
-    return RthEstimate(per_state=per_state, unified=unified, n_points=int(x.size),
+    return RthEstimate(per_state=per_state, unified=unified,
                        steady_power_w=steady_power, steady_delta_t_c=steady_delta)
 
 
@@ -383,22 +383,13 @@ def _pick_transition(holds):
     return best
 
 
-def build_report(
-    frame: TelemetryFrame,
-    config=None,
-    *,
-    stress_delta_t_c: float = 40.0,
-) -> FingerprintReport:
+def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     """Assemble the six-panel fingerprint and its pass/fail table.
 
     Requires telemetry covering all five load states with at least one step
     transient (a staircase run in open-loop mode is the canonical input).
     Pure function of (telemetry, config).
     """
-    from .config import RunConfig
-
-    if config is None:
-        config = RunConfig()
     thermal = config.thermal
     optic = config.optics
     wmap = config.affine_map
@@ -438,7 +429,7 @@ def build_report(
     t24_fit = regress(frame.t24, plant)
 
     observed_max_drift = float(np.abs(frame.drift_nm).max())
-    stress_drift = drift(stress_delta_t_c, optic)
+    stress_drift = drift(_STRESS_DELTA_T_C, optic)
     peak_delta = float(frame.delta_t_c.max())
     peak_junction = peak_junction_temperature(peak_delta, wmap.p_idle_w, thermal)
 
@@ -539,7 +530,7 @@ def build_report(
         meta={
             "kappa_est_nm_per_c": kappa.slope,
             "observed_max_drift_nm": observed_max_drift,
-            "stress_delta_t_c": stress_delta_t_c,
+            "stress_delta_t_c": _STRESS_DELTA_T_C,
             "stress_drift_nm": stress_drift,
             "spec_band_nm": optic.spec_band_nm,
         },
@@ -587,7 +578,7 @@ def build_report(
 
     notes = (
         "open-loop stress figure: max drift = kappa x "
-        f"{stress_delta_t_c:.0f} C = {stress_drift:.3f} nm; rounded variants "
+        f"{_STRESS_DELTA_T_C:.0f} C = {stress_drift:.3f} nm; rounded variants "
         "of this figure circulate and the arithmetic value is authoritative",
         "throughput-axis reference fit "
         f"({T24_FIT_REFERENCE['slope']}, {T24_FIT_REFERENCE['intercept']}) is "

@@ -30,8 +30,8 @@ class OpticParams:
             raise ConfigError(f"optics.kappa_to must be > 0, got {self.kappa_to}")
         if not 0 < self.spec_band_nm < self.tolerance_band_nm:
             raise ConfigError(
-                "optics: require 0 < spec_band_nm < tolerance_band_nm, got "
-                f"{self.spec_band_nm} / {self.tolerance_band_nm}"
+                f"optics.spec_band_nm = {self.spec_band_nm} must be in (0, "
+                f"optics.tolerance_band_nm = {self.tolerance_band_nm})"
             )
 
 

@@ -112,7 +112,6 @@ class Filtration:
     now_ms: float
     power_history: tuple[tuple[float, float], ...] = ()
     queue: tuple[QueueEntry, ...] = ()
-    queue_depth: int = 0
     slot_ms: float = 1.0
 
     def __post_init__(self) -> None:
@@ -139,7 +138,6 @@ class HintForecast:
     issued_at_ms: float
     source: str = "queue_replay"        # "queue_replay" | "ewma"
     newest_input_ms: float = 0.0
-    filtration: Filtration | None = None
 
 
 def _slot_entries(f: Filtration, target_ms: float) -> list[QueueEntry]:
@@ -217,7 +215,6 @@ def forecast(
             issued_at_ms=t_ms,
             source="queue_replay",
             newest_input_ms=max([0.0] + [e.admitted_t_ms for e in slot]),
-            filtration=f,
         )
 
     newest = f.power_history[-1][0] if f.power_history else t_ms
@@ -227,7 +224,6 @@ def forecast(
         issued_at_ms=t_ms,
         source="ewma",
         newest_input_ms=newest,
-        filtration=f,
     )
 
 

@@ -68,7 +68,7 @@ from .scheduler import (
     preposition_fraction,
     throttle_cut,
 )
-from .telemetry import TelemetryFrame
+from .telemetry import COLUMNS, TelemetryFrame
 from .thermal import _response, peak_junction_temperature
 from .workload import (
     STATE_BY_NAME,
@@ -125,24 +125,6 @@ class RunResult:
     audit: AuditReport
 
 
-@dataclass(frozen=True)
-class DispatchTrace:
-    """Outcome of the schedule pass over one chunk of a run, one entry per
-    step; the counts are totals through the chunk's last step."""
-
-    rho: np.ndarray              # dispatched density
-    power_w: np.ndarray          # dispatched power
-    hint_w: np.ndarray           # look-ahead hint power
-    newest_input_ms: np.ndarray  # newest input stamp each hint read
-    source: np.ndarray           # 0 = queue replay, 1 = EWMA fallback
-    queue_depth: np.ndarray      # admitted streams pending after the step
-    deferrals: int
-    outstanding_density: float   # deferred past the last step
-    outstanding_entries: int
-    shed_density: float          # taken out a second time: dropped
-    shed_entries: int
-
-
 def simulate(config: RunConfig) -> RunResult:
     """Run the co-simulation described by ``config``.
 
@@ -155,28 +137,23 @@ def simulate(config: RunConfig) -> RunResult:
     frame = TelemetryFrame(
         step=np.arange(N, dtype=np.int64), load_state=[], eta=np.full(N, eta),
         queue_depth=np.empty(N, dtype=np.int64),
-        **{c: np.empty(N) for c in ("t_ms", "rho", "t24", "p_eic_w", "hint_w",
-                                     "ttft_ms", *_PHYSICS_COLUMNS)})
-    newest, source = np.empty(N), np.empty(N, dtype=int)
+        **{c: np.empty(N) for c in COLUMNS if c not in (
+            "step", "load_state", "eta", "queue_depth")})
+    log = ForecastLog(frame.t_ms, np.broadcast_to(float(sc.horizon_ms), N),
+                      frame.hint_w, np.empty(N), np.empty(N, dtype=int))
+    # the columns of the frame and the log that a chunk holds by name
+    shared = [(getattr(sink, c), c) for sink in (frame, log)
+              for c in _Chunk._fields if hasattr(sink, c)]
     names = np.array(tuple(STATE_BY_NAME), dtype=object)
     stats = _Summary(config)
     for chunk in _chunks(config):
         at = slice(chunk.lo, chunk.lo + chunk.t_ms.size)
-        tr = chunk.trace
+        for col, c in shared:
+            col[at] = getattr(chunk, c)
         frame.load_state.extend(names[chunk.state_idx].tolist())
-        for col, values in (
-            (frame.t_ms, chunk.t_ms), (frame.rho, tr.rho),
-            (frame.t24, density_to_throughput(tr.rho, config.affine_map)),
-            (frame.p_eic_w, tr.power_w), (frame.hint_w, tr.hint_w),
-            (frame.queue_depth, tr.queue_depth),
-            (frame.ttft_ms, tr.queue_depth * sc.t_slice_ms * 0.5),
-            (newest, tr.newest_input_ms), (source, tr.source),
-            *((getattr(frame, c), getattr(chunk, c)) for c in _PHYSICS_COLUMNS),
-        ):
-            col[at] = values
+        frame.t24[at] = density_to_throughput(chunk.rho, config.affine_map)
+        frame.ttft_ms[at] = chunk.queue_depth * sc.t_slice_ms * 0.5
         stats.add(chunk)
-    log = ForecastLog(frame.t_ms, np.broadcast_to(float(sc.horizon_ms), N),
-                      frame.hint_w, newest, source)
     summary, audit = stats.finish()
     return RunResult(config=config, frame=frame, summary=summary,
                      forecast_log=log, audit=audit)
@@ -198,20 +175,36 @@ def _summarize(config: RunConfig) -> SimulationSummary:
 # summary-only); simulate() pays that on top of its frame, and at 65,536 a
 # 90k-step run peaked 10 % above the whole-run schedule pass it replaced.
 _CHUNK_STEPS = 1 << 14
-_PHYSICS_COLUMNS = ("delta_t_c", "bias_c", "residual_c", "drift_nm")
 
 
 class _Chunk(NamedTuple):
-    """Steps [lo, lo + len) of a run: their plan, dispatch and physics."""
+    """Steps [lo, lo + len) of a run: their plan, dispatch and physics, one
+    entry per step; the counts are totals through the chunk's last step."""
 
     lo: int
     t_ms: np.ndarray
     state_idx: np.ndarray
-    trace: DispatchTrace
-    delta_t_c: np.ndarray
-    bias_c: np.ndarray
-    residual_c: np.ndarray
-    drift_nm: np.ndarray
+    rho: np.ndarray              # dispatched density
+    p_eic_w: np.ndarray          # dispatched power
+    hint_w: np.ndarray           # look-ahead hint power
+    newest_input_ms: np.ndarray  # newest input stamp each hint read
+    source: np.ndarray           # 0 = queue replay, 1 = EWMA fallback
+    queue_depth: np.ndarray      # admitted streams pending after the step
+    throttle_deferrals: int
+    outstanding_density: float   # deferred past the last step
+    outstanding_entries: int
+    shed_density: float          # taken out a second time: dropped
+    shed_entries: int
+    # the physics, which _chunks fills in after the schedule pass
+    delta_t_c: np.ndarray | None = None
+    bias_c: np.ndarray | None = None
+    residual_c: np.ndarray | None = None
+    drift_nm: np.ndarray | None = None
+
+
+# the throttle counters of a chunk, named as in the summary
+_COUNTERS = ("throttle_deferrals", "outstanding_density", "outstanding_entries",
+             "shed_density", "shed_entries")
 
 
 def _chunks(config: RunConfig) -> Iterator[_Chunk]:
@@ -234,21 +227,18 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
     ahead = next(steps, None)
     if ahead is None:
         return
-    bias_of.feed(ahead[1].hint_w)
+    bias_of.feed(ahead.hint_w)
     plant = 0.0
-    lo = 0
     for nxt in chain(steps, [None]):
         if nxt is not None:
-            bias_of.feed(nxt[1].hint_w)
-        (state_idx, trace), ahead = ahead, nxt
-        dT, plant = _response(trace.power_w - thermal.p_baseline_w, thermal,
+            bias_of.feed(nxt.hint_w)
+        chunk, ahead = ahead, nxt
+        dT, plant = _response(chunk.p_eic_w - thermal.p_baseline_w, thermal,
                               dt, plant)
         bias = bias_of(dT)
         residual = np.abs(dT - bias)
-        t = np.arange(lo, lo + dT.size, dtype=float) * dt
-        yield _Chunk(lo, t, state_idx, trace, dT, bias, residual,
-                     drift(residual, config.optics))
-        lo += dT.size
+        yield chunk._replace(delta_t_c=dT, bias_c=bias, residual_c=residual,
+                             drift_nm=drift(residual, config.optics))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +267,11 @@ def _extended(buffers: tuple[np.ndarray, ...], plan: tuple[np.ndarray, ...],
         state_idx, rho, n_streams, rho, density_to_power(rho, wmap)))))
 
 
-def _dispatch(config: RunConfig) -> Iterator[tuple[np.ndarray, DispatchTrace]]:
+def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     """Dispatch, hints, queue depth, deferrals and shed work of the run of
     ``config`` from its plan (:class:`_PlanStream`) alone, ``_CHUNK_STEPS``
-    steps at a time, each with the load state of its steps.
+    steps at a time, each with the times and load state of its steps: the
+    chunks of the run without their physics.
 
     A hint replays the admitted queue at t + horizon and falls back to the
     half-life weighted mean of the dispatched power where the plan no longer
@@ -445,12 +436,11 @@ def _dispatch(config: RunConfig) -> Iterator[tuple[np.ndarray, DispatchTrace]]:
         depth += moved_before + np.cumsum(moved[:hi - lo])
         moved_before += int(moved[:hi - lo].sum())
 
-        yield sidx[lo - b:hi - b], DispatchTrace(
-            rho=rho[lo - b:hi - b], power_w=P[lo - b:hi - b], hint_w=F,
-            newest_input_ms=newest, source=source, queue_depth=depth,
-            deferrals=deferrals, outstanding_density=outstanding_density,
-            outstanding_entries=outstanding_entries, shed_density=shed_density,
-            shed_entries=shed_entries)
+        yield _Chunk(
+            lo, np.arange(lo, hi, dtype=float) * dt, sidx[lo - b:hi - b],
+            rho[lo - b:hi - b], P[lo - b:hi - b], F, newest, source, depth,
+            deferrals, outstanding_density, outstanding_entries, shed_density,
+            shed_entries)
         moved = moved[hi - lo:]
         drop = max(0, hi - win + 1) - b
         sidx, prho, pn, rho, P = (x[drop:] for x in (sidx, prho, pn, rho, P))
@@ -487,7 +477,7 @@ class _Summary:
         self.n_checked = 0
         self.violations: list[tuple[float, float]] = []
         self.t_last = np.empty(0)   # the last issue stamp audited
-        self.trace: DispatchTrace | None = None
+        self.counters: dict | None = None   # the last chunk's, by name
 
     def add(self, chunk: _Chunk) -> None:
         r = chunk.residual_c
@@ -514,29 +504,28 @@ class _Summary:
         self.done += trailing.size
         self.cum = c[-w:]
 
-        tr = chunk.trace
         steps = np.bincount(chunk.state_idx, minlength=self.rho_steps.size)
         for i in np.flatnonzero(steps):
-            self.rho_sums[i] += float(tr.rho[chunk.state_idx == i].sum())
+            self.rho_sums[i] += float(chunk.rho[chunk.state_idx == i].sum())
         self.rho_steps += steps
 
         n = chunk.t_ms.size
         horizon = float(self.config.scheduler.horizon_ms)
-        log = ForecastLog(chunk.t_ms, np.broadcast_to(horizon, n), tr.hint_w,
-                          tr.newest_input_ms, tr.source)
+        log = ForecastLog(chunk.t_ms, np.broadcast_to(horizon, n), chunk.hint_w,
+                          chunk.newest_input_ms, chunk.source)
         # the last stamp of the chunk before carries the sortedness check
         # across the edge
         audit = causality_audit(log, np.concatenate((self.t_last, chunk.t_ms)))
         self.t_last = chunk.t_ms[-1:]
         self.n_checked += audit.n_checked
         self.violations.extend(audit.violations)
-        self.trace = tr
+        self.counters = {c: getattr(chunk, c) for c in _COUNTERS}
 
     def finish(self) -> tuple[SimulationSummary, AuditReport]:
-        config, tr = self.config, self.trace
+        config = self.config
         audit = AuditReport(n_checked=self.n_checked,
                             violations=tuple(self.violations))
-        if tr is None:      # no chunk: a run of no steps
+        if self.counters is None:   # no chunk: a run of no steps
             return SimulationSummary(steps=0, duration_ms=0.0), audit
         thermal = config.thermal
         dt = config.workload.step_period_ms
@@ -561,11 +550,7 @@ class _Summary:
             mean_rho_by_state={
                 name: float(self.rho_sums[i] / self.rho_steps[i])
                 for i, name in enumerate(STATE_BY_NAME) if self.rho_steps[i]},
-            throttle_deferrals=tr.deferrals,
-            outstanding_density=tr.outstanding_density,
-            outstanding_entries=tr.outstanding_entries,
-            shed_density=tr.shed_density,
-            shed_entries=tr.shed_entries,
             audit_violations=len(audit.violations),
+            **self.counters,
         )
         return summary, audit

@@ -43,7 +43,6 @@ class StreamDescriptor:
     attn_footprint: float
     activation_rate: float
     routing_coeff: float
-    remaining_steps: int = 1
 
     def __post_init__(self) -> None:
         for name in ("attn_footprint", "activation_rate", "routing_coeff"):
@@ -78,9 +77,12 @@ class AffineMapParams:
         if not self.alpha > 0:
             raise ConfigError(f"affine_map.alpha must be > 0, got {self.alpha}")
         if not self.p_idle_w < self.p_peak_w:
-            raise ConfigError("affine_map: p_idle_w must be < p_peak_w")
+            raise ConfigError(f"affine_map.p_idle_w = {self.p_idle_w} must be < "
+                              f"affine_map.p_peak_w = {self.p_peak_w}")
         if self.p_peak_w > self.p_max_w:
-            raise ConfigError("affine_map: p_peak_w exceeds the package envelope")
+            raise ConfigError(
+                f"affine_map.p_peak_w = {self.p_peak_w} exceeds the package "
+                f"envelope affine_map.p_max_w = {self.p_max_w}")
 
 
 DEFAULT_MAP = AffineMapParams()
@@ -294,8 +296,10 @@ class _PlanStream:
         name_to_idx = {nm: i for i, nm in enumerate(STATE_BY_NAME)}
         self.idx = np.array([name_to_idx[state] for state, _ in config.schedule],
                             dtype=np.int64)
-        # where each hold of the cycle ends, in steps
-        self.ends = np.cumsum([max(1, steps_of(dur_ms, dt))
+        # where each hold of the cycle ends, in steps; a hold is read for
+        # at most the run's steps, so cap it there to keep the cycle in int64
+        cap_ms = config.step_count * dt
+        self.ends = np.cumsum([max(1, steps_of(min(dur_ms, cap_ms), dt))
                                for _, dur_ms in config.schedule])
         self.rho_targets = np.asarray([s.rho_target
                                        for s in STATE_BY_NAME.values()])

@@ -13,7 +13,7 @@ from cpodrift.config import (
     stabilization_config,
     transient_config,
 )
-from cpodrift.controller import run_comparison
+from cpodrift.experiments import run_comparison
 from cpodrift.fingerprint import build_report
 from cpodrift.simulate import simulate
 

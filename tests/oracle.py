@@ -43,7 +43,7 @@ from cpodrift.scheduler import (
     forecast,
     preposition_fraction,
 )
-from cpodrift.simulate import DispatchTrace, RunResult, _Chunk, _Summary, simulate
+from cpodrift.simulate import RunResult, _Chunk, _Summary, simulate
 from cpodrift.telemetry import TelemetryFrame
 from cpodrift.thermal import ThermalParams
 from cpodrift.workload import (
@@ -295,7 +295,6 @@ def simulate_oracle(config: RunConfig) -> RunResult:
             now_ms=float(t[k]),
             power_history=tuple(history),
             queue=tuple(near),
-            queue_depth=qd,
             slot_ms=dt,
         )
         hint = forecast(snapshot, float(t[k]), sc.horizon_ms, sc, wmap)
@@ -360,14 +359,9 @@ def simulate_oracle(config: RunConfig) -> RunResult:
     )
     stats = _Summary(config)
     stats.add(_Chunk(
-        0, t, plan.state_idx,
-        DispatchTrace(rho=frame.rho, power_w=frame.p_eic_w,
-                      hint_w=log.forecast_w,
-                      newest_input_ms=log.newest_input_ms, source=log.source,
-                      queue_depth=qd_arr, deferrals=deferrals,
-                      outstanding_density=outstanding_density,
-                      outstanding_entries=outstanding_entries,
-                      shed_density=shed_density, shed_entries=shed_entries),
+        0, t, plan.state_idx, frame.rho, frame.p_eic_w, log.forecast_w,
+        log.newest_input_ms, log.source, qd_arr, deferrals,
+        outstanding_density, outstanding_entries, shed_density, shed_entries,
         frame.delta_t_c, frame.bias_c, frame.residual_c, frame.drift_nm))
     summary, audit = stats.finish()
     return RunResult(config=config, frame=frame, summary=summary,

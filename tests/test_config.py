@@ -88,6 +88,27 @@ def test_section_value_validation_paths():
      r"workload.noise_sigma must be in \[0, 1.8\]"),
     ({"workload": {"noise_sigma": 2e298}},
      r"workload.noise_sigma must be in \[0, 1.8\]"),
+    ({"affine_map": {"p_idle_w": 95.0}},
+     r"affine_map.p_idle_w = 95.0 must be < affine_map.p_peak_w = 94.0"),
+    ({"affine_map": {"p_peak_w": 101.0}},
+     r"affine_map.p_peak_w = 101.0 exceeds .* affine_map.p_max_w = 100.0"),
+    ({"optics": {"spec_band_nm": 2.0}},
+     r"optics.spec_band_nm = 2.0 must be in \(0, optics.tolerance_band_nm = 1.7\)"),
+    ({"optics": {"spec_band_nm": 0.0}}, r"optics.spec_band_nm = 0.0 must be in"),
+    ({"controller": {"sensor_latency_ms": -1.0}},
+     "controller.sensor_latency_ms must be >= 0"),
+    ({"controller": {"lead_ms": -1.0}}, "controller.lead_ms must be >= 0"),
+    ({"scheduler": {"overhead_ms": 50.0}}, "scheduler.overhead_ms does not fit"),
+    ({"scheduler": {"ewma_half_life_ms": 0.0}},
+     "scheduler.ewma_half_life_ms must be > 0"),
+    ({"scheduler": {"history_window_ms": 0.0}},
+     "scheduler.history_window_ms must be > 0"),
+    ({"boundary": {"names": ["Junction-to-Case"]}},
+     "boundary.cumulative has 3 stages, boundary.names 1"),
+    ({"boundary": {"names": [], "cumulative": []}},
+     "boundary.cumulative: at least one stage required"),
+    ({"workload": {"schedule": [["Peak", 300.0, 1.0]]}},
+     r"workload.schedule\[0\] must have 2 items, got 3"),
 ])
 def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):

@@ -9,7 +9,6 @@ from cpodrift.controller import (
     Mode,
     compensate,
     energy_margin_estimate,
-    run_comparison,
 )
 from cpodrift.errors import (
     ConfigError,
@@ -170,8 +169,3 @@ def test_open_loop_mode_in_comparison_tracks_optics(comparison_report):
     ol = comparison_report.by_mode("open_loop")
     # open-loop drift is exactly kappa times the plant excursion
     assert ol.max_drift_nm == pytest.approx(0.0852 * ol.max_residual_c, rel=1e-9)
-
-
-def test_run_comparison_empty_modes_rejected():
-    with pytest.raises(ConfigError):
-        run_comparison(comparison_config(), modes=())

@@ -48,7 +48,7 @@ def test_preposition_fraction_validation():
 
 def _filtration(now=100.0, queue=(), history=()):
     return Filtration(now_ms=now, power_history=history, queue=queue,
-                      queue_depth=sum(e.n_streams for e in queue), slot_ms=1.0)
+                      slot_ms=1.0)
 
 
 def test_forecast_constant_history_fallback():

@@ -220,3 +220,17 @@ def test_workload_config_validation():
         WorkloadConfig(step_period_ms=0.0)
     with pytest.raises(ConfigError):
         WorkloadConfig(schedule=())
+
+
+@pytest.mark.parametrize("hold_ms", [1e300, 1.5e308])
+def test_a_hold_far_past_the_run_plans_like_one_of_its_length(hold_ms):
+    # hold lengths past the run's steps once overflowed the cycle's int64
+    def plan(low_ms, peak_ms):
+        cfg = WorkloadConfig(step_count=500, schedule=(("Low", low_ms),
+                                                       ("Peak", peak_ms)))
+        return generate_workload(cfg, seed=1)
+
+    for low_ms in (100.0, hold_ms):
+        far, near = plan(low_ms, hold_ms), plan(min(low_ms, 500.0), 500.0)
+        assert np.array_equal(far.state_idx, near.state_idx)
+        assert np.array_equal(far.rho, near.rho)
