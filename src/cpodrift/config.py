@@ -81,8 +81,18 @@ class RunConfig:
                 f"controller.lead_ms = {self.controller.lead_ms} must not exceed "
                 f"scheduler.horizon_ms = {self.scheduler.horizon_ms}"
             )
-        # hints replay, and the throttle defers, whole dispatch slots
         dt = self.workload.step_period_ms
+        # the run counts every duration in whole steps (workload.steps_of)
+        for section in fields(self):
+            params = getattr(self, section.name)
+            for f in fields(params) if is_dataclass(params) else ():
+                value = getattr(params, f.name)
+                if f.name.endswith("_ms") and not math.isfinite(value / dt):
+                    raise ConfigError(
+                        f"{section.name}.{f.name} = {value} overflows as a "
+                        f"count of workload.step_period_ms = {dt} steps"
+                    )
+        # hints replay, and the throttle defers, whole dispatch slots
         if not dt <= self.scheduler.horizon_ms:
             raise ConfigError(
                 f"workload.step_period_ms = {dt} must not exceed "

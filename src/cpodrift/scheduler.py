@@ -230,7 +230,8 @@ def forecast(
 # ---------------------------------------------------------------------------
 # forecast log + causality audit
 
-_SOURCE_NAMES = ("queue_replay", "ewma")     # by source code
+# by source code; an object array, so a log's names are references, not text
+_SOURCE_NAMES = np.array(["queue_replay", "ewma"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -249,8 +250,7 @@ class ForecastLog:
             write_rows(
                 fh,
                 [self.issued_at_ms, self.horizon_ms, self.forecast_w,
-                 self.newest_input_ms,
-                 list(map(_SOURCE_NAMES.__getitem__, self.source.tolist()))],
+                 self.newest_input_ms, _SOURCE_NAMES[self.source]],
                 (FLOAT_FMT,) * 4 + ("%s",),
             )
 

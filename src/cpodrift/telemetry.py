@@ -1,11 +1,16 @@
-"""Telemetry dataset: schema, chunked CSV row writer, numpy CSV reader.
+"""Telemetry dataset: schema, vectorized CSV row writer, numpy CSV reader.
 
 One row per simulation step, exactly 14 metric columns in a fixed order.
 Floats are written with 9 significant digits so repeated runs with the same
-config and seed produce byte-identical files. :func:`write_rows` formats the
+config and seed produce byte-identical files. :func:`write_rows` writes the
 rows of every CSV the package writes (telemetry, forecast log, fingerprint
-panels) one chunk at a time; :func:`read_csv` parses a whole telemetry file
-in one ``np.loadtxt`` pass and names the line of the first malformed row.
+panels). It renders ``_CHUNK`` rows at a time as one numpy byte matrix, built
+column by column, and calls Python's ``%`` only for the float cells whose
+``%.9g`` text the vector arithmetic cannot prove: non-finite cells, cells
+printed in scientific notation, and cells whose 9-digit mantissa, scaled in
+floating point, lands exactly on a .5 tie. Its output is the per-cell format
+byte for byte. :func:`read_csv` parses a whole telemetry file in one
+``np.loadtxt`` pass and names the line of the first malformed row.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ import numpy as np
 from .errors import InputError
 
 FLOAT_FMT = "%.9g"
-# Rows formatted at once. Larger chunks cost peak memory: at 8192 rows a
-# 90k-step run writing its two CSVs peaks about 4 MB (7 %) higher than at 2048.
-_CHUNK = 2048
+# Rows rendered at once; the chunk's byte matrix and temporaries grow with it.
+# Writing the seed-24 90k-step frame traces a 2.3 MB peak at 4,096 rows. At
+# 2,048 rows it writes about 20 % slower; 8,192 rows (4.6 MB) are no faster and
+# raise validation90k's peak RSS by 2 MB, 16,384 rows (9.3 MB) by 9 MB.
+_CHUNK = 4096
 
 
 @dataclass
@@ -68,17 +75,129 @@ _CELLS = tuple(
 )
 
 
+# A chunk is a byte matrix with one row per character slot and one column per
+# CSV row. _PAD fills the slots a cell leaves empty; UTF-8 never contains it.
+_PAD, _MINUS, _DOT, _ZERO = (np.uint8(c) for c in b"\xff-.0")
+
+# %.9g prints x in fixed notation when its decimal exponent e, taken after
+# rounding to 9 digits, is in -4..8: the digits of m = rint(|x|·10^(8−e)) with
+# a '.' after digit e, or after a "0.000" prefix cut to 1 − e characters when
+# e < 0, and with trailing fractional zeros stripped.
+_POW10 = 10.0 ** np.arange(13)                 # 10^(8−e), each one exact
+# the three ASCII digits of 000..999, one row per digit
+_DIGITS = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)),
+                        np.uint8).reshape(1000, 3).T
+_SLOT = np.arange(1, 10, dtype=np.uint8)[:, None]          # digits 1..9
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+_PREFIX_E = np.array([-1, -1, -2, -3, -4])[:, None]        # e ≤ this prints it
+
+
+def _text_band(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as a (longest, len(texts)) band, one column each."""
+    band = np.full((max(map(len, texts), default=0), len(texts)), _PAD)
+    for i, t in enumerate(texts):
+        band[:len(t), i] = np.frombuffer(t, np.uint8)
+    return band
+
+
+def _float_band(x) -> np.ndarray:
+    """The ``%.9g`` text of each cell of ``x`` as a byte band."""
+    x = np.asarray(x, dtype=float)
+    # log10(0) and the casts of inf and nan warn; zeros pass by a == 0 and
+    # inf and nan never pass, so those values are not used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.abs(x)
+        e = np.floor(np.log10(a)).astype(np.intp).clip(-4, 8)
+        s = a * _POW10[8 - e]
+        m = np.rint(s)
+        # s = fl(|x|·10^(8−e)) rounds the exact product once, and rounding is
+        # monotone: 1e8 < s < 1e9 − 0.5 proves that e is the exponent of x at
+        # 9 digits, whatever log10 returned, and an s that is not a float tie
+        # k + 0.5 rounds to the integer nearest the exact product. ±0.0
+        # prints "0" from m = e = 0.
+        fast = ((s > 1e8) & (s < 999999999.5) & (np.abs(s - m) < 0.5)
+                | (a == 0))
+    m = np.where(fast, m, 0).astype(np.intp)
+    e = np.where(m > 0, e, 0)
+    g = np.stack([m // 1000000, m // 1000 % 1000, m % 1000])
+    d = _DIGITS.take(g, axis=1).transpose(1, 0, 2).reshape(9, -1)
+    kept = np.maximum(((d != _ZERO) * _SLOT).max(axis=0), e + 1)
+    d[_SLOT > kept.astype(np.uint8)] = _PAD
+    lo, hi = e.min(), e.max()
+    rows = []
+    neg = np.signbit(x)
+    if neg.any():
+        rows.append(np.where(neg, _MINUS, _PAD)[None])
+    if lo < 0:
+        rows.append(np.where(e <= _PREFIX_E[:1 - lo], _PREFIX[:1 - lo], _PAD))
+    point = np.where(kept > e + 1, e, -1)      # the digit a '.' follows
+    for j in range(9):
+        rows.append(d[j:j + 1])
+        if lo <= j <= min(hi, 7):
+            rows.append(np.where(point == j, _DOT, _PAD)[None])
+    band = np.concatenate(rows)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = _text_band([(FLOAT_FMT % v).encode() for v in x[slow].tolist()])
+        if text.shape[0] > band.shape[0]:
+            band = np.concatenate([band, np.full(
+                (text.shape[0] - band.shape[0], band.shape[1]), _PAD)])
+        band[:, slow] = _PAD
+        band[:text.shape[0], slow] = text
+    return band
+
+
+def _int_band(k) -> np.ndarray:
+    """The ``%d`` text of each cell of ``k`` as a byte band."""
+    k = np.asarray(k, dtype=np.int64)
+    q = k.view(np.uint64)
+    q = np.where(k < 0, -q, q)          # the magnitude, int64 min included
+    rows = []
+    while True:
+        r = q // np.uint64(10)
+        digit = (q - r * np.uint64(10)).astype(np.uint8) + _ZERO
+        rows.append(np.where(q > 0, digit, _PAD) if rows else digit)
+        q = r
+        if not q.any():
+            break
+    if (k < 0).any():
+        rows.append(np.where(k < 0, _MINUS, _PAD))
+    return np.stack(rows[::-1])
+
+
+def _str_band(names) -> np.ndarray:
+    """The ``%s`` text of ``names``, a list or a ``U`` array, as a byte band:
+    a band of each distinct name, taken by the cells' codes."""
+    names = names.tolist() if isinstance(names, np.ndarray) else names
+    table = {s: i for i, s in enumerate(dict.fromkeys(names))}
+    codes = np.fromiter(map(table.__getitem__, names), np.intp, len(names))
+    texts = [str(s).encode("utf-8", "surrogatepass") for s in table]
+    return _text_band(texts).take(codes, axis=1)
+
+
+_BANDS = {FLOAT_FMT: _float_band, "%d": _int_band, "%s": _str_band}
+
+
 def write_rows(fh, columns, cells) -> None:
     """Write equal-length ``columns`` as CSV rows, ``_CHUNK`` rows at a time.
 
     ``cells`` holds one %-format per column (``"%.9g"``, ``"%d"``, ``"%s"``);
-    a column is a numpy array or a list.
+    a column is a numpy array or a list. Each chunk is one byte matrix: the
+    band of each column, a comma row after each band but the last and a
+    newline row at the end. Read row by row without its pad bytes, it is
+    the text ``cells`` gives each row.
     """
-    template = ",".join(cells) + "\n"
-    for lo in range(0, len(columns[0]), _CHUNK):
-        part = [c[lo:lo + _CHUNK] for c in columns]
-        part = [p.tolist() if isinstance(p, np.ndarray) else p for p in part]
-        fh.write("".join(map(template.__mod__, zip(*part))))
+    bands = [_BANDS[c] for c in cells]
+    total = len(columns[0])
+    for lo in range(0, total, _CHUNK):
+        n = min(_CHUNK, total - lo)
+        comma = np.full((1, n), ord(","), np.uint8)
+        parts = []
+        for column, band in zip(columns, bands):
+            parts += [band(column[lo:lo + n]), comma]
+        parts[-1] = np.full((1, n), ord("\n"), np.uint8)
+        text = np.concatenate(parts).T.tobytes().translate(None, b"\xff")
+        fh.write(text.decode("utf-8", "surrogatepass"))
 
 
 def write_csv(frame: TelemetryFrame, path) -> None:

@@ -109,6 +109,11 @@ def test_section_value_validation_paths():
      "boundary.cumulative: at least one stage required"),
     ({"workload": {"schedule": [["Peak", 300.0, 1.0]]}},
      r"workload.schedule\[0\] must have 2 items, got 3"),
+    # whole-slot durations, but 1e300 ms is an infinite count of 2^-900 ms
+    ({"workload": {"step_period_ms": 2.0 ** -900, "step_count": 5},
+      "scheduler": {"history_window_ms": 1e300}},
+     r"scheduler.history_window_ms = 1e\+300 overflows as a count of "
+     r"workload.step_period_ms = .* steps"),
 ])
 def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):

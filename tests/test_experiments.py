@@ -165,7 +165,8 @@ def test_compare_writes_the_experiment_comparison_json(tmp_path, capsys):
         (tmp_path / "exp" / "comparison.json").read_bytes()
 
 
-# sha256 of the JSON and text artifacts of the seed-24 experiments
+# sha256 of the JSON and text artifacts of the seed-24 experiments, and of the
+# transient300 CSVs, the only experiment CSVs no other golden pins
 ARTIFACT_SHA256 = {
     "validation90k": {
         "validation90k_summary.json":
@@ -174,6 +175,10 @@ ARTIFACT_SHA256 = {
     "transient300": {
         "transient300_summary.json":
             "68816af7a2bcf9e9bc1ff8d9a394eae648c3ade4677e15e06b0d061bef0a6afa",
+        "transient300_telemetry.csv":
+            "2c7f8802f65a200805fae494629f4b6a2ecbad7dc231c5217f2d6031a5f5eb93",
+        "transient300_forecast_log.csv":
+            "58169d0dc53f6006aebf767ac14a87a9a819c6520939c90c2c1b46f861065ea6",
     },
     "comparison": {
         "comparison.json":

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,25 @@ from cpodrift.telemetry import (
 
 INT_COLUMNS = ("step", "queue_depth")
 EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
-               0.5, 99999.99995, 1.0 / 3.0]
+               0.5, 99999.99995, 1.0 / 3.0,
+               # exact binary ties at the 9th digit
+               1234567895.0, 123456789.5, 123456788.5,
+               # decimal ties at the 9th digit: the scaled product |x|·10^k
+               # rounds to exactly a .5 tie, though the binary x lies off it
+               48497457.55, 400.0919115, 0.1140812545, 0.0005999585185]
+# for each decimal exponent: the power of ten, the 9-digit tie just below it
+# computed two ways, and the float neighbours of each
+_BOUNDARY = [
+    v
+    for e in range(-5, 10)
+    for b in (10.0 ** e, 9.999999995 * 10.0 ** e, (1e9 - 0.5) * 10.0 ** (e - 8))
+    for v in (b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf))
+]
+EDGE_FLOATS += _BOUNDARY + [-v for v in _BOUNDARY]
+# a U-dtype column, as the fingerprint panels pass, with a non-ASCII name and
+# a lone surrogate, which a str may hold
+PANEL_NAMES = np.array(["Idle", "", "Spitzenlast \u00e9\u6e29\u5ea6", "x" * 40,
+                        "lone \udc80"])
 
 
 def test_schema_has_exactly_14_columns():
@@ -103,13 +122,27 @@ def _edge_columns(n: int, seed: int = 0):
 @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_write_rows_matches_per_cell_format(n):
     floats, ints, states = _edge_columns(n, seed=n)
+    panel = PANEL_NAMES[np.arange(n) % len(PANEL_NAMES)]
     fh = io.StringIO()
-    write_rows(fh, [floats, ints, states], ("%.9g", "%d", "%s"))
+    write_rows(fh, [floats, ints, states, panel], ("%.9g", "%d", "%s", "%s"))
     expected = "".join(
-        f"{'%.9g' % float(x)},{int(k)},{s}\n"
-        for x, k, s in zip(floats, ints, states)
+        f"{'%.9g' % float(x)},{int(k)},{s},{p}\n"
+        for x, k, s, p in zip(floats, ints, states, panel.tolist())
     )
     assert fh.getvalue() == expected
+
+
+def test_writing_the_90k_frame_stays_within_a_memory_budget(tmp_path,
+                                                            validation_run):
+    # the writer holds one chunk at a time: 2.3 MB traced at 4,096 rows, and
+    # 9.3 MB at 16,384 rows, a chunk that raised the run's peak RSS by 9 MB
+    tracemalloc.start()
+    try:
+        write_csv(validation_run.frame, tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def _frame_from_columns(n: int) -> TelemetryFrame:
