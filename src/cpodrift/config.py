@@ -3,9 +3,10 @@
 Every parameter defaults to the nominal calibration, so an empty config
 reproduces the flagship 90,000-step validation run. The JSON layout is
 ``RunConfig`` itself, read and written by one walk over the dataclass
-fields; each section checks its own fields (:func:`check_fields`) and
-ranges. Unknown keys anywhere are hard errors carrying the dotted field
-path, which prevents silent miscalibration from typos.
+fields; each section checks its own fields against their annotations,
+declared ranges included (:func:`check_fields`). Unknown keys anywhere are
+hard errors carrying the dotted field path, which prevents silent
+miscalibration from typos.
 
 A ``thermal.d_um`` resolves ``thermal.gamma`` once, when the config is
 built: ``config.thermal`` is the plant every reader uses, and a saved

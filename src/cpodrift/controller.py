@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ImplausibleInputError, InputError, check_fields
+from .errors import (ConfigError, Fraction, ImplausibleInputError, InputError,
+                     NonNegative, Positive, check_fields)
 from .thermal import (_SCAN_MAX_BLOCK, ThermalParams, _one_pole, _response,
                       step_response_fraction)
 from .workload import steps_of
@@ -63,33 +64,19 @@ class ControllerParams:
     """
 
     mode: Mode = Mode.PREDICTIVE
-    sensor_latency_ms: float = 20.0
-    actuator_tau_ms: float = 1.0
-    gain: float = COMPENSATION_GAIN
-    residual_cap_c: float = RESIDUAL_CAP_C
-    setpoint_margin_c: float = 0.035
-    lead_ms: float = 1.0
+    sensor_latency_ms: NonNegative = 20.0
+    actuator_tau_ms: Positive = 1.0
+    gain: Fraction = COMPENSATION_GAIN
+    residual_cap_c: Positive = RESIDUAL_CAP_C
+    setpoint_margin_c: NonNegative = 0.035
+    lead_ms: NonNegative = 1.0
 
     def __post_init__(self) -> None:
         check_fields(self, "controller")
-        if self.sensor_latency_ms < 0:
+        if not self.setpoint_margin_c < self.residual_cap_c:
             raise ConfigError(
-                f"controller.sensor_latency_ms must be >= 0, got {self.sensor_latency_ms}"
-            )
-        if not self.actuator_tau_ms > 0:
-            raise ConfigError(
-                f"controller.actuator_tau_ms must be > 0, got {self.actuator_tau_ms}"
-            )
-        if not 0.0 < self.gain <= 1.0:
-            raise ConfigError(f"controller.gain must be in (0, 1], got {self.gain}")
-        if not self.residual_cap_c > 0:
-            raise ConfigError(
-                f"controller.residual_cap_c must be > 0, got {self.residual_cap_c}"
-            )
-        if not 0 <= self.setpoint_margin_c < self.residual_cap_c:
-            raise ConfigError("controller.setpoint_margin_c must be in [0, cap)")
-        if self.lead_ms < 0:
-            raise ConfigError(f"controller.lead_ms must be >= 0, got {self.lead_ms}")
+                f"controller.setpoint_margin_c = {self.setpoint_margin_c} must be < "
+                f"controller.residual_cap_c = {self.residual_cap_c}")
 
     @property
     def setpoint_c(self) -> float:

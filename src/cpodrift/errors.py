@@ -1,7 +1,12 @@
-"""Exception hierarchy, and the field rule behind :class:`ConfigError`.
+"""Exception hierarchy, and the field rules behind :class:`ConfigError`.
 
 Every documented failure mode raises a distinct, catchable class so callers
 (and the acceptance suite) can tell degenerate inputs apart from bugs.
+
+A config field declares its own range in its annotation: ``Positive``,
+``NonNegative`` and ``Fraction`` are floats with a rule, and a ``Literal``
+lists the choices. :func:`check_fields` enforces both, so a section's
+``__post_init__`` keeps only the rules that relate two or more values.
 """
 
 from __future__ import annotations
@@ -70,10 +75,17 @@ class ConfigError(CpodriftError):
     """Invalid run configuration; message carries the dotted field path."""
 
 
+# a float with a range: Annotated[float, rule text, test]
+Positive = typing.Annotated[float, "> 0", lambda x: x > 0]
+NonNegative = typing.Annotated[float, ">= 0", lambda x: x >= 0]
+Fraction = typing.Annotated[float, "in (0, 1]", lambda x: 0 < x <= 1]
+
+
 @functools.cache
 def field_types(cls) -> dict[str, object]:
-    """Resolved annotation of each dataclass field of ``cls``, in order."""
-    hints = typing.get_type_hints(cls)
+    """Resolved annotation of each dataclass field of ``cls``, in order,
+    range rules included."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
@@ -83,8 +95,10 @@ def check_fields(obj, section: str) -> None:
     A float is a finite real number, an int (counts and seeds) a
     non-negative integer and a bool only a bool, none of them a bool in
     disguise; ``X | None`` also takes None; a tuple is checked item by item;
-    any other annotation is an ``isinstance`` check. The message names the
-    dotted field, ``section`` giving its prefix ("" at the root).
+    an ``Annotated`` float must also pass its rule's test and a ``Literal``
+    be one of its choices; any other annotation is an ``isinstance`` check.
+    The message names the dotted field, ``section`` giving its prefix ("" at
+    the root).
     """
     for name, tp in field_types(type(obj)).items():
         _check_value(tp, getattr(obj, name), f"{section}.{name}" if section else name)
@@ -95,7 +109,16 @@ def _check_value(tp, value, path: str) -> None:
         if value is None:
             return
         (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
-    if tp is float:
+    if typing.get_origin(tp) is typing.Annotated:
+        tp, rule, test = typing.get_args(tp)
+        _check_value(tp, value, path)
+        if not test(value):
+            raise ConfigError(f"{path} must be {rule}, got {value!r}")
+    elif typing.get_origin(tp) is typing.Literal:
+        if value not in typing.get_args(tp):
+            raise ConfigError(
+                f"{path} must be one of {list(typing.get_args(tp))}, got {value!r}")
+    elif tp is float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{path} must be a number, got {value!r}")
         if not math.isfinite(value):

@@ -125,24 +125,10 @@ class ComparisonReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "modes": {
-                m.mode: {
-                    "max_drift_nm": m.max_drift_nm,
-                    "mean_drift_nm": m.mean_drift_nm,
-                    "max_residual_c": m.max_residual_c,
-                    "mean_residual_c": m.mean_residual_c,
-                    "budget_fraction": m.budget_fraction,
-                }
-                for m in self.modes
-            },
-            "improvement_ratio": self.improvement_ratio,
-            "energy_margin_fraction": self.energy_margin_fraction,
-            "energy_note": self.energy_note,
-            "seed": self.seed,
-            "notes": list(self.notes),
-            "audit_ok": self.audit_ok,
-        }
+        """The fields in order, each mode keyed by its name."""
+        modes = {m.mode: {k: v for k, v in vars(m).items() if k != "mode"}
+                 for m in self.modes}
+        return vars(self) | {"modes": modes, "notes": list(self.notes)}
 
     def to_text(self) -> str:
         lines = [

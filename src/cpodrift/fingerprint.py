@@ -164,7 +164,10 @@ def estimate_r_th(frame: TelemetryFrame, thermal: ThermalParams) -> RthEstimate:
     if frame.n == 0:
         raise InsufficientDataError("estimate_r_th: empty telemetry")
     dt_ms = float(frame.t_ms[1] - frame.t_ms[0]) if frame.n > 1 else 1.0
-    min_steps = steps_of(_STEADY_HOLD_TAU * thermal.tau_ms, dt_ms)
+    hold_ms = _STEADY_HOLD_TAU * thermal.tau_ms
+    # a hold no count of steps can reach leaves no steady-state segment
+    min_steps = (steps_of(hold_ms, dt_ms) if math.isfinite(hold_ms / dt_ms)
+                 else math.inf)
 
     per_state_x: dict[str, list[np.ndarray]] = {}
     per_state_y: dict[str, list[np.ndarray]] = {}
@@ -178,7 +181,7 @@ def estimate_r_th(frame: TelemetryFrame, thermal: ThermalParams) -> RthEstimate:
     if not per_state_x:
         raise InsufficientDataError(
             "estimate_r_th: no steady-state segment found (need holds of at "
-            f"least {_STEADY_HOLD_TAU} tau = {_STEADY_HOLD_TAU * thermal.tau_ms} ms)"
+            f"least {_STEADY_HOLD_TAU} tau = {hold_ms} ms)"
         )
 
     p0 = thermal.p_baseline_w

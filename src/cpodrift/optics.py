@@ -15,19 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, check_fields
+from .errors import ConfigError, InputError, Positive, check_fields
 
 
 @dataclass(frozen=True)
 class OpticParams:
-    kappa_to: float = 0.0852        # nm/C
+    kappa_to: Positive = 0.0852     # nm/C
     spec_band_nm: float = 0.5       # operational spectral budget
     tolerance_band_nm: float = 1.7  # BER tolerance budget
 
     def __post_init__(self) -> None:
         check_fields(self, "optics")
-        if not self.kappa_to > 0:
-            raise ConfigError(f"optics.kappa_to must be > 0, got {self.kappa_to}")
         if not 0 < self.spec_band_nm < self.tolerance_band_nm:
             raise ConfigError(
                 f"optics.spec_band_nm = {self.spec_band_nm} must be in (0, "

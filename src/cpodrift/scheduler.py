@@ -24,11 +24,12 @@ tau = 80 ms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .controller import COMPENSATION_GAIN, RESIDUAL_CAP_C
-from .errors import ConfigError, InputError, SliceViolationError, check_fields
+from .errors import ConfigError, InputError, Positive, SliceViolationError, check_fields
 from .telemetry import FLOAT_FMT, write_rows
 from .thermal import ThermalParams, steady_state_delta_t, step_response_fraction
 from .workload import AffineMapParams, DEFAULT_MAP, density_to_power
@@ -42,21 +43,17 @@ class SchedulerConfig:
     horizon_min_ms: float = 20.0
     horizon_max_ms: float = 50.0
     t_slice_ms: float = 80.0
-    forecaster: str = "queue_replay"     # "queue_replay" | "ewma"
-    ewma_half_life_ms: float = 40.0
-    history_window_ms: float = 200.0     # power-history ring buffer span
+    forecaster: Literal["queue_replay", "ewma"] = "queue_replay"
+    ewma_half_life_ms: Positive = 40.0
+    history_window_ms: Positive = 200.0  # power-history ring buffer span
     admission_lead_ms: float = 80.0      # how far ahead dispatches are admitted
     overhead_ms: float = 0.5             # synthetic per-forecast cost
     throttle_enabled: bool = True
-    throttle_cap_c: float = RESIDUAL_CAP_C
+    throttle_cap_c: Positive = RESIDUAL_CAP_C
     throttle_compensation_gain: float = COMPENSATION_GAIN
 
     def __post_init__(self) -> None:
         check_fields(self, "scheduler")
-        if self.forecaster not in ("queue_replay", "ewma"):
-            raise ConfigError(
-                f"scheduler.forecaster: unknown forecaster {self.forecaster!r}"
-            )
         if not self.horizon_min_ms <= self.horizon_ms <= self.horizon_max_ms:
             raise ConfigError(
                 f"scheduler.horizon_ms = {self.horizon_ms} outside bounds "
@@ -69,19 +66,14 @@ class SchedulerConfig:
             )
         if self.overhead_ms >= self.t_slice_ms - self.horizon_ms:
             raise ConfigError(
-                "scheduler.overhead_ms does not fit in the slice after the horizon"
-            )
+                f"scheduler.overhead_ms does not fit: scheduler.overhead_ms = "
+                f"{self.overhead_ms} must be < "
+                f"scheduler.t_slice_ms = {self.t_slice_ms} - "
+                f"scheduler.horizon_ms = {self.horizon_ms}")
         if self.admission_lead_ms < self.horizon_max_ms:
             raise ConfigError(
-                "scheduler.admission_lead_ms must cover the maximum horizon"
-            )
-        if not self.ewma_half_life_ms > 0:
-            raise ConfigError("scheduler.ewma_half_life_ms must be > 0")
-        if not self.history_window_ms > 0:
-            raise ConfigError("scheduler.history_window_ms must be > 0")
-        if not self.throttle_cap_c > 0:
-            raise ConfigError(
-                f"scheduler.throttle_cap_c must be > 0, got {self.throttle_cap_c}")
+                f"scheduler.admission_lead_ms = {self.admission_lead_ms} must cover "
+                f"scheduler.horizon_max_ms = {self.horizon_max_ms}")
 
 
 # eta = 1 - exp(-horizon/tau): the steady-state fraction developed inside

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputError, StepSizeError, check_fields
+from .errors import (ConfigError, Fraction, InputError, Positive, StepSizeError,
+                     check_fields)
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,10 @@ class CouplingConfig:
     """Spatial coupling model across the die-to-substrate separation."""
 
     d_ref_um: float = 10.0     # separation at which coupling is unity
-    d_decay_um: float = 5.0    # e-folding length of the decay
+    d_decay_um: Positive = 5.0  # e-folding length of the decay
 
     def __post_init__(self) -> None:
         check_fields(self, "coupling")
-        if not self.d_decay_um > 0:
-            raise ConfigError(f"coupling.d_decay_um must be > 0, got {self.d_decay_um}")
 
 
 def gamma_of_distance(d_um: float, coupling: CouplingConfig = CouplingConfig()) -> float:
@@ -55,23 +54,15 @@ class ThermalParams:
     it (default 0 W, so idle dissipation produces a nonzero delta).
     """
 
-    r_th: float = 0.451        # C/W, junction-to-substrate
-    tau_ms: float = 80.0       # RC time constant
-    gamma: float = 1.0         # spatial coupling, (0, 1]
-    d_um: float | None = None  # optional separation; overrides gamma when set
-    ambient_c: float = 45.0    # package reference temperature at idle
+    r_th: Positive = 0.451        # C/W, junction-to-substrate
+    tau_ms: Positive = 80.0       # RC time constant
+    gamma: Fraction = 1.0         # spatial coupling
+    d_um: Positive | None = None  # optional separation; overrides gamma when set
+    ambient_c: float = 45.0       # package reference temperature at idle
     p_baseline_w: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self, "thermal")
-        if not self.r_th > 0:
-            raise ConfigError(f"thermal.r_th must be > 0, got {self.r_th}")
-        if not self.tau_ms > 0:
-            raise ConfigError(f"thermal.tau_ms must be > 0, got {self.tau_ms}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"thermal.gamma must be in (0, 1], got {self.gamma}")
-        if self.d_um is not None and not self.d_um > 0:
-            raise ConfigError(f"thermal.d_um must be > 0, got {self.d_um}")
 
     @property
     def gain(self) -> float:

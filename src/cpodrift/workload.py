@@ -18,14 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMapError, InputError, check_fields
+from .errors import ConfigError, DegenerateMapError, InputError, Positive, check_fields
 
 RHO_MIN = 0.9
 RHO_MAX = 2.7
 NOISE_SIGMA_MAX = 1.8   # RHO_MAX - RHO_MIN, the width of the density domain
+# module level: class annotations resolve with the class body as globals
+NoiseSigma = Annotated[float, f"in [0, {NOISE_SIGMA_MAX}]",
+                       lambda x: 0 <= x <= NOISE_SIGMA_MAX]
 
 # mean per-stream density contribution under the default factor distributions:
 # E[attn] * E[activation] * E[routing] = 1.0 * 0.65 * 1.0
@@ -66,7 +70,7 @@ class StreamDescriptor:
 class AffineMapParams:
     """Calibration constants for the density -> throughput / power maps."""
 
-    alpha: float = 0.361        # MTPS per unit density
+    alpha: Positive = 0.361     # MTPS per unit density
     beta: float = 19.875        # MTPS
     p_idle_w: float = 12.0      # W at rho = RHO_MIN
     p_peak_w: float = 94.0      # W at rho = RHO_MAX (82 W swing)
@@ -74,8 +78,6 @@ class AffineMapParams:
 
     def __post_init__(self) -> None:
         check_fields(self, "affine_map")
-        if not self.alpha > 0:
-            raise ConfigError(f"affine_map.alpha must be > 0, got {self.alpha}")
         if not self.p_idle_w < self.p_peak_w:
             raise ConfigError(f"affine_map.p_idle_w = {self.p_idle_w} must be < "
                               f"affine_map.p_peak_w = {self.p_peak_w}")
@@ -208,20 +210,12 @@ class WorkloadConfig:
     """Workload generator settings (one config section of a run)."""
 
     step_count: int = 90_000
-    step_period_ms: float = 1.0
+    step_period_ms: Positive = 1.0
     schedule: tuple[ScheduleEntry, ...] = VALIDATION_SCHEDULE
-    noise_sigma: float = 0.02
+    noise_sigma: NoiseSigma = 0.02
 
     def __post_init__(self) -> None:
         check_fields(self, "workload")
-        if self.step_period_ms <= 0:
-            raise ConfigError(
-                f"workload.step_period_ms must be > 0, got {self.step_period_ms}"
-            )
-        if not 0 <= self.noise_sigma <= NOISE_SIGMA_MAX:
-            raise ConfigError(
-                f"workload.noise_sigma must be in [0, {NOISE_SIGMA_MAX}], the "
-                f"width of the density domain, got {self.noise_sigma}")
         if not self.schedule:
             raise ConfigError("workload.schedule must contain at least one entry")
         for i, (name, dur) in enumerate(self.schedule):

@@ -1,7 +1,11 @@
 import json
 import math
+import re
+import types
 from dataclasses import fields, is_dataclass, replace
+from typing import Annotated, Literal, Union, get_args, get_origin
 
+import numpy as np
 import pytest
 
 from cpodrift.config import (
@@ -16,7 +20,7 @@ from cpodrift.config import (
     stabilization_config,
 )
 from cpodrift.controller import ControllerParams, Mode
-from cpodrift.errors import ConfigError
+from cpodrift.errors import ConfigError, field_types
 from cpodrift.optics import OpticParams
 from cpodrift.scheduler import SchedulerConfig
 from cpodrift.thermal import BoundaryStack, CouplingConfig, ThermalParams
@@ -279,3 +283,45 @@ def test_presets_shapes():
     assert comparison_config().workload.step_count == 16_300
     names = {s for s, _ in comparison_config().workload.schedule}
     assert "Peak" in names and ("Low" in names or "Idle" in names)
+
+
+# each rule's values just outside its finite ends, and at or just inside them
+_OUTSIDE = {"> 0": (0.0,), ">= 0": (-5e-324,),
+            "in (0, 1]": (0.0, np.nextafter(1, 2)),
+            "in [0, 1.8]": (-5e-324, np.nextafter(1.8, 2))}
+_INSIDE = {"> 0": (5e-324,), ">= 0": (0.0,), "in (0, 1]": (5e-324, 1.0),
+           "in [0, 1.8]": (0.0, 1.8)}
+
+
+def _declared_rules():
+    """(section, class, field, annotation) of every field of a RunConfig
+    section whose annotation is an ``Annotated`` range or a ``Literal``."""
+    found = []
+    for section, cls in field_types(RunConfig).items():
+        for name, tp in field_types(cls).items() if is_dataclass(cls) else ():
+            if get_origin(tp) in (Union, types.UnionType):   # X | None
+                (tp,) = (a for a in get_args(tp) if a is not type(None))
+            if get_origin(tp) in (Annotated, Literal):
+                found.append((section, cls, name, tp))
+    return found
+
+
+def test_every_declared_range_holds_at_its_edges():
+    rules = _declared_rules()
+    ranges = [r for r in rules if get_origin(r[3]) is Annotated]
+    choices = [r for r in rules if get_origin(r[3]) is Literal]
+    assert len(ranges) == 18 and len(choices) == 1
+    for section, cls, name, tp in ranges:
+        _, rule, test = get_args(tp)
+        for bad in _OUTSIDE[rule]:
+            with pytest.raises(ConfigError, match=(
+                    f"^{re.escape(f'{section}.{name} must be {rule}')}, got")):
+                cls(**{name: bad})
+        assert all(test(ok) for ok in _INSIDE[rule]), f"{section}.{name}"
+    for section, cls, name, tp in choices:
+        with pytest.raises(ConfigError, match=(
+                f"^{re.escape(f'{section}.{name} must be one of {list(get_args(tp))}')}"
+                ", got 'oracle'")):
+            cls(**{name: "oracle"})
+        for choice in get_args(tp):
+            assert getattr(cls(**{name: choice}), name) == choice

@@ -179,6 +179,16 @@ def test_estimate_r_th_no_steady_hold():
         estimate_r_th(frame, ThermalParams())
 
 
+def test_five_tau_past_the_float_range_leaves_no_steady_hold():
+    # 5 * 1e308 ms overflows to inf: no hold is that many steps long
+    cfg = fingerprint_config()
+    cfg = replace(cfg, thermal=replace(cfg.thermal, tau_ms=1e308),
+                  workload=replace(cfg.workload, step_count=2000, schedule=tuple(
+                      (state, 400.0) for state, _ in cfg.workload.schedule)))
+    with pytest.raises(InsufficientDataError, match="no steady-state segment"):
+        build_report(simulate(cfg).frame, cfg)
+
+
 def test_find_holds_run_lengths():
     frame = _steady_frame(
         [("Idle", 0.0, 0.0), ("Peak", 82.0, 37.0), ("Idle", 0.0, 0.0)], hold=50
