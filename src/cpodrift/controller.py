@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import (ConfigError, Fraction, ImplausibleInputError, InputError,
                      NonNegative, Positive, check_fields)
-from .thermal import (_SCAN_MAX_BLOCK, ThermalParams, _one_pole, _response,
-                      step_response_fraction)
+from .thermal import ThermalParams, _one_pole, _response, step_response_fraction
 from .workload import steps_of
 
 # The residual budget, 4.15 C (0.354 nm of drift at kappa_to = 0.0852 nm/C),
@@ -105,23 +104,18 @@ def compensate(
     preposition blend of the plant state and the hint-implied steady state.
     The run starts from rest: zero bias and an empty sensor delay line.
     """
-    bias_of = _Compensator(hint_w.size, dt_ms, params, thermal, horizon_ms)
-    bias_of.feed(hint_w)
-    return bias_of(delta_t_c)
+    return _Compensator(hint_w.size, dt_ms, params, thermal,
+                        horizon_ms)(delta_t_c, hint_w)
 
 
 class _Compensator:
     """:func:`compensate` one chunk of an ``n``-step run at a time.
 
-    Calls pass the plant deltas of consecutive chunks, and :meth:`feed`
-    passes the hint stream in order, ahead of them: the predictive replica
-    reads up to one scan block past the chunk. The actuator bias, the sensor
-    delay line (reactive) and the replica (predictive) carry across chunk
-    edges, so chunks of whole multiples of ``thermal._SCAN_MAX_BLOCK`` steps
-    give the one-call bias bit for bit. The replica scans the hint stream on
-    its own grid, which starts at the step after the warm-up, in pieces of
-    such multiples; the hints it has yet to read are all that is kept of the
-    stream.
+    Calls pass the plant deltas and the hints of consecutive chunks. The
+    actuator bias, the sensor delay line (reactive) and the predictive
+    replica with the hints of the last ``warm`` steps carry across chunk
+    edges, and so do the scans' open blocks, so any chunking gives the
+    one-call bias bit for bit.
     """
 
     def __init__(self, n: int, dt_ms: float, params: ControllerParams,
@@ -129,9 +123,8 @@ class _Compensator:
         self.mode = params.mode
         self.g = params.tracking_factor(dt_ms)
         self.setpoint = params.setpoint_c
-        self.bias = 0.0     # actuator scan state
+        self.bias = 0.0     # actuator scan carry
         self.lo = 0         # first step of the next chunk
-        self.n = n
         if self.mode is Mode.REACTIVE:
             lag = steps_of(params.sensor_latency_ms, dt_ms)
             self.line = np.zeros(min(lag, n))   # readings in flight
@@ -141,41 +134,26 @@ class _Compensator:
             self.warm = h_steps - lead
             self.wl = step_response_fraction(lead * dt_ms, thermal.tau_ms)
             self.thermal, self.dt_ms = thermal, dt_ms
-            self.hints = np.empty(0)    # hint stream from step self.first on
-            self.first = 0
-            self.replica = 0.0          # scan state, seeded at step warm
-            self.scanned = 0            # replica inputs consumed
-            self.ready = np.empty(0)    # replica outputs not yet used
+            self.past = np.empty(0)     # the hints of the last warm steps
+            self.replica = 0.0          # scan carry, seeded at step warm
 
-    def feed(self, hint_w: np.ndarray) -> None:
-        """Pass the hints of the next steps of the stream."""
-        if self.mode is Mode.PREDICTIVE:
-            self.hints = np.concatenate((self.hints, hint_w))
-
-    def _hint_w(self, lo: int, hi: int) -> np.ndarray:
-        """The hints of steps [lo, hi)."""
-        assert self.first <= lo and hi <= self.first + self.hints.size
-        return self.hints[lo - self.first:hi - self.first]
-
-    def __call__(self, dT: np.ndarray) -> np.ndarray:
+    def __call__(self, dT: np.ndarray, hint_w: np.ndarray) -> np.ndarray:
         n = dT.size
         lo = self.lo
         self.lo += n
         if self.mode is Mode.OPEN_LOOP:
             return np.zeros(n)
         if self.mode is Mode.REACTIVE:
-            sensed = dT
-            if self.line.size:
-                full = np.concatenate((self.line, dT))
-                sensed, self.line = full[:n], full[n:]
+            full = np.concatenate((self.line, dT))
+            sensed, self.line = full[:n], full[n:]
             target = np.maximum(0.0, sensed - self.setpoint)
         else:
-            ahead = self._ahead(dT, lo)
+            ahead = self._ahead(dT, hint_w, lo)
             target = np.maximum(0.0, np.maximum(dT, ahead) - self.setpoint)
         bias, self.bias = _one_pole(target, 1.0 - self.g, self.g, self.bias)
         return bias
 
-    def _ahead(self, dT: np.ndarray, lo: int) -> np.ndarray:
+    def _ahead(self, dT: np.ndarray, hint_w: np.ndarray, lo: int) -> np.ndarray:
         """The replica's lead-ahead delta over steps [lo, lo + dT.size)."""
         thermal, warm = self.thermal, self.warm
         hi = lo + dT.size
@@ -183,32 +161,19 @@ class _Compensator:
         upto = min(warm + 1, hi)
         if lo < upto:
             ahead[:upto - lo] = (1.0 - self.wl) * dT[:upto - lo] + \
-                self.wl * thermal.gain * (self._hint_w(lo, upto) -
-                                          thermal.p_baseline_w)
+                self.wl * thermal.gain * (hint_w[:upto - lo] - thermal.p_baseline_w)
             if upto == warm + 1:
                 self.replica = ahead[warm - lo]
+        hints = np.concatenate((self.past, hint_w))     # steps [hi - k, hi)
+        k = hints.size
         if hi > warm + 1:
             # matured: the replica integrates the hint stream at the lead
-            # delay, input i (step warm + 1 + i) reading hint i + 1
+            # delay, step s reading the hint of step s - warm
             start = max(lo, warm + 1)
-            need = hi - start
-            if self.ready.size < need:
-                i = self.scanned
-                short = need - self.ready.size
-                m = min(self.n - warm - 1 - i,
-                        -(-short // _SCAN_MAX_BLOCK) * _SCAN_MAX_BLOCK)
-                y, self.replica = _response(
-                    self._hint_w(1 + i, 1 + i + m) - thermal.p_baseline_w,
-                    thermal, self.dt_ms, self.replica)
-                self.scanned += m
-                self.ready = np.concatenate((self.ready, y))
-            ahead[start - lo:] = self.ready[:need]
-            self.ready = self.ready[need:]
-        # keep the hints still to be read: the replica's next inputs, or
-        # the warm-up's if the replica never starts
-        keep = 1 + self.scanned if warm + 1 < self.n else hi
-        self.hints = self.hints[keep - self.first:]
-        self.first = keep
+            ahead[start - lo:], self.replica = _response(
+                hints[start - warm - hi + k:k - warm] - thermal.p_baseline_w,
+                thermal, self.dt_ms, self.replica)
+        self.past = hints[max(0, k - warm):]
         return ahead
 
 

@@ -59,6 +59,16 @@ class RegressionResult:
     n: int
 
 
+def _check_finite(fit: str, **arrays: np.ndarray) -> None:
+    """Raise InputError naming the first non-finite point of a fit's input:
+    a NaN would otherwise read as a perfect or a null fit."""
+    for name, a in arrays.items():
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise InputError(
+                f"{fit}: {name}[{bad[0]}] must be finite, got {a[bad[0]]}")
+
+
 def regress(x, y) -> RegressionResult:
     """Ordinary least squares y = slope * x + intercept, with R^2.
 
@@ -72,6 +82,7 @@ def regress(x, y) -> RegressionResult:
             f"regress: x and y must be equal-length 1-d sequences, got "
             f"{x.shape} and {y.shape}"
         )
+    _check_finite("regress", x=x, y=y)
     n = x.size
     if n < 2:
         raise InputError(f"regress: need at least 2 points, got {n}")
@@ -95,6 +106,7 @@ def regress_through_origin(x, y) -> RegressionResult:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise InputError("through-origin fit: mismatched inputs")
+    _check_finite("through-origin fit", x=x, y=y)
     if x.size < 1 or float(np.sum(x * x)) == 0.0:
         raise InsufficientDataError("through-origin fit: no usable x values")
     slope = float(np.sum(x * y) / np.sum(x * x))

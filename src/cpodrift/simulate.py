@@ -29,18 +29,17 @@ the forecast power and horizon of a hint. So a run is two passes, and
 * Physics pass: the plant's response to the dispatched power
   (:func:`thermal.respond`), then the compensator's bias from that
   response and the hint stream (:func:`controller.compensate`), both
-  one-pole recursions exact for piecewise-constant inputs. The plant state,
-  the actuator bias, the predictive replica with the hints it has yet to
-  read, and the reactive sensor delay line carry across chunk edges. The
-  schedule pass runs one chunk ahead, since the replica reads hints past
-  its chunk.
+  one-pole recursions exact for piecewise-constant inputs. The scans with
+  their open blocks, the predictive replica with the hints of its lead
+  delay, and the reactive sensor delay line carry across chunk edges.
 
-The chunks give a one-chunk run's columns bit for bit, and :func:`_chunks`
-is the one reader of the plan and the schedule pass. Each chunk goes to the
-streaming summary (:class:`_Summary`), and :func:`simulate` also copies it
-into the preallocated telemetry frame and forecast log. A summary-only run
-(:func:`_summarize`) keeps nothing whole-run, so its memory does not grow
-with the step count. A run of no steps yields no chunk.
+Chunks of any size give a one-chunk run's columns bit for bit, and
+:func:`_chunks` is the one reader of the plan and the schedule pass. Each
+chunk goes to the streaming summary (:class:`_Summary`), and
+:func:`simulate` also copies it into the preallocated telemetry frame and
+forecast log. A summary-only run (:func:`_summarize`) keeps nothing
+whole-run, so its memory does not grow with the step count. A run of no
+steps yields no chunk.
 
 ``tests/oracle.py`` composes the module-level operations step by step
 (Filtration snapshots, forecast(), thermal.step(), and its own per-entry
@@ -53,7 +52,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -169,11 +167,11 @@ def _summarize(config: RunConfig) -> SimulationSummary:
     return stats.finish()[0]
 
 
-# Steps per chunk: a multiple of every scan block, so the chunked scans
-# continue bit for bit across chunk edges. The chunks in flight peak at
-# about 5 MB of arrays at this size and 20 MB at 65,536 steps (tracemalloc,
-# summary-only); simulate() pays that on top of its frame, and at 65,536 a
-# 90k-step run peaked 10 % above the whole-run schedule pass it replaced.
+# Steps per chunk. Any size gives the same columns, but the summary's means
+# sum per chunk, so the pinned summaries depend on it. The chunks in flight
+# peak at about 5 MB of arrays at this size and 20 MB at 65,536 steps
+# (tracemalloc, summary-only); simulate() pays that on top of its frame, and
+# at 65,536 a 90k-step run peaked 10 % above the whole-run schedule pass.
 _CHUNK_STEPS = 1 << 14
 
 
@@ -212,30 +210,21 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
     run of no steps.
 
     Each chunk of the plan (:class:`_PlanStream`) goes through the schedule
-    pass (:func:`_dispatch`) and then the physics: the plant's response to
-    the dispatched power (:func:`respond`), the compensator's bias from it
-    and the hint stream (:func:`compensate`), and the residual and drift.
+    pass (:func:`_dispatch`) and then, before the next is dispatched, the
+    physics: the plant's response to the dispatched power
+    (:func:`respond`), the compensator's bias from it and the hint stream
+    (:func:`compensate`), and the residual and drift.
     """
     wl = config.workload
     thermal = config.thermal
     N, dt = wl.step_count, wl.step_period_ms
     bias_of = _Compensator(N, dt, config.controller, thermal,
                            config.scheduler.horizon_ms)
-    steps = _dispatch(config)
-    # the schedule pass runs a chunk ahead of the physics: the predictive
-    # replica reads hints up to a scan block past its chunk
-    ahead = next(steps, None)
-    if ahead is None:
-        return
-    bias_of.feed(ahead.hint_w)
     plant = 0.0
-    for nxt in chain(steps, [None]):
-        if nxt is not None:
-            bias_of.feed(nxt.hint_w)
-        chunk, ahead = ahead, nxt
+    for chunk in _dispatch(config):
         dT, plant = _response(chunk.p_eic_w - thermal.p_baseline_w, thermal,
                               dt, plant)
-        bias = bias_of(dT)
+        bias = bias_of(dT, chunk.hint_w)
         residual = np.abs(dT - bias)
         yield chunk._replace(delta_t_c=dT, bias_c=bias, residual_c=residual,
                              drift_nm=drift(residual, config.optics))

@@ -104,8 +104,8 @@ def step_response_fraction(t_ms: float, tau_ms: float) -> float:
 # The scan scales by a^(+-j), j < B. Keeping |log a^B| <= 500 holds those
 # factors within e^(+-500), so inputs up to SCAN_MAX_INPUT neither overflow
 # nor underflow; poles far from 1 (the actuator's 1 - g ~ 0.40) get short
-# blocks. Blocks are powers of two, so every block divides any multiple of
-# _SCAN_MAX_BLOCK, the length a run is cut into when it is scanned in pieces.
+# blocks. A scan cuts its input into blocks of B from its first step on,
+# however it is called: the carry holds the open block.
 _SCAN_LOG_SPAN = 500.0
 _SCAN_MAX_BLOCK = 4096
 SCAN_MAX_INPUT = 1e80
@@ -124,72 +124,75 @@ def _scan_block(pole: float) -> int:
 @functools.lru_cache(maxsize=16)
 def _scan_factors(pole: float, gain_in: float,
                   block: int) -> tuple[np.ndarray, np.ndarray]:
-    """a^j and gain * a^-j for j < block, read-only: every chunk of a
-    chunked run scans with the same ones."""
+    """a^j and gain * a^-j for j < block, read-only: every call of a scan
+    scans with the same ones."""
     powers = pole ** np.arange(block, dtype=float)
     scaled_gain = gain_in / powers
     powers.flags.writeable = scaled_gain.flags.writeable = False
     return powers, scaled_gain
 
 
+_Carry = tuple[float, np.ndarray] | float
+
+
 def _one_pole(x: np.ndarray, pole: float, gain_in: float,
-              y_prev: float) -> tuple[np.ndarray, float]:
-    """y[n] = pole * y[n-1] + gain_in * x[n], continuing from y_prev.
+              carry: _Carry) -> tuple[np.ndarray, _Carry]:
+    """y[n] = pole * y[n-1] + gain_in * x[n], continuing a scan from ``carry``:
+    the state entering the scan's open block and that block's inputs so far,
+    or a bare float, the state before the scan's first step.
 
     A blocked scan (Blelloch 1990) in one output buffer: within a block of
     B steps y[j] = a^j * cumsum(gain_in * x * a^-j), the state entering each
     block (carried across blocks with pole a^B) folded into its column 0.
 
-    Returns y and the state entering the block after the last. Passed back
-    as ``y_prev``, that state continues the scan bit for bit where ``x``
-    was a whole number of blocks: any multiple of ``_SCAN_MAX_BLOCK`` is.
+    Returns y and the carry after it. A call scans the open block of
+    ``carry`` again, joined with ``x``, and returns only the new outputs.
+    Within a block an output depends on no later input, so a scan cut
+    anywhere, each piece continued from the carry the last one returned,
+    gives the one-call scan bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if pole == 0.0 or n == 0:
-        return gain_in * x, y_prev
-    if n == 1:      # the scan's own arithmetic for one element
-        y = gain_in * x[0] + pole * y_prev
-        return np.array([y]), y
-    block = min(n, _scan_block(pole))
+    state, held = carry if isinstance(carry, tuple) else (carry, x[:0])
+    if pole == 0.0 or x.size == 0:
+        return gain_in * x, carry
+    if x.size == 1 and not held.size:   # the scan's arithmetic for one element
+        return np.array([gain_in * x[0] + pole * state]), (state, x)
+    block = _scan_block(pole)
+    k, n = held.size, held.size + x.size
     n_blocks = -(-n // block)
     powers, scaled_gain = _scan_factors(pole, gain_in, block)
 
-    y = np.empty(n_blocks * block)
-    y[:n] = x
-    y[n:] = 0.0
+    y = np.concatenate((held, x, np.zeros(n_blocks * block - n)))
+    opened = y[n - n % block:n].copy()
     rows = y.reshape(n_blocks, block)
     rows *= scaled_gain
 
     # block ends without the incoming state, then the state entering each;
     # numpy's row sums, unlike a BLAS product, round each row the same
-    # whatever the number of rows, so a run scanned in pieces keeps its bits
+    # whatever the number of rows, so a scan cut in pieces keeps its bits
     ends = (rows.sum(axis=1) * powers[-1]).tolist()
     pole_block = powers[-1] * pole
-    carry = []
-    state = y_prev
+    starts = []
     for end in ends:
-        carry.append(state)
+        starts.append(state)
         state = pole_block * state + end
-    rows[:, 0] += pole * np.asarray(carry)
+    rows[:, 0] += pole * np.asarray(starts)
     np.cumsum(rows, axis=1, out=rows)
     rows *= powers
-    return y[:n], state
+    return y[k:n], (starts[-1] if opened.size else state, opened)
 
 
 def _response(power_w, params: ThermalParams, dt_ms: float,
-              state: float) -> tuple[np.ndarray, float]:
-    """:func:`respond` from a scan state, returning the state after it.
-
-    A run cut into pieces of whole multiples of ``_SCAN_MAX_BLOCK`` steps,
-    each continued from the state the last one returned, gives the one-call
-    response bit for bit.
+              carry: _Carry) -> tuple[np.ndarray, _Carry]:
+    """:func:`respond` continuing the plant's scan from ``carry``, returning
+    the carry after it: a run cut anywhere, each piece continued from the
+    carry the last one returned, gives the one-call response bit for bit.
     """
     if not dt_ms > 0:
         raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
     decay = math.exp(-dt_ms / params.tau_ms)
     return _one_pole(params.gain * np.asarray(power_w, dtype=float), decay,
-                     1.0 - decay, state)
+                     1.0 - decay, carry)
 
 
 def respond(

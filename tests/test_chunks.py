@@ -17,8 +17,12 @@ against a one-chunk run:
   are held to 1e-12 relative of ``np.mean`` over the whole column, the
   per-state density means included;
 * planned work is dispatched, shed or outstanding.
+
+Chunks of sizes no scan block divides, down to one step, give the one-chunk
+columns too, and the physics holds one schedule chunk at a time.
 """
 
+import hashlib
 import importlib
 import math
 import tracemalloc
@@ -215,20 +219,88 @@ def test_chunked_run_matches_the_oracle(monkeypatch, mode):
 def test_scan_in_pieces_equals_one_scan(pole):
     x = np.random.default_rng(8).normal(size=5 * _SCAN_MAX_BLOCK + 11)
     whole, _ = _one_pole(x, pole, 1.0 - pole, 0.7)
-    state, parts = 0.7, []
-    for lo in range(0, x.size, 2 * _SCAN_MAX_BLOCK):
-        y, state = _one_pole(x[lo:lo + 2 * _SCAN_MAX_BLOCK], pole, 1.0 - pole,
-                             state)
-        parts.append(y)
-    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    b = _scan_block(pole)
+    for cut in (2 * _SCAN_MAX_BLOCK, 1, 7, b - 1, b + 1, 12345):
+        # one step at a time, up to two block edges: each call scans its
+        # open block again
+        n = 2 * b + 3 if cut == 1 else x.size
+        carry, parts = 0.7, []
+        for lo in range(0, n, cut):
+            y, carry = _one_pole(x[lo:min(n, lo + cut)], pole, 1.0 - pole, carry)
+            parts.append(y)
+        assert np.concatenate(parts).tobytes() == whole[:n].tobytes(), cut
 
 
 @pytest.mark.parametrize("pole", [1e-300, 1e-9, 0.3995, 0.4, 0.5, 0.9,
                                   math.exp(-1.0 / 80.0), 0.999, 1.0 - 1e-12])
 def test_scan_blocks_divide_the_chunk(pole):
+    # powers of two, which every golden's rounding depends on; a chunk need
+    # not be a multiple of one, since the scan carries its open block
     b = _scan_block(pole)
     assert b > 0 and b & (b - 1) == 0
-    assert sim._CHUNK_STEPS % b == 0 and C % b == 0
+
+
+# chunk sizes that no scan block divides, down to a few steps
+_CUTS = (5, 1000, 4097, 8191, 12345)
+_BURSTS = 20007
+
+
+def _any_cut_cases():
+    for forecaster in ("queue_replay", "ewma"):
+        for mode in Mode:
+            for cut in _CUTS:
+                yield pytest.param(_cfg(_BURSTS, mode, forecaster), cut,
+                                   id=f"{mode.value}-{forecaster}-{cut}")
+    for mode in Mode:
+        for cut in (1, 7, 64):
+            yield pytest.param(_cfg(300, mode), cut, id=f"{mode.value}-300-{cut}")
+    # a short plant block (1024 steps), a delay line past a block and a
+    # chunk, and a half-millisecond step
+    for name, cfg in (
+            ("tau3", replace(_cfg(_BURSTS), thermal=ThermalParams(tau_ms=3.0))),
+            ("lag5000", _cfg(_BURSTS, Mode.REACTIVE, sensor_latency_ms=5000.0)),
+            ("dt0.5", replace(_cfg(_BURSTS), workload=WorkloadConfig(
+                step_count=_BURSTS, schedule=BURST_SCHEDULE, step_period_ms=0.5)))):
+        for cut in _CUTS:
+            yield pytest.param(cfg, cut, id=f"{name}-{cut}")
+
+
+def _column_digests(run):
+    """The dtype and sha256 of each telemetry and forecast-log column."""
+    cols = [(f"{part}.{f.name}", getattr(getattr(run, part), f.name))
+            for part in ("frame", "forecast_log")
+            for f in fields(getattr(run, part))]
+    return {name: hashlib.sha256(repr(v).encode()).hexdigest() if isinstance(v, list)
+            else (v.dtype.str, hashlib.sha256(v.tobytes()).hexdigest())
+            for name, v in cols}
+
+
+_ONE_CHUNK_DIGESTS = {}     # config -> the column digests of its one-chunk run
+
+
+@pytest.mark.parametrize("cfg, cut", list(_any_cut_cases()))
+def test_any_chunk_size_gives_the_one_chunk_bits(monkeypatch, cfg, cut):
+    if cfg not in _ONE_CHUNK_DIGESTS:
+        monkeypatch.setattr(sim, "_CHUNK_STEPS", ONE_CHUNK)
+        _ONE_CHUNK_DIGESTS[cfg] = _column_digests(sim.simulate(cfg))
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", cut)
+    assert _column_digests(sim.simulate(cfg)) == _ONE_CHUNK_DIGESTS[cfg]
+
+
+def test_the_physics_holds_one_schedule_chunk(monkeypatch):
+    # the schedule pass runs in lockstep with the physics, not a chunk ahead
+    dispatched = []
+    dispatch = sim._dispatch
+
+    def counted(config):
+        for chunk in dispatch(config):
+            dispatched.append(chunk.lo)
+            yield chunk
+
+    monkeypatch.setattr(sim, "_dispatch", counted)
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", C)
+    assert next(sim._chunks(_cfg(2 * C + 7))).lo == 0
+    assert dispatched == [0]
 
 
 def _traced_peak(fn, *args):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 from dataclasses import replace
 
@@ -47,6 +48,19 @@ def test_regress_input_errors():
         regress([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(InputError):
         regress([1.0], [1.0])
+
+
+@pytest.mark.parametrize("fit", [regress, regress_through_origin])
+def test_fits_reject_non_finite_points(fit):
+    # a NaN would read as R^2 = 1 in x and as R^2 = 0 in y
+    x, y = np.arange(1.0, 6.0), np.arange(1.0, 6.0) * 2.0
+    bad = x.copy()
+    bad[3] = math.nan
+    with pytest.raises(InputError, match=r": x\[3\] must be finite, got nan"):
+        fit(bad, y)
+    y[1] = math.inf
+    with pytest.raises(InputError, match=r": y\[1\] must be finite, got inf"):
+        fit(x, y)
 
 
 def test_r_squared_invariant_under_affine_x():
@@ -309,6 +323,14 @@ def test_report_resistance_row_divides_out_coupling():
     assert report.ok
     _, row = _resistance_row(replace(cfg, thermal=ThermalParams(r_th=0.40)))
     assert not row.ok and row.verdict == "Fail"
+
+
+def test_report_rejects_a_nan_density(fingerprint_run, fingerprint_cfg):
+    # not "Density-temperature R^2 1.0000 Exceeded"
+    rho = fingerprint_run.frame.rho.copy()
+    rho[100] = math.nan
+    with pytest.raises(InputError, match=r"regress: x\[100\] must be finite"):
+        build_report(replace(fingerprint_run.frame, rho=rho), fingerprint_cfg)
 
 
 def test_report_is_pure_function(fingerprint_run, fingerprint_cfg):

@@ -1,6 +1,6 @@
-"""The package's import layering: every module imports at its top, so the
-import graph is the one the module headers show, with no cycle hidden in a
-function body."""
+"""The package's layering: every module imports at its top, so the import
+graph is the one the module headers show, with no cycle hidden in a
+function body; and only ``thermal`` knows how a scan is cut into blocks."""
 
 from __future__ import annotations
 
@@ -26,3 +26,24 @@ def test_no_module_imports_inside_a_function():
     assert SOURCES
     assert [site for path in SOURCES for site in _function_imports(path)] == []
 
+
+# the scan's block grid: a module that reads it could cut a scan where its
+# carry does not continue it
+SCAN_GRID = {"_SCAN_MAX_BLOCK", "_scan_block", "_scan_factors"}
+
+
+def _scan_grid_names(path: Path) -> list[str]:
+    """``file:line name`` of each use of a scan-grid name in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        names = [node.id] if isinstance(node, ast.Name) else \
+            [node.attr] if isinstance(node, ast.Attribute) else \
+            [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+        found.extend(f"{path.name}:{node.lineno} {n}" for n in names if n in SCAN_GRID)
+    return found
+
+
+def test_only_thermal_names_the_scan_grid():
+    assert _scan_grid_names(Path(cpodrift.__file__).parent / "thermal.py")
+    assert [site for path in SOURCES if path.name != "thermal.py"
+            for site in _scan_grid_names(path)] == []

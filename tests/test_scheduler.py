@@ -143,6 +143,16 @@ def test_audit_detects_planted_future_read():
     assert rep.violations == ((1.0, 5.0),)
 
 
+def test_audit_tolerates_1e_9_ms_and_no_more():
+    # a stamp 1e-9 ms past its issue is within the audit's rounding slack;
+    # one twice as far is a read of the future
+    issued = (0.0, 1000.0)
+    log = _log(*((t, t + slack) for t in issued for slack in (1e-9, 2e-9)))
+    rep = causality_audit(log, np.array([[0.0, 1.0]]))
+    assert rep.n_checked == 4
+    assert rep.violations == tuple((t, t + 2e-9) for t in issued)
+
+
 def test_audit_empty_traces():
     rep = causality_audit(_log(), np.empty((0, 2)))
     assert rep.ok and rep.n_checked == 0 and rep.violations == ()
