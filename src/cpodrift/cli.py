@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, experiment <name>, fingerprint <telemetry.csv>,
-compare, verify. Exit code is nonzero iff a pass/fail verdict fails or
-verification fails.
+compare, verify. Exit code 1 when a pass/fail verdict or verification
+fails; 2, with an ``error:`` line, for bad input or a path that fails.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except CpodriftError as exc:
+    except (CpodriftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -136,16 +136,21 @@ class Hold:
 def find_holds(frame: TelemetryFrame) -> tuple[Hold, ...]:
     """Run-length encode the load-state column."""
     names = frame.load_state
-    if not names:
-        return ()
-    holds = []
-    start = 0
-    for i in range(1, len(names)):
-        if names[i] != names[start]:
-            holds.append(Hold(names[start], start, i))
-            start = i
-    holds.append(Hold(names[start], start, len(names)))
-    return tuple(holds)
+    cuts = (np.flatnonzero(names[1:] != names[:-1]) + 1).tolist()
+    edges = [0, *cuts, names.size] if names.size else []
+    return tuple(Hold(names[a], a, b) for a, b in zip(edges, edges[1:]))
+
+
+def _step_ms(t_ms: np.ndarray) -> float:
+    """The step period of a time column, 1.0 for fewer than two rows;
+    InputError names the first row not finite or not after the one before."""
+    bad = ~np.isfinite(t_ms)
+    bad[1:] |= t_ms[1:] <= t_ms[:-1]
+    if bad.any():
+        i = int(bad.argmax())
+        raise InputError(f"fingerprint: t_ms[{i}] = {t_ms[i]} is not a finite "
+                         "time after the row before")
+    return float(t_ms[1] - t_ms[0]) if t_ms.size > 1 else 1.0
 
 
 def steady_window(hold: Hold) -> tuple[int, int]:
@@ -175,7 +180,7 @@ def estimate_r_th(frame: TelemetryFrame, thermal: ThermalParams) -> RthEstimate:
     """
     if frame.n == 0:
         raise InsufficientDataError("estimate_r_th: empty telemetry")
-    dt_ms = float(frame.t_ms[1] - frame.t_ms[0]) if frame.n > 1 else 1.0
+    dt_ms = _step_ms(frame.t_ms)
     hold_ms = _STEADY_HOLD_TAU * thermal.tau_ms
     # a hold no count of steps can reach leaves no steady-state segment
     min_steps = (steps_of(hold_ms, dt_ms) if math.isfinite(hold_ms / dt_ms)
@@ -361,41 +366,30 @@ _SCATTER_MAX_ROWS = 5000
 
 
 def _heatmap_panel(frame: TelemetryFrame, holds) -> Panel:
-    states, samples, times, deltas = [], [], [], []
-    longest: dict[str, Hold] = {}
-    for h in holds:
-        if h.state not in longest or h.length > longest[h.state].length:
-            longest[h.state] = h
+    picks = []
     for state in STATE_BY_NAME:
-        h = longest[state]
-        idx = np.linspace(h.start, h.stop - 1, _HEATMAP_SAMPLES).round().astype(int)
-        states.extend([state] * _HEATMAP_SAMPLES)
-        samples.extend(range(_HEATMAP_SAMPLES))
-        times.append(frame.t_ms[idx])
-        deltas.append(frame.delta_t_c[idx])
+        # the first of the state's longest holds, sampled evenly
+        h = max((h for h in holds if h.state == state), key=lambda h: h.length)
+        picks.append(np.linspace(h.start, h.stop - 1, _HEATMAP_SAMPLES).round())
+    idx = np.concatenate(picks).astype(int)
     return Panel(
         name="thermal_diffusion_heatmap",
         columns={
-            "state": np.asarray(states),
-            "sample_index": np.asarray(samples, dtype=np.int64),
-            "t_ms": np.concatenate(times),
-            "delta_t_c": np.concatenate(deltas),
+            "state": np.repeat(list(STATE_BY_NAME), _HEATMAP_SAMPLES),
+            "sample_index": np.tile(np.arange(_HEATMAP_SAMPLES, dtype=np.int64),
+                                    len(STATE_BY_NAME)),
+            "t_ms": frame.t_ms[idx],
+            "delta_t_c": frame.delta_t_c[idx],
         },
         meta={"samples_per_state": _HEATMAP_SAMPLES},
     )
 
 
 def _pick_transition(holds):
-    """Transition whose following hold is longest (ties: latest)."""
-    best = None
-    for prev, nxt in zip(holds, holds[1:]):
-        if best is None or nxt.length >= best[1].length:
-            best = (prev, nxt)
-    if best is None:
-        raise CoverageError(
-            "fingerprint: telemetry has no step transient (single hold)"
-        )
-    return best
+    """Transition whose following hold is longest (ties: latest); holds of
+    all five states have at least one."""
+    i = max(range(1, len(holds)), key=lambda i: (holds[i].length, i))
+    return holds[i - 1], holds[i]
 
 
 def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
@@ -409,16 +403,20 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     optic = config.optics
     wmap = config.affine_map
 
-    present = set(frame.load_state)
+    holds = find_holds(frame)
+    for h in holds:
+        if h.state not in STATE_BY_NAME:
+            raise InputError(
+                f"fingerprint: unknown load state {h.state!r} from step "
+                f"{frame.step[h.start]} (expected one of {list(STATE_BY_NAME)})")
+    present = {h.state for h in holds}
     missing = tuple(s for s in STATE_BY_NAME if s not in present)
     if missing:
         raise CoverageError(
             f"fingerprint: telemetry missing load states {list(missing)}",
             missing=missing,
         )
-
-    holds = find_holds(frame)
-    dt_ms = float(frame.t_ms[1] - frame.t_ms[0]) if frame.n > 1 else 1.0
+    dt_ms = _step_ms(frame.t_ms)
 
     rth = estimate_r_th(frame, thermal)
 

@@ -66,7 +66,7 @@ from .scheduler import (
     preposition_fraction,
     throttle_cut,
 )
-from .telemetry import COLUMNS, TelemetryFrame
+from .telemetry import TelemetryFrame
 from .thermal import _response, peak_junction_temperature
 from .workload import (
     STATE_BY_NAME,
@@ -79,6 +79,7 @@ from .workload import (
 
 STABILIZATION_BAND_C = 0.05     # | trailing-mean residual - cap | tolerance
 _STAB_WINDOW_MS = 1000.0
+_STATE_NAMES = np.array(tuple(STATE_BY_NAME), dtype=object)   # by state_idx
 
 
 @dataclass(frozen=True)
@@ -132,23 +133,20 @@ def simulate(config: RunConfig) -> RunResult:
     N = config.workload.step_count
     sc = config.scheduler
     eta = preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)
-    frame = TelemetryFrame(
-        step=np.arange(N, dtype=np.int64), load_state=[], eta=np.full(N, eta),
-        queue_depth=np.empty(N, dtype=np.int64),
-        **{c: np.empty(N) for c in COLUMNS if c not in (
-            "step", "load_state", "eta", "queue_depth")})
+    frame = TelemetryFrame.empty(N)
+    frame.step[:] = np.arange(N)
+    frame.eta[:] = eta
     log = ForecastLog(frame.t_ms, np.broadcast_to(float(sc.horizon_ms), N),
                       frame.hint_w, np.empty(N), np.empty(N, dtype=int))
     # the columns of the frame and the log that a chunk holds by name
     shared = [(getattr(sink, c), c) for sink in (frame, log)
               for c in _Chunk._fields if hasattr(sink, c)]
-    names = np.array(tuple(STATE_BY_NAME), dtype=object)
     stats = _Summary(config)
     for chunk in _chunks(config):
         at = slice(chunk.lo, chunk.lo + chunk.t_ms.size)
         for col, c in shared:
             col[at] = getattr(chunk, c)
-        frame.load_state.extend(names[chunk.state_idx].tolist())
+        frame.load_state[at] = _STATE_NAMES[chunk.state_idx]
         frame.t24[at] = density_to_throughput(chunk.rho, config.affine_map)
         frame.ttft_ms[at] = chunk.queue_depth * sc.t_slice_ms * 0.5
         stats.add(chunk)

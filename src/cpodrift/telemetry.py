@@ -32,11 +32,13 @@ _CHUNK = 4096
 
 @dataclass
 class TelemetryFrame:
-    """Column-oriented telemetry for a whole run; field order is the schema."""
+    """Column-oriented telemetry for a whole run; field order is the schema.
+    Every column is an ``n``-row array of its ``_ROW`` dtype: a sequence of
+    state names given for ``load_state`` becomes an object array."""
 
     step: np.ndarray
     t_ms: np.ndarray
-    load_state: list[str]
+    load_state: np.ndarray
     rho: np.ndarray
     t24: np.ndarray
     p_eic_w: np.ndarray
@@ -49,15 +51,17 @@ class TelemetryFrame:
     queue_depth: np.ndarray
     ttft_ms: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.load_state = np.asarray(self.load_state, _ROW["load_state"])
+
     @property
     def n(self) -> int:
         return int(self.step.shape[0])
 
     @classmethod
-    def empty(cls) -> "TelemetryFrame":
-        return cls(**{
-            c: [] if c == "load_state" else np.empty(0, _ROW[c]) for c in COLUMNS
-        })
+    def empty(cls, n: int = 0) -> "TelemetryFrame":
+        """A frame of ``n`` unfilled rows."""
+        return cls(**{c: np.empty(n, _ROW[c]) for c in COLUMNS})
 
 
 COLUMNS = tuple(f.name for f in fields(TelemetryFrame))
@@ -69,10 +73,7 @@ _ROW = np.dtype([
     (c, object if c == "load_state" else np.int64 if c in _INT_COLUMNS else float)
     for c in COLUMNS
 ])
-_CELLS = tuple(
-    "%s" if c == "load_state" else "%d" if c in _INT_COLUMNS else FLOAT_FMT
-    for c in COLUMNS
-)
+_CELLS = tuple({"O": "%s", "i": "%d", "f": FLOAT_FMT}[_ROW[c].kind] for c in COLUMNS)
 
 
 # A chunk is a byte matrix with one row per character slot and one column per
@@ -166,9 +167,9 @@ def _int_band(k) -> np.ndarray:
 
 
 def _str_band(names) -> np.ndarray:
-    """The ``%s`` text of ``names``, a list or a ``U`` array, as a byte band:
-    a band of each distinct name, taken by the cells' codes."""
-    names = names.tolist() if isinstance(names, np.ndarray) else names
+    """The ``%s`` text of ``names``, an object or ``U`` array, as a byte
+    band: a band of each distinct name, taken by the cells' codes."""
+    names = names.tolist()
     table = {s: i for i, s in enumerate(dict.fromkeys(names))}
     codes = np.fromiter(map(table.__getitem__, names), np.intp, len(names))
     texts = [str(s).encode("utf-8", "surrogatepass") for s in table]
@@ -182,7 +183,7 @@ def write_rows(fh, columns, cells) -> None:
     """Write equal-length ``columns`` as CSV rows, ``_CHUNK`` rows at a time.
 
     ``cells`` holds one %-format per column (``"%.9g"``, ``"%d"``, ``"%s"``);
-    a column is a numpy array or a list. Each chunk is one byte matrix: the
+    a column is a 1-d numpy array. Each chunk is one byte matrix: the
     band of each column, a comma row after each band but the last and a
     newline row at the end. Read row by row without its pad bytes, it is
     the text ``cells`` gives each row.
@@ -237,16 +238,17 @@ def read_csv(path) -> TelemetryFrame:
     """Read a telemetry CSV written by :func:`write_csv`.
 
     Every malformed row (wrong cell count, blank, a non-number, a
-    non-integer counter) raises :class:`InputError` naming the file and line.
+    non-integer counter) raises :class:`InputError` naming the file and line,
+    as does a file that does not decode. State names are read as written.
     """
-    with open(path) as fh:
-        if tuple(fh.readline().rstrip("\n").split(",")) != COLUMNS:
-            raise InputError(
-                f"{path}: not a telemetry CSV (expected header {','.join(COLUMNS)})"
-            )
-        lines = fh.readlines()
-    if not lines:
-        return TelemetryFrame.empty()
+    try:
+        with open(path) as fh:
+            if tuple(fh.readline().rstrip("\n").split(",")) != COLUMNS:
+                raise InputError(f"{path}: not a telemetry CSV (expected header "
+                                 f"{','.join(COLUMNS)})")
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     try:
         rows = _parse(lines)
     except ValueError:
@@ -257,7 +259,4 @@ def read_csv(path) -> TelemetryFrame:
             f"except load_state)"
         ) from None
     del lines  # the text goes before the column copies are made
-    return TelemetryFrame(**{
-        c: rows[c].tolist() if c == "load_state" else np.ascontiguousarray(rows[c])
-        for c in COLUMNS
-    })
+    return TelemetryFrame(**{c: np.ascontiguousarray(rows[c]) for c in COLUMNS})

@@ -22,7 +22,6 @@ Chunks of sizes no scan block divides, down to one step, give the one-chunk
 columns too, and the physics holds one schedule chunk at a time.
 """
 
-import hashlib
 import importlib
 import math
 import tracemalloc
@@ -36,7 +35,7 @@ from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
-from test_simulate import _assert_matches_oracle, _bits
+from test_simulate import _assert_matches_oracle, _bits, _column_bits
 
 # the package attribute ``simulate`` is the function, not the module
 sim = importlib.import_module("cpodrift.simulate")
@@ -70,11 +69,8 @@ def _chunked(monkeypatch, cfg, chunk=C):
 
 def _assert_frames_equal(a, b):
     for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "load_state":
-            assert x == y
-        else:
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+        assert _column_bits(getattr(a, f.name)) == _column_bits(getattr(b, f.name)), \
+            f.name
 
 
 def _assert_chunking_changes_nothing(monkeypatch, cfg):
@@ -99,7 +95,7 @@ def _assert_chunking_changes_nothing(monkeypatch, cfg):
         np.mean(run.frame.residual_c), rel=1e-12, abs=0)
     assert run.summary.mean_drift_nm == pytest.approx(
         np.mean(run.frame.drift_nm), rel=1e-12, abs=0)
-    states = np.array(run.frame.load_state)
+    states = run.frame.load_state
     assert by_state == pytest.approx(
         {s: np.mean(run.frame.rho[states == s]) for s in set(run.frame.load_state)},
         rel=1e-12, abs=0)
@@ -267,12 +263,9 @@ def _any_cut_cases():
 
 def _column_digests(run):
     """The dtype and sha256 of each telemetry and forecast-log column."""
-    cols = [(f"{part}.{f.name}", getattr(getattr(run, part), f.name))
+    return {f"{part}.{f.name}": _column_bits(getattr(getattr(run, part), f.name))
             for part in ("frame", "forecast_log")
-            for f in fields(getattr(run, part))]
-    return {name: hashlib.sha256(repr(v).encode()).hexdigest() if isinstance(v, list)
-            else (v.dtype.str, hashlib.sha256(v.tobytes()).hexdigest())
-            for name, v in cols}
+            for f in fields(getattr(run, part))}
 
 
 _ONE_CHUNK_DIGESTS = {}     # config -> the column digests of its one-chunk run

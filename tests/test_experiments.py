@@ -1,12 +1,13 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from cpodrift.cli import main
 from cpodrift.errors import UsageError
 from cpodrift.experiments import EXPERIMENT_NAMES, run_experiment
-from cpodrift.telemetry import COLUMNS
+from cpodrift.telemetry import COLUMNS, write_csv
 
 
 def test_experiment_names():
@@ -128,6 +129,44 @@ def test_cli_bad_telemetry_file(tmp_path, capsys):
     p.write_text(",".join(COLUMNS) + "\n0,abc,Idle" + ",1" * 11 + "\n")
     assert main(["fingerprint", str(p)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, rows, value, message", [
+    # the seed-24 run's 450-step High hold renamed: the report passed
+    ("load_state", slice(23000, 23450), "Turbo",
+     "unknown load state 'Turbo' from step 23000"),
+    # a ZeroDivisionError traceback, and exit 1 as for a failed verdict
+    ("t_ms", 1, 0.0, "t_ms[1] = 0.0 is not a finite time"),
+])
+def test_cli_rejects_a_bad_telemetry_column(tmp_path, capsys, validation_run,
+                                            column, rows, value, message):
+    col = getattr(validation_run.frame, column).copy()
+    col[rows] = value
+    path = tmp_path / "t.csv"
+    write_csv(replace(validation_run.frame, **{column: col}), path)
+    assert main(["fingerprint", str(path), "--out", str(tmp_path / "fp")]) == 2
+    assert capsys.readouterr().err.startswith("error: fingerprint: " + message)
+
+
+@pytest.mark.parametrize("case", ["missing_csv", "out_is_a_file",
+                                  "config_is_a_directory", "csv_not_utf8"])
+def test_cli_reports_a_path_that_fails(tmp_path, capsys, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x\n")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes((",".join(COLUMNS) + "\n0,0,Caf\xe9" + ",0" * 11 + "\n")
+                       .encode("latin-1"))
+    named, argv = {
+        "missing_csv": ("missing.csv", ["fingerprint", str(tmp_path / "missing.csv")]),
+        "out_is_a_file": ("a_file", ["simulate", "--steps", "10", "--out",
+                                     str(a_file)]),
+        "config_is_a_directory": (tmp_path.name, ["verify", "--config",
+                                                  str(tmp_path)]),
+        "csv_not_utf8": ("latin1.csv", ["fingerprint", str(latin1)]),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_cli_experiment_overrides_keep_the_preset(tmp_path, capsys):

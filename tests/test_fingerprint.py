@@ -203,14 +203,57 @@ def test_five_tau_past_the_float_range_leaves_no_steady_hold():
         build_report(simulate(cfg).frame, cfg)
 
 
-def test_find_holds_run_lengths():
-    frame = _steady_frame(
-        [("Idle", 0.0, 0.0), ("Peak", 82.0, 37.0), ("Idle", 0.0, 0.0)], hold=50
-    )
+def _holds_by_loop(names):
+    """The (state, start, stop) runs of ``names``, by the loop find_holds
+    replaced."""
+    if not names:
+        return []
+    holds, start = [], 0
+    for i in range(1, len(names)):
+        if names[i] != names[start]:
+            holds.append((names[start], start, i))
+            start = i
+    holds.append((names[start], start, len(names)))
+    return holds
+
+
+@pytest.mark.parametrize("names", [
+    pytest.param([], id="empty"),
+    pytest.param(["Idle"], id="one_row"),
+    pytest.param(["Peak"] * 7, id="one_state"),
+    pytest.param(["Idle", "Peak"] * 4, id="alternating"),
+    pytest.param(["Idle"] * 50 + ["Peak"] * 50 + ["Idle"] * 50, id="three_holds"),
+])
+@pytest.mark.parametrize("built_from", [list, lambda v: np.array(v, dtype=object)],
+                         ids=["list", "array"])
+def test_find_holds_run_lengths(names, built_from):
+    frame = replace(TelemetryFrame.empty(len(names)), load_state=built_from(names))
     holds = find_holds(frame)
-    assert [(h.state, h.length) for h in holds] == [
-        ("Idle", 50), ("Peak", 50), ("Idle", 50)
-    ]
+    assert [(h.state, h.start, h.stop) for h in holds] == _holds_by_loop(names)
+    assert all(type(h.state) is str and type(h.start) is int for h in holds)
+
+
+def test_report_rejects_a_state_outside_the_five(validation_run):
+    # the 450-step High hold from step 23,000 renamed: its samples would
+    # enter the unified fit, and the report would pass
+    names = validation_run.frame.load_state.copy()
+    names[23000:23450] = "Turbo"
+    frame = replace(validation_run.frame, load_state=names)
+    with pytest.raises(InputError, match="unknown load state 'Turbo' from step 23000"):
+        build_report(frame, validation_run.config)
+
+
+@pytest.mark.parametrize("row, t", [(1, 0.0), (0, math.nan), (4000, 3998.0)])
+def test_report_rejects_a_bad_time_column(fingerprint_run, fingerprint_cfg, row, t):
+    # equal first stamps divided by zero; a NaN first stamp read as "no
+    # steady-state segment found"
+    t_ms = fingerprint_run.frame.t_ms.copy()
+    t_ms[row] = t
+    frame = replace(fingerprint_run.frame, t_ms=t_ms)
+    for judge in (lambda: build_report(frame, fingerprint_cfg),
+                  lambda: estimate_r_th(frame, fingerprint_cfg.thermal)):
+        with pytest.raises(InputError, match=rf"t_ms\[{row}\] = {t} is not a finite"):
+            judge()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from cpodrift.errors import InputError
+from cpodrift.workload import STATE_BY_NAME
 from cpodrift.telemetry import (
     _CHUNK,
+    _ROW,
     COLUMNS,
     TelemetryFrame,
     read_csv,
@@ -17,7 +19,6 @@ from cpodrift.telemetry import (
     write_rows,
 )
 
-INT_COLUMNS = ("step", "queue_depth")
 EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
                0.5, 99999.99995, 1.0 / 3.0,
                # exact binary ties at the 9th digit
@@ -64,7 +65,7 @@ def test_csv_round_trip(tmp_path, fingerprint_run):
     write_csv(frame, path)
     back = read_csv(path)
     assert back.n == frame.n
-    assert back.load_state == frame.load_state
+    assert np.array_equal(back.load_state, frame.load_state)
     # 9 significant digits survive the round trip at this magnitude
     np.testing.assert_allclose(back.delta_t_c, frame.delta_t_c, rtol=1e-8)
     np.testing.assert_allclose(back.drift_nm, frame.drift_nm, rtol=1e-8)
@@ -88,6 +89,17 @@ def test_read_rejects_foreign_csv(tmp_path):
 def test_empty_frame():
     f = TelemetryFrame.empty()
     assert f.n == 0
+
+
+def test_every_column_is_an_array_of_its_schema_dtype(tmp_path, transient_run):
+    path = tmp_path / "t.csv"
+    write_csv(transient_run.frame, path)
+    for frame in (transient_run.frame, read_csv(path), TelemetryFrame.empty()):
+        for c in COLUMNS:
+            col = getattr(frame, c)
+            assert isinstance(col, np.ndarray) and col.dtype == _ROW[c], c
+            assert col.shape == (frame.n,), c
+    assert set(transient_run.frame.load_state) <= set(STATE_BY_NAME)
 
 
 def _sha256(path) -> str:
@@ -114,9 +126,9 @@ def _edge_columns(n: int, seed: int = 0):
     ints = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n,
                         dtype=np.int64, endpoint=True)
     ints[:2] = [np.iinfo(np.int64).min, np.iinfo(np.int64).max][:n]
-    names = ["", "Idle", "a state name with spaces", "S" * 3000]
-    states = [names[i % len(names)] for i in range(n)]
-    return floats, ints, states
+    names = np.array(["", "Idle", "a state name with spaces", "S" * 3000],
+                     dtype=object)
+    return floats, ints, names[np.arange(n) % names.size]
 
 
 @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
@@ -145,17 +157,15 @@ def test_writing_the_90k_frame_stays_within_a_memory_budget(tmp_path,
     assert peak <= 6e6
 
 
+# the per-cell parser of a column, by the kind of its schema dtype
+_PARSE = {"f": float, "i": int, "O": str}
+_FLOAT_COLUMNS = [c for c in COLUMNS if _ROW[c].kind == "f"]
+
+
 def _frame_from_columns(n: int) -> TelemetryFrame:
-    floats, ints, states = _edge_columns(n)
-    cols = {}
-    for j, c in enumerate(COLUMNS):
-        if c == "load_state":
-            cols[c] = states
-        elif c in INT_COLUMNS:
-            cols[c] = np.roll(ints, j)
-        else:
-            cols[c] = np.roll(floats, j)
-    return TelemetryFrame(**cols)
+    edges = dict(zip("fiO", _edge_columns(n)))
+    return TelemetryFrame(**{c: np.roll(edges[_ROW[c].kind], j)
+                             for j, c in enumerate(COLUMNS)})
 
 
 def _parse_per_cell(path) -> dict:
@@ -163,32 +173,29 @@ def _parse_per_cell(path) -> dict:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     return {
-        c: list(v) if c == "load_state"
-        else np.array([int(x) for x in v], dtype=np.int64) if c in INT_COLUMNS
-        else np.array([float(x) for x in v])
+        c: np.array([_PARSE[_ROW[c].kind](x) for x in v], dtype=_ROW[c])
         for c, v in zip(COLUMNS, zip(*rows))
     }
 
 
 def _assert_frame_equals_per_cell(frame: TelemetryFrame, path) -> None:
     ref = _parse_per_cell(path)
-    assert frame.load_state == ref["load_state"]
     for c in COLUMNS:
-        if c == "load_state":
-            continue
-        got, want = getattr(frame, c), ref[c]
-        assert got.dtype == want.dtype, c
-        assert np.array_equal(got, want, equal_nan=True), c
-        assert np.array_equal(np.signbit(got), np.signbit(want)), c
+        np.testing.assert_array_equal(getattr(frame, c), ref[c], strict=True,
+                                      err_msg=c)
+    for c in _FLOAT_COLUMNS:
+        assert np.array_equal(np.signbit(getattr(frame, c)),
+                              np.signbit(ref[c])), c
 
 
 @pytest.mark.parametrize("n", [1, _CHUNK + 1])
 def test_read_equals_per_cell_parse_on_edge_values(tmp_path, n):
     path = tmp_path / "t.csv"
-    write_csv(_frame_from_columns(n), path)
+    frame = _frame_from_columns(n)
+    write_csv(frame, path)
     back = read_csv(path)
     _assert_frame_equals_per_cell(back, path)
-    assert back.load_state == _edge_columns(n)[2]
+    assert np.array_equal(back.load_state, frame.load_state)
 
 
 def test_read_equals_per_cell_parse_on_a_run(tmp_path, fingerprint_run):
@@ -203,10 +210,9 @@ def test_read_accepts_crlf_lines(tmp_path, transient_run):
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     a, b = read_csv(path), read_csv(crlf)
-    assert b.load_state == a.load_state
     for c in COLUMNS:
-        if c != "load_state":
-            assert np.array_equal(getattr(b, c), getattr(a, c)), c
+        np.testing.assert_array_equal(getattr(b, c), getattr(a, c), strict=True,
+                                      err_msg=c)
 
 
 def test_empty_frame_round_trips_without_warning(tmp_path):
@@ -216,8 +222,9 @@ def test_empty_frame_round_trips_without_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = read_csv(path)
-    assert back.n == 0 and back.load_state == []
-    assert back.step.dtype == np.int64 and back.t_ms.dtype == float
+    assert back.n == 0
+    for c in COLUMNS:
+        assert getattr(back, c).shape == (0,) and getattr(back, c).dtype == _ROW[c]
 
 
 GOOD_ROW = "0,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200"
