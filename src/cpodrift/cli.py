@@ -16,18 +16,24 @@ from . import fingerprint as fp
 from .config import apply_overrides, comparison_config, load_config, RunConfig
 from .errors import CpodriftError
 from .experiments import (EXPERIMENT_NAMES, experiment_config, run_comparison,
-                          run_experiment, write_json)
+                          run_experiment)
 from .simulate import simulate
-from .telemetry import read_csv, write_csv
+from .telemetry import read_csv, write_csv, write_json
 from .verify import verify
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="JSON run config")
-    p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--out", type=Path, default=None,
-                   help="output directory (overrides the config's out_dir)")
-    p.add_argument("--steps", type=int, default=None, help="override step count")
+_FLAGS = {
+    "config": dict(type=Path, help="JSON run config"),
+    "seed": dict(type=int, help="override the seed"),
+    "out": dict(type=Path,
+                help="output directory (overrides the config's out_dir)"),
+    "steps": dict(type=int, help="override step count"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,25 +41,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cpodrift",
         description="co-packaged optics thermal-drift co-simulation toolkit",
     )
+    # each subcommand takes only the flags it reads; the rest read as unset
+    parser.set_defaults(**dict.fromkeys(_FLAGS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one simulation and print the summary")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
 
     p = sub.add_parser("experiment", help="run a standard experiment")
     p.add_argument("name", choices=EXPERIMENT_NAMES)
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
 
     p = sub.add_parser("fingerprint",
                        help="build the fingerprint report from a telemetry CSV")
     p.add_argument("telemetry", type=Path)
-    _add_common(p)
+    _add_flags(p, "config", "out")
 
     p = sub.add_parser("compare", help="reactive vs predictive comparison")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
 
     p = sub.add_parser("verify", help="analytic self-checks")
-    _add_common(p)
+    _add_flags(p, "config")
 
     return parser
 
@@ -79,7 +87,7 @@ def _dispatch(args) -> int:
     if args.command == "simulate":
         cfg = _config_for(args)
         run = simulate(cfg)
-        print(json.dumps(run.summary.to_dict(), indent=2, default=str))
+        print(json.dumps(run.summary.to_dict(), indent=2))
         if cfg.out_dir:
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -91,7 +99,7 @@ def _dispatch(args) -> int:
     if args.command == "experiment":
         cfg = _config_for(args, fallback=experiment_config(args.name))
         result = run_experiment(args.name, config=cfg, out_dir=cfg.out_dir or "out")
-        print(json.dumps(result.summary, indent=2, default=str))
+        print(json.dumps(result.summary, indent=2))
         for f in result.files:
             print(f"wrote {f}", file=sys.stderr)
         return 0 if result.ok else 1

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .config import (
 from .controller import Mode, energy_margin_estimate
 from .errors import UsageError
 from .simulate import RunResult, _summarize, simulate
-from .telemetry import write_csv
+from .telemetry import write_csv, write_json
 from .thermal import JUNCTION_CEILING_C
 
 
@@ -40,11 +39,6 @@ class ExperimentResult:
     files: tuple[Path, ...]
     summary: dict
     ok: bool
-
-
-def write_json(path: Path, payload: dict) -> None:
-    """The JSON layout of every experiment artifact: indented, sorted keys."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
 def _write_run(run: RunResult, out: Path, stem: str) -> list[Path]:

@@ -16,7 +16,6 @@ configured parameters to well inside 1%, 0.5 ms and 1e-9 respectively.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from .optics import drift
-from .telemetry import FLOAT_FMT, TelemetryFrame, write_rows
+from .telemetry import FLOAT_FMT, TelemetryFrame, write_json, write_rows
 from .thermal import (JUNCTION_CEILING_C, ThermalParams, peak_junction_temperature,
                       step_response_fraction)
 from .workload import STATE_BY_NAME, steps_of
@@ -59,14 +58,21 @@ class RegressionResult:
     n: int
 
 
-def _check_finite(fit: str, **arrays: np.ndarray) -> None:
-    """Raise InputError naming the first non-finite point of a fit's input:
-    a NaN would otherwise read as a perfect or a null fit."""
-    for name, a in arrays.items():
+def _xy(fit: str, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """A fit's input as equal-length 1-d float arrays; InputError names the
+    first non-finite point, which would otherwise read as a perfect or a null
+    fit, or as a misleading extraction failure."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise InputError(f"{fit}: x and y must be equal-length 1-d sequences, "
+                         f"got {x.shape} and {y.shape}")
+    for name, a in (("x", x), ("y", y)):
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:
             raise InputError(
                 f"{fit}: {name}[{bad[0]}] must be finite, got {a[bad[0]]}")
+    return x, y
 
 
 def regress(x, y) -> RegressionResult:
@@ -75,14 +81,7 @@ def regress(x, y) -> RegressionResult:
     R^2 = 1 - SS_res/SS_tot; when y is constant (SS_tot = 0) the convention
     here is R^2 = 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InputError(
-            f"regress: x and y must be equal-length 1-d sequences, got "
-            f"{x.shape} and {y.shape}"
-        )
-    _check_finite("regress", x=x, y=y)
+    x, y = _xy("regress", x, y)
     n = x.size
     if n < 2:
         raise InputError(f"regress: need at least 2 points, got {n}")
@@ -102,11 +101,7 @@ def regress(x, y) -> RegressionResult:
 
 def regress_through_origin(x, y) -> RegressionResult:
     """Least squares y = slope * x (no intercept)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InputError("through-origin fit: mismatched inputs")
-    _check_finite("through-origin fit", x=x, y=y)
+    x, y = _xy("through-origin fit", x, y)
     if x.size < 1 or float(np.sum(x * x)) == 0.0:
         raise InsufficientDataError("through-origin fit: no usable x values")
     slope = float(np.sum(x * y) / np.sum(x * x))
@@ -180,22 +175,21 @@ def estimate_r_th(frame: TelemetryFrame, thermal: ThermalParams) -> RthEstimate:
     """
     if frame.n == 0:
         raise InsufficientDataError("estimate_r_th: empty telemetry")
-    dt_ms = _step_ms(frame.t_ms)
+    return _steady_state(frame, find_holds(frame), _step_ms(frame.t_ms), thermal)
+
+
+def _steady_state(frame: TelemetryFrame, holds, dt_ms: float,
+                  thermal: ThermalParams) -> RthEstimate:
+    """:func:`estimate_r_th` on the frame's holds and step period."""
     hold_ms = _STEADY_HOLD_TAU * thermal.tau_ms
     # a hold no count of steps can reach leaves no steady-state segment
     min_steps = (steps_of(hold_ms, dt_ms) if math.isfinite(hold_ms / dt_ms)
                  else math.inf)
-
-    per_state_x: dict[str, list[np.ndarray]] = {}
-    per_state_y: dict[str, list[np.ndarray]] = {}
-    for hold in find_holds(frame):
-        if hold.length < min_steps:
-            continue
-        lo, hi = steady_window(hold)
-        per_state_x.setdefault(hold.state, []).append(frame.p_eic_w[lo:hi])
-        per_state_y.setdefault(hold.state, []).append(frame.delta_t_c[lo:hi])
-
-    if not per_state_x:
+    windows: dict[str, list[slice]] = {}
+    for hold in holds:
+        if hold.length >= min_steps:
+            windows.setdefault(hold.state, []).append(slice(*steady_window(hold)))
+    if not windows:
         raise InsufficientDataError(
             "estimate_r_th: no steady-state segment found (need holds of at "
             f"least {_STEADY_HOLD_TAU} tau = {hold_ms} ms)"
@@ -206,9 +200,9 @@ def estimate_r_th(frame: TelemetryFrame, thermal: ThermalParams) -> RthEstimate:
     steady_power: dict[str, float] = {}
     steady_delta: dict[str, float] = {}
     xs, ys = [], []
-    for state in per_state_x:
-        p = np.concatenate(per_state_x[state])
-        d = np.concatenate(per_state_y[state])
+    for state, slices in windows.items():
+        p = np.concatenate([frame.p_eic_w[w] for w in slices])
+        d = np.concatenate([frame.delta_t_c[w] for w in slices])
         steady_power[state] = float(p.mean())
         steady_delta[state] = float(d.mean())
         dp = steady_power[state] - p0
@@ -243,10 +237,7 @@ def estimate_tau(t_ms, delta_t_c) -> float:
     so only log tau is searched, over a bracket of x/100 around the seed; a
     minimum on the bracket edge (a trace that never settles) is an error.
     """
-    t = np.asarray(t_ms, dtype=float)
-    y = np.asarray(delta_t_c, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise InputError("estimate_tau: t and delta_t must be equal-length 1-d")
+    t, y = _xy("estimate_tau", t_ms, delta_t_c)
     if t.size < 4:
         raise ExtractionError(f"estimate_tau: trace too short ({t.size} samples)")
     if not np.all(np.diff(t) > 0):
@@ -302,10 +293,7 @@ def estimate_tau(t_ms, delta_t_c) -> float:
 
 def estimate_kappa(delta_t_c, drift_nm) -> RegressionResult:
     """Thermo-optic coefficient: through-origin slope of drift on delta-T."""
-    x = np.asarray(delta_t_c, dtype=float)
-    y = np.asarray(drift_nm, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InputError("estimate_kappa: mismatched inputs")
+    x, y = _xy("estimate_kappa", delta_t_c, drift_nm)
     if x.size < 2:
         raise InsufficientDataError(
             f"estimate_kappa: need at least 2 points, got {x.size}"
@@ -392,6 +380,12 @@ def _pick_transition(holds):
     return holds[i - 1], holds[i]
 
 
+def _row(panel: str, parameter: str, measured: str, target: str, ok: bool,
+         verdict: str = "Pass") -> TableRow:
+    return TableRow(panel, parameter, measured, target,
+                    verdict if ok else "Fail", ok)
+
+
 def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     """Assemble the six-panel fingerprint and its pass/fail table.
 
@@ -418,7 +412,7 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
         )
     dt_ms = _step_ms(frame.t_ms)
 
-    rth = estimate_r_th(frame, thermal)
+    rth = _steady_state(frame, holds, dt_ms, thermal)
 
     # plant-physics fits (resistance, time constant, density coupling) read
     # the plant delta; the spectral fit pairs the drift with the ring
@@ -431,7 +425,7 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     trace_t = frame.t_ms[tau_hold.start:tau_hold.stop]
     trace_y = plant[tau_hold.start:tau_hold.stop]
     # anchor the trace at the pre-step level so the rise starts at zero
-    base = float(plant[tau_hold.start - 1]) if tau_hold.start > 0 else 0.0
+    base = float(plant[tau_hold.start - 1])
     tau_est = estimate_tau(
         np.concatenate(([trace_t[0] - dt_ms], trace_t)),
         np.concatenate(([base], trace_y)),
@@ -447,10 +441,8 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     peak_junction = peak_junction_temperature(peak_delta, wmap.p_idle_w, thermal)
 
     # panels ----------------------------------------------------------------
-    state_names = list(STATE_BY_NAME)
-    steady_power, steady_delta = rth.steady_power_w, rth.steady_delta_t_c
-    for state in state_names:
-        if state not in steady_power:
+    for state in STATE_BY_NAME:
+        if state not in rth.steady_power_w:
             raise InsufficientDataError(
                 f"fingerprint: state {state!r} never holds for 5 tau, cannot "
                 "place its steady-state panel point"
@@ -458,22 +450,26 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
         if state not in rth.per_state:
             raise InsufficientDataError(
                 f"fingerprint: state {state!r} has a steady mean power of "
-                f"{steady_power[state]:.6g} W, at or below thermal.p_baseline_w = "
-                f"{thermal.p_baseline_w} W, so its thermal resistance is undefined"
+                f"{rth.steady_power_w[state]:.6g} W, at or below "
+                f"thermal.p_baseline_w = {thermal.p_baseline_w} W, so its "
+                "thermal resistance is undefined"
             )
+    # the five states' steady points, in STATE_BY_NAME order
+    states = np.asarray(list(STATE_BY_NAME))
+    power, measured, r_th_state = (
+        np.asarray([by_state[s] for s in STATE_BY_NAME])
+        for by_state in (rth.steady_power_w, rth.steady_delta_t_c, rth.per_state))
+    theory = thermal.gain * (power - thermal.p_baseline_w)
+    deviation = np.abs(measured - theory) / theory
 
     p_rth = Panel(
         name="rth_by_state",
         columns={
-            "state": np.asarray(state_names),
-            "rho_target": np.asarray(
-                [STATE_BY_NAME[s].rho_target for s in state_names]
-            ),
-            "mean_power_w": np.asarray([steady_power[s] for s in state_names]),
-            "mean_delta_t_c": np.asarray([steady_delta[s] for s in state_names]),
-            "r_th_c_per_w": np.asarray(
-                [rth.per_state[s] for s in state_names]
-            ),
+            "state": states,
+            "rho_target": np.asarray([s.rho_target for s in STATE_BY_NAME.values()]),
+            "mean_power_w": power,
+            "mean_delta_t_c": measured,
+            "r_th_c_per_w": r_th_state,
         },
         meta={"unified_r_th_c_per_w": rth.unified, "spec_limit_c_per_w": 0.50},
     )
@@ -496,7 +492,7 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     )
 
     resp_t = trace_t - (trace_t[0] - dt_ms)
-    final = steady_delta[tau_hold.state] - base
+    final = rth.steady_delta_t_c[tau_hold.state] - base
     p_step = Panel(
         name="step_response",
         columns={
@@ -511,17 +507,11 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
         },
     )
 
-    theory = np.asarray([
-        thermal.gain * (steady_power[s] - thermal.p_baseline_w)
-        for s in state_names
-    ])
-    measured = np.asarray([steady_delta[s] for s in state_names])
-    deviation = np.abs(measured - theory) / theory
     p_valid = Panel(
         name="rth_validation",
         columns={
-            "state": np.asarray(state_names),
-            "power_w": np.asarray([steady_power[s] for s in state_names]),
+            "state": states,
+            "power_w": power,
             "delta_t_measured_c": measured,
             "delta_t_theory_c": theory,
             "deviation_frac": deviation,
@@ -553,40 +543,28 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     r2 = rho_fit.r_squared
     # the through-origin slope is the plant gain gamma * r_th
     r_th = rth.unified / thermal.gamma
-    tau_ok = abs(tau_est - thermal.tau_ms) / thermal.tau_ms <= 0.05
-    agree_ok = float(deviation.max()) <= 0.05
-    kappa_ok = abs(kappa.slope - optic.kappa_to) / optic.kappa_to <= 0.05
     # open-loop characterization drives the ring outside the spec band by
     # design; compensated telemetry legitimately stays inside it
     outside_spec = observed_max_drift > optic.spec_band_nm
-    spectral_verdict = (
-        ("outside spec (expected)" if outside_spec else "within spec")
-        if kappa_ok else "Fail"
-    )
     rows = (
-        TableRow("Top-Left", "Thermal resistance",
-                 f"{r_th:.3f} C/W", "> 0.42 C/W",
-                 "Pass" if r_th > 0.42 else "Fail", r_th > 0.42),
-        TableRow("Top-Center", "Peak temperature delta",
-                 f"{peak_delta:.1f} C",
-                 f"junction <= {JUNCTION_CEILING_C:.0f} C absolute",
-                 "Pass" if peak_junction <= JUNCTION_CEILING_C else "Fail",
-                 peak_junction <= JUNCTION_CEILING_C),
-        TableRow("Top-Right", "Density-temperature R^2",
-                 f"{r2:.4f}", "> 0.92",
-                 "Exceeded" if r2 > 0.98 else ("Pass" if r2 > 0.92 else "Fail"),
-                 r2 > 0.92),
-        TableRow("Bottom-Left", "Thermal time constant",
-                 f"{tau_est:.1f} ms", f"{thermal.tau_ms:.0f} ms (within 5%)",
-                 "Pass" if tau_ok else "Fail", tau_ok),
-        TableRow("Bottom-Center", "Theory-line agreement",
-                 f"{float(deviation.max()):.2%} max deviation", "within 5%",
-                 "Excellent" if agree_ok else "Fail", agree_ok),
-        TableRow("Bottom-Right", "Thermo-optic coefficient",
-                 f"{kappa.slope:.4f} nm/C",
-                 f"{optic.kappa_to} nm/C (within 5%); open-loop stress sits "
-                 f"outside the +/-{optic.spec_band_nm} nm spec band by design",
-                 spectral_verdict, kappa_ok),
+        _row("Top-Left", "Thermal resistance", f"{r_th:.3f} C/W", "> 0.42 C/W",
+             r_th > 0.42),
+        _row("Top-Center", "Peak temperature delta", f"{peak_delta:.1f} C",
+             f"junction <= {JUNCTION_CEILING_C:.0f} C absolute",
+             peak_junction <= JUNCTION_CEILING_C),
+        _row("Top-Right", "Density-temperature R^2", f"{r2:.4f}", "> 0.92",
+             r2 > 0.92, "Exceeded" if r2 > 0.98 else "Pass"),
+        _row("Bottom-Left", "Thermal time constant", f"{tau_est:.1f} ms",
+             f"{thermal.tau_ms:.0f} ms (within 5%)",
+             abs(tau_est - thermal.tau_ms) / thermal.tau_ms <= 0.05),
+        _row("Bottom-Center", "Theory-line agreement",
+             f"{float(deviation.max()):.2%} max deviation", "within 5%",
+             float(deviation.max()) <= 0.05, "Excellent"),
+        _row("Bottom-Right", "Thermo-optic coefficient", f"{kappa.slope:.4f} nm/C",
+             f"{optic.kappa_to} nm/C (within 5%); open-loop stress sits "
+             f"outside the +/-{optic.spec_band_nm} nm spec band by design",
+             abs(kappa.slope - optic.kappa_to) / optic.kappa_to <= 0.05,
+             "outside spec (expected)" if outside_spec else "within spec"),
     )
 
     notes = (
@@ -682,7 +660,7 @@ def write_report(report: FingerprintReport, out_dir) -> list[Path]:
         write_panel_csv(panel, path)
         written.append(path)
     jpath = out / "fingerprint_report.json"
-    jpath.write_text(json.dumps(report_dict(report), indent=2, sort_keys=True))
+    write_json(jpath, report_dict(report))
     written.append(jpath)
     tpath = out / "fingerprint_table.txt"
     tpath.write_text(table_text(report) + "\n")

@@ -9,12 +9,14 @@ column by column, and calls Python's ``%`` only for the float cells whose
 ``%.9g`` text the vector arithmetic cannot prove: non-finite cells, cells
 printed in scientific notation, and cells whose 9-digit mantissa, scaled in
 floating point, lands exactly on a .5 tie. Its output is the per-cell format
-byte for byte. :func:`read_csv` parses a whole telemetry file in one
-``np.loadtxt`` pass and names the line of the first malformed row.
+byte for byte. :func:`write_json` gives every JSON artifact its one layout.
+:func:`read_csv` parses a whole telemetry file in one ``np.loadtxt`` pass and
+names the line of the first malformed row.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, fields
 
@@ -206,6 +208,12 @@ def write_csv(frame: TelemetryFrame, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COLUMNS) + "\n")
         write_rows(fh, [getattr(frame, c) for c in COLUMNS], _CELLS)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write a JSON artifact: indented, with sorted keys."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _parse(lines: list[str]) -> np.ndarray:

@@ -131,6 +131,14 @@ def test_cli_bad_telemetry_file(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_flag_its_subcommand_does_not_read(tmp_path, capsys):
+    # fingerprint reads no step count; the flag used to be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["fingerprint", str(tmp_path / "t.csv"), "--steps", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --steps 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("column, rows, value, message", [
     # the seed-24 run's 450-step High hold renamed: the report passed
     ("load_state", slice(23000, 23450), "Turbo",

@@ -1,11 +1,13 @@
 import hashlib
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cpodrift import fingerprint
 from cpodrift.config import fingerprint_config
 from cpodrift.errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from cpodrift.fingerprint import (
@@ -50,9 +52,11 @@ def test_regress_input_errors():
         regress([1.0], [1.0])
 
 
-@pytest.mark.parametrize("fit", [regress, regress_through_origin])
+@pytest.mark.parametrize("fit", [regress, regress_through_origin, estimate_tau,
+                                 estimate_kappa])
 def test_fits_reject_non_finite_points(fit):
-    # a NaN would read as R^2 = 1 in x and as R^2 = 0 in y
+    # a NaN would read as R^2 = 1 in x and as R^2 = 0 in y, and a tau trace
+    # with one would fail as "never crosses 63.2%" or "non-physical fit"
     x, y = np.arange(1.0, 6.0), np.arange(1.0, 6.0) * 2.0
     bad = x.copy()
     bad[3] = math.nan
@@ -258,6 +262,25 @@ def test_report_rejects_a_bad_time_column(fingerprint_run, fingerprint_cfg, row,
 
 # ---------------------------------------------------------------------------
 # full report
+
+def test_report_finds_holds_and_step_period_once(monkeypatch, fingerprint_run,
+                                                 fingerprint_cfg):
+    calls = Counter()
+    for name in ("find_holds", "_step_ms"):
+        def counted(*args, _real=getattr(fingerprint, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(fingerprint, name, counted)
+    build_report(fingerprint_run.frame, fingerprint_cfg)
+    assert calls == {"find_holds": 1, "_step_ms": 1}
+
+
+def test_report_resistance_is_estimate_r_th(fingerprint_run, fingerprint_cfg,
+                                            fingerprint_report):
+    est = estimate_r_th(fingerprint_run.frame, fingerprint_cfg.thermal)
+    assert fingerprint_report.r_th_per_state == est.per_state
+    assert fingerprint_report.r_th_unified == est.unified
+
 
 def test_report_recovers_parameters(noiseless_fingerprint):
     report, cfg = noiseless_fingerprint
