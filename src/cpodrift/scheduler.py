@@ -45,7 +45,7 @@ class SchedulerConfig:
     t_slice_ms: float = 80.0
     forecaster: Literal["queue_replay", "ewma"] = "queue_replay"
     ewma_half_life_ms: Positive = 40.0
-    history_window_ms: Positive = 200.0  # power-history ring buffer span
+    history_window_ms: Positive = 200.0  # EWMA window: the power it averages
     admission_lead_ms: float = 80.0      # how far ahead dispatches are admitted
     overhead_ms: float = 0.5             # synthetic per-forecast cost
     throttle_enabled: bool = True
@@ -285,35 +285,45 @@ def causality_audit(trace: ForecastLog, power_trace) -> AuditReport:
 # ---------------------------------------------------------------------------
 # pre-emptive throttling
 
-def throttle_cut(slot: list[float], forecast_w: float, cap_delta_t_c: float,
-                 thermal: ThermalParams, compensation_gain: float,
-                 map_params: AffineMapParams = DEFAULT_MAP) -> tuple[int, float]:
-    """How many of the newest entries of a slot the throttle takes out.
+def throttle_cut(entries: np.ndarray, counts: np.ndarray, forecast_w: np.ndarray,
+                 cap_delta_t_c: float, thermal: ThermalParams,
+                 compensation_gain: float,
+                 map_params: AffineMapParams = DEFAULT_MAP
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """How many of the newest entries of each slot the throttle takes out.
 
-    ``slot`` holds the densities of the slot's entries in queue order, and
-    ``forecast_w`` is the hint that forecasts the slot. The projection is
+    Row i of ``entries`` holds the densities of a slot's ``counts[i]``
+    entries in queue order (the rest of the row is not read), and
+    ``forecast_w[i]`` is the hint that forecasts the slot. The projection is
     conservative budget arithmetic: of the steady-state delta of the power
     over baseline, the compensator is credited a proportional share
     (``compensation_gain``), and the rest must fit under the cap. While it
     does not, entries come out newest first (LIFO) and the projection is
     taken again of the density left: the slot's total, added left to
-    right, less each entry taken, in turn. A slot holds at most two
-    entries, so this is a few float operations.
+    right, less each entry taken, in turn. Every row takes the same float
+    operations in the same order as it would alone.
 
-    Returns ``(n_taken, projected_after_c)``.
+    Returns ``(n_taken, projected_after_c)``, one of each per row.
     """
-    def projection(power_w: float) -> float:
+    def projection(power_w: np.ndarray) -> np.ndarray:
         return (1.0 - compensation_gain) * steady_state_delta_t(
-            thermal.r_th, max(0.0, power_w - thermal.p_baseline_w),
+            thermal.r_th, np.maximum(0.0, power_w - thermal.p_baseline_w),
             thermal.gamma)
 
-    after = projection(forecast_w)
-    left = 0.0
-    for rho in slot:
-        left += rho
-    n = 0
-    while after > cap_delta_t_c and n < len(slot):
-        n += 1
-        left -= slot[-n]
-        after = projection(density_to_power(max(left, 0.0), map_params))
-    return n, after
+    entries = np.asarray(entries, dtype=float)
+    counts = np.asarray(counts)
+    after = projection(np.asarray(forecast_w, dtype=float))
+    left = np.zeros(counts.size)
+    for c in range(entries.shape[1]):
+        live = c < counts
+        left[live] += entries[live, c]
+    taken = np.zeros(counts.size, dtype=int)
+    for n in range(1, entries.shape[1] + 1):
+        cut = (after > cap_delta_t_c) & (n <= counts)
+        if not cut.any():
+            break
+        taken += cut
+        left[cut] -= entries[cut, counts[cut] - n]
+        after[cut] = projection(density_to_power(np.maximum(left[cut], 0.0),
+                                                 map_params))
+    return taken, after

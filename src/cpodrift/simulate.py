@@ -17,15 +17,15 @@ the forecast power and horizon of a hint. So a run is two passes, and
 * Schedule pass (:func:`_dispatch`): from the plan alone, the dispatched
   density and power, the hint stream with its provenance, the queue depth,
   the deferral count, and the work shed or deferred past the last step.
-  Array reads cover every step the throttle leaves alone; a heap visits,
-  in time order, only the steps whose hint breaches the throttle cap and
-  applies the throttle's LIFO cut (:func:`throttle_cut`) to the slot the
-  hint forecasts. An entry is deferred at most once, so a slot holds at
-  most two entries and the cut is a few float operations. A firing edits
-  only steps at or after its own, so a chunk is
-  final once its steps are visited; the pass reads the plan as far ahead
-  as a firing or the queue depth reaches and keeps the power of the EWMA
-  window behind the chunk.
+  Array reads cover every step the throttle leaves alone. A firing edits
+  only slots a horizon or more after its step, so from each step whose
+  hint may breach the throttle cap the pass sweeps a block of a horizon's
+  steps, whose hints are then final, and applies the throttle's LIFO cut
+  (:func:`throttle_cut`) to all the slots they forecast at once. An entry
+  is deferred at most once, so a slot holds at most two entries. A chunk
+  is final once swept; the pass reads the plan as far ahead as a firing
+  or the queue depth reaches and keeps the power of the EWMA window behind
+  the chunk.
 * Physics pass: the plant's response to the dispatched power
   (:func:`thermal.respond`), then the compensator's bias from that
   response and the hint stream (:func:`controller.compensate`), both
@@ -49,7 +49,6 @@ module against it.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -266,24 +265,31 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     out of the forecast slot (:func:`throttle_cut`). An entry taken out for
     the first time is deferred by one execution slice; that changes the
     dispatched power of two slots and so the hints that read them, all
-    later than the firing step. One that would land past the last step is
-    outstanding: counted, not dispatched. An entry that was deferred before
-    is shed: counted and dropped. So a slot holds its plan entry and at most
-    the one entry deferred into it from a slice before, kept in ``slots``
-    as ``(rho, n_streams, True)``, and a run defers at most once per step.
+    at least a horizon after the firing step. One that would land past the
+    last step is outstanding: counted, not dispatched. An entry that was
+    deferred before is shed: counted and dropped. So a slot holds its plan
+    entry and at most the one entry deferred into it from a slice before,
+    kept in per-step arrays beside the plan once the throttle first fires,
+    and a run defers at most once per step.
 
-    Array reads cover every step the throttle leaves alone; a heap visits,
-    in time order, only the steps whose hint breaches the throttle cap.
+    The throttle sweeps a chunk in blocks of a horizon's steps, from each
+    step whose hint may breach the cap to the next: the cut's own
+    projection of the chunk's hints picks them, and every hint a firing
+    retimes joins them. No firing edits a slot a block's hints read, so the
+    pass reads those hints again from the final power and cuts the
+    block's slots together; the EWMA hints a firing retimes past the
+    steps that can fire are taken again once the chunk is swept.
 
-    Every edit of a firing lands at or after its step, so a chunk's rows are
-    final once the steps before its end are visited. The pass holds the
-    plan, the dispatched density and the power from ``win`` steps before
-    the chunk (the EWMA window) to as far past it as a firing reaches
-    (horizon plus slice) or the queue depth reads (admission lead); the
-    slots and queue-depth moves pending past the chunk carry over.
+    Every edit of a firing lands after its step, so a chunk's rows are
+    final once it is swept. The pass holds the plan, the dispatched
+    density and the power from ``win`` steps before the chunk (the EWMA
+    window) to as far past it as a firing reaches (horizon plus slice) or
+    the queue depth reads (admission lead); the deferred entries and
+    queue-depth moves pending past the chunk carry over.
     """
     sc = config.scheduler
-    wmap = config.affine_map
+    wmap, thermal = config.affine_map, config.thermal
+    cap, gain = sc.throttle_cap_c, sc.throttle_compensation_gain
     N, dt = config.workload.step_count, config.workload.step_period_ms
     plan = _PlanStream(config.workload, config.seed)
     h = steps_of(sc.horizon_ms, dt)
@@ -292,27 +298,17 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     # deferred entries join their new slot behind its plan entry only if
     # that was admitted by the time they were deferred
     plan_first = adm >= h + slice_steps
-    # Past N steps a horizon, an admission lead or a window reads nothing
-    # more, so cap them to keep huge configured times within array sizes.
-    # The window keeps one step past N, which leaves np.convolve's operand
-    # order, and so its rounding, as it is for any longer window.
-    h, adm = min(h, N), min(adm, N)
+    # Past N steps a horizon, a slice, an admission lead or a window reads
+    # nothing more, so cap them to keep huge configured times within array
+    # sizes. The window keeps one step past N, which leaves np.convolve's
+    # operand order, and so its rounding, as it is for any longer window.
+    h, adm, slice_steps = min(h, N), min(adm, N), min(slice_steps, N)
     win = min(max(1, steps_of(sc.history_window_ms, dt)), N + 1)
     w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
+    w_rev = w[::-1].copy()
     norm = np.cumsum(w)
     reach = max(h + slice_steps, adm)
     replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
-
-    if sc.throttle_enabled:
-        thermal = config.thermal
-        cap, gain = sc.throttle_cap_c, sc.throttle_compensation_gain
-        # excess power over baseline past which throttle_cut may fire, less a
-        # hair of slack: the heap holds a superset of the steps that fire,
-        # and the cut itself stays authoritative
-        per_w = (1.0 - gain) * thermal.gamma * thermal.r_th
-        fire_w = cap * (1.0 - 1e-9) / per_w if per_w > 0 else math.inf
-    # step -> the (rho, n_streams, deferred) entry deferred into its slot
-    slots: dict[int, tuple[float, int, bool]] = {}
     deferrals = outstanding_entries = shed_entries = 0
     outstanding_density = shed_density = 0.0
 
@@ -320,28 +316,39 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     # steps [b, top), and the queue-depth differences of steps [lo, top]
     sidx, pn = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     prho = rho = P = np.empty(0)
+    # the density and streams (-1: none) of the entry deferred into each of
+    # steps [b, top), once the throttle has fired
+    into_rho = into_n = None
     b = top = 0
     moved = np.zeros(1, dtype=np.int64)
     moved_before = 0    # the moves of the steps before lo, summed
 
     def ewma(s0: int, s1: int) -> None:
         """F over steps [s0, s1): the weighted mean of the trailing power
-        window ending at each, ``w[d]`` weighing the power d steps back."""
-        a = max(0, s0 - win + 1)
-        x = P[a - b:s1 - b]
-        if x.size < win <= N:
-            # keep the power the longer operand, as over the whole run:
-            # np.convolve swaps its operands otherwise, and so its rounding
-            x = np.concatenate((x, np.zeros(win - x.size)))
-        F[s0 - lo:s1 - lo] = np.convolve(x, w)[s0 - a:s1 - a] / \
-            norm[np.minimum(np.arange(s0, s1), win - 1)]
+        window ending at each, ``w[d]`` weighing the power d steps back,
+        summed as np.convolve sums it over the whole run."""
+        # windows the run's start cuts short, read while the buffers start
+        # at step 0; np.convolve swaps its operands for a window past the run
+        if win > N and s0 < s1:
+            p_rev = P[s1 - 1::-1].copy()
+        for s in range(s0, min(s1, win - 1)):
+            F[s - lo] = (np.dot(w[:s + 1], p_rev[s1 - 1 - s:]) if win > N else
+                         np.dot(P[:s + 1], w_rev[win - 1 - s:])) / norm[s]
+        s0 = max(s0, win - 1)
+        if s0 < s1:
+            F[s0 - lo:s1 - lo] = np.convolve(P[s0 - win + 1 - b:s1 - b], w,
+                                             "valid") / norm[-1]
 
     for lo in range(0, N, _CHUNK_STEPS):
         hi = min(lo + _CHUNK_STEPS, N)
         if top < min(N, hi + reach):
+            grow = min(N, hi + reach) - top
             sidx, prho, pn, rho, P = _extended(
-                (sidx, prho, pn, rho, P), plan(top, min(N, hi + reach)), wmap)
-            top = min(N, hi + reach)
+                (sidx, prho, pn, rho, P), plan(top, top + grow), wmap)
+            if into_n is not None:
+                into_rho = np.concatenate((into_rho, np.zeros(grow)))
+                into_n = np.concatenate((into_n, np.full(grow, -1)))
+            top += grow
             moved = np.concatenate((moved, np.zeros(top + 1 - lo - moved.size,
                                                     dtype=np.int64)))
 
@@ -355,69 +362,81 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         source = np.zeros(hi - lo, dtype=int)
         source[r:] = 1
 
-        if sc.throttle_enabled:
-            heap = (np.flatnonzero(F[:max(0, min(hi, N - h) - lo)] -
-                                   thermal.p_baseline_w > fire_w) + lo).tolist()
-            last = -1
-            while heap:
-                k = heapq.heappop(heap)
-                if k == last:
-                    continue
-                last = k
-                j, m = k + h, k + h + slice_steps
-                # slot j: its plan entry and the entry deferred into it, if
-                # any, in queue order; the heap only moves forward, so the
-                # slot is never read again
-                own = float(prho[j - b]), int(pn[j - b]), False
-                moved_in = slots.pop(j, None)
-                slot = [own] if moved_in is None else \
-                    [own, moved_in] if plan_first else [moved_in, own]
-                cut, _ = throttle_cut([e[0] for e in slot], float(F[k - lo]),
-                                      cap, thermal, gain, wmap)
-                if not cut:
-                    continue
-                # what is left is the oldest entry, or nothing
-                rho_j = slot[0][0] if cut < len(slot) else 0.0
-                rho[j - b], P[j - b] = rho_j, density_to_power(rho_j, wmap)
-                changed = [j]
-                for r, n, deferred_before in slot[len(slot) - cut:]:
-                    if not deferred_before and m < N:
-                        deferrals += 1
-                        slots[m] = r, n, True
-                        own_m = float(prho[m - b])
-                        rho_m = own_m + r if plan_first else r + own_m
-                        rho[m - b], P[m - b] = rho_m, density_to_power(rho_m, wmap)
-                        moved[j - lo] += n      # still pending over [j, m)
-                        moved[m - lo] -= n
-                        changed.append(m)
-                        continue
-                    # shed, or outstanding: not pending over (k, j)
-                    moved[k + 1 - lo] -= n
-                    moved[j - lo] += n
-                    if deferred_before:
-                        shed_density += r
-                        shed_entries += 1
-                    else:
-                        deferrals += 1
-                        outstanding_density += r
-                        outstanding_entries += 1
-                # the hints of this chunk that read a changed slot; later
-                # ones are read when their chunk starts
-                retimed = []
-                if changed[-1] == m and m - h < min(replay, hi):
-                    F[m - h - lo] = P[m - b]    # the hint that replays slot m
-                    retimed.append(m - h)
-                for s in changed:
-                    s0, s1 = max(s, replay), min(s + win, hi)
-                    if s0 < s1:
-                        ewma(s0, s1)
-                        retimed.extend(range(s0, s1))
-                for s in retimed:
-                    if s < N - h and F[s - lo] - thermal.p_baseline_w > fire_w:
-                        heapq.heappush(heap, s)
-            # the slots of the steps visited are read no more
-            for j in [j for j in slots if j < hi + h]:
-                del slots[j]
+        # the hints that may breach the cap: the cut's own projection of
+        # each, among the steps [lo, end) whose hint forecasts a slot of the
+        # run, and later each hint a firing retimes
+        end = max(lo, min(hi, N - h)) if sc.throttle_enabled else lo
+        may = throttle_cut(np.empty((hi - lo, 0)), np.zeros(hi - lo, int), F,
+                           cap, thermal, gain, wmap)[1] > cap
+        may[end - lo:] = False
+        a = lo
+        while a < end:
+            a += int(may[a - lo:end - lo].argmax())
+            if not may[a - lo]:
+                break
+            if into_n is None:
+                into_rho, into_n = np.zeros(P.size), np.full(P.size, -1)
+            # the block, steps [k, a): its hints are final, as no firing
+            # before k edits a slot they read and none in the block a slot
+            # before a + h; so are its slots, steps [k + h, a + h)
+            k, a = a, min(a + h, end)
+            r1 = max(k, min(a, replay))     # replay rows [k, r1)
+            F[k - lo:r1 - lo] = P[k + h - b:r1 + h - b]
+            ewma(r1, a)
+            j = slice(k + h - b, a + h - b)
+            own, n_own, r_in, n_in = prho[j], pn[j], into_rho[j], into_n[j]
+            # each slot's entries in queue order: the plan entry, and the
+            # entry deferred into it if any
+            counts = 1 + (n_in >= 0)
+            entries = np.empty((a - k, 2))
+            entries[:, 0] = own if plan_first else np.where(counts > 1, r_in, own)
+            entries[:, 1] = r_in if plan_first else own
+            taken = throttle_cut(entries, counts, F[k - lo:a - lo], cap, thermal,
+                                 gain, wmap)[0]
+            if not taken.any():
+                continue
+            # what is left is the oldest entry, or nothing
+            left = counts - taken
+            np.copyto(rho[j], np.where(left > 0, entries[:, 0], 0.0),
+                      where=taken > 0)
+            np.copyto(P[j], density_to_power(rho[j], wmap), where=taken > 0)
+            # the newest entries are out: the plan entry, deferred by a
+            # slice to step m < N or else outstanding, and the deferred one,
+            # shed; the first nd of the block's slots have an m
+            own_at = 0 if plan_first else counts - 1
+            own_out = own_at >= left
+            shed = (counts > 1) & (1 - own_at >= left)
+            m0, nd = k + h + slice_steps, max(0, min(a, N - h - slice_steps) - k)
+            defer, out = own_out[:nd], own_out.copy()
+            out[:nd] = False
+            m = slice(m0 - b, m0 + nd - b)
+            np.copyto(into_rho[m], own[:nd], where=defer)
+            np.copyto(into_n[m], n_own[:nd], where=defer)
+            np.copyto(rho[m], prho[m] + own[:nd], where=defer)
+            np.copyto(P[m], density_to_power(rho[m], wmap), where=defer)
+            # deferred entries stay pending over [j, m); shed and
+            # outstanding ones are not pending over (k, j)
+            gone = np.where(shed, n_in, 0)
+            moved[k + h - lo:a + h - lo] += np.where(own_out, n_own, 0) + gone
+            moved[m0 - lo:m0 + nd - lo] -= np.where(defer, n_own[:nd], 0)
+            moved[k + 1 - lo:a + 1 - lo] -= np.where(out, n_own, 0) + gone
+            deferrals += int(own_out.sum())
+            shed_entries += int(shed.sum())
+            outstanding_entries += int(out.sum())
+            for x in r_in[shed].tolist():
+                shed_density += x
+            for x in own[out].tolist():
+                outstanding_density += x
+            # the hints of this chunk that read a changed slot: the replay
+            # hints of the slots deferred into, and the EWMA hints of the
+            # window from each changed slot; later ones are read when their
+            # chunk starts
+            t = k + slice_steps
+            nr = max(0, min(nd, replay - t, hi - t))
+            may[t - lo:t + nr - lo] |= defer[:nr]
+            may[max(k + h, replay) - lo:m0 + nd + win - lo] = True
+        if may[end - lo:].any():
+            ewma(end, hi)   # retimed hints of the steps that cannot fire
 
         depth = _planned_queue_depth(pn[lo - b:], lo, hi, adm, N)
         depth += moved_before + np.cumsum(moved[:hi - lo])
@@ -431,6 +450,8 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         moved = moved[hi - lo:]
         drop = max(0, hi - win + 1) - b
         sidx, prho, pn, rho, P = (x[drop:] for x in (sidx, prho, pn, rho, P))
+        if into_n is not None:
+            into_rho, into_n = into_rho[drop:], into_n[drop:]
         b += drop
 
 

@@ -250,9 +250,21 @@ def _any_cut_cases():
     for mode in Mode:
         for cut in (1, 7, 64):
             yield pytest.param(_cfg(300, mode), cut, id=f"{mode.value}-300-{cut}")
+    # a window past the run: each hint sums a prefix of it, whichever chunk
+    # ends at the hint's step
+    past = _cfg(300, scheduler=SchedulerConfig(
+        forecaster="ewma", history_window_ms=1e6, throttle_cap_c=_CAP["ewma"],
+        throttle_compensation_gain=0.9))
+    for cut in (2, 6, 8):
+        yield pytest.param(past, cut, id=f"window_past_the_run-{cut}")
     # a short plant block (1024 steps), a delay line past a block and a
-    # chunk, and a half-millisecond step
+    # chunk, a half-millisecond step, and 9 s EWMA windows: 9,000 hints in
+    # the run's partial-window prefix, and windows across every edge
     for name, cfg in (
+            *((f"window9s-{forecaster}", _cfg(_BURSTS, scheduler=SchedulerConfig(
+                forecaster=forecaster, history_window_ms=9000.0,
+                throttle_compensation_gain=0.9, throttle_cap_c=_CAP[forecaster])))
+              for forecaster in ("queue_replay", "ewma")),
             ("tau3", replace(_cfg(_BURSTS), thermal=ThermalParams(tau_ms=3.0))),
             ("lag5000", _cfg(_BURSTS, Mode.REACTIVE, sensor_latency_ms=5000.0)),
             ("dt0.5", replace(_cfg(_BURSTS), workload=WorkloadConfig(

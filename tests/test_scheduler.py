@@ -188,9 +188,16 @@ def _projection(power_w, thermal=THERMAL, gain=GAIN):
         thermal.r_th, max(0.0, power_w - thermal.p_baseline_w), thermal.gamma)
 
 
+def _cut_one(rhos, forecast_w, cap):
+    """``throttle_cut`` of a block of one slot."""
+    n, after = throttle_cut(np.reshape(rhos, (1, -1)), [len(rhos)], [forecast_w],
+                            cap, THERMAL, GAIN)
+    return n[0], after[0]
+
+
 def test_throttle_noop_under_cap():
     # peak-load projection with default headroom: 0.05 * 36.982 + idle share
-    n, after = throttle_cut([2.7], density_to_power(2.7), 4.15, THERMAL, GAIN)
+    n, after = _cut_one([2.7], density_to_power(2.7), 4.15)
     assert n == 0
     assert after == pytest.approx(
         0.05 * steady_state_delta_t(0.451, 94.0), rel=1e-9
@@ -204,7 +211,7 @@ def test_throttle_defers_lifo_until_under_cap():
     rhos = [0.5, 1.5, 0.9]
     total = 0.5 + 1.5 + 0.9
     cap = 1.0
-    n, after = throttle_cut(rhos, density_to_power(total), cap, THERMAL, GAIN)
+    n, after = _cut_one(rhos, density_to_power(total), cap)
     assert n == 2
     assert _projection(density_to_power(total - 0.9)) > cap >= after
     assert after == _projection(density_to_power(max(total - 0.9 - 1.5, 0.0)))
@@ -223,36 +230,36 @@ def test_throttle_sums_the_slot_in_queue_order():
         return _projection(density_to_power(total - rhos[-1]))
 
     assert after(in_order) != after(math.fsum(rhos))
-    n, got = throttle_cut(rhos, density_to_power(in_order), 1.0, THERMAL, GAIN)
+    n, got = _cut_one(rhos, density_to_power(in_order), 1.0)
     assert n == 1 and got == after(in_order)
 
 
 def test_throttle_cut_matches_the_oracle_loop():
-    # the oracle pops QueueEntry items with its own law; both take out the
-    # same newest entries and leave the same projection, bit for bit
+    # the oracle pops QueueEntry items with its own law, one slot at a
+    # time; the block cut takes out the same newest entries of every slot
+    # of the block and leaves the same projection, bit for bit
     rng = np.random.default_rng(11)
     thermal = ThermalParams(gamma=0.8, p_baseline_w=3.0)
     wmap = AffineMapParams(p_peak_w=80.0, p_max_w=80.0)
-    fired = 0
-    for _ in range(600):
-        # mostly the slots of at most two entries the run holds
-        size = int(rng.integers(0, 3) if rng.random() < 0.8 else
-                   rng.integers(3, 40))
-        rhos = rng.uniform(0.0, 3.0, size) * 10.0 ** rng.integers(-17, 1, size)
-        forecast_w = float(rng.uniform(0.0, 120.0))
-        cap = float(rng.uniform(0.05, 6.0))
-        gain = float(rng.uniform(0.0, 1.0))
-        slot = [[QueueEntry(0.0, r), False] for r in rhos.tolist()]
-        popped, want = oracle.throttle(list(slot), forecast_w, cap, gain,
-                                       thermal, wmap)
-        n, after = throttle_cut(rhos.tolist(), forecast_w, cap, thermal, gain,
+    # mostly the slots of at most two entries the run holds
+    sizes = np.where(rng.random(600) < 0.8, rng.integers(0, 3, 600),
+                     rng.integers(3, 40, 600))
+    entries = rng.uniform(0.0, 3.0, (600, 39)) * \
+        10.0 ** rng.integers(-17, 1, (600, 39))
+    forecast_w = rng.uniform(0.0, 120.0, 600)
+    for cap, gain in rng.uniform((0.05, 0.0), (6.0, 1.0), (4, 2)).tolist():
+        n, after = throttle_cut(entries, sizes, forecast_w, cap, thermal, gain,
                                 wmap)
-        assert (n, after) == (len(popped), want)
-        assert all(a is b for a, b in zip(popped, slot[::-1]))
-        fired += n > 0
-    assert 50 < fired < 600
+        for i, size in enumerate(sizes.tolist()):
+            slot = [[QueueEntry(0.0, r), False]
+                    for r in entries[i, :size].tolist()]
+            popped, want = oracle.throttle(list(slot), float(forecast_w[i]),
+                                           cap, gain, thermal, wmap)
+            assert (n[i], after[i]) == (len(popped), want)
+            assert all(a is b for a, b in zip(popped, slot[::-1]))
+        assert 50 < np.count_nonzero(n) < 600
 
 
 def test_throttle_empty_queue_noop():
-    n, after = throttle_cut([], 500.0, 0.1, THERMAL, GAIN)
+    n, after = _cut_one([], 500.0, 0.1)
     assert n == 0 and after == _projection(500.0) > 0.1

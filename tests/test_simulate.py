@@ -106,11 +106,16 @@ def test_engines_match_with_ewma_forecaster():
     assert all(s == 1 for s in run.forecast_log.source)
 
 
-@pytest.mark.parametrize("step_ms", [1.0, 5.0])
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+# the 2.5 s window holds 500 steps: hints in its partial prefix and past it
+@pytest.mark.parametrize("forecaster, step_ms, window_ms", [
+    ("queue_replay", 1.0, 200.0), ("queue_replay", 5.0, 200.0),
+    ("ewma", 1.0, 200.0), ("ewma", 5.0, 200.0), ("ewma", 5.0, 2500.0),
+], ids=["queue_replay-1.0", "queue_replay-5.0", "ewma-1.0", "ewma-5.0",
+        "ewma-5.0-window2.5s"])
 @pytest.mark.parametrize("mode", [Mode.PREDICTIVE, Mode.REACTIVE, Mode.OPEN_LOOP])
-def test_throttled_run_matches_oracle(mode, forecaster, step_ms):
-    cfg = _throttled_cfg(mode, forecaster=forecaster, step_ms=step_ms)
+def test_throttled_run_matches_oracle(mode, forecaster, step_ms, window_ms):
+    cfg = _throttled_cfg(mode, forecaster=forecaster, step_ms=step_ms,
+                         history_window_ms=window_ms)
     run = _assert_matches_oracle(cfg)
     assert run.summary.throttle_deferrals > 0
 
@@ -261,9 +266,9 @@ def test_an_entry_is_deferred_at_most_once(monkeypatch, steps):
     # into it, so the deferrals stay within one per step
     sizes = []
 
-    def counting_cut(slot, *args):
-        sizes.append(len(slot))
-        return throttle_cut(slot, *args)
+    def counting_cut(entries, counts, *args):
+        sizes.extend(np.asarray(counts).tolist())
+        return throttle_cut(entries, counts, *args)
 
     monkeypatch.setattr(sim, "throttle_cut", counting_cut)
     cfg = _gain_half_cfg(steps)
@@ -275,6 +280,38 @@ def test_an_entry_is_deferred_at_most_once(monkeypatch, steps):
     planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
     assert planned == pytest.approx(
         run.frame.rho.sum() + s.shed_density + s.outstanding_density, rel=1e-9)
+
+
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+def test_ewma_hints_take_work_linear_in_the_run(monkeypatch, forecaster):
+    # a 9 s window over 20,000 steps of bursts that the throttle cuts: the
+    # multiply-adds of every EWMA sum stay within three passes of the window
+    # over the run, however many hints the firings retime
+    steps, win = 20_000, 9_000
+    work = []
+    convolve, dot = np.convolve, np.dot
+
+    def counted_convolve(a, v, mode="full"):
+        # numpy computes only the outputs the mode keeps: len(v) products
+        # each once v lies inside a, fewer at the edges of a full one
+        work.append(len(a) * len(v) if mode == "full" else
+                    (len(a) - len(v) + 1) * len(v))
+        return convolve(a, v, mode)
+
+    def counted_dot(a, b):
+        work.append(len(a))
+        return dot(a, b)
+
+    monkeypatch.setattr(np, "convolve", counted_convolve)
+    monkeypatch.setattr(np, "dot", counted_dot)
+    cfg = RunConfig(
+        seed=1,
+        workload=WorkloadConfig(step_count=steps, schedule=BURST_SCHEDULE),
+        scheduler=SchedulerConfig(
+            forecaster=forecaster, history_window_ms=9000.0,
+            throttle_compensation_gain=0.9, throttle_cap_c=4.2))
+    assert sim._summarize(cfg).throttle_deferrals > 0
+    assert sum(work) <= 3 * steps * win
 
 
 # sha256 of the telemetry and forecast-log CSVs of throttled runs under the
