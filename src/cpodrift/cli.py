@@ -17,8 +17,8 @@ from .config import apply_overrides, comparison_config, load_config, RunConfig
 from .errors import CpodriftError
 from .experiments import (EXPERIMENT_NAMES, experiment_config, run_comparison,
                           run_experiment)
-from .simulate import simulate
-from .telemetry import read_csv, write_csv, write_json
+from .simulate import _summarize, write_run
+from .telemetry import read_csv, write_json
 from .verify import verify
 
 
@@ -86,14 +86,14 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "simulate":
         cfg = _config_for(args)
-        run = simulate(cfg)
-        print(json.dumps(run.summary.to_dict(), indent=2))
-        if cfg.out_dir:
-            out = Path(cfg.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            write_csv(run.frame, out / "telemetry.csv")
-            run.forecast_log.write_csv(out / "forecast_log.csv")
-            print(f"telemetry written to {out}", file=sys.stderr)
+        if not cfg.out_dir:
+            print(json.dumps(_summarize(cfg).to_dict(), indent=2))
+            return 0
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        summary = write_run(cfg, out / "telemetry.csv", out / "forecast_log.csv")[0]
+        print(json.dumps(summary.to_dict(), indent=2))
+        print(f"telemetry written to {out}", file=sys.stderr)
         return 0
 
     if args.command == "experiment":

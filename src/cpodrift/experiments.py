@@ -9,6 +9,9 @@
   fingerprint report.
 * ``stabilization1800``: sustained 1,800 s predictive run (convenience
   extension of the standard four); summary-only, so it keeps no frame.
+
+An experiment that writes telemetry writes its CSVs chunk by chunk as the
+run goes (:func:`write_run`) and keeps only the columns it fits.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .config import (
     transient_config,
 )
 from .controller import Mode, energy_margin_estimate
-from .errors import UsageError
-from .simulate import RunResult, _summarize, simulate
-from .telemetry import write_csv, write_json
+from .errors import ConfigError, UsageError
+from .simulate import _summarize, write_run
+from .telemetry import COLUMNS, TelemetryFrame, write_json
 from .thermal import JUNCTION_CEILING_C
 
 
@@ -41,47 +44,37 @@ class ExperimentResult:
     ok: bool
 
 
-def _write_run(run: RunResult, out: Path, stem: str) -> list[Path]:
-    files = []
-    tpath = out / f"{stem}_telemetry.csv"
-    write_csv(run.frame, tpath)
-    files.append(tpath)
-    fpath = out / f"{stem}_forecast_log.csv"
-    run.forecast_log.write_csv(fpath)
-    files.append(fpath)
-    return files
+def _csv_paths(out: Path, stem: str) -> list[Path]:
+    return [out / f"{stem}_telemetry.csv", out / f"{stem}_forecast_log.csv"]
+
+
+def _result(name: str, out: Path, files, summary: dict, ok: bool) -> ExperimentResult:
+    """The result of experiment ``name``, its summary written as JSON."""
+    spath = out / f"{name}_summary.json"
+    write_json(spath, summary)
+    return ExperimentResult(name, (*files, spath), summary, ok)
 
 
 def _run_validation90k(cfg: RunConfig, out: Path) -> ExperimentResult:
-    run = simulate(cfg)
-    files = _write_run(run, out, "validation90k")
-    fit = fp.regress(run.frame.rho, run.frame.delta_t_c)
-    summary = run.summary.to_dict() | {
-        "rho_dt_fit": vars(fit) | {},
-        "audit_ok": run.audit.ok,
-    }
-    spath = out / "validation90k_summary.json"
-    write_json(spath, summary)
-    files.append(spath)
-    ok = fit.r_squared >= 0.98 and run.audit.ok and \
-        run.summary.peak_junction_temp_c <= JUNCTION_CEILING_C
-    return ExperimentResult("validation90k", tuple(files), summary, ok)
+    if cfg.workload.step_count < 2:     # before a file is written
+        raise ConfigError("workload.step_count must be at least 2 for the validation90k"
+                          f" fit of delta_t_c on rho, got {cfg.workload.step_count}")
+    files = _csv_paths(out, "validation90k")
+    run, audit, kept = write_run(cfg, *files, ("rho", "delta_t_c"))
+    fit = fp.regress(kept["rho"], kept["delta_t_c"])
+    summary = run.to_dict() | {"rho_dt_fit": vars(fit) | {}, "audit_ok": audit.ok}
+    ok = fit.r_squared >= 0.98 and audit.ok and \
+        run.peak_junction_temp_c <= JUNCTION_CEILING_C
+    return _result("validation90k", out, files, summary, ok)
 
 
 def _run_transient300(cfg: RunConfig, out: Path) -> ExperimentResult:
-    run = simulate(cfg)
-    files = _write_run(run, out, "transient300")
-    tau_est = fp.estimate_tau(run.frame.t_ms, run.frame.delta_t_c)
+    files = _csv_paths(out, "transient300")
+    run, _, kept = write_run(cfg, *files, ("t_ms", "delta_t_c"))
+    tau_est = fp.estimate_tau(kept["t_ms"], kept["delta_t_c"])
     tau_cfg = cfg.thermal.tau_ms
-    summary = run.summary.to_dict() | {
-        "tau_est_ms": tau_est,
-        "tau_configured_ms": tau_cfg,
-    }
-    spath = out / "transient300_summary.json"
-    write_json(spath, summary)
-    files.append(spath)
-    ok = abs(tau_est - tau_cfg) <= 2.0
-    return ExperimentResult("transient300", tuple(files), summary, ok)
+    summary = run.to_dict() | {"tau_est_ms": tau_est, "tau_configured_ms": tau_cfg}
+    return _result("transient300", out, files, summary, abs(tau_est - tau_cfg) <= 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +196,20 @@ def _run_comparison(cfg: RunConfig, out: Path) -> ExperimentResult:
 
 
 def _run_fingerprint(cfg: RunConfig, out: Path) -> ExperimentResult:
-    run = simulate(cfg)
-    files = _write_run(run, out, "fingerprint")
-    report = fp.build_report(run.frame, cfg)
+    files = _csv_paths(out, "fingerprint")
+    frame = TelemetryFrame(**write_run(cfg, *files, COLUMNS)[2])
+    report = fp.build_report(frame, cfg)
     files.extend(fp.write_report(report, out))
-    return ExperimentResult(
-        "fingerprint", tuple(files), fp.report_dict(report), report.ok
-    )
+    return ExperimentResult("fingerprint", tuple(files), fp.report_dict(report),
+                            report.ok)
 
 
 def _run_stabilization(cfg: RunConfig, out: Path) -> ExperimentResult:
     # summary-only: no frame is kept, and no telemetry is written
     result = _summarize(cfg)
-    summary = result.to_dict()
-    spath = out / "stabilization1800_summary.json"
-    write_json(spath, summary)
     stab = result.stabilization_ms
     ok = stab is not None and stab <= 50_000.0 and result.stays_in_band
-    return ExperimentResult("stabilization1800", (spath,), summary, ok)
+    return _result("stabilization1800", out, (), result.to_dict(), ok)
 
 
 # name -> (preset, runner)

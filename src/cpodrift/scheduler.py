@@ -224,6 +224,7 @@ def forecast(
 
 # by source code; an object array, so a log's names are references, not text
 _SOURCE_NAMES = np.array(["queue_replay", "ewma"], dtype=object)
+LOG_HEADER = "issued_at_ms,horizon_ms,forecast_w,newest_input_ms,source\n"
 
 
 @dataclass(frozen=True)
@@ -238,13 +239,14 @@ class ForecastLog:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write("issued_at_ms,horizon_ms,forecast_w,newest_input_ms,source\n")
-            write_rows(
-                fh,
-                [self.issued_at_ms, self.horizon_ms, self.forecast_w,
-                 self.newest_input_ms, _SOURCE_NAMES[self.source]],
-                (FLOAT_FMT,) * 4 + ("%s",),
-            )
+            fh.write(LOG_HEADER)
+            self.write_rows_to(fh)
+
+    def write_rows_to(self, fh) -> None:
+        """Write the log's CSV rows, without the header, to the open ``fh``."""
+        write_rows(fh, [self.issued_at_ms, self.horizon_ms, self.forecast_w,
+                        self.newest_input_ms, _SOURCE_NAMES[self.source]],
+                   (FLOAT_FMT,) * 4 + ("%s",))
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,12 @@ the forecast power and horizon of a hint. So a run is two passes, and
   their open blocks, the predictive replica with the hints of its lead
   delay, and the reactive sensor delay line carry across chunk edges.
 
-Chunks of any size give a one-chunk run's columns bit for bit, and
-:func:`_chunks` is the one reader of the plan and the schedule pass. Each
-chunk goes to the streaming summary (:class:`_Summary`), and
-:func:`simulate` also copies it into the preallocated telemetry frame and
-forecast log. A summary-only run (:func:`_summarize`) keeps nothing
-whole-run, so its memory does not grow with the step count. A run of no
-steps yields no chunk.
+Chunks of any size give a one-chunk run's columns bit for bit.
+:func:`_chunks`, the one reader of the plan and the schedule pass, hands
+each chunk to its sinks: the streaming summary (:class:`_Summary`), the CSV
+writers of :func:`write_run`, and a keeper (:func:`_keeper`) of the
+whole-run columns a caller names, every one for :func:`simulate`. Only kept
+columns grow with the run. A run of no steps yields no chunk.
 
 ``tests/oracle.py`` composes the module-level operations step by step
 (Filtration snapshots, forecast(), thermal.step(), and its own per-entry
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,13 +58,14 @@ from .config import RunConfig
 from .controller import _Compensator
 from .optics import drift
 from .scheduler import (
+    LOG_HEADER,
     AuditReport,
     ForecastLog,
     causality_audit,
     preposition_fraction,
     throttle_cut,
 )
-from .telemetry import TelemetryFrame
+from .telemetry import _ROW, COLUMNS, TelemetryFrame, write_csv
 from .thermal import _response, peak_junction_temperature
 from .workload import (
     STATE_BY_NAME,
@@ -129,26 +129,13 @@ def simulate(config: RunConfig) -> RunResult:
     Deterministic per (config, seed): byte-identical telemetry and forecast
     logs across repeated runs.
     """
-    N = config.workload.step_count
-    sc = config.scheduler
-    eta = preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)
-    frame = TelemetryFrame.empty(N)
-    frame.step[:] = np.arange(N)
-    frame.eta[:] = eta
-    log = ForecastLog(frame.t_ms, np.broadcast_to(float(sc.horizon_ms), N),
-                      frame.hint_w, np.empty(N), np.empty(N, dtype=int))
-    # the columns of the frame and the log that a chunk holds by name
-    shared = [(getattr(sink, c), c) for sink in (frame, log)
-              for c in _Chunk._fields if hasattr(sink, c)]
-    stats = _Summary(config)
-    for chunk in _chunks(config):
-        at = slice(chunk.lo, chunk.lo + chunk.t_ms.size)
-        for col, c in shared:
-            col[at] = getattr(chunk, c)
-        frame.load_state[at] = _STATE_NAMES[chunk.state_idx]
-        frame.t24[at] = density_to_throughput(chunk.rho, config.affine_map)
-        frame.ttft_ms[at] = chunk.queue_depth * sc.t_slice_ms * 0.5
-        stats.add(chunk)
+    stats, (keep, columns) = _Summary(config), _keeper(config, _DTYPES)
+    for _ in _chunks(config, stats.add, keep):
+        pass
+    frame = TelemetryFrame(**{c: columns[c] for c in COLUMNS})
+    log = ForecastLog(frame.t_ms, np.broadcast_to(
+        float(config.scheduler.horizon_ms), frame.n), frame.hint_w,
+        columns["newest_input_ms"], columns["source"])
     summary, audit = stats.finish()
     return RunResult(config=config, frame=frame, summary=summary,
                      forecast_log=log, audit=audit)
@@ -159,9 +146,23 @@ def _summarize(config: RunConfig) -> SimulationSummary:
     go to the streaming summary alone, so the run holds a few chunks at a
     time whatever its length."""
     stats = _Summary(config)
-    for chunk in _chunks(config):
-        stats.add(chunk)
+    for _ in _chunks(config, stats.add):
+        pass
     return stats.finish()[0]
+
+
+def write_run(config: RunConfig, telemetry_path, log_path,
+              columns=()) -> tuple[SimulationSummary, AuditReport, dict]:
+    """Run ``config`` and write its telemetry and forecast-log CSVs chunk by
+    chunk; return the summary, the audit and the named ``columns``, whole."""
+    stats, (keep, kept) = _Summary(config), _keeper(config, columns)
+    with open(log_path, "w", newline="") as log:
+        log.write(LOG_HEADER)
+        # map, unlike a generator expression, holds no chunk past its frame
+        write_csv(map(lambda chunk: chunk.telemetry(config), _chunks(
+            config, stats.add, keep, lambda chunk: chunk.forecast_log(
+                config.scheduler.horizon_ms).write_rows_to(log))), telemetry_path)
+    return *stats.finish(), kept
 
 
 # Steps per chunk. Any size gives the same columns, but the summary's means
@@ -196,15 +197,31 @@ class _Chunk(NamedTuple):
     residual_c: np.ndarray | None = None
     drift_nm: np.ndarray | None = None
 
+    def telemetry(self, config: RunConfig) -> TelemetryFrame:
+        """The chunk's telemetry rows."""
+        sc, n = config.scheduler, self.t_ms.size
+        return TelemetryFrame(
+            **{c: getattr(self, c) for c in COLUMNS if c in self._fields},
+            step=np.arange(self.lo, self.lo + n),
+            load_state=_STATE_NAMES[self.state_idx],
+            t24=density_to_throughput(self.rho, config.affine_map),
+            eta=np.full(n, preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)),
+            ttft_ms=self.queue_depth * sc.t_slice_ms * 0.5)
+
+    def forecast_log(self, horizon_ms: float) -> ForecastLog:
+        """The chunk's hints as forecast-log entries."""
+        h = np.broadcast_to(float(horizon_ms), self.t_ms.size)
+        return ForecastLog(self.t_ms, h, self.hint_w, self.newest_input_ms, self.source)
+
 
 # the throttle counters of a chunk, named as in the summary
 _COUNTERS = ("throttle_deferrals", "outstanding_density", "outstanding_entries",
              "shed_density", "shed_entries")
 
 
-def _chunks(config: RunConfig) -> Iterator[_Chunk]:
+def _chunks(config: RunConfig, *sinks) -> Iterator[_Chunk]:
     """The run of ``config``, ``_CHUNK_STEPS`` steps at a time; none for a
-    run of no steps.
+    run of no steps. Each chunk goes to every ``sink(chunk)``, then out.
 
     Each chunk of the plan (:class:`_PlanStream`) goes through the schedule
     pass (:func:`_dispatch`) and then, before the next is dispatched, the
@@ -223,8 +240,12 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
                               dt, plant)
         bias = bias_of(dT, chunk.hint_w)
         residual = np.abs(dT - bias)
-        yield chunk._replace(delta_t_c=dT, bias_c=bias, residual_c=residual,
-                             drift_nm=drift(residual, config.optics))
+        chunk = chunk._replace(delta_t_c=dT, bias_c=bias, residual_c=residual,
+                               drift_nm=drift(residual, config.optics))
+        for sink in sinks:
+            sink(chunk)
+        yield chunk
+        del chunk, dT, bias, residual   # freed before the next chunk is made
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +476,22 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         b += drop
 
 
+_DTYPES = {c: _ROW[c] for c in COLUMNS} | {"newest_input_ms": float, "source": int}
+
+
+def _keeper(config: RunConfig, names) -> tuple[Callable, dict]:
+    """A sink that copies the ``names`` columns of each chunk, telemetry or
+    forecast-log ones, into arrays of the whole run; and those arrays."""
+    kept = {c: np.empty(config.workload.step_count, _DTYPES[c]) for c in names}
+
+    def keep(chunk: _Chunk) -> None:
+        rows = chunk.telemetry(config) if kept.keys() - chunk._fields else chunk
+        at = slice(chunk.lo, chunk.lo + chunk.t_ms.size)
+        for c, col in kept.items():
+            col[at] = getattr(chunk if c in chunk._fields else rows, c)
+    return keep, kept
+
+
 # ---------------------------------------------------------------------------
 # summary
 
@@ -517,13 +554,10 @@ class _Summary:
             self.rho_sums[i] += float(chunk.rho[chunk.state_idx == i].sum())
         self.rho_steps += steps
 
-        n = chunk.t_ms.size
-        horizon = float(self.config.scheduler.horizon_ms)
-        log = ForecastLog(chunk.t_ms, np.broadcast_to(horizon, n), chunk.hint_w,
-                          chunk.newest_input_ms, chunk.source)
         # the last stamp of the chunk before carries the sortedness check
         # across the edge
-        audit = causality_audit(log, np.concatenate((self.t_last, chunk.t_ms)))
+        audit = causality_audit(chunk.forecast_log(self.config.scheduler.horizon_ms),
+                                np.concatenate((self.t_last, chunk.t_ms)))
         self.t_last = chunk.t_ms[-1:]
         self.n_checked += audit.n_checked
         self.violations.extend(audit.violations)

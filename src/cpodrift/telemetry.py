@@ -27,8 +27,9 @@ from .errors import InputError
 FLOAT_FMT = "%.9g"
 # Rows rendered at once; the chunk's byte matrix and temporaries grow with it.
 # Writing the seed-24 90k-step frame traces a 2.3 MB peak at 4,096 rows. At
-# 2,048 rows it writes about 20 % slower; 8,192 rows (4.6 MB) are no faster and
-# raise validation90k's peak RSS by 2 MB, 16,384 rows (9.3 MB) by 9 MB.
+# 2,048 rows it writes about 20 % slower; 8,192 rows (4.6 MB) are no faster.
+# validation90k streams its rows, so this sets its peak RSS: 44 MB at 4,096
+# rows, 1 MB less at 2,048, 3 MB more at 8,192 and 7 MB more at 16,384.
 _CHUNK = 4096
 
 
@@ -203,11 +204,15 @@ def write_rows(fh, columns, cells) -> None:
         fh.write(text.decode("utf-8", "surrogatepass"))
 
 
-def write_csv(frame: TelemetryFrame, path) -> None:
-    """Write the frame to CSV, one row per step."""
+def write_csv(frames, path) -> None:
+    """Write telemetry to CSV, one row per step: a frame, or an iterable of
+    frames in row order, each written as it comes."""
+    frames = (frames,) if isinstance(frames, TelemetryFrame) else frames
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COLUMNS) + "\n")
-        write_rows(fh, [getattr(frame, c) for c in COLUMNS], _CELLS)
+        for frame in frames:
+            write_rows(fh, [getattr(frame, c) for c in COLUMNS], _CELLS)
+            del frame   # freed before the next frame is made
 
 
 def write_json(path, payload: dict) -> None:

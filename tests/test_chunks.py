@@ -2,8 +2,10 @@
 at a time.
 
 ``_chunks`` is the one reader of the plan and the schedule pass.
-``simulate`` copies its chunks into a frame, and the summary-only run
-(``_summarize``) feeds them to the streaming summary without keeping one.
+``simulate`` copies its chunks into a frame, the summary-only run
+(``_summarize``) feeds them to the streaming summary without keeping one,
+and ``write_run`` writes them to the telemetry and forecast-log CSVs as
+they come, keeping only the columns its caller names.
 Here the chunk is cut to 8192 steps, so runs of C - 1, C, C + 1 and 2C + 7
 steps put their edges everywhere that matters, and every run is checked
 against a one-chunk run:
@@ -30,11 +32,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cpodrift.config import RunConfig, stabilization_config
+from cpodrift.config import RunConfig, default_config, stabilization_config
+from cpodrift.experiments import run_experiment
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
+from cpodrift.telemetry import write_csv
 from test_simulate import _assert_matches_oracle, _bits, _column_bits
 
 # the package attribute ``simulate`` is the function, not the module
@@ -327,6 +331,44 @@ def test_summary_only_memory_does_not_grow_with_the_run(make):
     short = _traced_peak(sim._summarize, make(4 * c))
     long = _traced_peak(sim._summarize, make(16 * c))
     assert long <= 1.05 * short, (short, long)
+
+
+def test_validation90k_memory_grows_by_at_most_40_bytes_a_step(tmp_path):
+    # the experiment keeps its two fit columns (16 B a step) and streams the
+    # rest: its CSVs are written chunk by chunk, no frame is kept
+    def peak(steps):
+        cfg = default_config()
+        cfg = replace(cfg, workload=replace(cfg.workload, step_count=steps))
+        return _traced_peak(lambda: run_experiment(
+            "validation90k", config=cfg, out_dir=tmp_path / str(steps)))
+
+    short, long = peak(20_000), peak(60_000)
+    assert (long - short) / 40_000 <= 40, (short, long)
+
+
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("chunk, steps", [
+    (C, C - 1), (C, C), (C, C + 1),
+    (C, 2 * C + 7),     # no multiple of the writer's 4,096 rows
+    (5000, 12_345),     # chunks the writer's 4,096 rows do not divide
+])
+def test_streamed_csvs_equal_the_whole_frame_written(monkeypatch, tmp_path,
+                                                    forecaster, chunk, steps):
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
+    cfg = _cfg(steps, forecaster=forecaster)
+    run = sim.simulate(cfg)
+    write_csv(run.frame, tmp_path / "t.csv")
+    run.forecast_log.write_csv(tmp_path / "f.csv")
+    run_experiment("validation90k", config=cfg, out_dir=tmp_path)
+    for ours, whole in (("telemetry", "t"), ("forecast_log", "f")):
+        assert (tmp_path / f"validation90k_{ours}.csv").read_bytes() == \
+            (tmp_path / f"{whole}.csv").read_bytes(), ours
+    summary, audit, kept = sim.write_run(
+        cfg, tmp_path / "t2.csv", tmp_path / "f2.csv", ("rho", "t24", "source"))
+    assert summary == run.summary and audit == run.audit
+    for c, col in kept.items():
+        whole = run.forecast_log.source if c == "source" else getattr(run.frame, c)
+        assert _column_bits(col) == _column_bits(whole), c
 
 
 def test_a_huge_step_count_streams():

@@ -8,6 +8,7 @@ from cpodrift.cli import main
 from cpodrift.errors import UsageError
 from cpodrift.experiments import EXPERIMENT_NAMES, run_experiment
 from cpodrift.telemetry import COLUMNS, write_csv
+from test_telemetry import FORECAST_LOG_SHA256, TELEMETRY_SHA256, _sha256
 
 
 def test_experiment_names():
@@ -72,6 +73,13 @@ def test_validation90k_row_count(tmp_path):
     with open(tele) as fh:
         assert sum(1 for _ in fh) == 90_001  # header + 90,000 rows
     assert res.summary["rho_dt_fit"]["r_squared"] >= 0.98
+
+
+def test_validation90k_streams_the_golden_csvs(tmp_path):
+    # written chunk by chunk as the run goes, the bytes of the whole frame's
+    run_experiment("validation90k", out_dir=tmp_path, seed=24)
+    assert _sha256(tmp_path / "validation90k_telemetry.csv") == TELEMETRY_SHA256
+    assert _sha256(tmp_path / "validation90k_forecast_log.csv") == FORECAST_LOG_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +183,18 @@ def test_cli_reports_a_path_that_fails(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_cli_validation90k_rejects_too_few_steps_before_writing(tmp_path, capsys,
+                                                                steps):
+    # a fit needs two points: the config is refused before a file is written
+    out = tmp_path / "out"
+    assert main(["experiment", "validation90k", "--steps", str(steps),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: workload.step_count") and f"got {steps}" in err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_experiment_overrides_keep_the_preset(tmp_path, capsys):

@@ -106,15 +106,17 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# sha256 of the telemetry and forecast-log CSVs of the seed-24 default run,
+# as written by the per-cell formatter that write_rows replaced
+TELEMETRY_SHA256 = "634c6971709c8b9113c9ea81cbb61a914530cffdae6ce7dd65c704b44828e94b"
+FORECAST_LOG_SHA256 = "47f27a680dca1c22e0b43dcf2967b9007122da6ebf9e578e54ebb1462cc0154d"
+
+
 def test_default_run_csvs_are_byte_identical_to_golden(tmp_path, validation_run):
-    # seed-24 default run, as written by the per-cell formatter that
-    # write_rows replaced
     write_csv(validation_run.frame, tmp_path / "t.csv")
     validation_run.forecast_log.write_csv(tmp_path / "f.csv")
-    assert _sha256(tmp_path / "t.csv") == (
-        "634c6971709c8b9113c9ea81cbb61a914530cffdae6ce7dd65c704b44828e94b")
-    assert _sha256(tmp_path / "f.csv") == (
-        "47f27a680dca1c22e0b43dcf2967b9007122da6ebf9e578e54ebb1462cc0154d")
+    assert _sha256(tmp_path / "t.csv") == TELEMETRY_SHA256
+    assert _sha256(tmp_path / "f.csv") == FORECAST_LOG_SHA256
 
 
 def _edge_columns(n: int, seed: int = 0):
