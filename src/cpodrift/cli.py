@@ -105,8 +105,8 @@ def _dispatch(args) -> int:
         return 0 if result.ok else 1
 
     if args.command == "fingerprint":
-        frame = read_csv(args.telemetry)
         cfg = _config_for(args)
+        frame = read_csv(args.telemetry)
         report = fp.build_report(frame, cfg)
         files = fp.write_report(report, cfg.out_dir or "out")
         print(fp.table_text(report))

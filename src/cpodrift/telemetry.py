@@ -1,4 +1,4 @@
-"""Telemetry dataset: schema, vectorized CSV row writer, numpy CSV reader.
+"""Telemetry dataset: schema, vectorized CSV row writer, sliced CSV reader.
 
 One row per simulation step, exactly 14 metric columns in a fixed order.
 Floats are written with 9 significant digits so repeated runs with the same
@@ -10,8 +10,8 @@ column by column, and calls Python's ``%`` only for the float cells whose
 printed in scientific notation, and cells whose 9-digit mantissa, scaled in
 floating point, lands exactly on a .5 tie. Its output is the per-cell format
 byte for byte. :func:`write_json` gives every JSON artifact its one layout.
-:func:`read_csv` parses a whole telemetry file in one ``np.loadtxt`` pass and
-names the line of the first malformed row.
+:func:`read_csv` parses ``_SLICE`` lines at a time in one pass, shares one
+``str`` per state name and names the line of the first malformed row.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +32,11 @@ FLOAT_FMT = "%.9g"
 # validation90k streams its rows, so this sets its peak RSS: 44 MB at 4,096
 # rows, 1 MB less at 2,048, 3 MB more at 8,192 and 7 MB more at 16,384.
 _CHUNK = 4096
+# Lines read_csv parses at once: a slice's text and parsed rows live beside
+# the columns read so far. Reading the seed-24 90k-row file alone peaks at
+# 44.8 MB RSS at 16,384 lines, against 49.5 MB at 4,096, 48.8 at 8,192, 48.6 at
+# 32,768 and 54.3 at 65,536; 900k rows peak near 225 MB from 8,192 to 32,768.
+_SLICE = 16384
 
 
 @dataclass
@@ -233,8 +239,8 @@ def _parse(lines: list[str]) -> np.ndarray:
 
 
 def _first_bad(lines: list[str]) -> int:
-    """Index of the first line :func:`_parse` rejects, given that it rejects
-    ``lines``; bisects, so it costs about two parses of ``lines``."""
+    """Index of the first line of a slice that :func:`_parse` rejects, given
+    that it rejects the slice; bisects, so it costs about two parses of it."""
     lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -248,28 +254,37 @@ def _first_bad(lines: list[str]) -> int:
 
 
 def read_csv(path) -> TelemetryFrame:
-    """Read a telemetry CSV written by :func:`write_csv`.
+    """Read a telemetry CSV written by :func:`write_csv` in one pass of
+    ``_SLICE``-line slices; the rows of a state share one ``str`` name.
 
     Every malformed row (wrong cell count, blank, a non-number, a
     non-integer counter) raises :class:`InputError` naming the file and line,
     as does a file that does not decode. State names are read as written.
     """
+    parts = {c: [np.empty(0, _ROW[c])] for c in COLUMNS}  # typed with no rows too
+    names, done = {}, 0   # one str per state name; lines read
     try:
         with open(path) as fh:
             if tuple(fh.readline().rstrip("\n").split(",")) != COLUMNS:
                 raise InputError(f"{path}: not a telemetry CSV (expected header "
                                  f"{','.join(COLUMNS)})")
-            lines = fh.readlines()
+            while lines := list(islice(fh, _SLICE)):
+                try:
+                    rows = _parse(lines)
+                except ValueError:
+                    i = _first_bad(lines)
+                    raise InputError(
+                        f"{path}: line {done + i + 2}: malformed row "
+                        f"{lines[i].rstrip()!r} (expected {len(COLUMNS)} cells: "
+                        f"integer step and queue_depth, numbers except "
+                        f"load_state)") from None
+                done += len(lines)
+                states = rows["load_state"].tolist()
+                rows["load_state"] = list(map(names.setdefault, states, states))
+                del lines, states  # the slice's text goes before its copies
+                for c in COLUMNS:
+                    parts[c].append(np.ascontiguousarray(rows[c]))
+                del rows  # and its rows before the next slice is read
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
-    try:
-        rows = _parse(lines)
-    except ValueError:
-        i = _first_bad(lines)
-        raise InputError(
-            f"{path}: line {i + 2}: malformed row {lines[i].rstrip()!r} (expected "
-            f"{len(COLUMNS)} cells: integer step and queue_depth, numbers "
-            f"except load_state)"
-        ) from None
-    del lines  # the text goes before the column copies are made
-    return TelemetryFrame(**{c: np.ascontiguousarray(rows[c]) for c in COLUMNS})
+    return TelemetryFrame(**{c: np.concatenate(parts.pop(c)) for c in COLUMNS})

@@ -139,6 +139,18 @@ def test_cli_bad_telemetry_file(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_fingerprint_checks_the_config_before_reading_the_csv(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("cpodrift.cli.read_csv", calls.append)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"thermal": {"tau_ms": -1.0}}))
+    assert main(["fingerprint", str(tmp_path / "t.csv"), "--config",
+                 str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: thermal.tau_ms must be > 0")
+    assert calls == []
+
+
 def test_cli_rejects_a_flag_its_subcommand_does_not_read(tmp_path, capsys):
     # fingerprint reads no step count; the flag used to be accepted and ignored
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cpodrift import telemetry
 from cpodrift.errors import InputError
 from cpodrift.workload import STATE_BY_NAME
 from cpodrift.telemetry import (
@@ -260,3 +261,94 @@ def test_read_rejects_a_lone_blank_row(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="line 2: malformed"):
             read_csv(path)
+
+
+# read_csv parses _SLICE lines at a time; the tests below shrink the slice so
+# that a few dozen rows cross several slice edges
+_EDGE_SLICE = 7
+_EDGE_ROWS = 3 * _EDGE_SLICE + 2        # the last slice is a partial one
+
+
+@pytest.mark.parametrize("bad", [
+    "0,abc,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200",   # non-numeric float cell
+    "",                                                     # blank line
+    "0,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0",         # 13 cells
+    "0.5,1.5,Idle,0.1,1,2,3,0.5,0.25,0,0.25,0.02,0,3200",  # non-integer step
+])
+@pytest.mark.parametrize("where", [_EDGE_SLICE - 1, _EDGE_SLICE, _EDGE_SLICE + 1,
+                                   2 * _EDGE_SLICE, _EDGE_ROWS - 1])
+def test_read_names_the_line_of_a_bad_row_at_a_slice_edge(tmp_path, monkeypatch,
+                                                          bad, where):
+    monkeypatch.setattr(telemetry, "_SLICE", _EDGE_SLICE)
+    lines = [GOOD_ROW] * _EDGE_ROWS
+    lines[where] = bad
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(COLUMNS) + "\n" + "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=rf"bad\.csv: line {where + 2}: malformed"):
+            read_csv(path)
+
+
+def test_read_rejects_a_non_utf8_byte_in_a_later_slice(tmp_path, monkeypatch):
+    # 256-line slices put the third slice past the first 8 KB the text
+    # decoder reads, so the bad byte is decoded while that slice is taken
+    monkeypatch.setattr(telemetry, "_SLICE", 256)
+    lines = [GOOD_ROW.encode()] * 1000
+    lines[2 * 256 + 5] = GOOD_ROW.replace("Idle", "Caf\xe9").encode("latin-1")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(",".join(COLUMNS).encode() + b"\n" + b"\n".join(lines) + b"\n")
+    with pytest.raises(InputError, match=r"latin1\.csv: not utf-8 text"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("variant", ["lf", "no final newline", "crlf", "header only"])
+def test_read_in_slices_equals_read_in_one_slice(tmp_path, monkeypatch, variant):
+    path = tmp_path / "t.csv"
+    frame = _frame_from_columns(0 if variant == "header only" else _EDGE_ROWS)
+    write_csv(frame, path)
+    text = path.read_bytes()
+    path.write_bytes({"no final newline": text.rstrip(b"\n"),
+                      "crlf": text.replace(b"\n", b"\r\n")}.get(variant, text))
+    whole = read_csv(path)
+    monkeypatch.setattr(telemetry, "_SLICE", _EDGE_SLICE)
+    sliced = read_csv(path)
+    for c in COLUMNS:
+        np.testing.assert_array_equal(getattr(sliced, c), getattr(whole, c),
+                                      strict=True, err_msg=c)
+    for c in _FLOAT_COLUMNS:
+        assert np.array_equal(np.signbit(getattr(sliced, c)),
+                              np.signbit(getattr(whole, c))), c
+    assert np.array_equal(sliced.load_state, frame.load_state)
+
+
+def test_read_memory_above_the_frame_does_not_grow_with_the_rows(
+        tmp_path, monkeypatch, fingerprint_run):
+    # a whole-file parse holds the lines, a structured array with one str per
+    # row and the column copies at once: about 250 B a row above the frame
+    size = 500
+    monkeypatch.setattr(telemetry, "_SLICE", size)
+
+    def above_frame(n: int) -> int:
+        path = tmp_path / f"t{n}.csv"
+        write_csv(TelemetryFrame(**{c: getattr(fingerprint_run.frame, c)[:n]
+                                    for c in COLUMNS}), path)
+        tracemalloc.start()
+        try:
+            frame = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.n == n
+        return peak - sum(getattr(frame, c).nbytes for c in COLUMNS)
+
+    # the join at the end copies one 8-byte column at a time
+    assert above_frame(8 * size) - above_frame(2 * size) <= 8 * 6 * size
+
+
+def test_read_keeps_one_str_per_state_name(tmp_path, monkeypatch, fingerprint_run):
+    monkeypatch.setattr(telemetry, "_SLICE", 1000)
+    path = tmp_path / "t.csv"
+    write_csv(fingerprint_run.frame, path)
+    states = read_csv(path).load_state
+    assert len({id(s) for s in states}) == len(set(states)) > 1
