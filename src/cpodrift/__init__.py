@@ -27,7 +27,6 @@ from .errors import (
     ImplausibleInputError,
     InputError,
     InsufficientDataError,
-    MissingHintError,
     SliceViolationError,
     StepSizeError,
     UsageError,

@@ -122,7 +122,7 @@ def _dispatch(args) -> int:
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             write_json(out / "comparison.json", report.to_dict())
-        return 0
+        return 0 if report.ok else 1
 
     if args.command == "verify":
         cfg = _config_for(args)

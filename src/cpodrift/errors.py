@@ -40,10 +40,6 @@ class SliceViolationError(CpodriftError):
     scheduler execution slice."""
 
 
-class MissingHintError(CpodriftError):
-    """Predictive controller stepped without a hint forecast."""
-
-
 class InsufficientDataError(CpodriftError):
     """Estimator input lacks the variance or coverage needed for a fit."""
 

@@ -105,6 +105,11 @@ class ComparisonReport:
     notes: tuple[str, ...]
     audit_ok: bool = True               # causality audit across all mode runs
 
+    @property
+    def ok(self) -> bool:
+        """The verdict: a defined ratio, predictive drifting less than reactive."""
+        return self.improvement_ratio is not None and self.improvement_ratio > 1.0
+
     def by_mode(self, name: str) -> ModeResult:
         for m in self.modes:
             if m.mode == name:
@@ -191,8 +196,8 @@ def _run_comparison(cfg: RunConfig, out: Path) -> ExperimentResult:
     write_json(jpath, report.to_dict())
     tpath = out / "comparison.txt"
     tpath.write_text(report.to_text() + "\n")
-    ok = report.improvement_ratio is not None and report.improvement_ratio > 1.0
-    return ExperimentResult("comparison", (jpath, tpath), report.to_dict(), ok)
+    return ExperimentResult("comparison", (jpath, tpath), report.to_dict(),
+                            report.ok)
 
 
 def _run_fingerprint(cfg: RunConfig, out: Path) -> ExperimentResult:

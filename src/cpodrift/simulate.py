@@ -266,12 +266,14 @@ def _planned_queue_depth(n_streams: np.ndarray, lo: int, hi: int, adm: int,
 
 def _extended(buffers: tuple[np.ndarray, ...], plan: tuple[np.ndarray, ...],
               wmap: AffineMapParams) -> tuple[np.ndarray, ...]:
-    """The state, planned density, planned streams, dispatched density and
-    power buffers of :func:`_dispatch` with the steps of ``plan`` (its
-    ``state_idx``, ``rho`` and ``n_streams``) added."""
+    """The step buffers of :func:`_dispatch` with the steps of ``plan`` (its
+    ``state_idx``, ``rho`` and ``n_streams``) added: their plan, their
+    dispatched density and power as planned, no deferred entry and no
+    queue-depth move."""
     state_idx, rho, n_streams = plan
     return tuple(map(np.concatenate, zip(buffers, (
-        state_idx, rho, n_streams, rho, density_to_power(rho, wmap)))))
+        state_idx, rho, n_streams, rho, density_to_power(rho, wmap),
+        np.zeros(rho.size), np.full(rho.size, -1), np.zeros(rho.size, np.int64)))))
 
 
 def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
@@ -290,8 +292,8 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     last step is outstanding: counted, not dispatched. An entry that was
     deferred before is shed: counted and dropped. So a slot holds its plan
     entry and at most the one entry deferred into it from a slice before,
-    kept in per-step arrays beside the plan once the throttle first fires,
-    and a run defers at most once per step.
+    kept in per-step arrays beside the plan, and a run defers at most once
+    per step.
 
     The throttle sweeps a chunk in blocks of a horizon's steps, from each
     step whose hint may breach the cap to the next: the cut's own
@@ -302,11 +304,11 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     steps that can fire are taken again once the chunk is swept.
 
     Every edit of a firing lands after its step, so a chunk's rows are
-    final once it is swept. The pass holds the plan, the dispatched
-    density and the power from ``win`` steps before the chunk (the EWMA
+    final once it is swept. The pass holds its step buffers (the plan,
+    the dispatched density and power, the deferred entries and the
+    queue-depth moves) from ``win`` steps before the chunk (the EWMA
     window) to as far past it as a firing reaches (horizon plus slice) or
-    the queue depth reads (admission lead); the deferred entries and
-    queue-depth moves pending past the chunk carry over.
+    the queue depth reads (admission lead).
     """
     sc = config.scheduler
     wmap, thermal = config.affine_map, config.thermal
@@ -321,57 +323,46 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     plan_first = adm >= h + slice_steps
     # Past N steps a horizon, a slice, an admission lead or a window reads
     # nothing more, so cap them to keep huge configured times within array
-    # sizes. The window keeps one step past N, which leaves np.convolve's
-    # operand order, and so its rounding, as it is for any longer window.
+    # sizes.
     h, adm, slice_steps = min(h, N), min(adm, N), min(slice_steps, N)
-    win = min(max(1, steps_of(sc.history_window_ms, dt)), N + 1)
+    win = min(max(1, steps_of(sc.history_window_ms, dt)), N)
     w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
-    w_rev = w[::-1].copy()
     norm = np.cumsum(w)
     reach = max(h + slice_steps, adm)
     replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
     deferrals = outstanding_entries = shed_entries = 0
     outstanding_density = shed_density = 0.0
 
-    # the plan (state, density, streams), dispatched density and power of
-    # steps [b, top), and the queue-depth differences of steps [lo, top]
-    sidx, pn = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    prho = rho = P = np.empty(0)
-    # the density and streams (-1: none) of the entry deferred into each of
-    # steps [b, top), once the throttle has fired
-    into_rho = into_n = None
+    # the step buffers, of steps [b, top): the plan (state, density,
+    # streams), the dispatched density and power, the density and streams
+    # (-1: none) of the entry deferred into each step, and the queue-depth
+    # differences
+    ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
+    sidx, prho, pn, rho, P, into_rho, into_n, moved = bufs = (
+        ints, floats, ints, floats, floats, floats, ints, ints)
     b = top = 0
-    moved = np.zeros(1, dtype=np.int64)
     moved_before = 0    # the moves of the steps before lo, summed
 
     def ewma(s0: int, s1: int) -> None:
         """F over steps [s0, s1): the weighted mean of the trailing power
-        window ending at each, ``w[d]`` weighing the power d steps back,
-        summed as np.convolve sums it over the whole run."""
-        # windows the run's start cuts short, read while the buffers start
-        # at step 0; np.convolve swaps its operands for a window past the run
-        if win > N and s0 < s1:
-            p_rev = P[s1 - 1::-1].copy()
-        for s in range(s0, min(s1, win - 1)):
-            F[s - lo] = (np.dot(w[:s + 1], p_rev[s1 - 1 - s:]) if win > N else
-                         np.dot(P[:s + 1], w_rev[win - 1 - s:])) / norm[s]
-        s0 = max(s0, win - 1)
+        window ending at each, ``w[d]`` weighing the power d steps back.
+        Steps before the run weigh in as zero power, and the mean divides
+        by the weights of the steps inside the run."""
+        # each row sums the whole of w, so its bits do not depend on the
+        # rows it is summed with, and chunking stays invisible
         if s0 < s1:
-            F[s0 - lo:s1 - lo] = np.convolve(P[s0 - win + 1 - b:s1 - b], w,
-                                             "valid") / norm[-1]
+            pad = max(0, win - 1 - s0)
+            x = np.concatenate((np.zeros(pad), P[s0 + pad - win + 1 - b:s1 - b]))
+            F[s0 - lo:s1 - lo] = np.convolve(x, w, "valid") / norm[
+                np.minimum(np.arange(s0, s1), win - 1)]
 
     for lo in range(0, N, _CHUNK_STEPS):
         hi = min(lo + _CHUNK_STEPS, N)
         if top < min(N, hi + reach):
             grow = min(N, hi + reach) - top
-            sidx, prho, pn, rho, P = _extended(
-                (sidx, prho, pn, rho, P), plan(top, top + grow), wmap)
-            if into_n is not None:
-                into_rho = np.concatenate((into_rho, np.zeros(grow)))
-                into_n = np.concatenate((into_n, np.full(grow, -1)))
+            sidx, prho, pn, rho, P, into_rho, into_n, moved = bufs = _extended(
+                bufs, plan(top, top + grow), wmap)
             top += grow
-            moved = np.concatenate((moved, np.zeros(top + 1 - lo - moved.size,
-                                                    dtype=np.int64)))
 
         F = np.empty(hi - lo)
         r = max(0, min(hi, replay) - lo)    # replay rows
@@ -395,8 +386,6 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             a += int(may[a - lo:end - lo].argmax())
             if not may[a - lo]:
                 break
-            if into_n is None:
-                into_rho, into_n = np.zeros(P.size), np.full(P.size, -1)
             # the block, steps [k, a): its hints are final, as no firing
             # before k edits a slot they read and none in the block a slot
             # before a + h; so are its slots, steps [k + h, a + h)
@@ -438,9 +427,9 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             # deferred entries stay pending over [j, m); shed and
             # outstanding ones are not pending over (k, j)
             gone = np.where(shed, n_in, 0)
-            moved[k + h - lo:a + h - lo] += np.where(own_out, n_own, 0) + gone
-            moved[m0 - lo:m0 + nd - lo] -= np.where(defer, n_own[:nd], 0)
-            moved[k + 1 - lo:a + 1 - lo] -= np.where(out, n_own, 0) + gone
+            moved[j] += np.where(own_out, n_own, 0) + gone
+            moved[m] -= np.where(defer, n_own[:nd], 0)
+            moved[k + 1 - b:a + 1 - b] -= np.where(out, n_own, 0) + gone
             deferrals += int(own_out.sum())
             shed_entries += int(shed.sum())
             outstanding_entries += int(out.sum())
@@ -460,19 +449,17 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             ewma(end, hi)   # retimed hints of the steps that cannot fire
 
         depth = _planned_queue_depth(pn[lo - b:], lo, hi, adm, N)
-        depth += moved_before + np.cumsum(moved[:hi - lo])
-        moved_before += int(moved[:hi - lo].sum())
+        depth += moved_before + np.cumsum(moved[lo - b:hi - b])
+        moved_before += int(moved[lo - b:hi - b].sum())
 
         yield _Chunk(
             lo, np.arange(lo, hi, dtype=float) * dt, sidx[lo - b:hi - b],
             rho[lo - b:hi - b], P[lo - b:hi - b], F, newest, source, depth,
             deferrals, outstanding_density, outstanding_entries, shed_density,
             shed_entries)
-        moved = moved[hi - lo:]
         drop = max(0, hi - win + 1) - b
-        sidx, prho, pn, rho, P = (x[drop:] for x in (sidx, prho, pn, rho, P))
-        if into_n is not None:
-            into_rho, into_n = into_rho[drop:], into_n[drop:]
+        sidx, prho, pn, rho, P, into_rho, into_n, moved = bufs = tuple(
+            x[drop:] for x in bufs)
         b += drop
 
 

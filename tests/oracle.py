@@ -33,7 +33,7 @@ import numpy as np
 from cpodrift import thermal as th
 from cpodrift.config import RunConfig
 from cpodrift.controller import ControllerParams, Mode
-from cpodrift.errors import InputError, MissingHintError, StepSizeError
+from cpodrift.errors import CpodriftError, InputError, StepSizeError
 from cpodrift.optics import OpticParams, drift
 from cpodrift.scheduler import (
     Filtration,
@@ -53,6 +53,10 @@ from cpodrift.workload import (
     density_to_throughput,
     generate_workload,
 )
+
+
+class MissingHintError(CpodriftError):
+    """The predictive controller stepped without a hint forecast."""
 
 
 @dataclass(frozen=True)

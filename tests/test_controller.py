@@ -14,14 +14,13 @@ from cpodrift.errors import (
     ConfigError,
     ImplausibleInputError,
     InputError,
-    MissingHintError,
     StepSizeError,
 )
 from cpodrift.optics import OpticParams, drift
 from cpodrift.scheduler import HintForecast
 from cpodrift.simulate import simulate
 from cpodrift.thermal import ThermalParams
-from oracle import CompensationState, control_step
+from oracle import CompensationState, MissingHintError, control_step
 
 THERMAL = ThermalParams()
 OPTIC = OpticParams()

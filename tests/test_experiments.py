@@ -124,6 +124,14 @@ def test_cli_compare(capsys, tmp_path):
     assert (tmp_path / "comparison.json").exists()
 
 
+def test_cli_compare_exits_with_the_comparison_verdict(capsys):
+    # a run of no steps drifts in no mode, so it has no improvement ratio:
+    # the verdict fails, and the table is still printed
+    assert main(["compare", "--steps", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "predictive" in out and "improvement ratio (" not in out
+
+
 def test_cli_error_is_reported_not_raised(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "missing.json")])
     assert rc == 2

@@ -284,12 +284,13 @@ def test_an_entry_is_deferred_at_most_once(monkeypatch, steps):
 
 @pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
 def test_ewma_hints_take_work_linear_in_the_run(monkeypatch, forecaster):
-    # a 9 s window over 20,000 steps of bursts that the throttle cuts: the
-    # multiply-adds of every EWMA sum stay within three passes of the window
-    # over the run, however many hints the firings retime
+    # a 9 s window over 20,000 steps of bursts that the throttle cuts: every
+    # EWMA sum is one np.convolve, and their multiply-adds stay within three
+    # passes of the window over the run, however many hints the firings
+    # retime
     steps, win = 20_000, 9_000
     work = []
-    convolve, dot = np.convolve, np.dot
+    convolve = np.convolve
 
     def counted_convolve(a, v, mode="full"):
         # numpy computes only the outputs the mode keeps: len(v) products
@@ -298,12 +299,11 @@ def test_ewma_hints_take_work_linear_in_the_run(monkeypatch, forecaster):
                     (len(a) - len(v) + 1) * len(v))
         return convolve(a, v, mode)
 
-    def counted_dot(a, b):
-        work.append(len(a))
-        return dot(a, b)
+    def no_dot(*args, **kwargs):
+        raise AssertionError("the schedule pass calls np.dot")
 
     monkeypatch.setattr(np, "convolve", counted_convolve)
-    monkeypatch.setattr(np, "dot", counted_dot)
+    monkeypatch.setattr(np, "dot", no_dot)
     cfg = RunConfig(
         seed=1,
         workload=WorkloadConfig(step_count=steps, schedule=BURST_SCHEDULE),
@@ -312,6 +312,29 @@ def test_ewma_hints_take_work_linear_in_the_run(monkeypatch, forecaster):
             throttle_compensation_gain=0.9, throttle_cap_c=4.2))
     assert sim._summarize(cfg).throttle_deferrals > 0
     assert sum(work) <= 3 * steps * win
+
+
+@pytest.mark.parametrize("step_ms", [1.0, 5.0])
+@pytest.mark.parametrize("window_ms", [200.0, 2500.0, 1e6])
+def test_ewma_hints_are_the_weighted_mean_of_the_power_so_far(window_ms, step_ms):
+    # steps before the run weigh in as zero power and the mean divides by
+    # the weights inside the run, so each hint is the full convolution of
+    # the dispatched power with the weights, over the weights summed as far
+    # back as the run reaches
+    steps = 3000
+    cfg = RunConfig(
+        seed=1,
+        workload=WorkloadConfig(step_count=steps, step_period_ms=step_ms,
+                                schedule=BURST_SCHEDULE),
+        scheduler=SchedulerConfig(forecaster="ewma", history_window_ms=window_ms,
+                                  throttle_enabled=False))
+    run = simulate(cfg)
+    win = min(round(window_ms / step_ms), steps)
+    w = 0.5 ** (np.arange(win) * step_ms / cfg.scheduler.ewma_half_life_ms)
+    want = np.convolve(run.frame.p_eic_w, w)[:steps] / \
+        np.cumsum(w)[np.minimum(np.arange(steps), win - 1)]
+    assert (run.forecast_log.source == 1).all()
+    np.testing.assert_allclose(run.frame.hint_w, want, rtol=1e-13, atol=0)
 
 
 # sha256 of the telemetry and forecast-log CSVs of throttled runs under the
