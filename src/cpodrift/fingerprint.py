@@ -640,14 +640,13 @@ def report_dict(report: FingerprintReport) -> dict:
 
 def write_panel_csv(panel: Panel, path) -> None:
     """One CSV per panel; meta as commented key=value header lines."""
-    arrays = list(panel.columns.values())
+    cols = panel.columns
     with open(path, "w", newline="") as fh:
         for k, v in panel.meta.items():
             fh.write(f"# {k}={v}\n")
-        fh.write(",".join(panel.columns) + "\n")
-        write_rows(
-            fh, arrays, ["%s" if a.dtype.kind == "U" else FLOAT_FMT for a in arrays]
-        )
+        fh.write(",".join(cols) + "\n")
+        write_rows([(fh, tuple(cols))], cols, {
+            c: "%s" if a.dtype.kind == "U" else FLOAT_FMT for c, a in cols.items()})
 
 
 def write_report(report: FingerprintReport, out_dir) -> list[Path]:

@@ -222,9 +222,10 @@ def forecast(
 # ---------------------------------------------------------------------------
 # forecast log + causality audit
 
-# by source code; an object array, so a log's names are references, not text
+# the hint source names, by source code
 _SOURCE_NAMES = np.array(["queue_replay", "ewma"], dtype=object)
 LOG_HEADER = "issued_at_ms,horizon_ms,forecast_w,newest_input_ms,source\n"
+LOG_CELLS = dict.fromkeys(LOG_HEADER.rstrip().split(","), FLOAT_FMT) | {"source": "%s"}
 
 
 @dataclass(frozen=True)
@@ -240,13 +241,8 @@ class ForecastLog:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(LOG_HEADER)
-            self.write_rows_to(fh)
-
-    def write_rows_to(self, fh) -> None:
-        """Write the log's CSV rows, without the header, to the open ``fh``."""
-        write_rows(fh, [self.issued_at_ms, self.horizon_ms, self.forecast_w,
-                        self.newest_input_ms, _SOURCE_NAMES[self.source]],
-                   (FLOAT_FMT,) * 4 + ("%s",))
+            write_rows([(fh, tuple(LOG_CELLS))], vars(self) | {
+                "source": (self.source, _SOURCE_NAMES)}, LOG_CELLS)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,11 @@ the forecast power and horizon of a hint. So a run is two passes, and
 
 Chunks of any size give a one-chunk run's columns bit for bit.
 :func:`_chunks`, the one reader of the plan and the schedule pass, hands
-each chunk to its sinks: the streaming summary (:class:`_Summary`), the CSV
-writers of :func:`write_run`, and a keeper (:func:`_keeper`) of the
-whole-run columns a caller names, every one for :func:`simulate`. Only kept
-columns grow with the run. A run of no steps yields no chunk.
+each chunk to its sinks: the streaming summary (:class:`_Summary`) and a
+keeper (:func:`_keeper`) of the whole-run columns a caller names, every one
+for :func:`simulate`. :func:`write_run` writes each chunk's rows to the
+telemetry and forecast-log CSVs in one pass. Only kept columns grow with
+the run. A run of no steps yields no chunk.
 
 ``tests/oracle.py`` composes the module-level operations step by step
 (Filtration snapshots, forecast(), thermal.step(), and its own per-entry
@@ -58,6 +59,8 @@ from .config import RunConfig
 from .controller import _Compensator
 from .optics import drift
 from .scheduler import (
+    _SOURCE_NAMES,
+    LOG_CELLS,
     LOG_HEADER,
     AuditReport,
     ForecastLog,
@@ -65,7 +68,7 @@ from .scheduler import (
     preposition_fraction,
     throttle_cut,
 )
-from .telemetry import _ROW, COLUMNS, TelemetryFrame, write_csv
+from .telemetry import _CELLS, _ROW, COLUMNS, TelemetryFrame, write_rows
 from .thermal import _response, peak_junction_temperature
 from .workload import (
     STATE_BY_NAME,
@@ -79,6 +82,8 @@ from .workload import (
 STABILIZATION_BAND_C = 0.05     # | trailing-mean residual - cap | tolerance
 _STAB_WINDOW_MS = 1000.0
 _STATE_NAMES = np.array(tuple(STATE_BY_NAME), dtype=object)   # by state_idx
+# the forecast log's columns by chunk name: issue stamp t_ms, forecast hint_w
+_LOG_COLUMNS = ("t_ms", "horizon_ms", "hint_w", "newest_input_ms", "source")
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,14 @@ def write_run(config: RunConfig, telemetry_path, log_path,
     """Run ``config`` and write its telemetry and forecast-log CSVs chunk by
     chunk; return the summary, the audit and the named ``columns``, whole."""
     stats, (keep, kept) = _Summary(config), _keeper(config, columns)
-    with open(log_path, "w", newline="") as log:
+    with open(telemetry_path, "w", newline="") as tel, \
+            open(log_path, "w", newline="") as log:
+        tel.write(",".join(COLUMNS) + "\n")
         log.write(LOG_HEADER)
-        # map, unlike a generator expression, holds no chunk past its frame
-        write_csv(map(lambda chunk: chunk.telemetry(config), _chunks(
-            config, stats.add, keep, lambda chunk: chunk.forecast_log(
-                config.scheduler.horizon_ms).write_rows_to(log))), telemetry_path)
+        files = ((tel, COLUMNS), (log, _LOG_COLUMNS))
+        for chunk in _chunks(config, stats.add, keep):
+            write_rows(files, chunk.columns(config), _CELLS | LOG_CELLS)
+            del chunk   # freed before the next chunk is made
     return *stats.finish(), kept
 
 
@@ -197,16 +204,20 @@ class _Chunk(NamedTuple):
     residual_c: np.ndarray | None = None
     drift_nm: np.ndarray | None = None
 
-    def telemetry(self, config: RunConfig) -> TelemetryFrame:
-        """The chunk's telemetry rows."""
+    def columns(self, config: RunConfig) -> dict:
+        """The chunk's CSV columns by name, a few as ``(codes, table)``."""
         sc, n = config.scheduler, self.t_ms.size
-        return TelemetryFrame(
-            **{c: getattr(self, c) for c in COLUMNS if c in self._fields},
+        one = np.zeros(n, np.intp)    # the codes of a one-value table
+        depths, codes = np.unique(self.queue_depth, return_inverse=True)
+        eta = preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)
+        return self._asdict() | dict(
             step=np.arange(self.lo, self.lo + n),
-            load_state=_STATE_NAMES[self.state_idx],
+            load_state=(self.state_idx, _STATE_NAMES),
             t24=density_to_throughput(self.rho, config.affine_map),
-            eta=np.full(n, preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)),
-            ttft_ms=self.queue_depth * sc.t_slice_ms * 0.5)
+            eta=(one, np.array([eta])),
+            ttft_ms=(codes, depths * sc.t_slice_ms * 0.5),
+            horizon_ms=(one, np.array([float(sc.horizon_ms)])),
+            source=(self.source, _SOURCE_NAMES))
 
     def forecast_log(self, horizon_ms: float) -> ForecastLog:
         """The chunk's hints as forecast-log entries."""
@@ -472,10 +483,11 @@ def _keeper(config: RunConfig, names) -> tuple[Callable, dict]:
     kept = {c: np.empty(config.workload.step_count, _DTYPES[c]) for c in names}
 
     def keep(chunk: _Chunk) -> None:
-        rows = chunk.telemetry(config) if kept.keys() - chunk._fields else chunk
+        rows = chunk.columns(config) if kept.keys() - chunk._fields else {}
         at = slice(chunk.lo, chunk.lo + chunk.t_ms.size)
         for c, col in kept.items():
-            col[at] = getattr(chunk if c in chunk._fields else rows, c)
+            v = getattr(chunk, c) if c in chunk._fields else rows[c]
+            col[at] = v[1][v[0]] if isinstance(v, tuple) else v
     return keep, kept
 
 

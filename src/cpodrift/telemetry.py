@@ -9,7 +9,10 @@ column by column, and calls Python's ``%`` only for the float cells whose
 ``%.9g`` text the vector arithmetic cannot prove: non-finite cells, cells
 printed in scientific notation, and cells whose 9-digit mantissa, scaled in
 floating point, lands exactly on a .5 tie. Its output is the per-cell format
-byte for byte. :func:`write_json` gives every JSON artifact its one layout.
+byte for byte. A column may be table codes, whose table's text is rendered
+once, and ``simulate.write_run`` renders each band once for both the
+telemetry and the forecast log. :func:`write_json` gives every JSON artifact
+its one layout.
 :func:`read_csv` parses ``_SLICE`` lines at a time in one pass, shares one
 ``str`` per state name and names the line of the first malformed row.
 """
@@ -82,7 +85,7 @@ _ROW = np.dtype([
     (c, object if c == "load_state" else np.int64 if c in _INT_COLUMNS else float)
     for c in COLUMNS
 ])
-_CELLS = tuple({"O": "%s", "i": "%d", "f": FLOAT_FMT}[_ROW[c].kind] for c in COLUMNS)
+_CELLS = {c: {"O": "%s", "i": "%d", "f": FLOAT_FMT}[_ROW[c].kind] for c in COLUMNS}
 
 
 # A chunk is a byte matrix with one row per character slot and one column per
@@ -188,37 +191,47 @@ def _str_band(names) -> np.ndarray:
 _BANDS = {FLOAT_FMT: _float_band, "%d": _int_band, "%s": _str_band}
 
 
-def write_rows(fh, columns, cells) -> None:
-    """Write equal-length ``columns`` as CSV rows, ``_CHUNK`` rows at a time.
+def write_rows(files, columns, cells) -> None:
+    """Write equal-length ``columns`` as CSV rows, ``_CHUNK`` rows at a time,
+    to each ``fh`` of the ``(fh, names)`` pairs in ``files``: the columns
+    ``names`` names, in that order.
 
-    ``cells`` holds one %-format per column (``"%.9g"``, ``"%d"``, ``"%s"``);
-    a column is a 1-d numpy array. Each chunk is one byte matrix: the
-    band of each column, a comma row after each band but the last and a
-    newline row at the end. Read row by row without its pad bytes, it is
-    the text ``cells`` gives each row.
+    ``columns`` maps a name to a 1-d numpy array, or to ``(codes, table)``
+    for the cells ``table[codes]``, and ``cells`` maps it to its %-format
+    (``"%.9g"``, ``"%d"``, ``"%s"``). A table's band is rendered once a call
+    and a column's once a chunk, however many files name it. A file's chunk
+    is one byte matrix: the band of each column, a comma row after each band
+    but the last and a newline row at the end. Read row by row without its
+    pad bytes, it is the text ``cells`` gives each row.
     """
-    bands = [_BANDS[c] for c in cells]
-    total = len(columns[0])
+    tables = {c: _BANDS[cells[c]](col[1]) for c, col in columns.items()
+              if isinstance(col, tuple)}
+    col = columns[files[0][1][0]]
+    total = len(col[0] if isinstance(col, tuple) else col)
     for lo in range(0, total, _CHUNK):
-        n = min(_CHUNK, total - lo)
-        comma = np.full((1, n), ord(","), np.uint8)
-        parts = []
-        for column, band in zip(columns, bands):
-            parts += [band(column[lo:lo + n]), comma]
-        parts[-1] = np.full((1, n), ord("\n"), np.uint8)
-        text = np.concatenate(parts).T.tobytes().translate(None, b"\xff")
-        fh.write(text.decode("utf-8", "surrogatepass"))
+        at = slice(lo, min(lo + _CHUNK, total))
+        comma = np.full((1, at.stop - lo), ord(","), np.uint8)
+        bands = {}
+        for i, (fh, names) in enumerate(files):
+            parts = []
+            for c in names:
+                if c not in bands:
+                    bands[c] = tables[c].take(columns[c][0][at], axis=1) \
+                        if c in tables else _BANDS[cells[c]](columns[c][at])
+                parts += [bands[c], comma]
+            parts[-1] = np.full_like(comma, ord("\n"))
+            # only the bands a later file names outlive this file's text
+            bands = {c: bands[c] for _, more in files[i + 1:] for c in more
+                     if c in bands}
+            text = np.concatenate(parts).T.tobytes().translate(None, b"\xff")
+            fh.write(text.decode("utf-8", "surrogatepass"))
 
 
-def write_csv(frames, path) -> None:
-    """Write telemetry to CSV, one row per step: a frame, or an iterable of
-    frames in row order, each written as it comes."""
-    frames = (frames,) if isinstance(frames, TelemetryFrame) else frames
+def write_csv(frame: TelemetryFrame, path) -> None:
+    """Write a frame's telemetry to CSV, one row per step."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COLUMNS) + "\n")
-        for frame in frames:
-            write_rows(fh, [getattr(frame, c) for c in COLUMNS], _CELLS)
-            del frame   # freed before the next frame is made
+        write_rows([(fh, COLUMNS)], vars(frame), _CELLS)
 
 
 def write_json(path, payload: dict) -> None:

@@ -38,8 +38,15 @@ from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import SchedulerConfig
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
-from cpodrift.telemetry import write_csv
-from test_simulate import _assert_matches_oracle, _bits, _column_bits
+from cpodrift import telemetry
+from cpodrift.telemetry import FLOAT_FMT, write_csv
+from test_simulate import (
+    _assert_matches_oracle,
+    _bits,
+    _column_bits,
+    _gain_half_cfg,
+    _throttled_cfg,
+)
 
 # the package attribute ``simulate`` is the function, not the module
 sim = importlib.import_module("cpodrift.simulate")
@@ -369,6 +376,52 @@ def test_streamed_csvs_equal_the_whole_frame_written(monkeypatch, tmp_path,
     for c, col in kept.items():
         whole = run.forecast_log.source if c == "source" else getattr(run.frame, c)
         assert _column_bits(col) == _column_bits(whole), c
+
+
+def _default_cfg(steps):
+    cfg = default_config(24)
+    return replace(cfg, workload=replace(cfg.workload, step_count=steps))
+
+
+# each run with the hint sources its log names and its largest queue depth:
+# both source names and one, a one-value ttft_ms table (a one-step run is
+# the one whose queue depth is 0 on every step), and step counts across the
+# writer's 4,096 rows and the run's chunk of 16,384 steps
+@pytest.mark.parametrize("cfg, sources, max_depth", [
+    (_throttled_cfg(), [0, 1], 578),
+    (_gain_half_cfg(10_000), [0, 1], 393),
+    (_throttled_cfg(forecaster="ewma"), [1], 440),
+    (_default_cfg(1), [1], 0),
+    (_default_cfg(4_097), [0, 1], 80),
+    (_default_cfg(16_385), [0, 1], 259),
+], ids=["throttled_cfg", "gain_half_10k", "ewma", "steps1", "steps4097",
+        "steps16385"])
+def test_write_run_writes_the_whole_run_files(tmp_path, cfg, sources, max_depth):
+    run = sim.simulate(cfg)
+    assert np.unique(run.forecast_log.source).tolist() == sources
+    assert run.frame.queue_depth.max() == max_depth
+    write_csv(run.frame, tmp_path / "t.csv")
+    run.forecast_log.write_csv(tmp_path / "f.csv")
+    sim.write_run(cfg, tmp_path / "t2.csv", tmp_path / "f2.csv")
+    for whole, streamed in (("t.csv", "t2.csv"), ("f.csv", "f2.csv")):
+        assert (tmp_path / streamed).read_bytes() == \
+            (tmp_path / whole).read_bytes(), whole
+
+
+def test_write_run_formats_each_distinct_float_once(monkeypatch, tmp_path):
+    # 9 float columns of the telemetry and newest_input_ms of the log are
+    # cells; eta, ttft_ms and horizon_ms come from tables, and t_ms and
+    # hint_w are formatted once for both files (a cell each would be 15)
+    cfg = _default_cfg(20_000)
+    formatted = []
+    band = telemetry._BANDS[FLOAT_FMT]
+    monkeypatch.setitem(telemetry._BANDS, FLOAT_FMT,
+                        lambda x: formatted.append(np.size(x)) or band(x))
+    sim.write_run(cfg, tmp_path / "t.csv", tmp_path / "f.csv")
+    N, c = cfg.workload.step_count, sim._CHUNK_STEPS
+    depth = sim.simulate(cfg).frame.queue_depth
+    tables = sum(2 + np.unique(depth[lo:lo + c]).size for lo in range(0, N, c))
+    assert sum(formatted) <= 10 * N + tables
 
 
 def test_a_huge_step_count_streams():

@@ -136,15 +136,26 @@ def _edge_columns(n: int, seed: int = 0):
 
 @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_write_rows_matches_per_cell_format(n):
+    # two files from one set of columns: the second shares a column with the
+    # first and takes table-coded ones, a float table and a name table
     floats, ints, states = _edge_columns(n, seed=n)
     panel = PANEL_NAMES[np.arange(n) % len(PANEL_NAMES)]
-    fh = io.StringIO()
-    write_rows(fh, [floats, ints, states, panel], ("%.9g", "%d", "%s", "%s"))
+    codes = np.arange(n)[::-1] % len(EDGE_FLOATS)
+    columns = {"x": floats, "k": ints, "s": states, "p": panel,
+               "edge": (codes, np.array(EDGE_FLOATS)), "name": (codes % 5, PANEL_NAMES)}
+    cells = {"x": "%.9g", "k": "%d", "s": "%s", "p": "%s", "edge": "%.9g",
+             "name": "%s"}
+    fh, other = io.StringIO(), io.StringIO()
+    write_rows([(fh, ("x", "k", "s", "p")), (other, ("edge", "x", "name"))],
+               columns, cells)
     expected = "".join(
         f"{'%.9g' % float(x)},{int(k)},{s},{p}\n"
         for x, k, s, p in zip(floats, ints, states, panel.tolist())
     )
     assert fh.getvalue() == expected
+    assert other.getvalue() == "".join(
+        f"{'%.9g' % EDGE_FLOATS[i]},{'%.9g' % float(x)},{PANEL_NAMES[i % 5]}\n"
+        for i, x in zip(codes, floats))
 
 
 def test_writing_the_90k_frame_stays_within_a_memory_budget(tmp_path,
