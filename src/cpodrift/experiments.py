@@ -16,8 +16,9 @@ run goes (:func:`write_run`) and keeps only the columns it fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import fingerprint as fp
 from .config import (
@@ -36,8 +37,7 @@ from .telemetry import COLUMNS, TelemetryFrame, write_json
 from .thermal import JUNCTION_CEILING_C
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     name: str
     files: tuple[Path, ...]
     summary: dict
@@ -55,20 +55,26 @@ def _result(name: str, out: Path, files, summary: dict, ok: bool) -> ExperimentR
     return ExperimentResult(name, (*files, spath), summary, ok)
 
 
+def _check_steps(cfg: RunConfig, least: int, fit: str) -> None:
+    """Refuse, before a file is written, a run too short for its fit."""
+    if cfg.workload.step_count < least:
+        raise ConfigError(f"workload.step_count must be at least {least} for the "
+                          f"{fit}, got {cfg.workload.step_count}")
+
+
 def _run_validation90k(cfg: RunConfig, out: Path) -> ExperimentResult:
-    if cfg.workload.step_count < 2:     # before a file is written
-        raise ConfigError("workload.step_count must be at least 2 for the validation90k"
-                          f" fit of delta_t_c on rho, got {cfg.workload.step_count}")
+    _check_steps(cfg, 2, "validation90k fit of delta_t_c on rho")
     files = _csv_paths(out, "validation90k")
     run, audit, kept = write_run(cfg, *files, ("rho", "delta_t_c"))
     fit = fp.regress(kept["rho"], kept["delta_t_c"])
-    summary = run.to_dict() | {"rho_dt_fit": vars(fit) | {}, "audit_ok": audit.ok}
+    summary = run.to_dict() | {"rho_dt_fit": fit._asdict(), "audit_ok": audit.ok}
     ok = fit.r_squared >= 0.98 and audit.ok and \
         run.peak_junction_temp_c <= JUNCTION_CEILING_C
     return _result("validation90k", out, files, summary, ok)
 
 
 def _run_transient300(cfg: RunConfig, out: Path) -> ExperimentResult:
+    _check_steps(cfg, 4, "transient300 fit of tau_ms")
     files = _csv_paths(out, "transient300")
     run, _, kept = write_run(cfg, *files, ("t_ms", "delta_t_c"))
     tau_est = fp.estimate_tau(kept["t_ms"], kept["delta_t_c"])
@@ -85,8 +91,7 @@ BASELINE_PJ_PER_BIT = 5.0
 SAVINGS_PJ_PER_BIT = 0.85
 
 
-@dataclass(frozen=True)
-class ModeResult:
+class ModeResult(NamedTuple):
     mode: str
     max_drift_nm: float
     mean_drift_nm: float
@@ -95,8 +100,7 @@ class ModeResult:
     budget_fraction: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     modes: tuple[ModeResult, ...]
     improvement_ratio: float | None     # reactive max drift / predictive max drift
     energy_margin_fraction: float
@@ -118,9 +122,9 @@ class ComparisonReport:
 
     def to_dict(self) -> dict:
         """The fields in order, each mode keyed by its name."""
-        modes = {m.mode: {k: v for k, v in vars(m).items() if k != "mode"}
+        modes = {m.mode: {k: v for k, v in m._asdict().items() if k != "mode"}
                  for m in self.modes}
-        return vars(self) | {"modes": modes, "notes": list(self.notes)}
+        return self._asdict() | {"modes": modes, "notes": list(self.notes)}
 
     def to_text(self) -> str:
         lines = [

@@ -17,8 +17,8 @@ configured parameters to well inside 1%, 0.5 ms and 1e-9 respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ _STEADY_WINDOW_FRAC = 0.2
 _STRESS_DELTA_T_C = 40.0
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -115,8 +114,7 @@ def regress_through_origin(x, y) -> RegressionResult:
 # ---------------------------------------------------------------------------
 # steady-state detection
 
-@dataclass(frozen=True)
-class Hold:
+class Hold(NamedTuple):
     """A contiguous constant-load segment [start, stop)."""
 
     state: str
@@ -154,8 +152,7 @@ def steady_window(hold: Hold) -> tuple[int, int]:
     return hold.stop - w, hold.stop
 
 
-@dataclass(frozen=True)
-class RthEstimate:
+class RthEstimate(NamedTuple):
     per_state: dict[str, float]
     unified: float
     # mean dissipation and mean delta-T of each state's steady windows
@@ -306,19 +303,17 @@ def estimate_kappa(delta_t_c, drift_nm) -> RegressionResult:
 # ---------------------------------------------------------------------------
 # report assembly
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(NamedTuple):
     name: str
     columns: dict[str, np.ndarray]
-    meta: dict[str, object] = field(default_factory=dict)
+    meta: dict[str, object]
 
     @property
     def n_rows(self) -> int:
         return int(len(next(iter(self.columns.values())))) if self.columns else 0
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     panel: str
     parameter: str
     measured: str
@@ -327,8 +322,7 @@ class TableRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class FingerprintReport:
+class FingerprintReport(NamedTuple):
     r_th_per_state: dict[str, float]
     r_th_unified: float
     tau_est_ms: float
@@ -622,14 +616,14 @@ def report_dict(report: FingerprintReport) -> dict:
         "r_th_unified": report.r_th_unified,
         "tau_est_ms": report.tau_est_ms,
         "kappa_est_nm_per_c": report.kappa_est.slope,
-        "rho_dt_fit": vars(report.rho_dt_fit) | {},
-        "t24_dt_fit": vars(report.t24_dt_fit) | {},
+        "rho_dt_fit": report.rho_dt_fit._asdict(),
+        "t24_dt_fit": report.t24_dt_fit._asdict(),
         "max_open_loop_drift_nm": report.max_open_loop_drift_nm,
         "observed_max_drift_nm": report.observed_max_drift_nm,
         "peak_delta_t_c": report.peak_delta_t_c,
         "peak_junction_temp_c": report.peak_junction_temp_c,
         "t24_fit_reference": report.t24_fit_reference,
-        "pass_fail": [vars(r) | {} for r in report.pass_fail],
+        "pass_fail": [r._asdict() for r in report.pass_fail],
         "panels": {
             p.name: {"rows": p.n_rows, "meta": p.meta} for p in report.panel_data
         },

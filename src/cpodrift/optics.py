@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ class OpticParams:
             )
 
 
-@dataclass(frozen=True)
-class DriftAssessment:
+class DriftAssessment(NamedTuple):
     drift_nm: float
     budget_fraction: float   # |drift| / tolerance band
     within_spec: bool

@@ -24,7 +24,7 @@ tau = 80 ms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class SchedulerConfig:
 preposition_fraction = step_response_fraction
 
 
-@dataclass(frozen=True)
-class QueueEntry:
+class QueueEntry(NamedTuple):
     """One admitted dispatch: density contribution scheduled at dispatch_t_ms."""
 
     dispatch_t_ms: float
@@ -121,8 +120,7 @@ class Filtration:
                 )
 
 
-@dataclass(frozen=True)
-class HintForecast:
+class HintForecast(NamedTuple):
     """Causal power forecast at t + horizon, with provenance."""
 
     horizon_ms: float
@@ -228,8 +226,7 @@ LOG_HEADER = "issued_at_ms,horizon_ms,forecast_w,newest_input_ms,source\n"
 LOG_CELLS = dict.fromkeys(LOG_HEADER.rstrip().split(","), FLOAT_FMT) | {"source": "%s"}
 
 
-@dataclass(frozen=True)
-class ForecastLog:
+class ForecastLog(NamedTuple):
     """Struct-of-arrays log of issued hints, one entry per hint."""
 
     issued_at_ms: np.ndarray
@@ -241,12 +238,11 @@ class ForecastLog:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(LOG_HEADER)
-            write_rows([(fh, tuple(LOG_CELLS))], vars(self) | {
+            write_rows([(fh, tuple(LOG_CELLS))], self._asdict() | {
                 "source": (self.source, _SOURCE_NAMES)}, LOG_CELLS)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     n_checked: int
     violations: tuple[tuple[float, float], ...]  # (issued_at, offending stamp)
 

@@ -50,7 +50,8 @@ module against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -86,8 +87,7 @@ _STATE_NAMES = np.array(tuple(STATE_BY_NAME), dtype=object)   # by state_idx
 _LOG_COLUMNS = ("t_ms", "horizon_ms", "hint_w", "newest_input_ms", "source")
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(NamedTuple):
     steps: int
     duration_ms: float
     max_residual_c: float = 0.0
@@ -100,7 +100,9 @@ class SimulationSummary:
     eta_max: float = 0.0
     stabilization_ms: float | None = None   # trailing mean enters cap +/- band
     stays_in_band: bool = False
-    mean_rho_by_state: dict[str, float] = field(default_factory=dict)
+    # read-only by default: a NamedTuple default is one object shared by
+    # every instance built without it
+    mean_rho_by_state: Mapping[str, float] = MappingProxyType({})
     throttle_deferrals: int = 0
     outstanding_density: float = 0.0    # deferred past the last step
     outstanding_entries: int = 0
@@ -112,15 +114,14 @@ class SimulationSummary:
         """The fields as a dict. The shed counters appear only for a run
         that shed work, so the summary artifacts of every other run keep
         their layout."""
-        d = dict(vars(self))
+        d = self._asdict()
         if not self.shed_entries:
             del d["shed_density"], d["shed_entries"]
         d["mean_rho_by_state"] = dict(self.mean_rho_by_state)
         return d
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     config: RunConfig
     frame: TelemetryFrame
     summary: SimulationSummary

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +77,7 @@ class ThermalParams:
         return replace(self, gamma=gamma_of_distance(self.d_um, coupling))
 
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(NamedTuple):
     """Lumped plant state at time t_ms."""
 
     delta_t_c: float = 0.0

@@ -8,7 +8,7 @@ expected-vs-actual mismatch rather than a silent recalibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import RunConfig
 from .fingerprint import RESPONSE_63_2
@@ -19,8 +19,7 @@ from .thermal import (JUNCTION_CEILING_C, ThermalState, boundary_temperatures,
 from .workload import density_to_power, density_to_throughput, throughput_to_density
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: float
     actual: float
@@ -28,8 +27,7 @@ class CheckResult:
     ok: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

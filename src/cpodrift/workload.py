@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ class AffineMapParams:
 DEFAULT_MAP = AffineMapParams()
 
 
-@dataclass(frozen=True)
-class LoadState:
+class LoadState(NamedTuple):
     """One of the five discrete operating points (Idle .. Peak)."""
 
     name: str
@@ -229,8 +228,7 @@ class WorkloadConfig:
                 )
 
 
-@dataclass(frozen=True)
-class WorkloadPlan:
+class WorkloadPlan(NamedTuple):
     """Generated per-step dispatch plan.
 
     Arrays are aligned with step index k; ``rho`` already includes the

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -318,7 +318,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
                 deferrals += 1
                 if later < N:
                     slots.setdefault(later, []).append(
-                        [replace(entry, dispatch_t_ms=float(t[later])), True])
+                        [entry._replace(dispatch_t_ms=float(t[later])), True])
                 else:   # past the last step: outstanding
                     outstanding_density += entry.rho
                     outstanding_entries += 1

@@ -35,7 +35,7 @@ import pytest
 from cpodrift.config import RunConfig, default_config, stabilization_config
 from cpodrift.experiments import run_experiment
 from cpodrift.controller import ControllerParams, Mode
-from cpodrift.scheduler import SchedulerConfig
+from cpodrift.scheduler import ForecastLog, SchedulerConfig
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
 from cpodrift import telemetry
@@ -286,9 +286,10 @@ def _any_cut_cases():
 
 def _column_digests(run):
     """The dtype and sha256 of each telemetry and forecast-log column."""
-    return {f"{part}.{f.name}": _column_bits(getattr(getattr(run, part), f.name))
-            for part in ("frame", "forecast_log")
-            for f in fields(getattr(run, part))}
+    return {f"{part}.{name}": _column_bits(getattr(getattr(run, part), name))
+            for part, names in (("frame", telemetry.COLUMNS),
+                                ("forecast_log", ForecastLog._fields))
+            for name in names}
 
 
 _ONE_CHUNK_DIGESTS = {}     # config -> the column digests of its one-chunk run

@@ -220,6 +220,20 @@ def test_cli_validation90k_rejects_too_few_steps_before_writing(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("steps", [0, 1, 2, 3])
+def test_cli_transient300_rejects_too_few_steps_before_writing(tmp_path, capsys,
+                                                               steps):
+    # the tau fit needs four samples: the config is refused before a file is
+    # written, naming the field
+    out = tmp_path / "out"
+    assert main(["experiment", "transient300", "--steps", str(steps),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: workload.step_count must be at least 4") and \
+        f"got {steps}" in err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_experiment_overrides_keep_the_preset(tmp_path, capsys):
     assert main(["experiment", "transient300", "--seed", "5",
                  "--out", str(tmp_path / "s5")]) == 0

@@ -1,10 +1,13 @@
 """The package's layering: every module imports at its top, so the import
 graph is the one the module headers show, with no cycle hidden in a
-function body; and only ``thermal`` knows how a scan is cut into blocks."""
+function body; only ``thermal`` knows how a scan is cut into blocks; and
+only the classes whose dataclass parts are read are dataclasses."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import cpodrift
@@ -47,3 +50,40 @@ def test_only_thermal_names_the_scan_grid():
     assert _scan_grid_names(Path(cpodrift.__file__).parent / "thermal.py")
     assert [site for path in SOURCES if path.name != "thermal.py"
             for site in _scan_grid_names(path)] == []
+
+
+# Classes whose dataclass parts something reads: the config sections (the
+# schema walks their fields(), __post_init__ checks them), TelemetryFrame
+# (fields() gives COLUMNS, __post_init__ converts load_state) and the two
+# that validate in __post_init__. Every other record is a NamedTuple, which
+# import defines about five times faster.
+DATACLASSES = {
+    "RunConfig", "WorkloadConfig", "AffineMapParams", "SchedulerConfig",
+    "ControllerParams", "ThermalParams", "CouplingConfig", "BoundaryStack",
+    "OpticParams", "TelemetryFrame", "StreamDescriptor", "Filtration"}
+RECORDS = {
+    "ExperimentResult", "ModeResult", "ComparisonReport", "FingerprintReport",
+    "TableRow", "RegressionResult", "RthEstimate", "Panel", "Hold",
+    "DriftAssessment", "ForecastLog", "HintForecast", "AuditReport",
+    "QueueEntry", "SimulationSummary", "RunResult", "ThermalState",
+    "LoadState", "WorkloadPlan", "CheckResult", "VerifyReport"}
+RULE = "see README.md, 'Records and config classes'"
+
+
+def _classes() -> dict[str, type]:
+    """Every class defined in a ``cpodrift`` module, by name."""
+    found = {}
+    for path in SOURCES:
+        module = importlib.import_module(
+            "cpodrift" if path.stem == "__init__" else f"cpodrift.{path.stem}")
+        found.update((name, obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type) and obj.__module__ == module.__name__)
+    return found
+
+
+def test_only_the_classes_read_as_dataclasses_are_dataclasses():
+    classes = _classes()
+    assert {n for n, c in classes.items() if dataclasses.is_dataclass(c)} == \
+        DATACLASSES, RULE
+    assert sorted(n for n in RECORDS if not hasattr(classes.get(n), "_fields")) \
+        == [], RULE

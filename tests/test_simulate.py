@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -407,10 +408,35 @@ def test_zero_duration_run():
     for f in fields(empty):
         assert np.asarray(getattr(run.frame, f.name)).dtype == \
             np.asarray(getattr(empty, f.name)).dtype, f.name
-    for f in fields(ForecastLog):
-        col = getattr(run.forecast_log, f.name)
+    for name in ForecastLog._fields:
+        col = getattr(run.forecast_log, name)
         assert col.shape == (0,) and col.dtype == (
-            int if f.name == "source" else float), f.name
+            int if name == "source" else float), name
+
+
+def test_zero_step_summaries_share_no_mutable_map():
+    # a NamedTuple default is one object shared by every instance built
+    # without the field: filling one run's state map must not fill another's
+    cfg = replace(RunConfig(), workload=WorkloadConfig(
+        step_count=0, schedule=(("Peak", 100),)))
+    a, b = sim._summarize(cfg), sim._summarize(cfg)
+    try:
+        a.mean_rho_by_state["Idle"] = 1.0
+    except TypeError:       # a read-only map
+        pass
+    assert b.mean_rho_by_state == {}
+    expected = {
+        "steps": 0, "duration_ms": 0.0, "max_residual_c": 0.0,
+        "mean_residual_c": 0.0, "max_drift_nm": 0.0, "mean_drift_nm": 0.0,
+        "peak_delta_t_c": 0.0, "peak_junction_temp_c": 0.0, "eta_min": 0.0,
+        "eta_max": 0.0, "stabilization_ms": None, "stays_in_band": False,
+        "mean_rho_by_state": {}, "throttle_deferrals": 0,
+        "outstanding_density": 0.0, "outstanding_entries": 0,
+        "audit_violations": 0}
+    for summary in (a, b):
+        d = summary.to_dict()
+        assert d == expected and list(d) == list(expected)
+        assert json.dumps(d) == json.dumps(expected)
 
 
 @pytest.mark.parametrize("run", [simulate, sim._summarize,
@@ -531,9 +557,14 @@ def test_import_leaves_scipy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    # numpy is the one runtime dependency: every module a fresh import adds
+    # is in the standard library, numpy or cpodrift (scipy among the rest)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cpodrift; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys; before = set(sys.modules); import cpodrift; "
+         "ok = sys.stdlib_module_names | {'numpy', 'cpodrift'}; "
+         "print(sorted(m for m in set(sys.modules) - before "
+         "if m.split('.')[0] not in ok))"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
