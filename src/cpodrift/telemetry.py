@@ -14,7 +14,10 @@ once, and ``simulate.write_run`` renders each band once for both the
 telemetry and the forecast log. :func:`write_json` gives every JSON artifact
 its one layout.
 :func:`read_csv` parses ``_SLICE`` lines at a time in one pass, shares one
-``str`` per state name and names the line of the first malformed row.
+``str`` per state name, names the line of the first malformed row and grows
+each column in place (glibc's ``realloc`` moves a large block by ``mremap``,
+so no column is resident twice): exactly, as ``resize`` zero-fills the rows
+it adds, and through the frame's attribute, which ``refcheck`` requires.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ FLOAT_FMT = "%.9g"
 # validation90k streams its rows, so this sets its peak RSS: 44 MB at 4,096
 # rows, 1 MB less at 2,048, 3 MB more at 8,192 and 7 MB more at 16,384.
 _CHUNK = 4096
-# Lines read_csv parses at once: a slice's text and parsed rows live beside
-# the columns read so far. Reading the seed-24 90k-row file alone peaks at
-# 44.8 MB RSS at 16,384 lines, against 49.5 MB at 4,096, 48.8 at 8,192, 48.6 at
-# 32,768 and 54.3 at 65,536; 900k rows peak near 225 MB from 8,192 to 32,768.
-_SLICE = 16384
+# Lines read_csv parses at once, beside the columns read so far. A process
+# that reads the seed-1018 90k-row file and writes its fingerprint report peaks
+# at 43.4 MB RSS at 2,048 lines, against 43.8-44.0 at 1,024, 44.7-44.8 at 4,096,
+# 46.8 at 8,192 and 47.0-47.2 at 16,384; at 900k rows (seed 24), 141 MB against
+# 142-143 at 1,024-8,192 and 155 at 16,384. On two x86-64 vCPUs the 90k read
+# takes 0.10 s at 2,048 lines and 0.094 s at 16,384, best of five.
+_SLICE = 2048
 
 
 @dataclass
@@ -274,8 +279,7 @@ def read_csv(path) -> TelemetryFrame:
     non-integer counter) raises :class:`InputError` naming the file and line,
     as does a file that does not decode. State names are read as written.
     """
-    parts = {c: [np.empty(0, _ROW[c])] for c in COLUMNS}  # typed with no rows too
-    names, done = {}, 0   # one str per state name; lines read
+    frame, names, done = TelemetryFrame.empty(), {}, 0   # one str per name; rows read
     try:
         with open(path) as fh:
             if tuple(fh.readline().rstrip("\n").split(",")) != COLUMNS:
@@ -291,13 +295,14 @@ def read_csv(path) -> TelemetryFrame:
                         f"{lines[i].rstrip()!r} (expected {len(COLUMNS)} cells: "
                         f"integer step and queue_depth, numbers except "
                         f"load_state)") from None
-                done += len(lines)
                 states = rows["load_state"].tolist()
                 rows["load_state"] = list(map(names.setdefault, states, states))
-                del lines, states  # the slice's text goes before its copies
-                for c in COLUMNS:
-                    parts[c].append(np.ascontiguousarray(rows[c]))
+                del lines, states  # the slice's text goes before the columns grow
+                for c in COLUMNS:  # to the exact size, through the attribute
+                    getattr(frame, c).resize(done + len(rows))
+                    getattr(frame, c)[done:] = rows[c]
+                done += len(rows)
                 del rows  # and its rows before the next slice is read
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
-    return TelemetryFrame(**{c: np.concatenate(parts.pop(c)) for c in COLUMNS})
+    return frame

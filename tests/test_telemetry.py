@@ -1,14 +1,21 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpodrift import telemetry
+from cpodrift.config import default_config
 from cpodrift.errors import InputError
+from cpodrift.simulate import write_run
 from cpodrift.workload import STATE_BY_NAME
 from cpodrift.telemetry import (
     _CHUNK,
@@ -313,10 +320,12 @@ def test_read_rejects_a_non_utf8_byte_in_a_later_slice(tmp_path, monkeypatch):
         read_csv(path)
 
 
-@pytest.mark.parametrize("variant", ["lf", "no final newline", "crlf", "header only"])
+@pytest.mark.parametrize("variant", ["lf", "no final newline", "crlf", "header only",
+                                     "whole slices", "1 row"])
 def test_read_in_slices_equals_read_in_one_slice(tmp_path, monkeypatch, variant):
     path = tmp_path / "t.csv"
-    frame = _frame_from_columns(0 if variant == "header only" else _EDGE_ROWS)
+    frame = _frame_from_columns({"header only": 0, "whole slices": 3 * _EDGE_SLICE,
+                                 "1 row": 1}.get(variant, _EDGE_ROWS))
     write_csv(frame, path)
     text = path.read_bytes()
     path.write_bytes({"no final newline": text.rstrip(b"\n"),
@@ -333,6 +342,21 @@ def test_read_in_slices_equals_read_in_one_slice(tmp_path, monkeypatch, variant)
     assert np.array_equal(sliced.load_state, frame.load_state)
 
 
+def _traced_above_frame(path, run, n: int) -> int:
+    """The traced peak of reading the first ``n`` rows of ``run`` back, less
+    the bytes of the frame read."""
+    write_csv(TelemetryFrame(**{c: getattr(run.frame, c)[:n] for c in COLUMNS}),
+              path)
+    tracemalloc.start()
+    try:
+        frame = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.n == n
+    return peak - sum(getattr(frame, c).nbytes for c in COLUMNS)
+
+
 def test_read_memory_above_the_frame_does_not_grow_with_the_rows(
         tmp_path, monkeypatch, fingerprint_run):
     # a whole-file parse holds the lines, a structured array with one str per
@@ -341,20 +365,52 @@ def test_read_memory_above_the_frame_does_not_grow_with_the_rows(
     monkeypatch.setattr(telemetry, "_SLICE", size)
 
     def above_frame(n: int) -> int:
-        path = tmp_path / f"t{n}.csv"
-        write_csv(TelemetryFrame(**{c: getattr(fingerprint_run.frame, c)[:n]
-                                    for c in COLUMNS}), path)
-        tracemalloc.start()
-        try:
-            frame = read_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert frame.n == n
-        return peak - sum(getattr(frame, c).nbytes for c in COLUMNS)
+        return _traced_above_frame(tmp_path / f"t{n}.csv", fingerprint_run, n)
 
-    # the join at the end copies one 8-byte column at a time
+    # the columns grow in place, so only one slice's parse is held above them
     assert above_frame(8 * size) - above_frame(2 * size) <= 8 * 6 * size
+
+
+def test_read_holds_no_column_twice(tmp_path, monkeypatch, fingerprint_run):
+    # above the frame the read holds one slice's parse at any length; a join
+    # of per-slice copies would hold one more 8-byte column, 8 B a row
+    size = 128
+    monkeypatch.setattr(telemetry, "_SLICE", size)
+    short, long = (_traced_above_frame(tmp_path / f"t{k}.csv", fingerprint_run,
+                                       k * size) for k in (4, 32))
+    assert abs(long - short) <= _ROW.itemsize * size
+
+
+# The peak resident set of this process image, in KiB. ru_maxrss would also
+# carry the peak of the process that spawned it across the exec.
+_RSS_CHILD = """\
+import sys
+from cpodrift.telemetry import COLUMNS, read_csv
+def hwm():
+    with open("/proc/self/status") as fh:
+        return int(fh.read().split("VmHWM:")[1].split()[0])
+before = hwm()
+frame = read_csv(sys.argv[1])
+print((hwm() - before) * 1024 / sum(getattr(frame, c).nbytes for c in COLUMNS))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_read_grows_resident_memory_by_about_one_frame(tmp_path):
+    # tracemalloc counts each live block once, wherever the allocator put it;
+    # the resident peak also sees freed slice copies that the heap cannot
+    # hand to the next column, which a join of them left resident
+    cfg = default_config(24)
+    cfg = replace(cfg, workload=replace(cfg.workload, step_count=200_000))
+    path = tmp_path / "t.csv"
+    write_run(cfg, path, tmp_path / "log.csv")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) <= 1.4
 
 
 def test_read_keeps_one_str_per_state_name(tmp_path, monkeypatch, fingerprint_run):
