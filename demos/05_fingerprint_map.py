@@ -26,7 +26,7 @@ print(f"stress drift : {report.max_open_loop_drift_nm:.3f} nm at 40 C "
       f"(observed max {report.observed_max_drift_nm:.3f} nm)")
 
 print()
-print(table_text(report))
+print(table_text(report.pass_fail))
 
 files = write_report(report, "demo_out")
 print(f"\nwrote {len(files)} artifacts to demo_out/")

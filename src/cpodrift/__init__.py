@@ -72,7 +72,7 @@ from .thermal import (
     step,
     step_response_fraction,
 )
-from .verify import VerifyReport, verify
+from .verify import verify
 from .workload import (
     AffineMapParams,
     LOAD_STATES,

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: simulate, experiment <name>, fingerprint <telemetry.csv>,
-compare, verify. Exit code 1 when a pass/fail verdict or verification
-fails; 2, with an ``error:`` line, for bad input or a path that fails.
+compare, verify. Exit code 1 when a claim of the run does not hold, with one
+``failed: <panel>: <parameter>: measured ..., target ...`` line on stderr for
+each; 2, with an ``error:`` line, for bad input or a path that fails.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ def _config_for(args, fallback: RunConfig | None = None) -> RunConfig:
     )
 
 
+def _verdict(claims) -> int:
+    """0 if every claim holds; else 1, naming each failing claim on stderr."""
+    failed = [c for c in claims if not c.ok]
+    for c in failed:
+        print(f"failed: {c.panel}: {c.parameter}: measured {c.measured}, "
+              f"target {c.target}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -102,17 +112,17 @@ def _dispatch(args) -> int:
         print(json.dumps(result.summary, indent=2))
         for f in result.files:
             print(f"wrote {f}", file=sys.stderr)
-        return 0 if result.ok else 1
+        return _verdict(result.claims)
 
     if args.command == "fingerprint":
         cfg = _config_for(args)
         frame = read_csv(args.telemetry)
         report = fp.build_report(frame, cfg)
         files = fp.write_report(report, cfg.out_dir or "out")
-        print(fp.table_text(report))
+        print(fp.table_text(report.pass_fail))
         for f in files:
             print(f"wrote {f}", file=sys.stderr)
-        return 0 if report.ok else 1
+        return _verdict(report.pass_fail)
 
     if args.command == "compare":
         cfg = _config_for(args, fallback=comparison_config())
@@ -122,13 +132,12 @@ def _dispatch(args) -> int:
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             write_json(out / "comparison.json", report.to_dict())
-        return 0 if report.ok else 1
+        return _verdict(report.claims)
 
     if args.command == "verify":
-        cfg = _config_for(args)
-        report = verify(cfg)
-        print(report.to_text())
-        return 0 if report.ok else 1
+        claims = verify(_config_for(args))
+        print(fp.table_text(claims))
+        return _verdict(claims)
 
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -32,27 +32,42 @@ from .config import (
 )
 from .controller import Mode, energy_margin_estimate
 from .errors import ConfigError, UsageError
+from .optics import assess
 from .simulate import _summarize, write_run
 from .telemetry import COLUMNS, TelemetryFrame, write_json
 from .thermal import JUNCTION_CEILING_C
+
+
+# the paper's headline: the maximum drift stays under 21 % of the budget
+HEADLINE_BUDGET_FRACTION = 0.21
 
 
 class ExperimentResult(NamedTuple):
     name: str
     files: tuple[Path, ...]
     summary: dict
-    ok: bool
+    claims: tuple[fp.Claim, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.claims)
 
 
 def _csv_paths(out: Path, stem: str) -> list[Path]:
     return [out / f"{stem}_telemetry.csv", out / f"{stem}_forecast_log.csv"]
 
 
-def _result(name: str, out: Path, files, summary: dict, ok: bool) -> ExperimentResult:
-    """The result of experiment ``name``, its summary written as JSON."""
+def _audit(ok: bool) -> tuple:
+    return ("causality audit", "clean" if ok else "violated", "clean", ok)
+
+
+def _result(name: str, out: Path, files, summary: dict, *claims) -> ExperimentResult:
+    """The result of experiment ``name``, its summary written as JSON; each
+    claim a (parameter, measured, target, ok) tuple."""
     spath = out / f"{name}_summary.json"
     write_json(spath, summary)
-    return ExperimentResult(name, (*files, spath), summary, ok)
+    return ExperimentResult(name, (*files, spath), summary,
+                            tuple(fp.claim(name, *c) for c in claims))
 
 
 def _check_steps(cfg: RunConfig, least: int, fit: str) -> None:
@@ -68,19 +83,31 @@ def _run_validation90k(cfg: RunConfig, out: Path) -> ExperimentResult:
     run, audit, kept = write_run(cfg, *files, ("rho", "delta_t_c"))
     fit = fp.regress(kept["rho"], kept["delta_t_c"])
     summary = run.to_dict() | {"rho_dt_fit": fit._asdict(), "audit_ok": audit.ok}
-    ok = fit.r_squared >= 0.98 and audit.ok and \
-        run.peak_junction_temp_c <= JUNCTION_CEILING_C
-    return _result("validation90k", out, files, summary, ok)
+    frac = assess(run.max_drift_nm, cfg.optics).budget_fraction
+    peak = run.peak_junction_temp_c
+    return _result(
+        "validation90k", out, files, summary,
+        ("density-temperature R^2", f"{fit.r_squared:.4f}", ">= 0.98",
+         fit.r_squared >= 0.98),
+        _audit(audit.ok),
+        ("peak junction temperature", f"{peak:.1f} C",
+         f"<= {JUNCTION_CEILING_C:.0f} C", peak <= JUNCTION_CEILING_C),
+        ("max drift", f"{run.max_drift_nm:.4f} nm ({frac:.2%} of the band)",
+         f"< {HEADLINE_BUDGET_FRACTION:.0%} of {cfg.optics.tolerance_band_nm} nm",
+         frac < HEADLINE_BUDGET_FRACTION))
 
 
 def _run_transient300(cfg: RunConfig, out: Path) -> ExperimentResult:
     _check_steps(cfg, 4, "transient300 fit of tau_ms")
     files = _csv_paths(out, "transient300")
-    run, _, kept = write_run(cfg, *files, ("t_ms", "delta_t_c"))
+    run, audit, kept = write_run(cfg, *files, ("t_ms", "delta_t_c"))
     tau_est = fp.estimate_tau(kept["t_ms"], kept["delta_t_c"])
     tau_cfg = cfg.thermal.tau_ms
     summary = run.to_dict() | {"tau_est_ms": tau_est, "tau_configured_ms": tau_cfg}
-    return _result("transient300", out, files, summary, abs(tau_est - tau_cfg) <= 2.0)
+    return _result("transient300", out, files, summary,
+                   ("thermal time constant", f"{tau_est:.2f} ms",
+                    f"{tau_cfg:g} ms (within 2 ms)", abs(tau_est - tau_cfg) <= 2.0),
+                   _audit(audit.ok))
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +137,14 @@ class ComparisonReport(NamedTuple):
     audit_ok: bool = True               # causality audit across all mode runs
 
     @property
-    def ok(self) -> bool:
-        """The verdict: a defined ratio, predictive drifting less than reactive."""
-        return self.improvement_ratio is not None and self.improvement_ratio > 1.0
+    def claims(self) -> tuple[fp.Claim, ...]:
+        """Predictive drifts less than reactive; every mode run is causal."""
+        ratio = self.improvement_ratio
+        return (fp.claim("comparison", "improvement ratio",
+                         "undefined" if ratio is None else f"{ratio:.2f}x",
+                         "> 1 (reactive/predictive max drift)",
+                         ratio is not None and ratio > 1.0),
+                fp.claim("comparison", *_audit(self.audit_ok)))
 
     def by_mode(self, name: str) -> ModeResult:
         for m in self.modes:
@@ -201,24 +233,30 @@ def _run_comparison(cfg: RunConfig, out: Path) -> ExperimentResult:
     tpath = out / "comparison.txt"
     tpath.write_text(report.to_text() + "\n")
     return ExperimentResult("comparison", (jpath, tpath), report.to_dict(),
-                            report.ok)
+                            report.claims)
 
 
 def _run_fingerprint(cfg: RunConfig, out: Path) -> ExperimentResult:
     files = _csv_paths(out, "fingerprint")
-    frame = TelemetryFrame(**write_run(cfg, *files, COLUMNS)[2])
-    report = fp.build_report(frame, cfg)
+    _, audit, columns = write_run(cfg, *files, COLUMNS)
+    report = fp.build_report(TelemetryFrame(**columns), cfg)
     files.extend(fp.write_report(report, out))
+    claims = (*report.pass_fail, fp.claim("fingerprint", *_audit(audit.ok)))
     return ExperimentResult("fingerprint", tuple(files), fp.report_dict(report),
-                            report.ok)
+                            claims)
 
 
 def _run_stabilization(cfg: RunConfig, out: Path) -> ExperimentResult:
     # summary-only: no frame is kept, and no telemetry is written
     result = _summarize(cfg)
     stab = result.stabilization_ms
-    ok = stab is not None and stab <= 50_000.0 and result.stays_in_band
-    return _result("stabilization1800", out, (), result.to_dict(), ok)
+    return _result("stabilization1800", out, (), result.to_dict(),
+                   ("stabilization time", "never" if stab is None else
+                    f"{stab:.0f} ms", "<= 50000 ms",
+                    stab is not None and stab <= 50_000.0),
+                   ("stays in band", "yes" if result.stays_in_band else "no",
+                    "yes", result.stays_in_band),
+                   _audit(result.audit_violations == 0))
 
 
 # name -> (preset, runner)

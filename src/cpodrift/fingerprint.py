@@ -313,7 +313,9 @@ class Panel(NamedTuple):
         return int(len(next(iter(self.columns.values())))) if self.columns else 0
 
 
-class TableRow(NamedTuple):
+class Claim(NamedTuple):
+    """One pass/fail verdict: what was measured against what it must meet."""
+
     panel: str
     parameter: str
     measured: str
@@ -323,6 +325,8 @@ class TableRow(NamedTuple):
 
 
 class FingerprintReport(NamedTuple):
+    """The fingerprint and its claims; report_dict keeps this field order."""
+
     r_th_per_state: dict[str, float]
     r_th_unified: float
     tau_est_ms: float
@@ -333,14 +337,14 @@ class FingerprintReport(NamedTuple):
     observed_max_drift_nm: float        # realized over the run
     peak_delta_t_c: float
     peak_junction_temp_c: float
-    panel_data: tuple[Panel, ...]
-    pass_fail: tuple[TableRow, ...]
     t24_fit_reference: dict[str, float]
+    pass_fail: tuple[Claim, ...]
+    panel_data: tuple[Panel, ...]
     notes: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return all(row.ok for row in self.pass_fail)
+        return all(c.ok for c in self.pass_fail)
 
 
 _HEATMAP_SAMPLES = 500
@@ -374,10 +378,10 @@ def _pick_transition(holds):
     return holds[i - 1], holds[i]
 
 
-def _row(panel: str, parameter: str, measured: str, target: str, ok: bool,
-         verdict: str = "Pass") -> TableRow:
-    return TableRow(panel, parameter, measured, target,
-                    verdict if ok else "Fail", ok)
+def claim(panel: str, parameter: str, measured: str, target: str, ok: bool,
+          verdict: str = "Pass") -> Claim:
+    """A claim whose verdict reads ``verdict`` when it holds, else Fail."""
+    return Claim(panel, parameter, measured, target, verdict if ok else "Fail", ok)
 
 
 def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
@@ -541,24 +545,24 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
     # design; compensated telemetry legitimately stays inside it
     outside_spec = observed_max_drift > optic.spec_band_nm
     rows = (
-        _row("Top-Left", "Thermal resistance", f"{r_th:.3f} C/W", "> 0.42 C/W",
-             r_th > 0.42),
-        _row("Top-Center", "Peak temperature delta", f"{peak_delta:.1f} C",
-             f"junction <= {JUNCTION_CEILING_C:.0f} C absolute",
-             peak_junction <= JUNCTION_CEILING_C),
-        _row("Top-Right", "Density-temperature R^2", f"{r2:.4f}", "> 0.92",
-             r2 > 0.92, "Exceeded" if r2 > 0.98 else "Pass"),
-        _row("Bottom-Left", "Thermal time constant", f"{tau_est:.1f} ms",
-             f"{thermal.tau_ms:.0f} ms (within 5%)",
-             abs(tau_est - thermal.tau_ms) / thermal.tau_ms <= 0.05),
-        _row("Bottom-Center", "Theory-line agreement",
-             f"{float(deviation.max()):.2%} max deviation", "within 5%",
-             float(deviation.max()) <= 0.05, "Excellent"),
-        _row("Bottom-Right", "Thermo-optic coefficient", f"{kappa.slope:.4f} nm/C",
-             f"{optic.kappa_to} nm/C (within 5%); open-loop stress sits "
-             f"outside the +/-{optic.spec_band_nm} nm spec band by design",
-             abs(kappa.slope - optic.kappa_to) / optic.kappa_to <= 0.05,
-             "outside spec (expected)" if outside_spec else "within spec"),
+        claim("Top-Left", "Thermal resistance", f"{r_th:.3f} C/W", "> 0.42 C/W",
+              r_th > 0.42),
+        claim("Top-Center", "Peak temperature delta", f"{peak_delta:.1f} C",
+              f"junction <= {JUNCTION_CEILING_C:.0f} C absolute",
+              peak_junction <= JUNCTION_CEILING_C),
+        claim("Top-Right", "Density-temperature R^2", f"{r2:.4f}", "> 0.92",
+              r2 > 0.92, "Exceeded" if r2 > 0.98 else "Pass"),
+        claim("Bottom-Left", "Thermal time constant", f"{tau_est:.1f} ms",
+              f"{thermal.tau_ms:.0f} ms (within 5%)",
+              abs(tau_est - thermal.tau_ms) / thermal.tau_ms <= 0.05),
+        claim("Bottom-Center", "Theory-line agreement",
+              f"{float(deviation.max()):.2%} max deviation", "within 5%",
+              float(deviation.max()) <= 0.05, "Excellent"),
+        claim("Bottom-Right", "Thermo-optic coefficient", f"{kappa.slope:.4f} nm/C",
+              f"{optic.kappa_to} nm/C (within 5%); open-loop stress sits "
+              f"outside the +/-{optic.spec_band_nm} nm spec band by design",
+              abs(kappa.slope - optic.kappa_to) / optic.kappa_to <= 0.05,
+              "outside spec (expected)" if outside_spec else "within spec"),
     )
 
     notes = (
@@ -592,17 +596,11 @@ def build_report(frame: TelemetryFrame, config: RunConfig) -> FingerprintReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-def table_text(report: FingerprintReport) -> str:
-    """Pass/fail table as aligned plain text."""
+def table_text(claims) -> str:
+    """Claims as an aligned plain-text pass/fail table."""
     headers = ("Panel", "Parameter", "Measured", "Target", "Result")
-    rows = [
-        (r.panel, r.parameter, r.measured, r.target, r.verdict)
-        for r in report.pass_fail
-    ]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows))
-        for i in range(len(headers))
-    ]
+    rows = [(c.panel, c.parameter, c.measured, c.target, c.verdict) for c in claims]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     def fmt(row):
         return "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
     lines = [fmt(headers), fmt(tuple("-" * w for w in widths))]
@@ -611,25 +609,18 @@ def table_text(report: FingerprintReport) -> str:
 
 
 def report_dict(report: FingerprintReport) -> dict:
-    return {
-        "r_th_per_state": report.r_th_per_state,
-        "r_th_unified": report.r_th_unified,
-        "tau_est_ms": report.tau_est_ms,
-        "kappa_est_nm_per_c": report.kappa_est.slope,
+    """The report as JSON data in field order, the verdict last."""
+    renamed = {"kappa_est": "kappa_est_nm_per_c", "panel_data": "panels"}
+    d = report._asdict() | {
+        "kappa_est": report.kappa_est.slope,
         "rho_dt_fit": report.rho_dt_fit._asdict(),
         "t24_dt_fit": report.t24_dt_fit._asdict(),
-        "max_open_loop_drift_nm": report.max_open_loop_drift_nm,
-        "observed_max_drift_nm": report.observed_max_drift_nm,
-        "peak_delta_t_c": report.peak_delta_t_c,
-        "peak_junction_temp_c": report.peak_junction_temp_c,
-        "t24_fit_reference": report.t24_fit_reference,
-        "pass_fail": [r._asdict() for r in report.pass_fail],
-        "panels": {
-            p.name: {"rows": p.n_rows, "meta": p.meta} for p in report.panel_data
-        },
+        "panel_data": {p.name: {"rows": p.n_rows, "meta": p.meta}
+                       for p in report.panel_data},
+        "pass_fail": [c._asdict() for c in report.pass_fail],
         "notes": list(report.notes),
-        "ok": report.ok,
     }
+    return {renamed.get(k, k): v for k, v in d.items()} | {"ok": report.ok}
 
 
 def write_panel_csv(panel: Panel, path) -> None:
@@ -656,6 +647,6 @@ def write_report(report: FingerprintReport, out_dir) -> list[Path]:
     write_json(jpath, report_dict(report))
     written.append(jpath)
     tpath = out / "fingerprint_table.txt"
-    tpath.write_text(table_text(report) + "\n")
+    tpath.write_text(table_text(report.pass_fail) + "\n")
     written.append(tpath)
     return written

@@ -8,10 +8,8 @@ expected-vs-actual mismatch rather than a silent recalibration.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .config import RunConfig
-from .fingerprint import RESPONSE_63_2
+from .fingerprint import RESPONSE_63_2, Claim, claim
 from .optics import assess, drift
 from .scheduler import preposition_fraction
 from .thermal import (JUNCTION_CEILING_C, ThermalState, boundary_temperatures,
@@ -19,39 +17,13 @@ from .thermal import (JUNCTION_CEILING_C, ThermalState, boundary_temperatures,
 from .workload import density_to_power, density_to_throughput, throughput_to_density
 
 
-class CheckResult(NamedTuple):
-    name: str
-    expected: float
-    actual: float
-    tolerance: float
-    ok: bool
+def _check(name: str, expected: float, actual: float, tol: float) -> Claim:
+    return claim("verify", name, f"{actual:.6g}", f"{expected:.6g} (tol {tol:g})",
+                 abs(actual - expected) <= tol)
 
 
-class VerifyReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def to_text(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.ok else "FAIL"
-            lines.append(
-                f"[{status}] {c.name}: expected {c.expected:.6g}, "
-                f"actual {c.actual:.6g} (tol {c.tolerance:g})"
-            )
-        lines.append(f"verify: {'all checks passed' if self.ok else 'FAILURES present'}")
-        return "\n".join(lines)
-
-
-def _check(name: str, expected: float, actual: float, tol: float) -> CheckResult:
-    return CheckResult(name, expected, actual, tol, abs(actual - expected) <= tol)
-
-
-def verify(config: RunConfig | None = None) -> VerifyReport:
-    """Run the analytic-oracle checks; failures are report content."""
+def verify(config: RunConfig | None = None) -> tuple[Claim, ...]:
+    """Run the analytic-oracle checks, each a claim that holds or fails."""
     cfg = config if config is not None else RunConfig()
     thermal = cfg.thermal
     wmap = cfg.affine_map
@@ -117,4 +89,4 @@ def verify(config: RunConfig | None = None) -> VerifyReport:
     checks.append(_check("power map at peak density", 94.0,
                          density_to_power(2.7, wmap), 1e-9))
 
-    return VerifyReport(checks=tuple(checks))
+    return tuple(checks)

@@ -6,8 +6,10 @@ from dataclasses import replace
 import pytest
 
 from cpodrift.cli import main
+from cpodrift.config import fingerprint_config
 from cpodrift.errors import UsageError
-from cpodrift.experiments import EXPERIMENT_NAMES, run_experiment
+from cpodrift.experiments import EXPERIMENT_NAMES, experiment_config, run_experiment
+from cpodrift.fingerprint import Claim
 from cpodrift.telemetry import COLUMNS, write_csv
 from test_telemetry import FORECAST_LOG_SHA256, TELEMETRY_SHA256, _sha256
 
@@ -76,6 +78,20 @@ def test_validation90k_row_count(tmp_path):
     assert res.summary["rho_dt_fit"]["r_squared"] >= 0.98
 
 
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_every_experiment_returns_its_verdict_as_claims(tmp_path, name):
+    cfg = experiment_config(name)
+    if name == "stabilization1800":
+        cfg = replace(cfg, workload=replace(
+            cfg.workload, step_count=60_000, schedule=(("Peak", 60_000.0),)))
+    res = run_experiment(name, config=cfg, out_dir=tmp_path)
+    assert res.claims and all(isinstance(c, Claim) for c in res.claims)
+    assert res.ok == all(c.ok for c in res.claims)
+    assert res.ok
+    # every experiment's verdict includes its causality audit
+    assert [c.panel for c in res.claims if c.parameter == "causality audit"] == [name]
+
+
 def test_validation90k_streams_the_golden_csvs(tmp_path):
     # written chunk by chunk as the run goes, the bytes of the whole frame's
     run_experiment("validation90k", out_dir=tmp_path, seed=24)
@@ -86,14 +102,37 @@ def test_validation90k_streams_the_golden_csvs(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI
 
-def test_cli_verify_pass():
+def test_cli_verify_pass(capsys):
     assert main(["verify"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("Panel ") and "Fail" not in out
+    assert "failed:" not in err
 
 
-def test_cli_verify_fails_on_perturbed_config(tmp_path):
+def test_cli_verify_fails_on_perturbed_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"thermal": {"r_th": 0.40}}))
     assert main(["verify", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "failed: verify: steady-state gain at 82 W: measured 32.8, " \
+        "target 36.982 (tol 1e-09)\n" in err
+
+
+@pytest.mark.parametrize("section, field, value, named", [
+    ("thermal", "r_th", 0.5, "peak junction temperature: measured 86.1 C"),
+    # the paper's headline, 0.3511 nm under 21 % of the 1.7 nm budget, is
+    # 21.9 % of a 1.6 nm one
+    ("optics", "tolerance_band_nm", 1.6, "max drift: measured 0.3511 nm (21.9"),
+])
+def test_cli_experiment_names_each_failing_claim(tmp_path, capsys, section,
+                                                 field, value, named):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({section: {field: value}}))
+    assert main(["experiment", "validation90k", "--steps", "25000", "--config",
+                 str(config), "--out", str(tmp_path / "out")]) == 1
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("failed:")]
+    assert len(failed) == 1 and failed[0].startswith("failed: validation90k: " + named)
 
 
 def test_cli_simulate_with_overrides(tmp_path, capsys):
@@ -112,9 +151,24 @@ def test_cli_fingerprint_from_telemetry_csv(tmp_path, capsys):
     telemetry = tmp_path / "exp" / "fingerprint_telemetry.csv"
     rc = main(["fingerprint", str(telemetry), "--out", str(tmp_path / "fp")])
     assert rc == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "outside spec (expected)" in out
+    assert "failed:" not in err
     assert (tmp_path / "fp" / "fingerprint_report.json").exists()
+
+
+def test_cli_fingerprint_names_the_failing_claim(tmp_path, capsys):
+    # a 100 ms plant read back against the default config's 80 ms
+    cfg = fingerprint_config()
+    cfg = replace(cfg, thermal=replace(cfg.thermal, tau_ms=100.0))
+    assert run_experiment("fingerprint", config=cfg, out_dir=tmp_path).ok
+    telemetry = tmp_path / "fingerprint_telemetry.csv"
+    assert main(["fingerprint", str(telemetry), "--out", str(tmp_path / "fp")]) == 1
+    out, err = capsys.readouterr()
+    assert re.search(r"^Bottom-Left +Thermal time constant +98\.9 ms .* Fail$",
+                     out, re.M)
+    assert "failed: Bottom-Left: Thermal time constant: measured 98.9 ms, " \
+        "target 80 ms (within 5%)\n" in err
 
 
 def test_cli_compare(capsys, tmp_path):
@@ -131,8 +185,10 @@ def test_cli_compare_exits_with_the_comparison_verdict(capsys):
     # a run of no steps drifts in no mode, so it has no improvement ratio:
     # the verdict fails, and the table is still printed
     assert main(["compare", "--steps", "0"]) == 1
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "predictive" in out and "improvement ratio (" not in out
+    assert err == "failed: comparison: improvement ratio: measured undefined, " \
+        "target > 1 (reactive/predictive max drift)\n"
 
 
 def test_cli_error_is_reported_not_raised(tmp_path, capsys):

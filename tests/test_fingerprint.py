@@ -405,6 +405,15 @@ def test_report_is_pure_function(fingerprint_run, fingerprint_cfg):
     assert report_dict(a) == report_dict(b)
 
 
+def test_report_dict_keeps_its_key_order(fingerprint_report):
+    # `cpodrift experiment fingerprint` prints this dict unsorted
+    assert list(report_dict(fingerprint_report)) == [
+        "r_th_per_state", "r_th_unified", "tau_est_ms", "kappa_est_nm_per_c",
+        "rho_dt_fit", "t24_dt_fit", "max_open_loop_drift_nm",
+        "observed_max_drift_nm", "peak_delta_t_c", "peak_junction_temp_c",
+        "t24_fit_reference", "pass_fail", "panels", "notes", "ok"]
+
+
 def test_write_report_artifacts(tmp_path, fingerprint_report):
     files = write_report(fingerprint_report, tmp_path)
     names = {f.name for f in files}
@@ -416,7 +425,7 @@ def test_write_report_artifacts(tmp_path, fingerprint_report):
         lines = f.read_text().splitlines()
         header = next(l for l in lines if not l.startswith("#"))
         assert "," in header
-    txt = table_text(fingerprint_report)
+    txt = table_text(fingerprint_report.pass_fail)
     assert "outside spec (expected)" in txt
 
 

@@ -63,10 +63,10 @@ DATACLASSES = {
     "OpticParams", "TelemetryFrame", "StreamDescriptor", "Filtration"}
 RECORDS = {
     "ExperimentResult", "ModeResult", "ComparisonReport", "FingerprintReport",
-    "TableRow", "RegressionResult", "RthEstimate", "Panel", "Hold",
+    "Claim", "RegressionResult", "RthEstimate", "Panel", "Hold",
     "DriftAssessment", "ForecastLog", "HintForecast", "AuditReport",
     "QueueEntry", "SimulationSummary", "RunResult", "ThermalState",
-    "LoadState", "WorkloadPlan", "CheckResult", "VerifyReport"}
+    "LoadState", "WorkloadPlan"}
 RULE = "see README.md, 'Records and config classes'"
 
 
