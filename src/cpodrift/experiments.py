@@ -200,7 +200,7 @@ def run_comparison(config: RunConfig) -> ComparisonReport:
             mean_drift_nm=summary.mean_drift_nm,
             max_residual_c=summary.max_residual_c,
             mean_residual_c=summary.mean_residual_c,
-            budget_fraction=summary.max_drift_nm / config.optics.tolerance_band_nm,
+            budget_fraction=assess(summary.max_drift_nm, config.optics).budget_fraction,
         ))
 
     by_mode = {r.mode: r for r in results}

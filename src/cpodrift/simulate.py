@@ -18,14 +18,14 @@ the forecast power and horizon of a hint. So a run is two passes, and
   density and power, the hint stream with its provenance, the queue depth,
   the deferral count, and the work shed or deferred past the last step.
   Array reads cover every step the throttle leaves alone. A firing edits
-  only slots a horizon or more after its step, so from each step whose
-  hint may breach the throttle cap the pass sweeps a block of a horizon's
-  steps, whose hints are then final, and applies the throttle's LIFO cut
-  (:func:`throttle_cut`) to all the slots they forecast at once. An entry
-  is deferred at most once, so a slot holds at most two entries. A chunk
-  is final once swept; the pass reads the plan as far ahead as a firing
-  or the queue depth reaches and keeps the power of the EWMA window behind
-  the chunk.
+  only its step's forecast slot and the slot a slice on, so from each step
+  whose hint may breach the throttle cap the pass sweeps a block of a
+  slice's steps (a horizon's for EWMA hints), whose hints are then final,
+  and applies the throttle's LIFO cut (:func:`throttle_cut`) to all the
+  slots they forecast at once. An entry is deferred at most once, so a
+  slot holds at most two entries. A chunk is final once swept; the pass
+  reads the plan as far ahead as a firing or the queue depth reaches and
+  keeps the power of the EWMA window behind the chunk.
 * Physics pass: the plant's response to the dispatched power
   (:func:`thermal.respond`), then the compensator's bias from that
   response and the hint stream (:func:`controller.compensate`), both
@@ -263,19 +263,6 @@ def _chunks(config: RunConfig, *sinks) -> Iterator[_Chunk]:
 # ---------------------------------------------------------------------------
 # schedule pass
 
-def _planned_queue_depth(n_streams: np.ndarray, lo: int, hi: int, adm: int,
-                         N: int) -> np.ndarray:
-    """Pending queue depth as planned for steps [lo, hi) of an ``N``-step
-    run: the streams admitted after each step, those of the next ``adm``
-    steps or of all steps left. ``n_streams`` starts at step lo."""
-    cs = np.cumsum(n_streams[:min(N, hi + adm) - lo])
-    depth = np.full(hi - lo, cs[-1])    # all steps left
-    full = max(0, min(hi, N - adm) - lo)
-    depth[:full] = cs[adm:adm + full]
-    depth -= cs[:hi - lo]
-    return depth
-
-
 def _extended(buffers: tuple[np.ndarray, ...], plan: tuple[np.ndarray, ...],
               wmap: AffineMapParams) -> tuple[np.ndarray, ...]:
     """The step buffers of :func:`_dispatch` with the steps of ``plan`` (its
@@ -307,13 +294,17 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     kept in per-step arrays beside the plan, and a run defers at most once
     per step.
 
-    The throttle sweeps a chunk in blocks of a horizon's steps, from each
-    step whose hint may breach the cap to the next: the cut's own
-    projection of the chunk's hints picks them, and every hint a firing
-    retimes joins them. No firing edits a slot a block's hints read, so the
-    pass reads those hints again from the final power and cuts the
-    block's slots together; the EWMA hints a firing retimes past the
-    steps that can fire are taken again once the chunk is swept.
+    The throttle sweeps a chunk in blocks from each step whose hint may
+    breach the cap to the next: the cut's own projection of the chunk's
+    hints picks them, and every hint a firing retimes joins them. A firing
+    at step s edits slot s + h, which of the replayed hints only its own
+    reads, and slot s + h + slice, read by the replayed hint of step
+    s + slice (the config keeps h < slice); EWMA hints read both from step
+    s + h on. So a block of a slice's steps for replayed hints, a
+    horizon's for EWMA ones, has final hints: the pass reads them again
+    from the final power and cuts their slots together, and takes the
+    EWMA hints a firing retimes past the steps that can fire again once
+    the chunk is swept.
 
     Every edit of a firing lands after its step, so a chunk's rows are
     final once it is swept. The pass holds its step buffers (the plan,
@@ -342,6 +333,7 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     norm = np.cumsum(w)
     reach = max(h + slice_steps, adm)
     replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
+    span = h if sc.forecaster == "ewma" else slice_steps    # steps per block
     deferrals = outstanding_entries = shed_entries = 0
     outstanding_density = shed_density = 0.0
 
@@ -353,7 +345,7 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     sidx, prho, pn, rho, P, into_rho, into_n, moved = bufs = (
         ints, floats, ints, floats, floats, floats, ints, ints)
     b = top = 0
-    moved_before = 0    # the moves of the steps before lo, summed
+    depth_before = 0    # the queue depth after step lo - 1 (step 0: pn[:adm])
 
     def ewma(s0: int, s1: int) -> None:
         """F over steps [s0, s1): the weighted mean of the trailing power
@@ -400,8 +392,8 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
                 break
             # the block, steps [k, a): its hints are final, as no firing
             # before k edits a slot they read and none in the block a slot
-            # before a + h; so are its slots, steps [k + h, a + h)
-            k, a = a, min(a + h, end)
+            # another of its hints reads; so are its slots, [k + h, a + h)
+            k, a = a, min(a + span, end)
             r1 = max(k, min(a, replay))     # replay rows [k, r1)
             F[k - lo:r1 - lo] = P[k + h - b:r1 + h - b]
             ewma(r1, a)
@@ -460,9 +452,14 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         if may[end - lo:].any():
             ewma(end, hi)   # retimed hints of the steps that cannot fire
 
-        depth = _planned_queue_depth(pn[lo - b:], lo, hi, adm, N)
-        depth += moved_before + np.cumsum(moved[lo - b:hi - b])
-        moved_before += int(moved[lo - b:hi - b].sum())
+        # the queue depth, one running sum: a step admits the streams of
+        # step s + adm (none from N on), runs its own and adds its moves
+        d = moved[lo - b:hi - b] - pn[lo - b:hi - b]
+        na = max(0, min(hi, N - adm) - lo)
+        d[:na] += pn[lo + adm - b:lo + adm + na - b]
+        d[0] += depth_before if lo else pn[:adm].sum()
+        depth = np.cumsum(d)
+        depth_before = int(depth[-1])
 
         yield _Chunk(
             lo, np.arange(lo, hi, dtype=float) * dt, sidx[lo - b:hi - b],

@@ -17,7 +17,7 @@ its one layout.
 ``str`` per state name, names the line of the first malformed row and grows
 each column in place (glibc's ``realloc`` moves a large block by ``mremap``,
 so no column is resident twice): exactly, as ``resize`` zero-fills the rows
-it adds, and through the frame's attribute, which ``refcheck`` requires.
+it adds, and with ``refcheck`` off, which profilers and tracers would trip.
 """
 
 from __future__ import annotations
@@ -298,8 +298,10 @@ def read_csv(path) -> TelemetryFrame:
                 states = rows["load_state"].tolist()
                 rows["load_state"] = list(map(names.setdefault, states, states))
                 del lines, states  # the slice's text goes before the columns grow
-                for c in COLUMNS:  # to the exact size, through the attribute
-                    getattr(frame, c).resize(done + len(rows))
+                for c in COLUMNS:  # to the exact size; unchecked, as the
+                    # loop's only view of a column, getattr(frame, c)[done:],
+                    # lives one statement and the frame is returned after it
+                    getattr(frame, c).resize(done + len(rows), refcheck=False)
                     getattr(frame, c)[done:] = rows[c]
                 done += len(rows)
                 del rows  # and its rows before the next slice is read

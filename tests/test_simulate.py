@@ -228,6 +228,45 @@ def test_deferred_work_lines_up_behind_admitted_work():
     assert run.summary.throttle_deferrals > 0
 
 
+# the edges of the block rule: a slice one step past the horizon, the
+# shortest block, and a slice ten horizons long
+@pytest.mark.parametrize("t_slice_ms", [31.0, 300.0])
+def test_replayed_blocks_of_a_slice_match_oracle(t_slice_ms):
+    run = _assert_matches_oracle(_throttled_cfg(t_slice_ms=t_slice_ms))
+    assert run.summary.throttle_deferrals > 0
+
+
+def _block_sizes(monkeypatch, cfg) -> list[int]:
+    """The steps of each block the throttle sweeps in the run of ``cfg``:
+    its cuts of at least one entry column."""
+    sizes = []
+
+    def counting_cut(entries, *args):
+        if entries.shape[1]:
+            sizes.append(entries.shape[0])
+        return throttle_cut(entries, *args)
+
+    monkeypatch.setattr(sim, "throttle_cut", counting_cut)
+    assert sim._summarize(cfg).throttle_deferrals > 0
+    return sizes
+
+
+def test_replayed_hints_sweep_a_slice_per_block(monkeypatch):
+    # one burst cycle that the throttle cuts at Peak: a replayed hint is
+    # final once the blocks before its own are cut, so blocks run a slice
+    cfg = comparison_config(24)
+    cfg = replace(cfg, workload=replace(cfg.workload, step_count=round(
+        sum(d for _, d in BURST_SCHEDULE) / cfg.workload.step_period_ms)),
+        scheduler=replace(cfg.scheduler, throttle_compensation_gain=0.9))
+    sizes = _block_sizes(monkeypatch, cfg)
+    slice_steps = round(cfg.scheduler.t_slice_ms / cfg.workload.step_period_ms)
+    assert len(sizes) <= 55 and max(sizes) <= slice_steps
+    # a firing reaches an EWMA hint a horizon after its step
+    cfg = replace(cfg, scheduler=replace(cfg.scheduler, forecaster="ewma"))
+    h = round(cfg.scheduler.horizon_ms / cfg.workload.step_period_ms)
+    assert max(_block_sizes(monkeypatch, cfg)) <= h
+
+
 def test_throttled_runs_conserve_planned_work():
     # seeded random throttled configs: every planned density is dispatched,
     # shed, or still outstanding past the last step

@@ -381,6 +381,26 @@ def test_read_holds_no_column_twice(tmp_path, monkeypatch, fingerprint_run):
     assert abs(long - short) <= _ROW.itemsize * size
 
 
+@pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+def test_read_works_under_a_profile_or_trace_hook(tmp_path, monkeypatch,
+                                                 fingerprint_run, hook):
+    # with a profile or trace hook set, the interpreter holds one more
+    # reference to a column while it resizes, which numpy's refcheck refuses
+    monkeypatch.setattr(telemetry, "_SLICE", 128)
+    path = tmp_path / "t.csv"
+    write_csv(TelemetryFrame(**{c: getattr(fingerprint_run.frame, c)[:1000]
+                                for c in COLUMNS}), path)
+    plain = read_csv(path)
+    before = getattr(sys, "get" + hook[3:])()
+    getattr(sys, hook)(lambda *args: None)
+    try:
+        hooked = read_csv(path)
+    finally:
+        getattr(sys, hook)(before)
+    for c in COLUMNS:
+        assert np.array_equal(getattr(hooked, c), getattr(plain, c)), c
+
+
 # The peak resident set of this process image, in KiB. ru_maxrss would also
 # carry the peak of the process that spawned it across the exec.
 _RSS_CHILD = """\
