@@ -171,8 +171,8 @@ class _Compensator:
             # delay, step s reading the hint of step s - warm
             start = max(lo, warm + 1)
             ahead[start - lo:], self.replica = _response(
-                hints[start - warm - hi + k:k - warm] - thermal.p_baseline_w,
-                thermal, self.dt_ms, self.replica)
+                hints[start - warm - hi + k:k - warm], thermal, self.dt_ms,
+                self.replica, thermal.p_baseline_w)
         self.past = hints[max(0, k - warm):]
         return ahead
 

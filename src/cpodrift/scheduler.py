@@ -254,30 +254,40 @@ class AuditReport(NamedTuple):
 def causality_audit(trace: ForecastLog, power_trace) -> AuditReport:
     """Verify no forecast read anything stamped after its issue time.
 
-    ``power_trace`` is the realized (t_ms, watts) log; it must be sorted, as
-    must the forecast trace, otherwise the stamps are not comparable and an
-    InputError is raised. Empty traces audit trivially clean.
+    ``power_trace`` is the realized (t_ms, watts) log, or its times; it must
+    be sorted, as must the forecast trace (no stamp below the one before
+    it; a NaN compares false), otherwise the stamps are not comparable and
+    an InputError is raised. Empty traces audit trivially clean.
     """
     issued = np.asarray(trace.issued_at_ms, dtype=float)
     newest = np.asarray(trace.newest_input_ms, dtype=float)
-    if issued.size and np.any(np.diff(issued) < 0):
+    if (issued[1:] < issued[:-1]).any():
         raise InputError("forecast trace is not sorted by issue time")
     pt = np.asarray(power_trace, dtype=float)
     if pt.size:
         times = pt[:, 0] if pt.ndim == 2 else pt
-        if np.any(np.diff(times) < 0):
+        if (times[1:] < times[:-1]).any():
             raise InputError("power trace is not sorted by time")
     if issued.size == 0:
         return AuditReport(n_checked=0, violations=())
     bad = newest > issued + 1e-9
     violations = tuple(
         (float(i), float(n)) for i, n in zip(issued[bad], newest[bad])
-    )
+    ) if bad.any() else ()
     return AuditReport(n_checked=int(issued.size), violations=violations)
 
 
 # ---------------------------------------------------------------------------
 # pre-emptive throttling
+
+def throttle_projection(power_w: np.ndarray, thermal: ThermalParams,
+                        compensation_gain: float) -> np.ndarray:
+    """The throttle's projected residual of each power: its steady-state
+    delta over baseline less the compensator's share (``compensation_gain``)."""
+    return (1.0 - compensation_gain) * steady_state_delta_t(
+        thermal.r_th, np.maximum(0.0, power_w - thermal.p_baseline_w),
+        thermal.gamma)
+
 
 def throttle_cut(entries: np.ndarray, counts: np.ndarray, forecast_w: np.ndarray,
                  cap_delta_t_c: float, thermal: ThermalParams,
@@ -288,10 +298,11 @@ def throttle_cut(entries: np.ndarray, counts: np.ndarray, forecast_w: np.ndarray
 
     Row i of ``entries`` holds the densities of a slot's ``counts[i]``
     entries in queue order (the rest of the row is not read), and
-    ``forecast_w[i]`` is the hint that forecasts the slot. The projection is
-    conservative budget arithmetic: of the steady-state delta of the power
-    over baseline, the compensator is credited a proportional share
-    (``compensation_gain``), and the rest must fit under the cap. While it
+    ``forecast_w[i]`` is the hint that forecasts the slot. The projection
+    (:func:`throttle_projection`) is conservative budget arithmetic: of the
+    steady-state delta of the power over baseline, the compensator is
+    credited a proportional share (``compensation_gain``), and the rest must
+    fit under the cap. While it
     does not, entries come out newest first (LIFO) and the projection is
     taken again of the density left: the slot's total, added left to
     right, less each entry taken, in turn. Every row takes the same float
@@ -299,14 +310,10 @@ def throttle_cut(entries: np.ndarray, counts: np.ndarray, forecast_w: np.ndarray
 
     Returns ``(n_taken, projected_after_c)``, one of each per row.
     """
-    def projection(power_w: np.ndarray) -> np.ndarray:
-        return (1.0 - compensation_gain) * steady_state_delta_t(
-            thermal.r_th, np.maximum(0.0, power_w - thermal.p_baseline_w),
-            thermal.gamma)
-
     entries = np.asarray(entries, dtype=float)
     counts = np.asarray(counts)
-    after = projection(np.asarray(forecast_w, dtype=float))
+    after = throttle_projection(np.asarray(forecast_w, dtype=float), thermal,
+                                compensation_gain)
     left = np.zeros(counts.size)
     for c in range(entries.shape[1]):
         live = c < counts
@@ -318,6 +325,7 @@ def throttle_cut(entries: np.ndarray, counts: np.ndarray, forecast_w: np.ndarray
             break
         taken += cut
         left[cut] -= entries[cut, counts[cut] - n]
-        after[cut] = projection(density_to_power(np.maximum(left[cut], 0.0),
-                                                 map_params))
+        after[cut] = throttle_projection(
+            density_to_power(np.maximum(left[cut], 0.0), map_params), thermal,
+            compensation_gain)
     return taken, after

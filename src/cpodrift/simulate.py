@@ -68,6 +68,7 @@ from .scheduler import (
     causality_audit,
     preposition_fraction,
     throttle_cut,
+    throttle_projection,
 )
 from .telemetry import _CELLS, _ROW, COLUMNS, TelemetryFrame, write_rows
 from .thermal import _response, peak_junction_temperature
@@ -248,10 +249,11 @@ def _chunks(config: RunConfig, *sinks) -> Iterator[_Chunk]:
                            config.scheduler.horizon_ms)
     plant = 0.0
     for chunk in _dispatch(config):
-        dT, plant = _response(chunk.p_eic_w - thermal.p_baseline_w, thermal,
-                              dt, plant)
+        dT, plant = _response(chunk.p_eic_w, thermal, dt, plant,
+                              thermal.p_baseline_w)
         bias = bias_of(dT, chunk.hint_w)
-        residual = np.abs(dT - bias)
+        residual = np.subtract(dT, bias)
+        np.abs(residual, out=residual)
         chunk = chunk._replace(delta_t_c=dT, bias_c=bias, residual_c=residual,
                                drift_nm=drift(residual, config.optics))
         for sink in sinks:
@@ -269,10 +271,12 @@ def _extended(buffers: tuple[np.ndarray, ...], plan: tuple[np.ndarray, ...],
     ``state_idx``, ``rho`` and ``n_streams``) added: their plan, their
     dispatched density and power as planned, no deferred entry and no
     queue-depth move."""
-    state_idx, rho, n_streams = plan
-    return tuple(map(np.concatenate, zip(buffers, (
-        state_idx, rho, n_streams, rho, density_to_power(rho, wmap),
-        np.zeros(rho.size), np.full(rho.size, -1), np.zeros(rho.size, np.int64)))))
+    n, rho = buffers[0].size, plan[1]
+    out = tuple(np.empty(n + rho.size, x.dtype) for x in buffers)
+    for x, y, new in zip(buffers, out, (*plan, rho, rho, 0.0, -1, 0)):
+        y[:n], y[n:] = x, new
+    density_to_power(out[4][n:], wmap, out=out[4][n:])
+    return out
 
 
 def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
@@ -372,9 +376,11 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         r = max(0, min(hi, replay) - lo)    # replay rows
         F[:r] = P[lo + h - b:lo + h + r - b]
         ewma(lo + r, hi)
-        newest = np.arange(lo, hi, dtype=float)
+        t_ms = np.arange(lo, hi, dtype=float)
+        newest = t_ms.copy()
         np.maximum(newest[:r] + (h - adm), 0.0, out=newest[:r])
         newest *= dt
+        t_ms *= dt
         source = np.zeros(hi - lo, dtype=int)
         source[r:] = 1
 
@@ -382,8 +388,7 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         # each, among the steps [lo, end) whose hint forecasts a slot of the
         # run, and later each hint a firing retimes
         end = max(lo, min(hi, N - h)) if sc.throttle_enabled else lo
-        may = throttle_cut(np.empty((hi - lo, 0)), np.zeros(hi - lo, int), F,
-                           cap, thermal, gain, wmap)[1] > cap
+        may = throttle_projection(F, thermal, gain) > cap
         may[end - lo:] = False
         a = lo
         while a < end:
@@ -458,11 +463,11 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         na = max(0, min(hi, N - adm) - lo)
         d[:na] += pn[lo + adm - b:lo + adm + na - b]
         d[0] += depth_before if lo else pn[:adm].sum()
-        depth = np.cumsum(d)
+        depth = np.cumsum(d, out=d)
         depth_before = int(depth[-1])
 
         yield _Chunk(
-            lo, np.arange(lo, hi, dtype=float) * dt, sidx[lo - b:hi - b],
+            lo, t_ms, sidx[lo - b:hi - b],
             rho[lo - b:hi - b], P[lo - b:hi - b], F, newest, source, depth,
             deferrals, outstanding_density, outstanding_entries, shed_density,
             shed_entries)
@@ -533,9 +538,10 @@ class _Summary:
         w, k = self.window, self.cum.size
         c = np.concatenate((self.cum, r))
         np.cumsum(c[k - 1:], out=c[k - 1:])     # on from the carried sum
-        trailing = (c[w:] - c[:-w]) / w
-        inband = np.abs(trailing - self.config.controller.residual_cap_c) \
-            <= STABILIZATION_BAND_C
+        trailing = np.subtract(c[w:], c[:-w])
+        trailing /= w
+        trailing -= self.config.controller.residual_cap_c
+        inband = np.abs(trailing, out=trailing) <= STABILIZATION_BAND_C
         if self.first is None:
             hits = np.flatnonzero(inband)
             if hits.size:
@@ -546,9 +552,20 @@ class _Summary:
         self.done += trailing.size
         self.cum = c[-w:]
 
-        steps = np.bincount(chunk.state_idx, minlength=self.rho_steps.size)
+        # the chunk's runs of one state, [starts, ends); a state whose rows
+        # form one run is summed over a view of it: the values, order and
+        # count of its masked copy, so its sum
+        si = chunk.state_idx
+        edges = np.flatnonzero(si[1:] != si[:-1]) + 1
+        starts, ends = np.append(0, edges), np.append(edges, si.size)
+        state = si[starts]
+        steps = np.bincount(state, ends - starts,
+                            self.rho_steps.size).astype(np.int64)
         for i in np.flatnonzero(steps):
-            self.rho_sums[i] += float(chunk.rho[chunk.state_idx == i].sum())
+            run = np.flatnonzero(state == i)
+            rows = chunk.rho[starts[run[0]]:ends[run[0]]] if run.size == 1 \
+                else chunk.rho[si == i]
+            self.rho_sums[i] += float(rows.sum())
         self.rho_steps += steps
 
         # the last stamp of the chunk before carries the sortedness check

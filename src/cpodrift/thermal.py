@@ -135,34 +135,40 @@ def _scan_factors(pole: float, gain_in: float,
 _Carry = tuple[float, np.ndarray] | float
 
 
-def _one_pole(x: np.ndarray, pole: float, gain_in: float,
-              carry: _Carry) -> tuple[np.ndarray, _Carry]:
-    """y[n] = pole * y[n-1] + gain_in * x[n], continuing a scan from ``carry``:
-    the state entering the scan's open block and that block's inputs so far,
-    or a bare float, the state before the scan's first step.
+def _one_pole(x: np.ndarray, pole: float, gain_in: float, carry: _Carry,
+              scale: float = 1.0, offset: float = 0.0
+              ) -> tuple[np.ndarray, _Carry]:
+    """y[n] = pole * y[n-1] + gain_in * u[n] with u = (x - offset) * scale,
+    continuing a scan from ``carry``: the state entering the scan's open
+    block and that block's inputs u so far, or a bare float, the state
+    before the scan's first step.
 
-    A blocked scan (Blelloch 1990) in one output buffer: within a block of
-    B steps y[j] = a^j * cumsum(gain_in * x * a^-j), the state entering each
-    block (carried across blocks with pole a^B) folded into its column 0.
+    A blocked scan (Blelloch 1990) in one output buffer: u is written into
+    it, and within a block of B steps y[j] = a^j * cumsum(gain_in * u * a^-j),
+    the state entering each block (carried across blocks with pole a^B)
+    folded into its column 0.
 
     Returns y and the carry after it. A call scans the open block of
-    ``carry`` again, joined with ``x``, and returns only the new outputs.
+    ``carry`` again, followed by ``x``, and returns only the new outputs.
     Within a block an output depends on no later input, so a scan cut
     anywhere, each piece continued from the carry the last one returned,
     gives the one-call scan bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    state, held = carry if isinstance(carry, tuple) else (carry, x[:0])
-    if pole == 0.0 or x.size == 0:
-        return gain_in * x, carry
-    if x.size == 1 and not held.size:   # the scan's arithmetic for one element
-        return np.array([gain_in * x[0] + pole * state]), (state, x)
-    block = _scan_block(pole)
-    k, n = held.size, held.size + x.size
+    state, held = carry if isinstance(carry, tuple) else (carry, np.empty(0))
+    k, n = held.size, held.size + np.size(x)
+    block = _scan_block(pole) if pole != 0.0 and n > 1 else 1
     n_blocks = -(-n // block)
+    y = np.empty(n_blocks * block)
+    y[:k] = held
+    u = np.subtract(x, offset, out=y[k:n])
+    u *= scale
+    if pole == 0.0 or k == n:
+        return gain_in * u, carry
+    if n == 1:  # the scan's arithmetic for one element
+        return np.array([gain_in * u[0] + pole * state]), (state, u)
     powers, scaled_gain = _scan_factors(pole, gain_in, block)
 
-    y = np.concatenate((held, x, np.zeros(n_blocks * block - n)))
+    y[n:] = 0.0
     opened = y[n - n % block:n].copy()
     rows = y.reshape(n_blocks, block)
     rows *= scaled_gain
@@ -182,17 +188,18 @@ def _one_pole(x: np.ndarray, pole: float, gain_in: float,
     return y[k:n], (starts[-1] if opened.size else state, opened)
 
 
-def _response(power_w, params: ThermalParams, dt_ms: float,
-              carry: _Carry) -> tuple[np.ndarray, _Carry]:
-    """:func:`respond` continuing the plant's scan from ``carry``, returning
-    the carry after it: a run cut anywhere, each piece continued from the
-    carry the last one returned, gives the one-call response bit for bit.
+def _response(power_w, params: ThermalParams, dt_ms: float, carry: _Carry,
+              baseline_w: float = 0.0) -> tuple[np.ndarray, _Carry]:
+    """:func:`respond` to ``power_w - baseline_w`` continuing the plant's
+    scan from ``carry``, returning the carry after it: a run cut anywhere,
+    each piece continued from the carry the last one returned, gives the
+    one-call response bit for bit. The scan scales the inputs itself.
     """
     if not dt_ms > 0:
         raise StepSizeError(f"dt_ms must be > 0, got {dt_ms}")
     decay = math.exp(-dt_ms / params.tau_ms)
-    return _one_pole(params.gain * np.asarray(power_w, dtype=float), decay,
-                     1.0 - decay, carry)
+    return _one_pole(power_w, decay, 1.0 - decay, carry, params.gain,
+                     baseline_w)
 
 
 def respond(

@@ -142,20 +142,26 @@ def throughput_to_density(t24: float, params: AffineMapParams = DEFAULT_MAP):
     return (t24 - params.beta) / params.alpha
 
 
-def density_to_power(rho: float, params: AffineMapParams = DEFAULT_MAP):
+def density_to_power(rho: float, params: AffineMapParams = DEFAULT_MAP,
+                     out: np.ndarray | None = None):
     """EIC package power for a given density, W.
 
     Affine ramp from (RHO_MIN, p_idle) to (RHO_MAX, p_peak), clamped to the
-    [0, p_max] package envelope; monotone nondecreasing in rho.
+    [0, p_max] package envelope; monotone nondecreasing in rho. An array
+    ``rho`` may have its powers written into ``out``.
     """
-    scalar = isinstance(rho, float)     # Python arithmetic: no numpy call cost
     span = params.p_peak_w - params.p_idle_w
-    p = params.p_idle_w + span * ((rho if scalar else np.asarray(rho)) - RHO_MIN) \
-        / (RHO_MAX - RHO_MIN)
-    if scalar:
+    if isinstance(rho, float):      # Python arithmetic: no numpy call cost
+        p = params.p_idle_w + span * (rho - RHO_MIN) / (RHO_MAX - RHO_MIN)
         return float(min(max(p, 0.0), params.p_max_w))
+    # the scalar law's operations in its order, in place in one array
+    p = np.subtract(rho, RHO_MIN, out=np.empty(np.shape(rho)) if out is None
+                    else out)
+    p *= span
+    p /= RHO_MAX - RHO_MIN
+    p += params.p_idle_w
     # np.clip's bounds, without its per-call dispatch cost
-    p = np.minimum(np.maximum(0.0, p), params.p_max_w)
+    np.minimum(np.maximum(0.0, p, out=p), params.p_max_w, out=p)
     return float(p) if np.ndim(rho) == 0 else p
 
 
@@ -275,11 +281,12 @@ class _PlanStream:
     """The plan of :func:`generate_workload`, read in step order, any number
     of steps at a time.
 
-    The state of step k is read from its position in the schedule's cycle,
-    so nothing step-sized is built past the steps read. The noise is drawn
-    from one generator read after read, which gives the one-call draw bit
-    for bit. A stream set has no negative density, so a read that draws one
-    raises a ``ConfigError`` naming ``workload.noise_sigma``.
+    A read repeats the state index and density target of each hold of the
+    schedule's cycle for its steps read, so it costs the steps read plus the
+    holds of the cycles it crosses. The noise is drawn from one generator read after read,
+    which gives the one-call draw bit for bit. A stream set has no negative
+    density, so a read that draws one raises a ``ConfigError`` naming
+    ``workload.noise_sigma``.
     """
 
     def __init__(self, config: WorkloadConfig, seed: int) -> None:
@@ -293,8 +300,9 @@ class _PlanStream:
         cap_ms = config.step_count * dt
         self.ends = np.cumsum([max(1, steps_of(min(dur_ms, cap_ms), dt))
                                for _, dur_ms in config.schedule])
+        # the density target of each hold
         self.rho_targets = np.asarray([s.rho_target
-                                       for s in STATE_BY_NAME.values()])
+                                       for s in STATE_BY_NAME.values()])[self.idx]
         self.seed = seed
         self.rng = np.random.default_rng(seed) if config.noise_sigma > 0 \
             else None
@@ -306,9 +314,14 @@ class _PlanStream:
         ``lo`` is the step the last read ended at."""
         assert lo == self.top
         self.top = hi
-        pos = np.arange(lo, hi) % int(self.ends[-1])
-        state_idx = self.idx[np.searchsorted(self.ends, pos, side="right")]
-        rho = self.rho_targets[state_idx]
+        # the steps in [lo, hi) of each hold of the m cycles from step lo's
+        cycle = int(self.ends[-1])
+        base = lo - lo % cycle
+        m = (hi - base) // cycle + 1
+        ends = (self.ends + base + cycle * np.arange(m)[:, None]).ravel()
+        steps = np.diff(np.clip(ends, lo, hi), prepend=lo)
+        state_idx = np.repeat(np.tile(self.idx, m), steps)
+        rho = np.repeat(np.tile(self.rho_targets, m), steps)
         if self.rng is not None:
             sigma = self.config.noise_sigma
             rho += self.rng.normal(0.0, sigma, hi - lo)
@@ -318,9 +331,8 @@ class _PlanStream:
                     f"workload.noise_sigma = {sigma} draws a negative density "
                     f"with seed {self.seed}, first at step "
                     f"{lo + int(negative[0])}; a stream set cannot have one")
-        n_streams = np.maximum(
-            1, np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64))
-        return state_idx, rho, n_streams
+        n_streams = np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64)
+        return state_idx, rho, np.maximum(n_streams, 1, out=n_streams)
 
 
 def generate_workload(config: WorkloadConfig, seed: int) -> WorkloadPlan:

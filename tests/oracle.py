@@ -20,6 +20,9 @@ the slot's total, added left to right, less each popped entry in turn.
 compensator, written here as a delay line, a hint FIFO and a replica state
 rather than as the recursions of :func:`cpodrift.controller.compensate`, so
 the oracle shares no compensator code with the path it checks.
+
+:func:`plan_oracle` is the run's plan expanded one step at a time, so the
+plan ``simulate`` reads by holds is judged by one it shares no code with.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,12 +51,43 @@ from cpodrift.simulate import RunResult, _Chunk, _Summary, simulate
 from cpodrift.telemetry import TelemetryFrame
 from cpodrift.thermal import ThermalParams
 from cpodrift.workload import (
+    LOAD_STATES,
     RHO_MAX,
     RHO_MIN,
     AffineMapParams,
+    WorkloadConfig,
     density_to_throughput,
-    generate_workload,
 )
+
+
+class Plan(NamedTuple):
+    """The per-step plan of a run, one entry per step."""
+
+    t_ms: np.ndarray        # step start times
+    state_idx: np.ndarray   # index into LOAD_STATES
+    rho: np.ndarray         # planned density, noise included
+    n_streams: np.ndarray
+
+
+def plan_oracle(config: WorkloadConfig, seed: int) -> Plan:
+    """The plan of a run, expanded one Python list entry per step: each
+    hold of the schedule gives its state for its whole number of steps (at
+    least one, at most the run's), the cycle is tiled to ``step_count``
+    steps, and one ``default_rng(seed)`` draw of ``step_count`` normals adds
+    the noise. A step runs ``max(1, rint(rho / 0.65))`` streams, 0.65 being
+    a stream's mean density."""
+    n, dt = config.step_count, config.step_period_ms
+    names = [s.name for s in LOAD_STATES]
+    cycle = []
+    for state, dur_ms in config.schedule:
+        cycle.extend([names.index(state)] * max(1, round(min(dur_ms / dt, n))))
+    cycle = np.asarray(cycle, dtype=np.int64)
+    state_idx = np.tile(cycle, -(-n // cycle.size))[:n]
+    rho = np.asarray([s.rho_target for s in LOAD_STATES])[state_idx]
+    if config.noise_sigma > 0:
+        rho = rho + np.random.default_rng(seed).normal(0.0, config.noise_sigma, n)
+    n_streams = np.maximum(1, np.rint(rho / 0.65)).astype(np.int64)
+    return Plan(np.arange(n, dtype=float) * dt, state_idx, rho, n_streams)
 
 
 class MissingHintError(CpodriftError):
@@ -225,8 +260,8 @@ def throttle(slot: list, forecast_w: float, cap_c: float, gain: float,
 
 
 def simulate_oracle(config: RunConfig) -> RunResult:
-    plan = generate_workload(config.workload, config.seed)
-    if plan.step_count == 0:
+    plan = plan_oracle(config.workload, config.seed)
+    if plan.rho.size == 0:
         return simulate(config)
 
     sc = config.scheduler
@@ -234,8 +269,8 @@ def simulate_oracle(config: RunConfig) -> RunResult:
     thermal = config.thermal
     optic = config.optics
     wmap = config.affine_map
-    dt = plan.step_period_ms
-    N = plan.step_count
+    dt = config.workload.step_period_ms
+    N = plan.rho.size
     t = plan.t_ms
 
     h_steps = _steps_of(sc.horizon_ms, dt)
@@ -327,7 +362,7 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         plant = th.step(plant, p_k - thermal.p_baseline_w, dt, thermal)
         ctrl = control_step(ctrl, plant.delta_t_c, hint, dt, cp, thermal, optic)
 
-        state_col.append(plan.state_name(k))
+        state_col.append(LOAD_STATES[plan.state_idx[k]].name)
         cols["rho"].append(rho_k)
         cols["t24"].append(t24_k)
         cols["p"].append(p_k)

@@ -37,7 +37,7 @@ from cpodrift.experiments import run_experiment
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.scheduler import ForecastLog, SchedulerConfig
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
-from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
+from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig
 from cpodrift import telemetry
 from cpodrift.telemetry import FLOAT_FMT, write_csv
 from test_simulate import (
@@ -47,6 +47,7 @@ from test_simulate import (
     _gain_half_cfg,
     _throttled_cfg,
 )
+from oracle import plan_oracle
 
 # the package attribute ``simulate`` is the function, not the module
 sim = importlib.import_module("cpodrift.simulate")
@@ -123,7 +124,7 @@ def _assert_chunking_changes_nothing(monkeypatch, cfg):
     assert run.summary.stays_in_band == (
         hits.size > 0 and bool(inband[hits[0]:].all()))
 
-    planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
+    planned = plan_oracle(cfg.workload, cfg.seed).rho.sum()
     assert planned == pytest.approx(
         run.frame.rho.sum() + run.summary.shed_density
         + run.summary.outstanding_density, rel=1e-9)
@@ -178,7 +179,7 @@ def test_throttle_work_straddles_a_chunk_edge(monkeypatch, forecaster,
     # the replayed hint sees the entries deferred into a slot and sheds
     # them; the trailing mean lets them through
     assert (run.summary.shed_entries > 0) == (forecaster == "queue_replay")
-    moved = run.frame.rho != generate_workload(cfg.workload, cfg.seed).rho
+    moved = run.frame.rho != plan_oracle(cfg.workload, cfg.seed).rho
     assert moved[C - 300:C].any() and moved[C:].any()
     _assert_matches_oracle(cfg)
 
@@ -225,17 +226,22 @@ def test_chunked_run_matches_the_oracle(monkeypatch, mode):
 @pytest.mark.parametrize("pole", [math.exp(-1.0 / 80.0), 0.4, 0.5, 0.999])
 def test_scan_in_pieces_equals_one_scan(pole):
     x = np.random.default_rng(8).normal(size=5 * _SCAN_MAX_BLOCK + 11)
-    whole, _ = _one_pole(x, pole, 1.0 - pole, 0.7)
     b = _scan_block(pole)
-    for cut in (2 * _SCAN_MAX_BLOCK, 1, 7, b - 1, b + 1, 12345):
-        # one step at a time, up to two block edges: each call scans its
-        # open block again
-        n = 2 * b + 3 if cut == 1 else x.size
-        carry, parts = 0.7, []
-        for lo in range(0, n, cut):
-            y, carry = _one_pole(x[lo:min(n, lo + cut)], pole, 1.0 - pole, carry)
-            parts.append(y)
-        assert np.concatenate(parts).tobytes() == whole[:n].tobytes(), cut
+    # the scan's own (x - offset) * scale gives the scan of the scaled x
+    for scaled in ((), (0.451, 12.0)):
+        u = scaled[0] * (x - scaled[1]) if scaled else x
+        whole, _ = _one_pole(u, pole, 1.0 - pole, 0.7)
+        for cut in (x.size, 2 * _SCAN_MAX_BLOCK, 1, 7, b - 1, b + 1, 12345):
+            # one step at a time, up to two block edges: each call scans its
+            # open block again
+            n = 2 * b + 3 if cut == 1 else x.size
+            carry, parts = 0.7, []
+            for lo in range(0, n, cut):
+                y, carry = _one_pole(x[lo:min(n, lo + cut)], pole, 1.0 - pole,
+                                     carry, *scaled)
+                parts.append(y)
+            assert np.concatenate(parts).tobytes() == whole[:n].tobytes(), \
+                (cut, scaled)
 
 
 @pytest.mark.parametrize("pole", [1e-300, 1e-9, 0.3995, 0.4, 0.5, 0.9,

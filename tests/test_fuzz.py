@@ -20,8 +20,7 @@ from cpodrift.config import comparison_config, config_from_dict, config_to_dict
 from cpodrift.controller import Mode
 from cpodrift.errors import ConfigError
 from cpodrift.simulate import simulate
-from cpodrift.workload import generate_workload
-from oracle import simulate_oracle
+from oracle import plan_oracle, simulate_oracle
 
 DRAWS = 150
 PERTURBATIONS = (
@@ -80,7 +79,7 @@ def _assert_runs_cleanly(run):
         assert np.isfinite(getattr(run.frame, col)).all(), col
     assert run.audit.ok
     s = run.summary
-    planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
+    planned = plan_oracle(cfg.workload, cfg.seed).rho.sum()
     assert planned == pytest.approx(
         run.frame.rho.sum() + s.shed_density + s.outstanding_density,
         rel=1e-9, abs=1e-9)

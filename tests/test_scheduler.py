@@ -167,6 +167,42 @@ def test_audit_rejects_unsorted_traces():
         causality_audit(ok_log, np.array([[1.0, 5.0], [0.0, 6.0]]))
 
 
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("stamps, power_times, want", [
+    # a NaN compares false, so it neither unsorts a trace nor reads ahead
+    (((0.0, 0.0), (_NAN, 0.0), (2.0, 1.0)), (0.0, 1.0, 2.0), ()),
+    (((0.0, 0.0), (1.0, _NAN), (2.0, 1.0)), (0.0, 1.0, 2.0), ()),
+    (((_NAN, _NAN), (_NAN, _NAN)), (_NAN, _NAN), ()),
+    (((0.0, 0.0), (1.0, 1.0)), (0.0, _NAN, 1.0), ()),
+    # an infinite stamp is ordered like any other
+    (((0.0, 0.0), (1.0, 1.0), (_INF, 5.0)), (0.0, 1.0, 2.0), ()),
+    (((0.0, 0.0), (_INF, 1.0), (_INF, 1.0)), (0.0, 1.0, 2.0), ()),
+    (((0.0, 0.0), (1.0, 1.0), (2.0, _INF)), (0.0, 1.0, 2.0), ((2.0, _INF),)),
+    (((-_INF, 0.0), (1.0, 1.0), (2.0, 1.0)), (0.0, 1.0, 2.0), ((-_INF, 0.0),)),
+    (((0.0, 0.0), (1.0, 1.0)), (-_INF, 0.0, _INF, _INF), ()),
+    # one stamp out of order
+    (((0.0, 0.0), (2.0, 1.0), (1.0, 1.0), (3.0, 3.0)), (0.0, 1.0, 2.0),
+     "forecast trace is not sorted"),
+    (((0.0, 0.0), (1.0, 1.0)), (0.0, 2.0, 1.0, 3.0), "power trace is not sorted"),
+], ids=["nan_issue", "nan_newest", "nan_everywhere", "nan_power", "inf_issue",
+        "inf_issues_tied", "inf_newest", "minus_inf_issue", "inf_power",
+        "unsorted_issue", "unsorted_power"])
+def test_audit_of_nan_inf_and_unsorted_stamps(stamps, power_times, want):
+    log = _log(*stamps)
+    for power in (np.array(power_times), np.column_stack(
+            (power_times, np.ones(len(power_times))))):
+        if isinstance(want, str):
+            with pytest.raises(InputError, match=want):
+                causality_audit(log, power)
+            continue
+        rep = causality_audit(log, power)
+        assert rep.n_checked == len(stamps)
+        assert np.array_equal(rep.violations, want, equal_nan=True) \
+            and len(rep.violations) == len(want)
+
+
 def test_forecast_log_csv_round_trip(tmp_path):
     log = _log((0.0, 0.0), (1.0, 0.5))
     p = tmp_path / "log.csv"

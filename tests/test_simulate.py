@@ -20,7 +20,7 @@ from cpodrift.simulate import simulate
 from cpodrift.telemetry import TelemetryFrame, write_csv
 from cpodrift.thermal import ThermalParams, _one_pole, _scan_block, gamma_of_distance
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
-from oracle import simulate_oracle
+from oracle import plan_oracle, simulate_oracle
 
 # the package attribute ``simulate`` is the function, not the module
 sim = importlib.import_module("cpodrift.simulate")
@@ -204,9 +204,9 @@ def test_schedule_reads_no_controller_field(throttle):
 def test_planned_queue_depth_and_input_stamps(times, forecaster):
     # the whole-run index arithmetic these columns were first built with
     cfg = _throttled_cfg(forecaster=forecaster, throttle_enabled=False, **times)
-    plan = generate_workload(cfg.workload, cfg.seed)
+    plan = plan_oracle(cfg.workload, cfg.seed)
     run = simulate(cfg)
-    N, dt, sc = plan.step_count, plan.step_period_ms, cfg.scheduler
+    N, dt, sc = plan.rho.size, cfg.workload.step_period_ms, cfg.scheduler
     h = min(round(sc.horizon_ms / dt), N)
     adm = min(round(sc.admission_lead_ms / dt), N)
     cn = np.concatenate(([0], np.cumsum(plan.n_streams)))
@@ -285,7 +285,7 @@ def test_throttled_runs_conserve_planned_work():
                 admission_lead_ms=float(rng.choice([80.0, 100.0, 120.0, 160.0]))),
         )
         run = simulate(cfg)
-        planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
+        planned = plan_oracle(cfg.workload, cfg.seed).rho.sum()
         assert planned == pytest.approx(
             run.frame.rho.sum() + run.summary.shed_density
             + run.summary.outstanding_density, rel=1e-9)
@@ -317,7 +317,7 @@ def test_an_entry_is_deferred_at_most_once(monkeypatch, steps):
     assert 0 < s.throttle_deferrals <= steps
     assert max(sizes) == 2
     assert s.shed_entries > 0 and s.outstanding_entries > 0
-    planned = generate_workload(cfg.workload, cfg.seed).rho.sum()
+    planned = plan_oracle(cfg.workload, cfg.seed).rho.sum()
     assert planned == pytest.approx(
         run.frame.rho.sum() + s.shed_density + s.outstanding_density, rel=1e-9)
 
@@ -607,3 +607,30 @@ def test_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("runs", [
+    [(3, 5000)],
+    [(1, 1237), (4, 3763)],
+    [(1, 700), (3, 2001), (1, 2299)],
+], ids=["fills_the_chunk", "one_run", "two_runs"])
+def test_per_state_sums_equal_the_masked_sums(runs):
+    # a state's rows summed over a view of its run, or its masked copy,
+    # against the masked copy's sum bit for bit; the density column is a
+    # view at an odd offset, as a chunk's is into the schedule pass's buffer
+    cfg = default_config(24)
+    state_idx = np.concatenate([np.full(n, i, dtype=np.int64) for i, n in runs])
+    n = state_idx.size
+    rng = np.random.default_rng(5)
+    rho = (rng.lognormal(0.0, 3.0, n + 3) * rng.choice([-1.0, 1.0], n + 3))[3:]
+    zeros = np.zeros(n)
+    stats = sim._Summary(cfg)
+    stats.add(sim._Chunk(
+        0, np.arange(n, dtype=float), state_idx, rho, zeros, zeros, zeros,
+        np.zeros(n, dtype=int), np.zeros(n, dtype=np.int64), 0, 0.0, 0, 0.0, 0,
+        zeros, zeros, zeros, zeros))
+    for i in range(len(stats.rho_sums)):
+        mask = state_idx == i
+        assert stats.rho_steps[i] == mask.sum()
+        want = float(rho[mask].sum()) if mask.any() else 0.0
+        assert np.float64(stats.rho_sums[i]).tobytes() == np.float64(want).tobytes(), i

@@ -19,6 +19,7 @@ from cpodrift.workload import (
     load_state,
     throughput_to_density,
 )
+from oracle import plan_oracle
 
 
 def test_density_empty_sums_to_zero():
@@ -125,45 +126,44 @@ def test_generate_workload_deterministic():
     assert not np.array_equal(a.rho, c.rho)
 
 
-def _per_step_expansion(cfg, seed):
-    # the schedule expanded one Python list entry per step, cycled with
-    # np.tile, and the noise added to a copy
-    names = tuple(s.name for s in LOAD_STATES)
-    cycle = []
-    for state, dur_ms in cfg.schedule:
-        cycle.extend([names.index(state)] * max(1, int(round(dur_ms / cfg.step_period_ms))))
-    cycle = np.asarray(cycle, dtype=np.int64)
-    state_idx = np.tile(cycle, int(np.ceil(cfg.step_count / cycle.size)))[:cfg.step_count]
-    rho = np.asarray([s.rho_target for s in LOAD_STATES])[state_idx].astype(float)
-    if cfg.noise_sigma > 0:
-        rho = rho + np.random.default_rng(seed).normal(0.0, cfg.noise_sigma,
-                                                       cfg.step_count)
-    return state_idx, rho
+_ONE_STEP_HOLDS = (("Idle", 1.0), ("Peak", 1.0))
 
 
 @pytest.mark.parametrize("schedule", [
     WorkloadConfig().schedule,
     (("Low", 3.0), ("Peak", 0.2), ("Idle", 1.5), ("High", 0.6), ("Medium", 2.5)),
     (("Peak", 7.0),),
-], ids=["validation", "sub_step_holds", "one_hold"])
+    _ONE_STEP_HOLDS,
+], ids=["validation", "sub_step_holds", "one_hold", "one_step_holds"])
 @pytest.mark.parametrize("step_ms", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("steps", [1, 6, 1000, 50_001])
 def test_schedule_expansion_matches_the_per_step_expansion(schedule, step_ms, steps):
+    # the plan read by holds against the oracle's, expanded step by step
     cfg = WorkloadConfig(step_count=steps, step_period_ms=step_ms, schedule=schedule)
     plan = generate_workload(cfg, seed=3)
-    state_idx, rho = _per_step_expansion(cfg, seed=3)
-    assert plan.state_idx.dtype == state_idx.dtype
-    assert plan.state_idx.tobytes() == state_idx.tobytes()
-    assert plan.rho.tobytes() == rho.tobytes()
+    want = plan_oracle(cfg, seed=3)
+    for got, ref in zip((plan.t_ms, plan.state_idx, plan.rho, plan.n_streams),
+                        want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("split, steps", [
-    (1, 3000), (7, 3000), (65_535, 200_001), (65_536, 200_001),
-    (100_000, 200_001)])
-def test_plan_read_in_pieces_equals_one_read(split, steps):
+_TAIL = WorkloadConfig().schedule[5:]   # a 1,550-step cycle of five holds
+
+
+@pytest.mark.parametrize("split, steps, schedule", [
+    pytest.param(split, steps, _TAIL, id=f"{split}-{steps}")
+    for split, steps in ((1, 3000), (7, 3000), (65_535, 200_001),
+                         (65_536, 200_001), (100_000, 200_001))] + [
+    # reads that end on a hold edge: a whole cycle, and thousands of
+    # one-step holds
+    pytest.param(1550, 200_001, _TAIL, id="cycle-200001"),
+    pytest.param(1, 3000, _ONE_STEP_HOLDS, id="one_step_holds-1-3000"),
+    pytest.param(4096, 20_001, _ONE_STEP_HOLDS, id="one_step_holds-4096-20001"),
+])
+def test_plan_read_in_pieces_equals_one_read(split, steps, schedule):
     # one noise generator drawn from read after read gives the one-call
     # draw bit for bit
-    cfg = WorkloadConfig(step_count=steps, schedule=WorkloadConfig().schedule[5:])
+    cfg = WorkloadConfig(step_count=steps, schedule=schedule)
     plan = generate_workload(cfg, seed=11)
     stream = _PlanStream(cfg, seed=11)
     parts = [stream(lo, min(lo + split, steps)) for lo in range(0, steps, split)]
