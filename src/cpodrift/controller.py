@@ -145,12 +145,13 @@ class _Compensator:
             return np.zeros(n)
         if self.mode is Mode.REACTIVE:
             full = np.concatenate((self.line, dT))
-            sensed, self.line = full[:n], full[n:]
-            target = np.maximum(0.0, sensed - self.setpoint)
+            t, self.line = full[:n], full[n:]       # the sensed deltas
         else:
-            ahead = self._ahead(dT, hint_w, lo)
-            target = np.maximum(0.0, np.maximum(dT, ahead) - self.setpoint)
-        bias, self.bias = _one_pole(target, 1.0 - self.g, self.g, self.bias)
+            t = self._ahead(dT, hint_w, lo)
+            np.maximum(dT, t, out=t)
+        t -= self.setpoint      # the target max(0, t - setpoint), in place
+        np.maximum(0.0, t, out=t)   # 0.0 first: a tie keeps t's signed zero
+        bias, self.bias = _one_pole(t, 1.0 - self.g, self.g, self.bias)
         return bias
 
     def _ahead(self, dT: np.ndarray, hint_w: np.ndarray, lo: int) -> np.ndarray:

@@ -568,10 +568,10 @@ class _Summary:
             self.rho_sums[i] += float(rows.sum())
         self.rho_steps += steps
 
-        # the last stamp of the chunk before carries the sortedness check
-        # across the edge
+        # the audit checks the chunk's issue stamps, t_ms, for order; the last
+        # of the chunk before and the first of this one carry it over the edge
         audit = causality_audit(chunk.forecast_log(self.config.scheduler.horizon_ms),
-                                np.concatenate((self.t_last, chunk.t_ms)))
+                                np.concatenate((self.t_last, chunk.t_ms[:1])))
         self.t_last = chunk.t_ms[-1:]
         self.n_checked += audit.n_checked
         self.violations.extend(audit.violations)

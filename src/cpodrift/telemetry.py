@@ -5,14 +5,15 @@ Floats are written with 9 significant digits so repeated runs with the same
 config and seed produce byte-identical files. :func:`write_rows` writes the
 rows of every CSV the package writes (telemetry, forecast log, fingerprint
 panels). It renders ``_CHUNK`` rows at a time as one numpy byte matrix, built
-column by column, and calls Python's ``%`` only for the float cells whose
-``%.9g`` text the vector arithmetic cannot prove: non-finite cells, cells
-printed in scientific notation, and cells whose 9-digit mantissa, scaled in
-floating point, lands exactly on a .5 tie. Its output is the per-cell format
-byte for byte. A column may be table codes, whose table's text is rendered
-once, and ``simulate.write_run`` renders each band once for both the
-telemetry and the forecast log. :func:`write_json` gives every JSON artifact
-its one layout.
+column by column. A float column's band has only the character rows some
+cell prints, its 9-digit mantissa split into digit groups by exact float
+arithmetic, and Python's ``%`` formats only the cells whose ``%.9g`` text
+the arithmetic cannot prove: non-finite cells, cells printed in scientific
+notation, and cells whose mantissa, scaled in floating point, lands exactly
+on a .5 tie. The output is the per-cell format byte for byte. A column may
+be table codes, whose table's text is rendered once, and
+``simulate.write_run`` renders each band once for both the telemetry and the
+forecast log. :func:`write_json` gives every JSON artifact its one layout.
 :func:`read_csv` parses ``_SLICE`` lines at a time in one pass, shares one
 ``str`` per state name, names the line of the first malformed row and grows
 each column in place (glibc's ``realloc`` moves a large block by ``mremap``,
@@ -33,8 +34,8 @@ from .errors import InputError
 
 FLOAT_FMT = "%.9g"
 # Rows rendered at once; the chunk's byte matrix and temporaries grow with it.
-# Writing the seed-24 90k-step frame traces a 2.3 MB peak at 4,096 rows. At
-# 2,048 rows it writes about 20 % slower; 8,192 rows (4.6 MB) are no faster.
+# Writing the seed-24 90k-step frame traces a 2.2 MB peak at 4,096 rows. At
+# 2,048 rows it writes about 20 % slower; 8,192 rows (4.3 MB) are no faster.
 # validation90k streams its rows, so this sets its peak RSS: 44 MB at 4,096
 # rows, 1 MB less at 2,048, 3 MB more at 8,192 and 7 MB more at 16,384.
 _CHUNK = 4096
@@ -102,10 +103,10 @@ _PAD, _MINUS, _DOT, _ZERO = (np.uint8(c) for c in b"\xff-.0")
 # a '.' after digit e, or after a "0.000" prefix cut to 1 − e characters when
 # e < 0, and with trailing fractional zeros stripped.
 _POW10 = 10.0 ** np.arange(13)                 # 10^(8−e), each one exact
-# the three ASCII digits of 000..999, one row per digit
-_DIGITS = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)),
-                        np.uint8).reshape(1000, 3).T
+# 000..999 as words of three ASCII digits and a pad byte, one gather a group
+_DIGITS = np.frombuffer(b"".join(b"%03d\xff" % i for i in range(1000)), np.uint32)
 _SLOT = np.arange(1, 10, dtype=np.uint8)[:, None]          # digits 1..9
+_GROUPS = np.array([[1e6], [1e3], [1.0]])       # place values of m's groups
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
 _PREFIX_E = np.array([-1, -1, -2, -3, -4])[:, None]        # e ≤ this prints it
 
@@ -135,12 +136,19 @@ def _float_band(x) -> np.ndarray:
         # prints "0" from m = e = 0.
         fast = ((s > 1e8) & (s < 999999999.5) & (np.abs(s - m) < 0.5)
                 | (a == 0))
-    m = np.where(fast, m, 0).astype(np.intp)
+    m = np.where(fast, m, 0.0)
     e = np.where(m > 0, e, 0)
-    g = np.stack([m // 1000000, m // 1000 % 1000, m % 1000])
-    d = _DIGITS.take(g, axis=1).transpose(1, 0, 2).reshape(9, -1)
+    # m's 3-digit groups in exact float arithmetic: m is an integer below
+    # 1e9, so m/1e6 and m/1e3 are integers or 1e-6 and 1e-3 or more from one,
+    # far above half an ulp (2^-33 below 1e6), and their correctly rounded
+    # quotients floor exactly; every product and difference is below 2^53
+    g = np.floor(m / _GROUPS)
+    g[1:] -= g[:2] * 1e3
+    d = _DIGITS.take(g.astype(np.intp)).view(np.uint8).reshape(3, -1, 4)
+    d = d[..., :3].transpose(0, 2, 1).reshape(9, -1)
     kept = np.maximum(((d != _ZERO) * _SLOT).max(axis=0), e + 1)
-    d[_SLOT > kept.astype(np.uint8)] = _PAD
+    d = d[:kept.max()]      # only the rows some cell prints, padded past kept
+    d |= (_SLOT[:len(d)] > kept.astype(np.uint8)).view(np.uint8) * _PAD
     lo, hi = e.min(), e.max()
     rows = []
     neg = np.signbit(x)
@@ -149,10 +157,10 @@ def _float_band(x) -> np.ndarray:
     if lo < 0:
         rows.append(np.where(e <= _PREFIX_E[:1 - lo], _PREFIX[:1 - lo], _PAD))
     point = np.where(kept > e + 1, e, -1)      # the digit a '.' follows
-    for j in range(9):
+    for j in range(len(d)):
         rows.append(d[j:j + 1])
-        if lo <= j <= min(hi, 7):
-            rows.append(np.where(point == j, _DOT, _PAD)[None])
+        if lo <= j <= hi and (dot := point == j).any():   # a '.' some cell prints
+            rows.append(np.where(dot, _DOT, _PAD)[None])
     band = np.concatenate(rows)
     slow = np.flatnonzero(~fast)
     if slow.size:

@@ -161,7 +161,8 @@ def _one_pole(x: np.ndarray, pole: float, gain_in: float, carry: _Carry,
     y = np.empty(n_blocks * block)
     y[:k] = held
     u = np.subtract(x, offset, out=y[k:n])
-    u *= scale
+    if scale != 1.0:
+        u *= scale
     if pole == 0.0 or k == n:
         return gain_in * u, carry
     if n == 1:  # the scan's arithmetic for one element

@@ -35,6 +35,7 @@ import pytest
 from cpodrift.config import RunConfig, default_config, stabilization_config
 from cpodrift.experiments import run_experiment
 from cpodrift.controller import ControllerParams, Mode
+from cpodrift.errors import InputError
 from cpodrift.scheduler import ForecastLog, SchedulerConfig
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig
@@ -447,3 +448,28 @@ def test_a_huge_step_count_streams():
     chunk = first_chunk()
     assert chunk.lo == 0 and chunk.t_ms.size == c
     assert chunk.state_idx.tolist() == ([1, 1, 1, 4, 4] * c)[:c]
+
+
+def _stamped_chunk(lo, t_ms):
+    """A hand-built chunk of quiet steps issued at ``t_ms``, each hint
+    reading the millisecond before its issue."""
+    t = np.array(t_ms, dtype=float)
+    z, k = np.zeros(t.size), np.zeros(t.size, np.intp)
+    return sim._Chunk(lo, t, k, z, z, z, t - 1.0, k, k, 0, 0.0, 0, 0.0, 0,
+                      z, z, z, z)
+
+
+@pytest.mark.parametrize("second, error", [
+    ([1.5, 3.0, 4.0], "power trace is not sorted"),     # back across the edge
+    ([2.0, 4.0, 3.0], "forecast trace is not sorted"),  # back within the chunk
+    ([2.0, 3.0, 4.0], None),
+])
+def test_the_audit_checks_stamp_order_across_a_chunk_edge(second, error):
+    stats = sim._Summary(_default_cfg(6))
+    stats.add(_stamped_chunk(0, [0.0, 1.0, 2.0]))
+    if error is None:
+        stats.add(_stamped_chunk(3, second))
+        assert stats.n_checked == 6 and not stats.violations
+    else:
+        with pytest.raises(InputError, match=error):
+            stats.add(_stamped_chunk(3, second))

@@ -15,10 +15,11 @@ import pytest
 from cpodrift import telemetry
 from cpodrift.config import default_config
 from cpodrift.errors import InputError
-from cpodrift.simulate import write_run
+from cpodrift.simulate import _chunks, write_run
 from cpodrift.workload import STATE_BY_NAME
 from cpodrift.telemetry import (
     _CHUNK,
+    FLOAT_FMT,
     _ROW,
     COLUMNS,
     TelemetryFrame,
@@ -165,10 +166,58 @@ def test_write_rows_matches_per_cell_format(n):
         for i, x in zip(codes, floats))
 
 
+def _assert_band_prints_each_cell_in_used_rows(x):
+    band = telemetry._float_band(x)
+    assert not (band == 0xFF).all(axis=1).any()     # no row all pad
+    assert [bytes(c[c != 0xFF]).decode() for c in band.T] == \
+        [FLOAT_FMT % v for v in np.asarray(x, dtype=float).tolist()]
+
+
+# 9-digit mantissas at the edges of the 3-digit groups
+_GROUP_EDGES = (999999999, 100000000, 1000000, 999999, 1000, 999)
+
+
+@pytest.mark.parametrize("x", [
+    EDGE_FLOATS,
+    np.arange(0, 4096) * 1.0,
+    np.arange(86016, 90000) * 1.0,
+    np.arange(3, 5) * 1.0,
+    [s * m * 10.0 ** k for m in _GROUP_EDGES for k in range(-14, 4)
+     for s in (1, -1)],
+    *([m * 10.0 ** k for m in _GROUP_EDGES] for k in (-13, -9, -6, -1, 0, 2, 3)),
+], ids=["edge", "stamps", "late_stamps", "two_stamps", "group_edges",
+        *(f"group_edges_e{k}" for k in (-13, -9, -6, -1, 0, 2, 3))])
+def test_float_band_has_only_rows_some_cell_prints(x):
+    _assert_band_prints_each_cell_in_used_rows(x)
+
+
+def test_chunk_bands_have_only_rows_some_cell_prints():
+    # seed 1018's first chunk: a 4,096-row slice of each float column, and
+    # the tables write_run takes ttft_ms, horizon_ms and eta from by code
+    cfg = default_config(1018)
+    columns = next(_chunks(cfg)).columns(cfg)
+    for col in columns.values():
+        x = col[1] if isinstance(col, tuple) else col
+        if isinstance(x, np.ndarray) and x.dtype == float:
+            _assert_band_prints_each_cell_in_used_rows(x[:4096])
+
+
+def test_written_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # a band's height follows the cells of its chunk; the text must not
+    cfg = default_config(24)
+    cfg = replace(cfg, workload=replace(cfg.workload, step_count=3_000))
+    written = []
+    for chunk in (7, 1_000, 4_096):
+        monkeypatch.setattr(telemetry, "_CHUNK", chunk)
+        write_run(cfg, tmp_path / "t.csv", tmp_path / "f.csv")
+        written.append([(tmp_path / f).read_bytes() for f in ("t.csv", "f.csv")])
+    assert written[0] == written[1] == written[2]
+
+
 def test_writing_the_90k_frame_stays_within_a_memory_budget(tmp_path,
                                                             validation_run):
-    # the writer holds one chunk at a time: 2.3 MB traced at 4,096 rows, and
-    # 9.3 MB at 16,384 rows, a chunk that raised the run's peak RSS by 9 MB
+    # the writer holds one chunk at a time: 2.2 MB traced at 4,096 rows, and
+    # 8.6 MB at 16,384 rows, a chunk that raised the run's peak RSS by 9 MB
     tracemalloc.start()
     try:
         write_csv(validation_run.frame, tmp_path / "t.csv")
