@@ -15,8 +15,9 @@ the forecast power and horizon of a hint. So a run is two passes, and
 * The plan (:class:`workload._PlanStream`): the load state and noisy
   density of each step, the noise drawn from one generator in order.
 * Schedule pass (:func:`_dispatch`): from the plan alone, the dispatched
-  density and power, the hint stream with its provenance, the queue depth,
-  the deferral count, and the work shed or deferred past the last step.
+  density and power, the hint stream with the count of replayed hints, the
+  queue-depth differences, the deferral count, and the work shed or
+  deferred past the last step.
   Array reads cover every step the throttle leaves alone. A firing edits
   only its step's forecast slot and the slot a slice on, so from each step
   whose hint may breach the throttle cap the pass sweeps a block of a
@@ -34,12 +35,14 @@ the forecast power and horizon of a hint. So a run is two passes, and
   delay, and the reactive sensor delay line carry across chunk edges.
 
 Chunks of any size give a one-chunk run's columns bit for bit.
-:func:`_chunks`, the one reader of the plan and the schedule pass, hands
+:func:`_chunks`, the one reader of the plan and the schedule pass, yields
 each chunk to its sinks: the streaming summary (:class:`_Summary`) and a
 keeper (:func:`_keeper`) of the whole-run columns a caller names, every one
 for :func:`simulate`. :func:`write_run` writes each chunk's rows to the
 telemetry and forecast-log CSVs in one pass. Only kept columns grow with
-the run. A run of no steps yields no chunk.
+the run. :meth:`_Chunk.columns` derives the queue depth and the hint
+sources, which only the writers and the keeper read, so a summary-only run
+skips them. A run of no steps yields no chunk.
 
 ``tests/oracle.py`` composes the module-level operations step by step
 (Filtration snapshots, forecast(), thermal.step(), and its own per-entry
@@ -137,8 +140,9 @@ def simulate(config: RunConfig) -> RunResult:
     logs across repeated runs.
     """
     stats, (keep, columns) = _Summary(config), _keeper(config, _DTYPES)
-    for _ in _chunks(config, stats.add, keep):
-        pass
+    for chunk in _chunks(config):
+        stats.add(chunk)
+        keep(chunk.columns(config))
     frame = TelemetryFrame(**{c: columns[c] for c in COLUMNS})
     log = ForecastLog(frame.t_ms, np.broadcast_to(
         float(config.scheduler.horizon_ms), frame.n), frame.hint_w,
@@ -153,8 +157,9 @@ def _summarize(config: RunConfig) -> SimulationSummary:
     go to the streaming summary alone, so the run holds a few chunks at a
     time whatever its length."""
     stats = _Summary(config)
-    for _ in _chunks(config, stats.add):
-        pass
+    for chunk in _chunks(config):
+        stats.add(chunk)
+        del chunk   # freed before the next chunk is made
     return stats.finish()[0]
 
 
@@ -168,9 +173,12 @@ def write_run(config: RunConfig, telemetry_path, log_path,
         tel.write(",".join(COLUMNS) + "\n")
         log.write(LOG_HEADER)
         files = ((tel, COLUMNS), (log, _LOG_COLUMNS))
-        for chunk in _chunks(config, stats.add, keep):
-            write_rows(files, chunk.columns(config), _CELLS | LOG_CELLS)
-            del chunk   # freed before the next chunk is made
+        for chunk in _chunks(config):
+            stats.add(chunk)
+            rows = chunk.columns(config)
+            keep(rows)
+            write_rows(files, rows, _CELLS | LOG_CELLS)
+            del chunk, rows     # freed before the next chunk is made
     return *stats.finish(), kept
 
 
@@ -184,7 +192,8 @@ _CHUNK_STEPS = 1 << 14
 
 class _Chunk(NamedTuple):
     """Steps [lo, lo + len) of a run: their plan, dispatch and physics, one
-    entry per step; the counts are totals through the chunk's last step."""
+    entry per step; the counts are totals through the chunk's last step.
+    :meth:`columns` derives the queue depth and the hint sources."""
 
     lo: int
     t_ms: np.ndarray
@@ -193,8 +202,8 @@ class _Chunk(NamedTuple):
     p_eic_w: np.ndarray          # dispatched power
     hint_w: np.ndarray           # look-ahead hint power
     newest_input_ms: np.ndarray  # newest input stamp each hint read
-    source: np.ndarray           # 0 = queue replay, 1 = EWMA fallback
-    queue_depth: np.ndarray      # admitted streams pending after the step
+    n_replay: int                # hints replaying the queue, all before EWMA ones
+    depth_moves: np.ndarray      # queue-depth differences, the first from 0
     throttle_deferrals: int
     outstanding_density: float   # deferred past the last step
     outstanding_entries: int
@@ -210,21 +219,20 @@ class _Chunk(NamedTuple):
         """The chunk's CSV columns by name, a few as ``(codes, table)``."""
         sc, n = config.scheduler, self.t_ms.size
         one = np.zeros(n, np.intp)    # the codes of a one-value table
-        depths, codes = np.unique(self.queue_depth, return_inverse=True)
+        source = np.zeros(n, np.intp)     # 0 = queue replay, 1 = EWMA fallback
+        source[self.n_replay:] = 1
+        depth = np.cumsum(self.depth_moves)   # admitted streams pending
+        depths, codes = np.unique(depth, return_inverse=True)
         eta = preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)
         return self._asdict() | dict(
             step=np.arange(self.lo, self.lo + n),
             load_state=(self.state_idx, _STATE_NAMES),
             t24=density_to_throughput(self.rho, config.affine_map),
             eta=(one, np.array([eta])),
+            queue_depth=depth,
             ttft_ms=(codes, depths * sc.t_slice_ms * 0.5),
             horizon_ms=(one, np.array([float(sc.horizon_ms)])),
-            source=(self.source, _SOURCE_NAMES))
-
-    def forecast_log(self, horizon_ms: float) -> ForecastLog:
-        """The chunk's hints as forecast-log entries."""
-        h = np.broadcast_to(float(horizon_ms), self.t_ms.size)
-        return ForecastLog(self.t_ms, h, self.hint_w, self.newest_input_ms, self.source)
+            source=(source, _SOURCE_NAMES))
 
 
 # the throttle counters of a chunk, named as in the summary
@@ -232,9 +240,9 @@ _COUNTERS = ("throttle_deferrals", "outstanding_density", "outstanding_entries",
              "shed_density", "shed_entries")
 
 
-def _chunks(config: RunConfig, *sinks) -> Iterator[_Chunk]:
+def _chunks(config: RunConfig) -> Iterator[_Chunk]:
     """The run of ``config``, ``_CHUNK_STEPS`` steps at a time; none for a
-    run of no steps. Each chunk goes to every ``sink(chunk)``, then out.
+    run of no steps.
 
     Each chunk of the plan (:class:`_PlanStream`) goes through the schedule
     pass (:func:`_dispatch`) and then, before the next is dispatched, the
@@ -256,8 +264,6 @@ def _chunks(config: RunConfig, *sinks) -> Iterator[_Chunk]:
         np.abs(residual, out=residual)
         chunk = chunk._replace(delta_t_c=dT, bias_c=bias, residual_c=residual,
                                drift_nm=drift(residual, config.optics))
-        for sink in sinks:
-            sink(chunk)
         yield chunk
         del chunk, dT, bias, residual   # freed before the next chunk is made
 
@@ -269,8 +275,8 @@ def _extended(buffers: tuple[np.ndarray, ...], plan: tuple[np.ndarray, ...],
               wmap: AffineMapParams) -> tuple[np.ndarray, ...]:
     """The step buffers of :func:`_dispatch` with the steps of ``plan`` (its
     ``state_idx``, ``rho`` and ``n_streams``) added: their plan, their
-    dispatched density and power as planned, no deferred entry and no
-    queue-depth move."""
+    dispatched density and power as planned, and, if the pass holds those
+    buffers yet, no deferred entry and no queue-depth move."""
     n, rho = buffers[0].size, plan[1]
     out = tuple(np.empty(n + rho.size, x.dtype) for x in buffers)
     for x, y, new in zip(buffers, out, (*plan, rho, rho, 0.0, -1, 0)):
@@ -312,10 +318,12 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
 
     Every edit of a firing lands after its step, so a chunk's rows are
     final once it is swept. The pass holds its step buffers (the plan,
-    the dispatched density and power, the deferred entries and the
-    queue-depth moves) from ``win`` steps before the chunk (the EWMA
-    window) to as far past it as a firing reaches (horizon plus slice) or
-    the queue depth reads (admission lead).
+    the dispatched density and power, and from the first block it sweeps
+    on the deferred entries and the queue-depth moves) from ``win`` steps
+    before the chunk (the EWMA window) to as far past it as a firing
+    reaches (horizon plus slice) or the queue depth reads (admission lead).
+    A chunk holds the queue-depth differences, the depth before it added to
+    the first, so the next chunk's carry is their sum.
     """
     sc = config.scheduler
     wmap, thermal = config.affine_map, config.thermal
@@ -342,12 +350,11 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     outstanding_density = shed_density = 0.0
 
     # the step buffers, of steps [b, top): the plan (state, density,
-    # streams), the dispatched density and power, the density and streams
-    # (-1: none) of the entry deferred into each step, and the queue-depth
-    # differences
+    # streams), the dispatched density and power, and from the first block
+    # swept on, the density and streams (-1: none) of the entry deferred
+    # into each step and the queue-depth moves
     ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
-    sidx, prho, pn, rho, P, into_rho, into_n, moved = bufs = (
-        ints, floats, ints, floats, floats, floats, ints, ints)
+    bufs = (ints, floats, ints, floats, floats)
     b = top = 0
     depth_before = 0    # the queue depth after step lo - 1 (step 0: pn[:adm])
 
@@ -368,9 +375,9 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         hi = min(lo + _CHUNK_STEPS, N)
         if top < min(N, hi + reach):
             grow = min(N, hi + reach) - top
-            sidx, prho, pn, rho, P, into_rho, into_n, moved = bufs = _extended(
-                bufs, plan(top, top + grow), wmap)
+            bufs = _extended(bufs, plan(top, top + grow), wmap)
             top += grow
+        sidx, prho, pn, rho, P, *moves = bufs
 
         F = np.empty(hi - lo)
         r = max(0, min(hi, replay) - lo)    # replay rows
@@ -381,8 +388,6 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         np.maximum(newest[:r] + (h - adm), 0.0, out=newest[:r])
         newest *= dt
         t_ms *= dt
-        source = np.zeros(hi - lo, dtype=int)
-        source[r:] = 1
 
         # the hints that may breach the cap: the cut's own projection of
         # each, among the steps [lo, end) whose hint forecasts a slot of the
@@ -399,6 +404,10 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             # before k edits a slot they read and none in the block a slot
             # another of its hints reads; so are its slots, [k + h, a + h)
             k, a = a, min(a + span, end)
+            if not moves:   # the first block: no entry deferred yet
+                moves = [np.full(top - b, v) for v in (0.0, -1, 0)]
+                bufs += tuple(moves)
+            into_rho, into_n, moved = moves
             r1 = max(k, min(a, replay))     # replay rows [k, r1)
             F[k - lo:r1 - lo] = P[k + h - b:r1 + h - b]
             ewma(r1, a)
@@ -457,23 +466,23 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         if may[end - lo:].any():
             ewma(end, hi)   # retimed hints of the steps that cannot fire
 
-        # the queue depth, one running sum: a step admits the streams of
-        # step s + adm (none from N on), runs its own and adds its moves
-        d = moved[lo - b:hi - b] - pn[lo - b:hi - b]
+        # the queue-depth differences: a step admits the streams of step
+        # s + adm (none from N on), runs its own and adds its moves
+        d = -pn[lo - b:hi - b]
+        if moves:
+            d += moves[2][lo - b:hi - b]     # the queue-depth moves
         na = max(0, min(hi, N - adm) - lo)
         d[:na] += pn[lo + adm - b:lo + adm + na - b]
         d[0] += depth_before if lo else pn[:adm].sum()
-        depth = np.cumsum(d, out=d)
-        depth_before = int(depth[-1])
+        depth_before = int(d.sum())
 
         yield _Chunk(
             lo, t_ms, sidx[lo - b:hi - b],
-            rho[lo - b:hi - b], P[lo - b:hi - b], F, newest, source, depth,
+            rho[lo - b:hi - b], P[lo - b:hi - b], F, newest, r, d,
             deferrals, outstanding_density, outstanding_entries, shed_density,
             shed_entries)
         drop = max(0, hi - win + 1) - b
-        sidx, prho, pn, rho, P, into_rho, into_n, moved = bufs = tuple(
-            x[drop:] for x in bufs)
+        bufs = tuple(x[drop:] for x in bufs)
         b += drop
 
 
@@ -481,16 +490,19 @@ _DTYPES = {c: _ROW[c] for c in COLUMNS} | {"newest_input_ms": float, "source": i
 
 
 def _keeper(config: RunConfig, names) -> tuple[Callable, dict]:
-    """A sink that copies the ``names`` columns of each chunk, telemetry or
-    forecast-log ones, into arrays of the whole run; and those arrays."""
+    """A sink that copies the ``names`` columns of each chunk's
+    :meth:`_Chunk.columns`, telemetry or forecast-log ones, into arrays of
+    the whole run; and those arrays. ``source`` keeps its codes, as
+    :class:`ForecastLog` holds them."""
     kept = {c: np.empty(config.workload.step_count, _DTYPES[c]) for c in names}
 
-    def keep(chunk: _Chunk) -> None:
-        rows = chunk.columns(config) if kept.keys() - chunk._fields else {}
-        at = slice(chunk.lo, chunk.lo + chunk.t_ms.size)
+    def keep(rows: dict) -> None:
+        at = slice(rows["lo"], rows["lo"] + rows["t_ms"].size)
         for c, col in kept.items():
-            v = getattr(chunk, c) if c in chunk._fields else rows[c]
-            col[at] = v[1][v[0]] if isinstance(v, tuple) else v
+            v = rows[c]
+            if isinstance(v, tuple):    # (codes, table)
+                v = v[0] if c == "source" else v[1][v[0]]
+            col[at] = v
     return keep, kept
 
 
@@ -556,8 +568,9 @@ class _Summary:
         # form one run is summed over a view of it: the values, order and
         # count of its masked copy, so its sum
         si = chunk.state_idx
-        edges = np.flatnonzero(si[1:] != si[:-1]) + 1
-        starts, ends = np.append(0, edges), np.append(edges, si.size)
+        edges = np.concatenate(((0,), np.flatnonzero(si[1:] != si[:-1]) + 1,
+                                (si.size,)))
+        starts, ends = edges[:-1], edges[1:]
         state = si[starts]
         steps = np.bincount(state, ends - starts,
                             self.rho_steps.size).astype(np.int64)
@@ -568,10 +581,11 @@ class _Summary:
             self.rho_sums[i] += float(rows.sum())
         self.rho_steps += steps
 
-        # the audit checks the chunk's issue stamps, t_ms, for order; the last
-        # of the chunk before and the first of this one carry it over the edge
-        audit = causality_audit(chunk.forecast_log(self.config.scheduler.horizon_ms),
-                                np.concatenate((self.t_last, chunk.t_ms[:1])))
+        # the audit reads the two stamp columns alone and checks the issue
+        # stamps, t_ms, for order; the last of the chunk before and the first
+        # of this one carry it over the edge
+        log = ForecastLog(chunk.t_ms, None, chunk.hint_w, chunk.newest_input_ms, None)
+        audit = causality_audit(log, np.concatenate((self.t_last, chunk.t_ms[:1])))
         self.t_last = chunk.t_ms[-1:]
         self.n_checked += audit.n_checked
         self.violations.extend(audit.violations)

@@ -111,6 +111,7 @@ _SCAN_MAX_BLOCK = 4096
 SCAN_MAX_INPUT = 1e80
 
 
+@functools.lru_cache(maxsize=16)
 def _scan_block(pole: float) -> int:
     """Largest power-of-two scan block B for a nonzero pole with |log |a|^B|
     in range."""

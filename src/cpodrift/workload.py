@@ -312,14 +312,17 @@ class _PlanStream:
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``state_idx``, ``rho`` and ``n_streams`` of steps [lo, hi), where
         ``lo`` is the step the last read ended at."""
-        assert lo == self.top
+        if lo != self.top:
+            raise InputError(f"the plan is read in step order: a read from "
+                             f"step {lo} after one that ended at step {self.top}")
         self.top = hi
         # the steps in [lo, hi) of each hold of the m cycles from step lo's
         cycle = int(self.ends[-1])
         base = lo - lo % cycle
         m = (hi - base) // cycle + 1
         ends = (self.ends + base + cycle * np.arange(m)[:, None]).ravel()
-        steps = np.diff(np.clip(ends, lo, hi), prepend=lo)
+        np.minimum(np.maximum(ends, lo, out=ends), hi, out=ends)
+        steps = ends - np.concatenate(((lo,), ends[:-1]))
         state_idx = np.repeat(np.tile(self.idx, m), steps)
         rho = np.repeat(np.tile(self.rho_targets, m), steps)
         if self.rng is not None:

@@ -398,10 +398,14 @@ def simulate_oracle(config: RunConfig) -> RunResult:
     )
     stats = _Summary(config)
     stats.add(_Chunk(
-        0, t, plan.state_idx, frame.rho, frame.p_eic_w, log.forecast_w,
-        log.newest_input_ms, log.source, qd_arr, deferrals,
-        outstanding_density, outstanding_entries, shed_density, shed_entries,
-        frame.delta_t_c, frame.bias_c, frame.residual_c, frame.drift_nm))
+        lo=0, t_ms=t, state_idx=plan.state_idx, rho=frame.rho,
+        p_eic_w=frame.p_eic_w, hint_w=log.forecast_w,
+        newest_input_ms=log.newest_input_ms,
+        n_replay=int((log.source == 0).sum()), depth_moves=np.diff(qd_arr, prepend=0),
+        throttle_deferrals=deferrals, outstanding_density=outstanding_density,
+        outstanding_entries=outstanding_entries, shed_density=shed_density,
+        shed_entries=shed_entries, delta_t_c=frame.delta_t_c, bias_c=frame.bias_c,
+        residual_c=frame.residual_c, drift_nm=frame.drift_nm))
     summary, audit = stats.finish()
     return RunResult(config=config, frame=frame, summary=summary,
                      forecast_log=log, audit=audit)

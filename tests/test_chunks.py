@@ -455,8 +455,12 @@ def _stamped_chunk(lo, t_ms):
     reading the millisecond before its issue."""
     t = np.array(t_ms, dtype=float)
     z, k = np.zeros(t.size), np.zeros(t.size, np.intp)
-    return sim._Chunk(lo, t, k, z, z, z, t - 1.0, k, k, 0, 0.0, 0, 0.0, 0,
-                      z, z, z, z)
+    return sim._Chunk(
+        lo=lo, t_ms=t, state_idx=k, rho=z, p_eic_w=z, hint_w=z,
+        newest_input_ms=t - 1.0, n_replay=t.size, depth_moves=k,
+        throttle_deferrals=0, outstanding_density=0.0, outstanding_entries=0,
+        shed_density=0.0, shed_entries=0, delta_t_c=z, bias_c=z, residual_c=z,
+        drift_nm=z)
 
 
 @pytest.mark.parametrize("second, error", [
@@ -473,3 +477,34 @@ def test_the_audit_checks_stamp_order_across_a_chunk_edge(second, error):
     else:
         with pytest.raises(InputError, match=error):
             stats.add(_stamped_chunk(3, second))
+
+
+def test_only_the_writers_derive_the_queue_depth_and_the_sources(monkeypatch):
+    # the queue depth (an integer prefix sum) and the source codes are read
+    # by the writers and the keeper alone: the summary-only run derives
+    # neither, and simulate each once a chunk. Every hint is an EWMA one,
+    # so a source array is the one integer array of ones
+    cfg = _cfg(3 * C - 5, forecaster="ewma")
+    made = []
+    cumsum, zeros = np.cumsum, np.zeros
+
+    def counted_cumsum(a, *args, **kw):
+        made.append(("cumsum", np.asarray(a)))
+        return cumsum(a, *args, **kw)
+
+    def counted_zeros(*args, **kw):
+        made.append(("zeros", zeros(*args, **kw)))
+        return made[-1][1]
+
+    def derived(run):
+        made.clear()
+        run(cfg)
+        steps = [(f, x) for f, x in made if x.dtype.kind == "i" and x.size > 100]
+        return (sum(f == "cumsum" for f, _ in steps),
+                sum(f == "zeros" and bool(x.all()) for f, x in steps))
+
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", C)
+    monkeypatch.setattr(np, "cumsum", counted_cumsum)
+    monkeypatch.setattr(np, "zeros", counted_zeros)
+    assert derived(sim._summarize) == (0, 0)
+    assert derived(sim.simulate) == (3, 3)

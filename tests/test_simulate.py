@@ -626,9 +626,12 @@ def test_per_state_sums_equal_the_masked_sums(runs):
     zeros = np.zeros(n)
     stats = sim._Summary(cfg)
     stats.add(sim._Chunk(
-        0, np.arange(n, dtype=float), state_idx, rho, zeros, zeros, zeros,
-        np.zeros(n, dtype=int), np.zeros(n, dtype=np.int64), 0, 0.0, 0, 0.0, 0,
-        zeros, zeros, zeros, zeros))
+        lo=0, t_ms=np.arange(n, dtype=float), state_idx=state_idx, rho=rho,
+        p_eic_w=zeros, hint_w=zeros, newest_input_ms=zeros, n_replay=n,
+        depth_moves=np.zeros(n, dtype=np.int64), throttle_deferrals=0,
+        outstanding_density=0.0, outstanding_entries=0, shed_density=0.0,
+        shed_entries=0, delta_t_c=zeros, bias_c=zeros, residual_c=zeros,
+        drift_nm=zeros))
     for i in range(len(stats.rho_sums)):
         mask = state_idx == i
         assert stats.rho_steps[i] == mask.sum()

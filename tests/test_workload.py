@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +238,23 @@ def test_a_hold_far_past_the_run_plans_like_one_of_its_length(hold_ms):
         far, near = plan(low_ms, hold_ms), plan(min(low_ms, 500.0), 500.0)
         assert np.array_equal(far.state_idx, near.state_idx)
         assert np.array_equal(far.rho, near.rho)
+
+
+def test_an_out_of_order_plan_read_raises_under_python_O():
+    # the check is no assert, so ``python -O`` keeps it: a read that does
+    # not start where the last ended would draw another step's noise
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("from cpodrift.errors import InputError\n"
+            "from cpodrift.workload import WorkloadConfig, _PlanStream\n"
+            "plan = _PlanStream(WorkloadConfig(step_count=100), 5)\n"
+            "plan(0, 10)\n"
+            "try:\n"
+            "    plan(20, 30)\n"
+            "except InputError as e:\n"
+            "    print(e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ("the plan is read in step order: a read "
+                                  "from step 20 after one that ended at step 10")
