@@ -25,7 +25,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import CoverageError, ExtractionError, InputError, InsufficientDataError
 from .optics import drift
-from .telemetry import FLOAT_FMT, TelemetryFrame, write_json, write_rows
+from .telemetry import FLOAT_FMT, TelemetryFrame, csv_file, write_json, write_rows
 from .thermal import (JUNCTION_CEILING_C, ThermalParams, peak_junction_temperature,
                       step_response_fraction)
 from .workload import STATE_BY_NAME, steps_of
@@ -626,7 +626,7 @@ def report_dict(report: FingerprintReport) -> dict:
 def write_panel_csv(panel: Panel, path) -> None:
     """One CSV per panel; meta as commented key=value header lines."""
     cols = panel.columns
-    with open(path, "w", newline="") as fh:
+    with csv_file(path) as fh:
         for k, v in panel.meta.items():
             fh.write(f"# {k}={v}\n")
         fh.write(",".join(cols) + "\n")

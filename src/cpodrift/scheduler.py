@@ -30,7 +30,7 @@ import numpy as np
 
 from .controller import COMPENSATION_GAIN, RESIDUAL_CAP_C
 from .errors import ConfigError, InputError, Positive, SliceViolationError, check_fields
-from .telemetry import FLOAT_FMT, write_rows
+from .telemetry import FLOAT_FMT, csv_file, write_rows
 from .thermal import ThermalParams, steady_state_delta_t, step_response_fraction
 from .workload import AffineMapParams, DEFAULT_MAP, density_to_power
 
@@ -236,7 +236,7 @@ class ForecastLog(NamedTuple):
     source: np.ndarray          # 0 = queue replay, 1 = EWMA fallback
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with csv_file(path) as fh:
             fh.write(LOG_HEADER)
             write_rows([(fh, tuple(LOG_CELLS))], self._asdict() | {
                 "source": (self.source, _SOURCE_NAMES)}, LOG_CELLS)

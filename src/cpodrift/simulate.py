@@ -16,8 +16,8 @@ the forecast power and horizon of a hint. So a run is two passes, and
   density of each step, the noise drawn from one generator in order.
 * Schedule pass (:func:`_dispatch`): from the plan alone, the dispatched
   density and power, the hint stream with the count of replayed hints, the
-  queue-depth differences, the deferral count, and the work shed or
-  deferred past the last step.
+  queue-depth moves, the deferral count, and the work shed or deferred
+  past the last step.
   Array reads cover every step the throttle leaves alone. A firing edits
   only its step's forecast slot and the slot a slice on, so from each step
   whose hint may breach the throttle cap the pass sweeps a block of a
@@ -82,6 +82,7 @@ from .workload import (
     density_to_power,
     density_to_throughput,
     steps_of,
+    stream_counts,
 )
 
 STABILIZATION_BAND_C = 0.05     # | trailing-mean residual - cap | tolerance
@@ -203,12 +204,14 @@ class _Chunk(NamedTuple):
     hint_w: np.ndarray           # look-ahead hint power
     newest_input_ms: np.ndarray  # newest input stamp each hint read
     n_replay: int                # hints replaying the queue, all before EWMA ones
-    depth_moves: np.ndarray      # queue-depth differences, the first from 0
+    depth_moves: np.ndarray | int    # queue-depth moves; 0 before any block
     throttle_deferrals: int
     outstanding_density: float   # deferred past the last step
     outstanding_entries: int
     shed_density: float          # taken out a second time: dropped
     shed_entries: int
+    planned: np.ndarray | None = None   # planned density of [lo, lo + len + adm)
+    moves_before: int = 0        # the queue-depth moves of the steps before lo
     # the physics, which _chunks fills in after the schedule pass
     delta_t_c: np.ndarray | None = None
     bias_c: np.ndarray | None = None
@@ -216,12 +219,20 @@ class _Chunk(NamedTuple):
     drift_nm: np.ndarray | None = None
 
     def columns(self, config: RunConfig) -> dict:
-        """The chunk's CSV columns by name, a few as ``(codes, table)``."""
+        """The chunk's CSV columns by name, a few as ``(codes, table)``. A
+        step admits the streams of the step an admission lead on, runs its
+        own and adds its moves, so the queue depth after step lo - 1 is the
+        streams of steps [lo, lo + lead) plus the moves before lo."""
         sc, n = config.scheduler, self.t_ms.size
         one = np.zeros(n, np.intp)    # the codes of a one-value table
         source = np.zeros(n, np.intp)     # 0 = queue replay, 1 = EWMA fallback
         source[self.n_replay:] = 1
-        depth = np.cumsum(self.depth_moves)   # admitted streams pending
+        adm = steps_of(sc.admission_lead_ms, config.workload.step_period_ms)
+        pn = stream_counts(self.planned)    # through the run's last step
+        d, ahead = -pn[:n] + self.depth_moves, pn[adm:]
+        d[:ahead.size] += ahead
+        d[0] += int(pn[:adm].sum()) + self.moves_before
+        depth = np.cumsum(d)    # admitted streams pending
         depths, codes = np.unique(depth, return_inverse=True)
         eta = preposition_fraction(sc.horizon_ms, config.thermal.tau_ms)
         return self._asdict() | dict(
@@ -268,25 +279,52 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
         del chunk, dT, bias, residual   # freed before the next chunk is made
 
 
+_ONE_TO_255 = np.arange(1, 256, dtype=np.uint64)   # a bisection round's probes
+
+
+def _split(passes: Callable) -> tuple[float, float]:
+    """The last float that fails ``passes`` and the first that passes it,
+    NaN for a side with none, so ``x <= last`` and ``x >= first`` are its
+    sides bit for bit: for a test of float arrays that NaN fails and the
+    floats, -inf to +inf, fail up to one and pass from the next, as a
+    comparison of IEEE operations each nondecreasing in x does (each rounds
+    a nondecreasing exact result). Bisection, 255 floats a round, over the
+    floats in order as unsigned integers: a float's bits with the sign bit
+    set, or all flipped if it was set."""
+    def floats(u: np.ndarray) -> np.ndarray:
+        return np.where(u >> 63, u ^ np.uint64(1 << 63), ~u).view(float)
+
+    # the NaNs beside -inf and +inf: a side with no float ends there
+    lo, hi = 0x000F_FFFF_FFFF_FFFE, 0xFFF0_0000_0000_0001
+    with np.errstate(all="ignore"):     # a float far out overflows the test
+        while hi - lo > 1:
+            u = _ONE_TO_255[:hi - lo - 1] * np.uint64(max(1, (hi - lo) >> 8))
+            u += np.uint64(lo)
+            # the floats that fail come first: u[i] is the first that passes
+            i = u.size - int(np.count_nonzero(passes(floats(u))))
+            lo, hi = int(u[i - 1]) if i else lo, int(u[i]) if i < u.size else hi
+    return tuple(floats(np.array([lo, hi], np.uint64)).tolist())
+
+
 # ---------------------------------------------------------------------------
 # schedule pass
 
 def _extended(buffers: tuple[np.ndarray, ...], plan: tuple[np.ndarray, ...],
               wmap: AffineMapParams) -> tuple[np.ndarray, ...]:
     """The step buffers of :func:`_dispatch` with the steps of ``plan`` (its
-    ``state_idx``, ``rho`` and ``n_streams``) added: their plan, their
-    dispatched density and power as planned, and, if the pass holds those
-    buffers yet, no deferred entry and no queue-depth move."""
+    ``state_idx`` and ``rho``) added: their plan, their dispatched density
+    and power as planned, and, if the pass holds those buffers yet, no
+    deferred entry and no queue-depth move."""
     n, rho = buffers[0].size, plan[1]
     out = tuple(np.empty(n + rho.size, x.dtype) for x in buffers)
     for x, y, new in zip(buffers, out, (*plan, rho, rho, 0.0, -1, 0)):
         y[:n], y[n:] = x, new
-    density_to_power(out[4][n:], wmap, out=out[4][n:])
+    density_to_power(out[3][n:], wmap, out=out[3][n:])
     return out
 
 
 def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
-    """Dispatch, hints, queue depth, deferrals and shed work of the run of
+    """Dispatch, hints, queue moves, deferrals and shed work of the run of
     ``config`` from its plan (:class:`_PlanStream`) alone, ``_CHUNK_STEPS``
     steps at a time, each with the times and load state of its steps: the
     chunks of the run without their physics.
@@ -314,7 +352,9 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     horizon's for EWMA ones, has final hints: the pass reads them again
     from the final power and cuts their slots together, and takes the
     EWMA hints a firing retimes past the steps that can fire again once
-    the chunk is swept.
+    the chunk is swept. A hint may breach the cap iff the cut's own
+    projection of it does, which is nondecreasing in the hint's power, so
+    iff the power is at least one :func:`_split` finds once a run.
 
     Every edit of a firing lands after its step, so a chunk's rows are
     final once it is swept. The pass holds its step buffers (the plan,
@@ -322,8 +362,11 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     on the deferred entries and the queue-depth moves) from ``win`` steps
     before the chunk (the EWMA window) to as far past it as a firing
     reaches (horizon plus slice) or the queue depth reads (admission lead).
-    A chunk holds the queue-depth differences, the depth before it added to
-    the first, so the next chunk's carry is their sum.
+    A chunk holds views of its planned density to an admission lead past it
+    and of its queue-depth moves, and the total of the moves before it: the
+    depth after step lo - 1 is the streams planned over [lo, lo + lead)
+    plus those moves. So the pass counts streams only in a chunk whose
+    throttle fires, and :meth:`_Chunk.columns` derives the depth.
     """
     sc = config.scheduler
     wmap, thermal = config.affine_map, config.thermal
@@ -346,17 +389,19 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     reach = max(h + slice_steps, adm)
     replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
     span = h if sc.forecaster == "ewma" else slice_steps    # steps per block
+    f_min = _split(lambda F: throttle_projection(F, thermal, gain) > cap)[1]
+    ramp = np.arange(min(N, _CHUNK_STEPS), dtype=float)
     deferrals = outstanding_entries = shed_entries = 0
     outstanding_density = shed_density = 0.0
 
-    # the step buffers, of steps [b, top): the plan (state, density,
-    # streams), the dispatched density and power, and from the first block
-    # swept on, the density and streams (-1: none) of the entry deferred
-    # into each step and the queue-depth moves
-    ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
-    bufs = (ints, floats, ints, floats, floats)
+    # the step buffers, of steps [b, top): the plan (state, density), the
+    # dispatched density and power, and from the first block swept on, the
+    # density and streams (-1: none) of the entry deferred into each step
+    # and the queue-depth moves
+    floats = np.empty(0)
+    bufs = (np.empty(0, dtype=np.uint8), floats, floats, floats)
     b = top = 0
-    depth_before = 0    # the queue depth after step lo - 1 (step 0: pn[:adm])
+    moves_before = 0    # the queue-depth moves of the steps before lo
 
     def ewma(s0: int, s1: int) -> None:
         """F over steps [s0, s1): the weighted mean of the trailing power
@@ -377,23 +422,23 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             grow = min(N, hi + reach) - top
             bufs = _extended(bufs, plan(top, top + grow), wmap)
             top += grow
-        sidx, prho, pn, rho, P, *moves = bufs
+        sidx, prho, rho, P, *moves = bufs
+        pn = None
 
         F = np.empty(hi - lo)
         r = max(0, min(hi, replay) - lo)    # replay rows
         F[:r] = P[lo + h - b:lo + h + r - b]
         ewma(lo + r, hi)
-        t_ms = np.arange(lo, hi, dtype=float)
-        newest = t_ms.copy()
+        newest = ramp[:hi - lo] + lo    # the chunk's steps
+        t_ms = newest * dt
         np.maximum(newest[:r] + (h - adm), 0.0, out=newest[:r])
         newest *= dt
-        t_ms *= dt
 
-        # the hints that may breach the cap: the cut's own projection of
-        # each, among the steps [lo, end) whose hint forecasts a slot of the
-        # run, and later each hint a firing retimes
+        # the hints that may breach the cap, among the steps [lo, end) whose
+        # hint forecasts a slot of the run, and later each hint a firing
+        # retimes
         end = max(lo, min(hi, N - h)) if sc.throttle_enabled else lo
-        may = throttle_projection(F, thermal, gain) > cap
+        may = F >= f_min
         may[end - lo:] = False
         a = lo
         while a < end:
@@ -412,7 +457,7 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             F[k - lo:r1 - lo] = P[k + h - b:r1 + h - b]
             ewma(r1, a)
             j = slice(k + h - b, a + h - b)
-            own, n_own, r_in, n_in = prho[j], pn[j], into_rho[j], into_n[j]
+            own, r_in, n_in = prho[j], into_rho[j], into_n[j]
             # each slot's entries in queue order: the plan entry, and the
             # entry deferred into it if any
             counts = 1 + (n_in >= 0)
@@ -423,6 +468,9 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
                                  gain, wmap)[0]
             if not taken.any():
                 continue
+            if pn is None:      # the plan's stream counts, once a chunk
+                pn = stream_counts(prho)
+            n_own = pn[j]
             # what is left is the oldest entry, or nothing
             left = counts - taken
             np.copyto(rho[j], np.where(left > 0, entries[:, 0], 0.0),
@@ -466,21 +514,13 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         if may[end - lo:].any():
             ewma(end, hi)   # retimed hints of the steps that cannot fire
 
-        # the queue-depth differences: a step admits the streams of step
-        # s + adm (none from N on), runs its own and adds its moves
-        d = -pn[lo - b:hi - b]
-        if moves:
-            d += moves[2][lo - b:hi - b]     # the queue-depth moves
-        na = max(0, min(hi, N - adm) - lo)
-        d[:na] += pn[lo + adm - b:lo + adm + na - b]
-        d[0] += depth_before if lo else pn[:adm].sum()
-        depth_before = int(d.sum())
-
+        at = slice(lo - b, hi - b)
+        depth_moves = moves[2][at] if moves else 0
         yield _Chunk(
-            lo, t_ms, sidx[lo - b:hi - b],
-            rho[lo - b:hi - b], P[lo - b:hi - b], F, newest, r, d,
+            lo, t_ms, sidx[at], rho[at], P[at], F, newest, r, depth_moves,
             deferrals, outstanding_density, outstanding_entries, shed_density,
-            shed_entries)
+            shed_entries, prho[at.start:min(hi + adm, N) - b], moves_before)
+        moves_before += int(np.sum(depth_moves))
         drop = max(0, hi - win + 1) - b
         bufs = tuple(x[drop:] for x in bufs)
         b += drop
@@ -516,9 +556,11 @@ class _Summary:
     trailing window's cumulative sum carries across chunk edges. The means,
     the per-state dispatched-density means among them, sum per chunk, so
     with more than one chunk they may differ from ``np.mean`` of the whole
-    column in the last bits (1e-12 relative bounds it). The causality audit
-    runs per chunk. Any ``_Chunk`` is a chunk: the oracle feeds its whole
-    run as one.
+    column in the last bits (1e-12 relative bounds it). A trailing mean is
+    in band iff its window's sum x is in [x_lo, x_hi]: x / window - cap is
+    nondecreasing in x, so :func:`_split` finds both ends once a run. The
+    causality audit runs per chunk. Any ``_Chunk`` is a chunk: the oracle
+    feeds its whole run as one.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -527,6 +569,9 @@ class _Summary:
                                       config.workload.step_period_ms))
         self.max_residual = self.max_drift = self.peak_delta = -math.inf
         self.sum_residual = self.sum_drift = 0.0
+        w, cap = self.window, config.controller.residual_cap_c
+        self.x_lo = _split(lambda x: x / w - cap >= -STABILIZATION_BAND_C)[1]
+        self.x_hi = _split(lambda x: x / w - cap > STABILIZATION_BAND_C)[0]
         self.cum = np.zeros(1)  # cumulative residual at the last window steps
         self.done = 0           # trailing means computed so far
         self.first: int | None = None   # first trailing mean in band
@@ -550,18 +595,16 @@ class _Summary:
         w, k = self.window, self.cum.size
         c = np.concatenate((self.cum, r))
         np.cumsum(c[k - 1:], out=c[k - 1:])     # on from the carried sum
-        trailing = np.subtract(c[w:], c[:-w])
-        trailing /= w
-        trailing -= self.config.controller.residual_cap_c
-        inband = np.abs(trailing, out=trailing) <= STABILIZATION_BAND_C
+        x = np.subtract(c[w:], c[:-w])  # the trailing windows' sums
         if self.first is None:
+            inband = (x >= self.x_lo) & (x <= self.x_hi)
             hits = np.flatnonzero(inband)
             if hits.size:
                 self.first = self.done + int(hits[0])
                 self.stays = bool(inband[hits[0]:].all())
-        else:
-            self.stays = self.stays and bool(inband.all())
-        self.done += trailing.size
+        elif self.stays:
+            self.stays = bool(self.x_lo <= x.min() and x.max() <= self.x_hi)
+        self.done += x.size
         self.cum = c[-w:]
 
         # the chunk's runs of one state, [starts, ends); a state whose rows

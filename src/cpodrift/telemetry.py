@@ -24,7 +24,9 @@ it adds, and with ``refcheck`` off, which profilers and tracers would trip.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import islice
 
@@ -126,7 +128,8 @@ def _float_band(x) -> np.ndarray:
     # inf and nan never pass, so those values are not used
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.abs(x)
-        e = np.floor(np.log10(a)).astype(np.intp).clip(-4, 8)
+        e = np.floor(np.log10(a)).astype(np.intp)
+        np.minimum(np.maximum(e, -4, out=e), 8, out=e)
         s = a * _POW10[8 - e]
         m = np.rint(s)
         # s = fl(|x|·10^(8−e)) rounds the exact product once, and rounding is
@@ -240,9 +243,23 @@ def write_rows(files, columns, cells) -> None:
             fh.write(text.decode("utf-8", "surrogatepass"))
 
 
+@contextmanager
+def csv_file(path):
+    """``path`` open to write a CSV; a cell that is not UTF-8 text (a lone
+    surrogate) raises an InputError naming it and the path, leaving no file."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except UnicodeEncodeError as e:
+        os.remove(path)
+        at = max(e.object.rfind(c, 0, e.start) for c in ",\n") + 1
+        cell = e.object[at:].split("\n")[0].split(",")[0]
+        raise InputError(f"{path}: {cell!r} is not UTF-8 text") from None
+
+
 def write_csv(frame: TelemetryFrame, path) -> None:
     """Write a frame's telemetry to CSV, one row per step."""
-    with open(path, "w", newline="") as fh:
+    with csv_file(path) as fh:
         fh.write(",".join(COLUMNS) + "\n")
         write_rows([(fh, COLUMNS)], vars(frame), _CELLS)
 

@@ -281,12 +281,14 @@ class _PlanStream:
     """The plan of :func:`generate_workload`, read in step order, any number
     of steps at a time.
 
-    A read repeats the state index and density target of each hold of the
-    schedule's cycle for its steps read, so it costs the steps read plus the
-    holds of the cycles it crosses. The noise is drawn from one generator read after read,
-    which gives the one-call draw bit for bit. A stream set has no negative
-    density, so a read that draws one raises a ``ConfigError`` naming
-    ``workload.noise_sigma``.
+    A read repeats the state index (``uint8``) and density target of each
+    hold of the schedule's cycle for its steps read, so it costs the steps
+    read plus the holds of the cycles it crosses. The noise is drawn from
+    one generator read after read, which gives the one-call draw bit for
+    bit (sigma times ``standard_normal`` is ``normal(0, sigma)`` but for a
+    zero's sign, which adding it to a target drops). A stream set has no
+    negative density, so a read that draws one raises a ``ConfigError``
+    naming ``workload.noise_sigma``.
     """
 
     def __init__(self, config: WorkloadConfig, seed: int) -> None:
@@ -294,7 +296,7 @@ class _PlanStream:
         dt = config.step_period_ms
         name_to_idx = {nm: i for i, nm in enumerate(STATE_BY_NAME)}
         self.idx = np.array([name_to_idx[state] for state, _ in config.schedule],
-                            dtype=np.int64)
+                            dtype=np.uint8)
         # where each hold of the cycle ends, in steps; a hold is read for
         # at most the run's steps, so cap it there to keep the cycle in int64
         cap_ms = config.step_count * dt
@@ -308,10 +310,9 @@ class _PlanStream:
             else None
         self.top = 0    # steps read
 
-    def __call__(self, lo: int, hi: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``state_idx``, ``rho`` and ``n_streams`` of steps [lo, hi), where
-        ``lo`` is the step the last read ended at."""
+    def __call__(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``state_idx`` and ``rho`` of steps [lo, hi), where ``lo`` is the
+        step the last read ended at."""
         if lo != self.top:
             raise InputError(f"the plan is read in step order: a read from "
                              f"step {lo} after one that ended at step {self.top}")
@@ -327,15 +328,21 @@ class _PlanStream:
         rho = np.repeat(np.tile(self.rho_targets, m), steps)
         if self.rng is not None:
             sigma = self.config.noise_sigma
-            rho += self.rng.normal(0.0, sigma, hi - lo)
-            negative = np.flatnonzero(rho < 0)
-            if negative.size:
+            noise = self.rng.standard_normal(hi - lo)
+            rho += np.multiply(noise, sigma, out=noise)
+            if rho.min(initial=0.0) < 0:
+                negative = np.flatnonzero(rho < 0)
                 raise ConfigError(
                     f"workload.noise_sigma = {sigma} draws a negative density "
                     f"with seed {self.seed}, first at step "
                     f"{lo + int(negative[0])}; a stream set cannot have one")
-        n_streams = np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64)
-        return state_idx, rho, np.maximum(n_streams, 1, out=n_streams)
+        return state_idx, rho
+
+
+def stream_counts(rho: np.ndarray) -> np.ndarray:
+    """Streams a step of planned density ``rho`` runs: max(1, rint(rho / 0.65))."""
+    n = np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64)
+    return np.maximum(n, 1, out=n)
 
 
 def generate_workload(config: WorkloadConfig, seed: int) -> WorkloadPlan:
@@ -348,9 +355,9 @@ def generate_workload(config: WorkloadConfig, seed: int) -> WorkloadPlan:
     """
     n = config.step_count
     dt = config.step_period_ms
-    state_idx, rho, n_streams = _PlanStream(config, seed)(0, n)
+    state_idx, rho = _PlanStream(config, seed)(0, n)
     return WorkloadPlan(
         seed=seed, step_period_ms=dt, t_ms=np.arange(n, dtype=float) * dt,
         state_names=tuple(STATE_BY_NAME), state_idx=state_idx, rho=rho,
-        n_streams=n_streams,
+        n_streams=stream_counts(rho),
     )

@@ -81,7 +81,7 @@ def plan_oracle(config: WorkloadConfig, seed: int) -> Plan:
     cycle = []
     for state, dur_ms in config.schedule:
         cycle.extend([names.index(state)] * max(1, round(min(dur_ms / dt, n))))
-    cycle = np.asarray(cycle, dtype=np.int64)
+    cycle = np.asarray(cycle, dtype=np.uint8)
     state_idx = np.tile(cycle, -(-n // cycle.size))[:n]
     rho = np.asarray([s.rho_target for s in LOAD_STATES])[state_idx]
     if config.noise_sigma > 0:

@@ -37,6 +37,7 @@ from cpodrift.experiments import run_experiment
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.errors import InputError
 from cpodrift.scheduler import ForecastLog, SchedulerConfig
+from cpodrift.scheduler import throttle_projection
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
 from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig
 from cpodrift import telemetry
@@ -508,3 +509,97 @@ def test_only_the_writers_derive_the_queue_depth_and_the_sources(monkeypatch):
     monkeypatch.setattr(np, "zeros", counted_zeros)
     assert derived(sim._summarize) == (0, 0)
     assert derived(sim.simulate) == (3, 3)
+
+
+def test_only_the_writers_and_the_cut_count_streams(monkeypatch):
+    # the stream counts feed the queue depth, which the writers and the
+    # keeper read, and the entries a firing defers: a run whose throttle
+    # sweeps no block counts none for its summary, and simulate once a chunk
+    cfg = _cfg(3 * C - 5, scheduler=SchedulerConfig())
+    calls = []
+    counts = sim.stream_counts
+
+    def counted(rho):
+        calls.append(rho.size)
+        return counts(rho)
+
+    def cut(*args, **kw):
+        raise AssertionError("the throttle swept a block")
+
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", C)
+    monkeypatch.setattr(sim, "stream_counts", counted)
+    monkeypatch.setattr(sim, "throttle_cut", cut)
+    sim._summarize(cfg)
+    assert calls == []
+    sim.simulate(cfg)
+    assert len(calls) == 3
+
+
+def _band_edge_cases(n=70):
+    """Throttle and summary settings from one seed: compensation gains in
+    [0, 1] with both ends, caps from 1e-300 to 1e6, baselines from 0 to 1e8,
+    residual caps and step periods."""
+    rng = np.random.default_rng(35)
+    gains = [0.0, 1.0, 1.0 - 2.0 ** -53, 0.95] + rng.uniform(0, 1, n).tolist()
+    return [pytest.param(gains[i], float(10.0 ** rng.uniform(-300, 6)),
+                         0.0 if i % 4 == 0 else float(rng.uniform(0, 1e8)),
+                         float(10.0 ** rng.uniform(-1.4, 6)),
+                         float(rng.choice([0.5, 1.0, 2.0, 2.5, 5.0])), id=str(i))
+            for i in range(n)]
+
+
+def _probes(edges, rng):
+    """Floats about each edge: it, its neighbours, the signed zeros, the
+    infinities, NaN, the least subnormal, floats near the edge and floats of
+    any bit pattern."""
+    edges = np.array([e for e in edges if np.isfinite(e)], dtype=float)
+    near = [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            np.outer(edges, rng.uniform(0.999, 1.001, 20)).ravel()]
+    wide = rng.integers(0, 2 ** 64, 200, dtype=np.uint64, endpoint=False)
+    return np.concatenate(near + [[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                                   -5e-324], wide.view(float)])
+
+
+@pytest.mark.parametrize("gain, cap, baseline, residual_cap, step_ms",
+                         _band_edge_cases())
+def test_thresholds_give_the_elementwise_tests(monkeypatch, gain, cap, baseline,
+                                               residual_cap, step_ms):
+    # the throttle screen, projection(F) > cap, is F >= f_min, and a
+    # trailing mean in band, |x / window - cap| <= band, is
+    # x_lo <= x <= x_hi for its window's sum x, for every float F and x
+    cfg = RunConfig(
+        seed=1,
+        workload=WorkloadConfig(step_count=100, step_period_ms=step_ms),
+        thermal=ThermalParams(p_baseline_w=baseline),
+        scheduler=SchedulerConfig(throttle_compensation_gain=gain,
+                                  throttle_cap_c=cap),
+        controller=ControllerParams(residual_cap_c=residual_cap))
+    found, split = [], sim._split
+    monkeypatch.setattr(sim, "_split", lambda t: found.append(split(t)) or found[-1])
+    next(sim._dispatch(cfg))
+    (_, f_min), = found
+    stats = sim._Summary(cfg)
+    rng = np.random.default_rng(int(gain * 1e6))
+    F = _probes([f_min], rng)
+    x = _probes([stats.x_lo, stats.x_hi], rng)
+    with np.errstate(all="ignore"):     # far floats overflow, NaNs signal
+        screened = throttle_projection(F, cfg.thermal, gain) > cap
+        trailing = x / stats.window
+        trailing -= residual_cap
+    inband = np.abs(trailing) <= sim.STABILIZATION_BAND_C
+    assert np.array_equal(F >= f_min, screened)
+    assert np.array_equal((x >= stats.x_lo) & (x <= stats.x_hi), inband)
+    assert inband.any() and not screened[np.isnan(F)].any()
+
+
+@pytest.mark.parametrize("shift, stays", [(0.0, True), (1.0, False), (-1.0, False)])
+def test_the_verdict_leaves_the_band_above_or_below_after_a_chunk_edge(shift, stays):
+    # the first chunk's last trailing mean is the cap, in band; the next
+    # chunk keeps it there, or takes it out above or below
+    cfg = _default_cfg(3000)
+    cap = cfg.controller.residual_cap_c
+    stats = sim._Summary(cfg)
+    for lo, r in ((0, cap), (1000, cap + shift), (2000, cap + shift)):
+        t = np.arange(lo, lo + 1000, dtype=float)
+        stats.add(_stamped_chunk(lo, t)._replace(residual_c=np.full(1000, r)))
+    assert stats.first == 0 and stats.stays is stays

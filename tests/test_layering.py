@@ -87,3 +87,12 @@ def test_only_the_classes_read_as_dataclasses_are_dataclasses():
         DATACLASSES, RULE
     assert sorted(n for n in RECORDS if not hasattr(classes.get(n), "_fields")) \
         == [], RULE
+
+
+def test_src_holds_no_assert():
+    # ``python -O`` strips an assert, so a check the package relies on
+    # raises instead
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert SOURCES and found == []

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpodrift import fingerprint
 from cpodrift import telemetry
 from cpodrift.config import default_config
 from cpodrift.errors import InputError
@@ -488,3 +489,25 @@ def test_read_keeps_one_str_per_state_name(tmp_path, monkeypatch, fingerprint_ru
     write_csv(fingerprint_run.frame, path)
     states = read_csv(path).load_state
     assert len({id(s) for s in states}) == len(set(states)) > 1
+
+
+def test_writers_reject_a_name_that_is_not_utf8_and_leave_no_file(
+        tmp_path, fingerprint_run):
+    # a lone surrogate is a str, and write_rows renders it into any text
+    # stream; a file's UTF-8 encoder cannot write it
+    lone = str(PANEL_NAMES[-1])
+    states = fingerprint_run.frame.load_state.copy()
+    states[7] = lone
+    frame = replace(fingerprint_run.frame, load_state=states)
+    panel = fingerprint.Panel("p", {"x": np.arange(3.0),
+                                    "state": PANEL_NAMES[[0, 4, 2]]}, {"k": 1})
+    for write, path in ((lambda p: write_csv(frame, p), tmp_path / "t.csv"),
+                        (lambda p: fingerprint.write_panel_csv(panel, p),
+                         tmp_path / "p.csv")):
+        with pytest.raises(InputError) as e:
+            write(path)
+        assert str(path) in str(e.value) and repr(lone) in str(e.value)
+        assert not path.exists()
+    fh = io.StringIO()
+    write_rows([(fh, ("state",))], panel.columns, {"state": "%s"})
+    assert fh.getvalue().splitlines()[1] == lone
