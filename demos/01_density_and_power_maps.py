@@ -6,22 +6,19 @@ density rides two calibrated affine maps: one to system throughput (MTPS),
 one to package power (W).
 """
 
+from dataclasses import replace
+
 from cpodrift import (
     LOAD_STATES,
-    StreamDescriptor,
-    WorkloadConfig,
-    density,
     density_to_power,
     density_to_throughput,
-    generate_workload,
+    simulate,
     throughput_to_density,
 )
+from cpodrift.config import default_config
 
-streams = [
-    StreamDescriptor(attn_footprint=1.2, activation_rate=0.5, routing_coeff=1.5),
-    StreamDescriptor(attn_footprint=0.9, activation_rate=1.0, routing_coeff=1.0),
-]
-rho = density(streams)
+# two streams: 1.2 x 0.5 x 1.5 + 0.9 x 1.0 x 1.0
+rho = 1.2 * 0.5 * 1.5 + 0.9 * 1.0 * 1.0
 print(f"two streams -> density {rho:.3f}")
 print(f"  throughput {density_to_throughput(rho):.4f} MTPS")
 print(f"  power      {density_to_power(rho):.2f} W")
@@ -32,16 +29,11 @@ for s in LOAD_STATES:
     print(f"  {s.name:<7} rho={s.rho_target:.2f}  T24={s.t24_mtps:.4f} MTPS  "
           f"P={s.power_w:.1f} W")
 
-plan = generate_workload(WorkloadConfig(step_count=20_000), seed=24)
-print(f"\ngenerated {plan.step_count} steps; per-state mean density:")
-for i, name in enumerate(plan.state_names):
-    mask = plan.state_idx == i
-    if mask.any():
-        print(f"  {name:<7} mean rho = {plan.rho[mask].mean():.4f} "
-              f"({int(mask.sum())} steps)")
-
-k = 5000
-print(f"\nstep {k}: state {plan.state_name(k)}, "
-      f"{plan.n_streams[k]} streams, rho {plan.rho[k]:.4f}")
-print("  materialized stream sum:",
-      f"{density(plan.streams_at(k)):.6f} (matches the plan)")
+cfg = default_config(24)
+cfg = replace(cfg, workload=replace(cfg.workload, step_count=20_000))
+means = simulate(cfg).summary.mean_rho_by_state
+print(f"\na {cfg.workload.step_count}-step run; per-state mean density:")
+for s in LOAD_STATES:
+    if s.name in means:
+        print(f"  {s.name:<7} mean rho = {means[s.name]:.4f} "
+              f"(target {s.rho_target:.2f})")

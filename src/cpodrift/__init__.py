@@ -77,13 +77,9 @@ from .workload import (
     AffineMapParams,
     LOAD_STATES,
     LoadState,
-    StreamDescriptor,
     WorkloadConfig,
-    WorkloadPlan,
-    density,
     density_to_power,
     density_to_throughput,
-    generate_workload,
     load_state,
     throughput_to_density,
 )

@@ -4,9 +4,10 @@ Every documented failure mode raises a distinct, catchable class so callers
 (and the acceptance suite) can tell degenerate inputs apart from bugs.
 
 A config field declares its own range in its annotation: ``Positive``,
-``NonNegative`` and ``Fraction`` are floats with a rule, and a ``Literal``
-lists the choices. :func:`check_fields` enforces both, so a section's
-``__post_init__`` keeps only the rules that relate two or more values.
+``NonNegative``, ``Fraction`` and ``AboveAbsoluteZero`` (a temperature in
+C) are floats with a rule, and a ``Literal`` lists the choices.
+:func:`check_fields` enforces both, so a section's ``__post_init__`` keeps
+only the rules that relate two or more values.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class ConfigError(CpodriftError):
 Positive = typing.Annotated[float, "> 0", lambda x: x > 0]
 NonNegative = typing.Annotated[float, ">= 0", lambda x: x >= 0]
 Fraction = typing.Annotated[float, "in (0, 1]", lambda x: 0 < x <= 1]
+AboveAbsoluteZero = typing.Annotated[float, "> -273.15", lambda x: x > -273.15]
 
 
 @functools.cache

@@ -60,8 +60,3 @@ def assess(drift_nm: float, params: OpticParams = OpticParams()) -> DriftAssessm
         within_spec=mag <= params.spec_band_nm,
         within_tolerance=mag <= params.tolerance_band_nm,
     )
-
-
-def spec_delta_t_limit_c(params: OpticParams = OpticParams()) -> float:
-    """Temperature delta at which drift exactly fills the spec band."""
-    return params.spec_band_nm / params.kappa_to

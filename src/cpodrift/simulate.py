@@ -210,8 +210,8 @@ class _Chunk(NamedTuple):
     outstanding_entries: int
     shed_density: float          # taken out a second time: dropped
     shed_entries: int
-    planned: np.ndarray | None = None   # planned density of [lo, lo + len + adm)
-    moves_before: int = 0        # the queue-depth moves of the steps before lo
+    planned: np.ndarray          # planned density of [lo, lo + len + adm)
+    moves_before: int            # the queue-depth moves of the steps before lo
     # the physics, which _chunks fills in after the schedule pass
     delta_t_c: np.ndarray | None = None
     bias_c: np.ndarray | None = None

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, Fraction, InputError, Positive, StepSizeError,
-                     check_fields)
+from .errors import (AboveAbsoluteZero, ConfigError, Fraction, InputError,
+                     Positive, StepSizeError, check_fields)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ThermalParams:
     tau_ms: Positive = 80.0       # RC time constant
     gamma: Fraction = 1.0         # spatial coupling
     d_um: Positive | None = None  # optional separation; overrides gamma when set
-    ambient_c: float = 45.0       # package reference temperature at idle
+    ambient_c: AboveAbsoluteZero = 45.0   # package reference temperature at idle
     p_baseline_w: float = 0.0
 
     def __post_init__(self) -> None:
@@ -271,22 +271,6 @@ class BoundaryStack:
                     f"boundary.cumulative[{i}] = {c} must exceed {prev}"
                 )
             prev = c
-
-    @property
-    def stages(self) -> tuple[tuple[str, float], ...]:
-        """(name, per-stage resistance) pairs, junction outward."""
-        prev = 0.0
-        out = []
-        for name, c in zip(self.names, self.cumulative):
-            out.append((name, c - prev))
-            prev = c
-        return tuple(out)
-
-    @classmethod
-    def from_stages(cls, stages) -> "BoundaryStack":
-        names = tuple(n for n, _ in stages)
-        cumulative = tuple(np.cumsum([r for _, r in stages]).tolist())
-        return cls(names=names, cumulative=cumulative)
 
 
 def boundary_temperatures(

@@ -3,8 +3,9 @@
 The scheduling layer sees load as a dimensionless density: each active stream
 contributes the product of its attention footprint, activation rate and
 routing coefficient, and the instantaneous density is the sum over streams.
-Density maps affinely onto system throughput (MTPS) and, via a calibrated
-affine ramp, onto package electrical power.
+A run plans each step's density directly, not stream by stream. Density
+maps affinely onto system throughput (MTPS) and, via a calibrated affine
+ramp, onto package electrical power.
 
 Calibration anchors:
 
@@ -34,36 +35,6 @@ NoiseSigma = Annotated[float, f"in [0, {NOISE_SIGMA_MAX}]",
 # mean per-stream density contribution under the default factor distributions:
 # E[attn] * E[activation] * E[routing] = 1.0 * 0.65 * 1.0
 _MEAN_STREAM_CONTRIBUTION = 0.65
-
-ATTN_RANGE = (0.6, 1.4)
-ACTIVATION_RANGE = (0.3, 1.0)
-ROUTING_RANGE = (0.8, 1.2)
-
-
-@dataclass(frozen=True)
-class StreamDescriptor:
-    """One concurrent inference stream's density factors."""
-
-    attn_footprint: float
-    activation_rate: float
-    routing_coeff: float
-
-    def __post_init__(self) -> None:
-        for name in ("attn_footprint", "activation_rate", "routing_coeff"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InputError(f"StreamDescriptor.{name} must be finite, got {v!r}")
-        if self.attn_footprint < 0:
-            raise InputError(f"attn_footprint must be >= 0, got {self.attn_footprint}")
-        if not 0.0 <= self.activation_rate <= 1.0:
-            raise InputError(f"activation_rate must be in [0, 1], got {self.activation_rate}")
-        if self.routing_coeff <= 0:
-            raise InputError(f"routing_coeff must be > 0, got {self.routing_coeff}")
-
-    @property
-    def contribution(self) -> float:
-        """Density contributed by this stream (attn * activation * routing)."""
-        return self.attn_footprint * self.activation_rate * self.routing_coeff
 
 
 @dataclass(frozen=True)
@@ -111,21 +82,6 @@ def _make_states(params: AffineMapParams = DEFAULT_MAP) -> tuple[LoadState, ...]
         )
         for n, r in zip(names, rhos)
     )
-
-
-def density(streams) -> float:
-    """Instantaneous workload density: sum of per-stream contributions.
-
-    Empty input sums to 0. All factors must be finite (the descriptor
-    enforces the sign constraints on construction).
-    """
-    total = 0.0
-    for s in streams:
-        c = s.contribution
-        if not math.isfinite(c):
-            raise InputError("non-finite stream contribution")
-        total += c
-    return total
 
 
 def density_to_throughput(rho: float, params: AffineMapParams = DEFAULT_MAP):
@@ -234,52 +190,8 @@ class WorkloadConfig:
                 )
 
 
-class WorkloadPlan(NamedTuple):
-    """Generated per-step dispatch plan.
-
-    Arrays are aligned with step index k; ``rho`` already includes the
-    configured noise. Stream descriptors are materialized lazily per step via
-    :meth:`streams_at` (deterministic in (seed, k)) so that a 90k-step plan
-    stays cheap while ``density(streams_at(k)) == rho[k]``.
-    """
-
-    seed: int
-    step_period_ms: float
-    t_ms: np.ndarray          # step start times
-    state_names: tuple[str, ...]
-    state_idx: np.ndarray     # index into state_names
-    rho: np.ndarray
-    n_streams: np.ndarray
-
-    @property
-    def step_count(self) -> int:
-        return int(self.rho.shape[0])
-
-    def state_name(self, k: int) -> str:
-        return self.state_names[int(self.state_idx[k])]
-
-    def streams_at(self, k: int) -> tuple[StreamDescriptor, ...]:
-        """Materialize the stream set dispatched at step k."""
-        rho_k = float(self.rho[k])
-        n = int(self.n_streams[k])
-        if n <= 0 or rho_k <= 0:
-            return ()
-        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(k,)))
-        attn = rng.uniform(*ATTN_RANGE, n)
-        act = rng.uniform(*ACTIVATION_RANGE, n)
-        rout = rng.uniform(*ROUTING_RANGE, n)
-        raw = float(np.sum(attn * act * rout))
-        # rescale routing so the stream set sums exactly to the planned density
-        rout *= rho_k / raw
-        return tuple(
-            StreamDescriptor(float(a), float(w), float(r))
-            for a, w, r in zip(attn, act, rout)
-        )
-
-
 class _PlanStream:
-    """The plan of :func:`generate_workload`, read in step order, any number
-    of steps at a time.
+    """The run's plan, read in step order, any number of steps at a time.
 
     A read repeats the state index (``uint8``) and density target of each
     hold of the schedule's cycle for its steps read, so it costs the steps
@@ -343,21 +255,3 @@ def stream_counts(rho: np.ndarray) -> np.ndarray:
     """Streams a step of planned density ``rho`` runs: max(1, rint(rho / 0.65))."""
     n = np.rint(rho / _MEAN_STREAM_CONTRIBUTION).astype(np.int64)
     return np.maximum(n, 1, out=n)
-
-
-def generate_workload(config: WorkloadConfig, seed: int) -> WorkloadPlan:
-    """Expand a schedule into a per-step plan; pure function of (config, seed).
-
-    The schedule cycles until ``step_count`` steps are covered. Gaussian
-    noise (sigma = ``noise_sigma``) is added to the per-step density, so the
-    per-state mean density stays on target while individual steps scatter.
-    The plan is one read of a :class:`_PlanStream`.
-    """
-    n = config.step_count
-    dt = config.step_period_ms
-    state_idx, rho = _PlanStream(config, seed)(0, n)
-    return WorkloadPlan(
-        seed=seed, step_period_ms=dt, t_ms=np.arange(n, dtype=float) * dt,
-        state_names=tuple(STATE_BY_NAME), state_idx=state_idx, rho=rho,
-        n_streams=stream_counts(rho),
-    )

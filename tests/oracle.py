@@ -23,6 +23,8 @@ the oracle shares no compensator code with the path it checks.
 
 :func:`plan_oracle` is the run's plan expanded one step at a time, so the
 plan ``simulate`` reads by holds is judged by one it shares no code with.
+:func:`make_chunk` builds a chunk of a run by hand, every field filled as
+the schedule pass fills it.
 """
 
 from __future__ import annotations
@@ -259,6 +261,47 @@ def throttle(slot: list, forecast_w: float, cap_c: float, gain: float,
     return popped, after
 
 
+def make_chunk(config: RunConfig, lo: int, state_idx: np.ndarray,
+               rho: np.ndarray, queue_depth: np.ndarray | None = None,
+               moves_before: int = 0, planned: np.ndarray | None = None,
+               **fields) -> _Chunk:
+    """A :class:`_Chunk` of steps [lo, lo + len(rho)) of a run of ``config``,
+    with every field the schedule pass fills.
+
+    ``planned`` is the run's plan (:func:`plan_oracle`) over [lo, lo + len
+    + admission lead), cut at the run's last step, unless given. The
+    queue-depth moves are the throttle's: none without ``queue_depth``,
+    else the moves that give that depth after each step, ``moves_before``
+    of them before lo. The steps start at their times; any other field not
+    given is zero: power, hints that read their own step's time (EWMA ones,
+    so ``n_replay`` 0), throttle counters and physics.
+    """
+    wl = config.workload
+    n = len(rho)
+    adm = min(_steps_of(config.scheduler.admission_lead_ms, wl.step_period_ms),
+              wl.step_count)
+    if planned is None:
+        planned = plan_oracle(wl, config.seed).rho[lo:lo + n + adm]
+    depth_moves = 0
+    if queue_depth is not None:
+        # the depth after each step without a move: the streams admitted
+        # (an admission lead ahead) and not yet run
+        counts = np.maximum(1, np.rint(planned / 0.65)).astype(np.int64)
+        c = np.concatenate(([0], np.cumsum(counts)))
+        ahead = np.minimum(np.arange(1, n + 1) + adm, c.size - 1)
+        moved = np.asarray(queue_depth) - (c[ahead] - c[1:n + 1])
+        depth_moves = np.diff(moved, prepend=moves_before)
+    t = (lo + np.arange(n)) * wl.step_period_ms
+    z = np.zeros(n)
+    return _Chunk(**dict(
+        lo=lo, t_ms=t, state_idx=state_idx, rho=rho, p_eic_w=z, hint_w=z,
+        newest_input_ms=t, n_replay=0, depth_moves=depth_moves,
+        throttle_deferrals=0, outstanding_density=0.0, outstanding_entries=0,
+        shed_density=0.0, shed_entries=0, planned=planned,
+        moves_before=moves_before, delta_t_c=z, bias_c=z, residual_c=z,
+        drift_nm=z) | fields)
+
+
 def simulate_oracle(config: RunConfig) -> RunResult:
     plan = plan_oracle(config.workload, config.seed)
     if plan.rho.size == 0:
@@ -397,11 +440,11 @@ def simulate_oracle(config: RunConfig) -> RunResult:
         ttft_ms=qd_arr * sc.t_slice_ms * 0.5,
     )
     stats = _Summary(config)
-    stats.add(_Chunk(
-        lo=0, t_ms=t, state_idx=plan.state_idx, rho=frame.rho,
+    stats.add(make_chunk(
+        config, 0, plan.state_idx, frame.rho, qd_arr, planned=plan.rho,
         p_eic_w=frame.p_eic_w, hint_w=log.forecast_w,
         newest_input_ms=log.newest_input_ms,
-        n_replay=int((log.source == 0).sum()), depth_moves=np.diff(qd_arr, prepend=0),
+        n_replay=int((log.source == 0).sum()),
         throttle_deferrals=deferrals, outstanding_density=outstanding_density,
         outstanding_entries=outstanding_entries, shed_density=shed_density,
         shed_entries=shed_entries, delta_t_c=frame.delta_t_c, bias_c=frame.bias_c,

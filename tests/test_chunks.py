@@ -49,7 +49,7 @@ from test_simulate import (
     _gain_half_cfg,
     _throttled_cfg,
 )
-from oracle import plan_oracle
+from oracle import make_chunk, plan_oracle, simulate_oracle
 
 # the package attribute ``simulate`` is the function, not the module
 sim = importlib.import_module("cpodrift.simulate")
@@ -451,17 +451,12 @@ def test_a_huge_step_count_streams():
     assert chunk.state_idx.tolist() == ([1, 1, 1, 4, 4] * c)[:c]
 
 
-def _stamped_chunk(lo, t_ms):
+def _stamped_chunk(cfg, lo, t_ms):
     """A hand-built chunk of quiet steps issued at ``t_ms``, each hint
     reading the millisecond before its issue."""
     t = np.array(t_ms, dtype=float)
-    z, k = np.zeros(t.size), np.zeros(t.size, np.intp)
-    return sim._Chunk(
-        lo=lo, t_ms=t, state_idx=k, rho=z, p_eic_w=z, hint_w=z,
-        newest_input_ms=t - 1.0, n_replay=t.size, depth_moves=k,
-        throttle_deferrals=0, outstanding_density=0.0, outstanding_entries=0,
-        shed_density=0.0, shed_entries=0, delta_t_c=z, bias_c=z, residual_c=z,
-        drift_nm=z)
+    return make_chunk(cfg, lo, np.zeros(t.size, np.uint8), np.zeros(t.size),
+                      t_ms=t, newest_input_ms=t - 1.0, n_replay=t.size)
 
 
 @pytest.mark.parametrize("second, error", [
@@ -470,14 +465,46 @@ def _stamped_chunk(lo, t_ms):
     ([2.0, 3.0, 4.0], None),
 ])
 def test_the_audit_checks_stamp_order_across_a_chunk_edge(second, error):
-    stats = sim._Summary(_default_cfg(6))
-    stats.add(_stamped_chunk(0, [0.0, 1.0, 2.0]))
+    cfg = _default_cfg(6)
+    stats = sim._Summary(cfg)
+    stats.add(_stamped_chunk(cfg, 0, [0.0, 1.0, 2.0]))
     if error is None:
-        stats.add(_stamped_chunk(3, second))
+        stats.add(_stamped_chunk(cfg, 3, second))
         assert stats.n_checked == 6 and not stats.violations
     else:
         with pytest.raises(InputError, match=error):
-            stats.add(_stamped_chunk(3, second))
+            stats.add(_stamped_chunk(cfg, 3, second))
+
+
+@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+def test_the_columns_of_hand_built_chunks_are_the_oracle_run(forecaster):
+    # make_chunk fills every field as the schedule pass does, so columns()
+    # of its chunks of a throttled oracle run, whole or cut at step 400
+    # with the moves before the cut carried, give that run's queue depth,
+    # ttft, sources, states and throughput
+    cfg = _throttled_cfg(forecaster=forecaster)
+    ref = simulate_oracle(cfg)
+    assert ref.summary.throttle_deferrals > 0
+    frame, source = ref.frame, ref.forecast_log.source
+    state_idx = plan_oracle(cfg.workload, cfg.seed).state_idx
+    n = cfg.workload.step_count
+    before = 0
+    for lo, hi in ((0, n), (0, 400), (400, n)):
+        chunk = make_chunk(cfg, lo, state_idx[lo:hi], frame.rho[lo:hi],
+                           frame.queue_depth[lo:hi], before if lo else 0,
+                           n_replay=int((source[lo:hi] == 0).sum()))
+        if hi == 400:   # the moves the cut carries
+            before = int(np.sum(chunk.depth_moves))
+            assert before != 0
+        cols = chunk.columns(cfg)
+        assert np.array_equal(cols["step"], np.arange(lo, hi))
+        assert np.array_equal(cols["queue_depth"], frame.queue_depth[lo:hi])
+        for name, want in (("ttft_ms", frame.ttft_ms), ("eta", frame.eta),
+                           ("load_state", frame.load_state)):
+            codes, table = cols[name]
+            assert np.array_equal(table[codes], want[lo:hi]), name
+        assert np.array_equal(cols["source"][0], source[lo:hi])
+        np.testing.assert_allclose(cols["t24"], frame.t24[lo:hi], rtol=1e-12)
 
 
 def test_only_the_writers_derive_the_queue_depth_and_the_sources(monkeypatch):
@@ -601,5 +628,5 @@ def test_the_verdict_leaves_the_band_above_or_below_after_a_chunk_edge(shift, st
     stats = sim._Summary(cfg)
     for lo, r in ((0, cap), (1000, cap + shift), (2000, cap + shift)):
         t = np.arange(lo, lo + 1000, dtype=float)
-        stats.add(_stamped_chunk(lo, t)._replace(residual_c=np.full(1000, r)))
+        stats.add(_stamped_chunk(cfg, lo, t)._replace(residual_c=np.full(1000, r)))
     assert stats.first == 0 and stats.stays is stays

@@ -118,6 +118,9 @@ def test_section_value_validation_paths():
       "scheduler": {"history_window_ms": 1e300}},
      r"scheduler.history_window_ms = 1e\+300 overflows as a count of "
      r"workload.step_period_ms = .* steps"),
+    # below absolute zero
+    ({"thermal": {"ambient_c": -300.0}},
+     r"thermal.ambient_c must be > -273.15, got -300.0"),
 ])
 def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
@@ -288,9 +291,10 @@ def test_presets_shapes():
 # each rule's values just outside its finite ends, and at or just inside them
 _OUTSIDE = {"> 0": (0.0,), ">= 0": (-5e-324,),
             "in (0, 1]": (0.0, np.nextafter(1, 2)),
-            "in [0, 1.8]": (-5e-324, np.nextafter(1.8, 2))}
+            "in [0, 1.8]": (-5e-324, np.nextafter(1.8, 2)),
+            "> -273.15": (-273.15,)}
 _INSIDE = {"> 0": (5e-324,), ">= 0": (0.0,), "in (0, 1]": (5e-324, 1.0),
-           "in [0, 1.8]": (0.0, 1.8)}
+           "in [0, 1.8]": (0.0, 1.8), "> -273.15": (np.nextafter(-273.15, 0),)}
 
 
 def _declared_rules():
@@ -310,7 +314,7 @@ def test_every_declared_range_holds_at_its_edges():
     rules = _declared_rules()
     ranges = [r for r in rules if get_origin(r[3]) is Annotated]
     choices = [r for r in rules if get_origin(r[3]) is Literal]
-    assert len(ranges) == 18 and len(choices) == 1
+    assert len(ranges) == 19 and len(choices) == 1
     for section, cls, name, tp in ranges:
         _, rule, test = get_args(tp)
         for bad in _OUTSIDE[rule]:

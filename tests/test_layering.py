@@ -54,19 +54,19 @@ def test_only_thermal_names_the_scan_grid():
 
 # Classes whose dataclass parts something reads: the config sections (the
 # schema walks their fields(), __post_init__ checks them), TelemetryFrame
-# (fields() gives COLUMNS, __post_init__ converts load_state) and the two
-# that validate in __post_init__. Every other record is a NamedTuple, which
+# (fields() gives COLUMNS, __post_init__ converts load_state) and
+# Filtration, which validates in __post_init__. Every other record is a NamedTuple, which
 # import defines about five times faster.
 DATACLASSES = {
     "RunConfig", "WorkloadConfig", "AffineMapParams", "SchedulerConfig",
     "ControllerParams", "ThermalParams", "CouplingConfig", "BoundaryStack",
-    "OpticParams", "TelemetryFrame", "StreamDescriptor", "Filtration"}
+    "OpticParams", "TelemetryFrame", "Filtration"}
 RECORDS = {
     "ExperimentResult", "ModeResult", "ComparisonReport", "FingerprintReport",
     "Claim", "RegressionResult", "RthEstimate", "Panel", "Hold",
     "DriftAssessment", "ForecastLog", "HintForecast", "AuditReport",
     "QueueEntry", "SimulationSummary", "RunResult", "ThermalState",
-    "LoadState", "WorkloadPlan"}
+    "LoadState"}
 RULE = "see README.md, 'Records and config classes'"
 
 

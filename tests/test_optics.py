@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpodrift.errors import ConfigError, InputError
-from cpodrift.optics import OpticParams, assess, drift, spec_delta_t_limit_c
+from cpodrift.optics import OpticParams, assess, drift
 
 P = OpticParams()
 
@@ -54,7 +54,9 @@ def test_flags_monotone_in_magnitude():
 
 
 def test_within_spec_temperature_threshold():
-    limit = spec_delta_t_limit_c()
+    # the temperature delta at which drift exactly fills the spec band
+    params = OpticParams()
+    limit = params.spec_band_nm / params.kappa_to
     assert limit == pytest.approx(0.5 / 0.0852, rel=1e-12)
     assert assess(drift(limit - 1e-9)).within_spec
     assert not assess(drift(limit + 1e-6)).within_spec

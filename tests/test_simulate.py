@@ -19,8 +19,8 @@ from cpodrift.scheduler import ForecastLog, SchedulerConfig, throttle_cut
 from cpodrift.simulate import simulate
 from cpodrift.telemetry import TelemetryFrame, write_csv
 from cpodrift.thermal import ThermalParams, _one_pole, _scan_block, gamma_of_distance
-from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, generate_workload
-from oracle import plan_oracle, simulate_oracle
+from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, _PlanStream
+from oracle import make_chunk, plan_oracle, simulate_oracle
 
 # the package attribute ``simulate`` is the function, not the module
 sim = importlib.import_module("cpodrift.simulate")
@@ -478,10 +478,10 @@ def test_zero_step_summaries_share_no_mutable_map():
         assert json.dumps(d) == json.dumps(expected)
 
 
-@pytest.mark.parametrize("run", [simulate, sim._summarize,
-                                 lambda cfg: generate_workload(cfg.workload,
-                                                               cfg.seed)],
-                         ids=["simulate", "summarize", "generate_workload"])
+@pytest.mark.parametrize("run", [
+    simulate, sim._summarize,
+    lambda cfg: _PlanStream(cfg.workload, cfg.seed)(0, cfg.workload.step_count),
+], ids=["simulate", "summarize", "generate_workload"])
 def test_a_plan_that_draws_a_negative_density_is_rejected(run):
     # a stream set has no negative density, and no power below idle's ramp
     # may be clamped silently: such a noise draw is refused, naming the field
@@ -623,15 +623,8 @@ def test_per_state_sums_equal_the_masked_sums(runs):
     n = state_idx.size
     rng = np.random.default_rng(5)
     rho = (rng.lognormal(0.0, 3.0, n + 3) * rng.choice([-1.0, 1.0], n + 3))[3:]
-    zeros = np.zeros(n)
     stats = sim._Summary(cfg)
-    stats.add(sim._Chunk(
-        lo=0, t_ms=np.arange(n, dtype=float), state_idx=state_idx, rho=rho,
-        p_eic_w=zeros, hint_w=zeros, newest_input_ms=zeros, n_replay=n,
-        depth_moves=np.zeros(n, dtype=np.int64), throttle_deferrals=0,
-        outstanding_density=0.0, outstanding_entries=0, shed_density=0.0,
-        shed_entries=0, delta_t_c=zeros, bias_c=zeros, residual_c=zeros,
-        drift_nm=zeros))
+    stats.add(make_chunk(cfg, 0, state_idx, rho))
     for i in range(len(stats.rho_sums)):
         mask = state_idx == i
         assert stats.rho_steps[i] == mask.sum()

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -7,61 +6,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpodrift.errors import ConfigError, DegenerateMapError, InputError
+from cpodrift.errors import ConfigError, DegenerateMapError
 from cpodrift.workload import (
     AffineMapParams,
     LOAD_STATES,
     RHO_MAX,
     RHO_MIN,
-    StreamDescriptor,
+    STATE_BY_NAME,
     WorkloadConfig,
     _PlanStream,
-    density,
     density_to_power,
     density_to_throughput,
-    generate_workload,
     load_state,
+    stream_counts,
     throughput_to_density,
 )
 from oracle import plan_oracle
-
-
-def test_density_empty_sums_to_zero():
-    assert density([]) == 0.0
-
-
-def test_density_identity_factors():
-    assert density([StreamDescriptor(1.0, 1.0, 1.0)]) == 1.0
-
-
-def test_density_hand_sum():
-    streams = [StreamDescriptor(1.2, 0.5, 1.5), StreamDescriptor(0.9, 1.0, 1.0)]
-    # 1.2*0.5*1.5 + 0.9*1.0*1.0 = 0.9 + 0.9
-    assert density(streams) == pytest.approx(1.8, abs=1e-12)
-
-
-def test_density_additive_over_disjoint_sets():
-    rng = np.random.default_rng(3)
-    streams = [
-        StreamDescriptor(rng.uniform(0.6, 1.4), rng.uniform(0.3, 1.0),
-                         rng.uniform(0.8, 1.2))
-        for _ in range(12)
-    ]
-    total = density(streams)
-    assert total == pytest.approx(density(streams[:5]) + density(streams[5:]),
-                                  rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [
-    dict(attn_footprint=-0.1, activation_rate=0.5, routing_coeff=1.0),
-    dict(attn_footprint=1.0, activation_rate=1.5, routing_coeff=1.0),
-    dict(attn_footprint=1.0, activation_rate=0.5, routing_coeff=0.0),
-    dict(attn_footprint=float("nan"), activation_rate=0.5, routing_coeff=1.0),
-    dict(attn_footprint=float("inf"), activation_rate=0.5, routing_coeff=1.0),
-])
-def test_stream_descriptor_rejects_invalid_fields(bad):
-    with pytest.raises(InputError):
-        StreamDescriptor(**bad)
 
 
 def test_throughput_map_calibration_endpoints():
@@ -119,15 +79,17 @@ def test_load_state_unknown_name():
         load_state("Turbo")
 
 
+def _plan(cfg, seed):
+    """The whole plan of ``cfg`` in one read: state index and density."""
+    return _PlanStream(cfg, seed)(0, cfg.step_count)
+
+
 def test_generate_workload_deterministic():
     cfg = WorkloadConfig(step_count=2000)
-    a = generate_workload(cfg, seed=7)
-    b = generate_workload(cfg, seed=7)
-    assert np.array_equal(a.rho, b.rho)
-    assert np.array_equal(a.state_idx, b.state_idx)
-    assert a.streams_at(123) == b.streams_at(123)
-    c = generate_workload(cfg, seed=8)
-    assert not np.array_equal(a.rho, c.rho)
+    (a_idx, a_rho), (b_idx, b_rho) = _plan(cfg, 7), _plan(cfg, 7)
+    assert np.array_equal(a_rho, b_rho)
+    assert np.array_equal(a_idx, b_idx)
+    assert not np.array_equal(a_rho, _plan(cfg, 8)[1])
 
 
 _ONE_STEP_HOLDS = (("Idle", 1.0), ("Peak", 1.0))
@@ -144,10 +106,9 @@ _ONE_STEP_HOLDS = (("Idle", 1.0), ("Peak", 1.0))
 def test_schedule_expansion_matches_the_per_step_expansion(schedule, step_ms, steps):
     # the plan read by holds against the oracle's, expanded step by step
     cfg = WorkloadConfig(step_count=steps, step_period_ms=step_ms, schedule=schedule)
-    plan = generate_workload(cfg, seed=3)
+    state_idx, rho = _plan(cfg, seed=3)
     want = plan_oracle(cfg, seed=3)
-    for got, ref in zip((plan.t_ms, plan.state_idx, plan.rho, plan.n_streams),
-                        want):
+    for got, ref in zip((state_idx, rho, stream_counts(rho)), want[1:]):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
@@ -168,27 +129,28 @@ def test_plan_read_in_pieces_equals_one_read(split, steps, schedule):
     # one noise generator drawn from read after read gives the one-call
     # draw bit for bit
     cfg = WorkloadConfig(step_count=steps, schedule=schedule)
-    plan = generate_workload(cfg, seed=11)
+    state_idx, rho = _plan(cfg, seed=11)
     stream = _PlanStream(cfg, seed=11)
     parts = [stream(lo, min(lo + split, steps)) for lo in range(0, steps, split)]
-    for whole, part in zip((plan.state_idx, plan.rho, plan.n_streams), zip(*parts)):
+    parts = [(idx, r, stream_counts(r)) for idx, r in parts]
+    for whole, part in zip((state_idx, rho, stream_counts(rho)), zip(*parts)):
         joined = np.concatenate(part)
         assert joined.dtype == whole.dtype and joined.tobytes() == whole.tobytes()
 
 
 def test_generate_constant_peak_no_noise():
     cfg = WorkloadConfig(step_count=500, schedule=(("Peak", 500),), noise_sigma=0.0)
-    plan = generate_workload(cfg, seed=1)
-    assert np.all(plan.rho == 2.7)
-    assert all(plan.state_name(k) == "Peak" for k in (0, 250, 499))
+    state_idx, rho = _plan(cfg, seed=1)
+    assert np.all(rho == 2.7)
+    names = list(STATE_BY_NAME)
+    assert all(names[state_idx[k]] == "Peak" for k in (0, 250, 499))
 
 
 def test_default_schedule_state_means_within_2pct():
-    plan = generate_workload(WorkloadConfig(), seed=24)
-    names = plan.state_names
-    for i, name in enumerate(names):
-        mask = plan.state_idx == i
-        mean = plan.rho[mask].mean()
+    state_idx, rho = _plan(WorkloadConfig(), seed=24)
+    for i, name in enumerate(STATE_BY_NAME):
+        mask = state_idx == i
+        mean = rho[mask].mean()
         target = load_state(name).rho_target
         assert abs(mean / target - 1.0) < 0.02, name
 
@@ -200,19 +162,9 @@ def test_default_schedule_has_bursts_in_range():
     assert all(100 <= d <= 500 for d in bursts)
 
 
-def test_streams_materialize_to_planned_density():
-    plan = generate_workload(WorkloadConfig(step_count=300), seed=5)
-    for k in (0, 77, 299):
-        streams = plan.streams_at(k)
-        assert density(streams) == pytest.approx(plan.rho[k], rel=1e-12)
-        assert len(streams) == plan.n_streams[k]
-        assert all(math.isfinite(s.contribution) for s in streams)
-
-
 def test_zero_steps_is_empty_not_error():
-    plan = generate_workload(WorkloadConfig(step_count=0), seed=1)
-    assert plan.step_count == 0
-    assert plan.state_idx.size == plan.n_streams.size == plan.t_ms.size == 0
+    state_idx, rho = _plan(WorkloadConfig(step_count=0), seed=1)
+    assert state_idx.size == rho.size == stream_counts(rho).size == 0
 
 
 def test_workload_config_validation():
@@ -232,12 +184,12 @@ def test_a_hold_far_past_the_run_plans_like_one_of_its_length(hold_ms):
     def plan(low_ms, peak_ms):
         cfg = WorkloadConfig(step_count=500, schedule=(("Low", low_ms),
                                                        ("Peak", peak_ms)))
-        return generate_workload(cfg, seed=1)
+        return _plan(cfg, seed=1)
 
     for low_ms in (100.0, hold_ms):
         far, near = plan(low_ms, hold_ms), plan(min(low_ms, 500.0), 500.0)
-        assert np.array_equal(far.state_idx, near.state_idx)
-        assert np.array_equal(far.rho, near.rho)
+        assert np.array_equal(far[0], near[0])
+        assert np.array_equal(far[1], near[1])
 
 
 def test_an_out_of_order_plan_read_raises_under_python_O():
