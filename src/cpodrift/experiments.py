@@ -57,8 +57,9 @@ def _csv_paths(out: Path, stem: str) -> list[Path]:
     return [out / f"{stem}_telemetry.csv", out / f"{stem}_forecast_log.csv"]
 
 
-def _audit(ok: bool) -> tuple:
-    return ("causality audit", "clean" if ok else "violated", "clean", ok)
+def _audit(violations: int) -> tuple:
+    return ("causality audit", f"{violations} violations" if violations else
+            "clean", "clean", not violations)
 
 
 def _result(name: str, out: Path, files, summary: dict, *claims) -> ExperimentResult:
@@ -89,7 +90,7 @@ def _run_validation90k(cfg: RunConfig, out: Path) -> ExperimentResult:
         "validation90k", out, files, summary,
         ("density-temperature R^2", f"{fit.r_squared:.4f}", ">= 0.98",
          fit.r_squared >= 0.98),
-        _audit(audit.ok),
+        _audit(len(audit.violations)),
         ("peak junction temperature", f"{peak:.1f} C",
          f"<= {JUNCTION_CEILING_C:.0f} C", peak <= JUNCTION_CEILING_C),
         ("max drift", f"{run.max_drift_nm:.4f} nm ({frac:.2%} of the band)",
@@ -107,7 +108,7 @@ def _run_transient300(cfg: RunConfig, out: Path) -> ExperimentResult:
     return _result("transient300", out, files, summary,
                    ("thermal time constant", f"{tau_est:.2f} ms",
                     f"{tau_cfg:g} ms (within 2 ms)", abs(tau_est - tau_cfg) <= 2.0),
-                   _audit(audit.ok))
+                   _audit(len(audit.violations)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ class ComparisonReport(NamedTuple):
     energy_note: str
     seed: int
     notes: tuple[str, ...]
-    audit_ok: bool = True               # causality audit across all mode runs
+    audit_violations: int = 0           # causality audit, all mode runs
 
     @property
     def claims(self) -> tuple[fp.Claim, ...]:
@@ -144,7 +145,11 @@ class ComparisonReport(NamedTuple):
                          "undefined" if ratio is None else f"{ratio:.2f}x",
                          "> 1 (reactive/predictive max drift)",
                          ratio is not None and ratio > 1.0),
-                fp.claim("comparison", *_audit(self.audit_ok)))
+                fp.claim("comparison", *_audit(self.audit_violations)))
+
+    @property
+    def audit_ok(self) -> bool:
+        return not self.audit_violations
 
     def by_mode(self, name: str) -> ModeResult:
         for m in self.modes:
@@ -153,10 +158,12 @@ class ComparisonReport(NamedTuple):
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        """The fields in order, each mode keyed by its name."""
+        """The fields in order, modes keyed by name, the audit as ``audit_ok``."""
         modes = {m.mode: {k: v for k, v in m._asdict().items() if k != "mode"}
                  for m in self.modes}
-        return self._asdict() | {"modes": modes, "notes": list(self.notes)}
+        d = self._asdict() | {"modes": modes, "notes": list(self.notes)}
+        del d["audit_violations"]
+        return d | {"audit_ok": self.audit_ok}
 
     def to_text(self) -> str:
         lines = [
@@ -189,11 +196,11 @@ def run_comparison(config: RunConfig) -> ComparisonReport:
     Each mode runs summary-only: no telemetry frame is built.
     """
     results = []
-    audit_ok = True
+    violations = 0
     for mode in Mode:
         summary = _summarize(replace(
             config, controller=replace(config.controller, mode=mode)))
-        audit_ok = audit_ok and summary.audit_violations == 0
+        violations += summary.audit_violations
         results.append(ModeResult(
             mode=mode.value,
             max_drift_nm=summary.max_drift_nm,
@@ -215,7 +222,7 @@ def run_comparison(config: RunConfig) -> ComparisonReport:
         ),
         energy_note="calculated savings, not directly measured",
         seed=config.seed,
-        audit_ok=audit_ok,
+        audit_violations=violations,
         notes=(
             "reactive baseline band and the improvement ratio are "
             "calibration-dependent (sensor latency tuned to the anecdotal "
@@ -241,7 +248,8 @@ def _run_fingerprint(cfg: RunConfig, out: Path) -> ExperimentResult:
     _, audit, columns = write_run(cfg, *files, COLUMNS)
     report = fp.build_report(TelemetryFrame(**columns), cfg)
     files.extend(fp.write_report(report, out))
-    claims = (*report.pass_fail, fp.claim("fingerprint", *_audit(audit.ok)))
+    claims = (*report.pass_fail,
+              fp.claim("fingerprint", *_audit(len(audit.violations))))
     return ExperimentResult("fingerprint", tuple(files), fp.report_dict(report),
                             claims)
 
@@ -256,7 +264,7 @@ def _run_stabilization(cfg: RunConfig, out: Path) -> ExperimentResult:
                     stab is not None and stab <= 50_000.0),
                    ("stays in band", "yes" if result.stays_in_band else "no",
                     "yes", result.stays_in_band),
-                   _audit(result.audit_violations == 0))
+                   _audit(result.audit_violations))
 
 
 # name -> (preset, runner)

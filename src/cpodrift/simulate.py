@@ -19,14 +19,16 @@ the forecast power and horizon of a hint. So a run is two passes, and
   queue-depth moves, the deferral count, and the work shed or deferred
   past the last step.
   Array reads cover every step the throttle leaves alone. A firing edits
-  only its step's forecast slot and the slot a slice on, so from each step
-  whose hint may breach the throttle cap the pass sweeps a block of a
-  slice's steps (a horizon's for EWMA hints), whose hints are then final,
-  and applies the throttle's LIFO cut (:func:`throttle_cut`) to all the
-  slots they forecast at once. An entry is deferred at most once, so a
-  slot holds at most two entries. A chunk is final once swept; the pass
-  reads the plan as far ahead as a firing or the queue depth reaches and
-  keeps the power of the EWMA window behind the chunk.
+  only its step's forecast slot and the slot a slice on, and an entry is
+  deferred at most once, so a slot holds at most two entries. A replayed
+  hint reads its own slot alone, so the throttle's LIFO cut
+  (:func:`throttle_cut`) of a slot depends on one bit, whether the slot a
+  slice back deferred into it: the pass cuts each slot both ways at once
+  and chains the bit along these lanes. EWMA hints read a window of
+  slots, so the pass sweeps them in blocks of a horizon's steps. A chunk
+  is final once swept; the pass reads the plan as far ahead as a firing
+  or the queue depth reaches and keeps the power of the EWMA window
+  behind the chunk.
 * Physics pass: the plant's response to the dispatched power
   (:func:`thermal.respond`), then the compensator's bias from that
   response and the hint stream (:func:`controller.compensate`), both
@@ -69,6 +71,7 @@ from .scheduler import (
     AuditReport,
     ForecastLog,
     causality_audit,
+    ordered_sum,
     preposition_fraction,
     throttle_cut,
     throttle_projection,
@@ -189,6 +192,8 @@ def write_run(config: RunConfig, telemetry_path, log_path,
 # (tracemalloc, summary-only); simulate() pays that on top of its frame, and
 # at 65,536 a 90k-step run peaked 10 % above the whole-run schedule pass.
 _CHUNK_STEPS = 1 << 14
+# Slices per lane pass of the throttle: some 300 kB of temporaries.
+_LANE_ROUNDS = 16
 
 
 class _Chunk(NamedTuple):
@@ -204,7 +209,7 @@ class _Chunk(NamedTuple):
     hint_w: np.ndarray           # look-ahead hint power
     newest_input_ms: np.ndarray  # newest input stamp each hint read
     n_replay: int                # hints replaying the queue, all before EWMA ones
-    depth_moves: np.ndarray | int    # queue-depth moves; 0 before any block
+    depth_moves: np.ndarray | int    # queue-depth moves; 0 before any hint may fire
     throttle_deferrals: int
     outstanding_density: float   # deferred past the last step
     outstanding_entries: int
@@ -279,7 +284,7 @@ def _chunks(config: RunConfig) -> Iterator[_Chunk]:
         del chunk, dT, bias, residual   # freed before the next chunk is made
 
 
-_ONE_TO_255 = np.arange(1, 256, dtype=np.uint64)   # a bisection round's probes
+_ONE_TO_255 = np.arange(1, 256)    # a bisection round's probes
 
 
 def _split(passes: Callable) -> tuple[float, float]:
@@ -289,21 +294,22 @@ def _split(passes: Callable) -> tuple[float, float]:
     floats, -inf to +inf, fail up to one and pass from the next, as a
     comparison of IEEE operations each nondecreasing in x does (each rounds
     a nondecreasing exact result). Bisection, 255 floats a round, over the
-    floats in order as unsigned integers: a float's bits with the sign bit
-    set, or all flipped if it was set."""
-    def floats(u: np.ndarray) -> np.ndarray:
-        return np.where(u >> 63, u ^ np.uint64(1 << 63), ~u).view(float)
+    floats in order as signed 64-bit integers: a float's bits, all but the
+    sign bit flipped if it is set."""
+    def floats(k: np.ndarray) -> np.ndarray:
+        return (k ^ (k >> 63 & (1 << 63) - 1)).view(float)
 
     # the NaNs beside -inf and +inf: a side with no float ends there
-    lo, hi = 0x000F_FFFF_FFFF_FFFE, 0xFFF0_0000_0000_0001
+    lo, hi = (1 << 52) - 2 - (1 << 63), 0x7FF0_0000_0000_0001
     with np.errstate(all="ignore"):     # a float far out overflows the test
         while hi - lo > 1:
-            u = _ONE_TO_255[:hi - lo - 1] * np.uint64(max(1, (hi - lo) >> 8))
-            u += np.uint64(lo)
-            # the floats that fail come first: u[i] is the first that passes
-            i = u.size - int(np.count_nonzero(passes(floats(u))))
-            lo, hi = int(u[i - 1]) if i else lo, int(u[i]) if i < u.size else hi
-    return tuple(floats(np.array([lo, hi], np.uint64)).tolist())
+            # lo + i * step: the product may wrap around, the sum does not
+            k = _ONE_TO_255[:hi - lo - 1] * max(1, (hi - lo) >> 8)
+            k += lo
+            # the floats that fail come first: k[i] is the first that passes
+            i = k.size - int(np.count_nonzero(passes(floats(k))))
+            lo, hi = int(k[i - 1]) if i else lo, int(k[i]) if i < k.size else hi
+    return tuple(floats(np.array([lo, hi])).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +348,27 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     kept in per-step arrays beside the plan, and a run defers at most once
     per step.
 
-    The throttle sweeps a chunk in blocks from each step whose hint may
-    breach the cap to the next: the cut's own projection of the chunk's
-    hints picks them, and every hint a firing retimes joins them. A firing
-    at step s edits slot s + h, which of the replayed hints only its own
-    reads, and slot s + h + slice, read by the replayed hint of step
-    s + slice (the config keeps h < slice); EWMA hints read both from step
-    s + h on. So a block of a slice's steps for replayed hints, a
-    horizon's for EWMA ones, has final hints: the pass reads them again
-    from the final power and cuts their slots together, and takes the
-    EWMA hints a firing retimes past the steps that can fire again once
-    the chunk is swept. A hint may breach the cap iff the cut's own
-    projection of it does, which is nondecreasing in the hint's power, so
-    iff the power is at least one :func:`_split` finds once a run.
+    A hint may breach the cap iff the cut's own projection of it does,
+    which is nondecreasing in the hint's power, so iff the power is at
+    least one :func:`_split` finds once a run. A firing at step s edits
+    slot s + h, which of the replayed hints only its own reads, and slot
+    s + h + slice, read by the replayed hint of step s + slice (the config
+    keeps h < slice). So a slot's cut depends on one bit, whether its lane
+    predecessor a slice back deferred into it: a lane pass over
+    ``_LANE_ROUNDS`` slices cuts every slot that may fire without that
+    entry and with it in one :func:`throttle_cut`, chains the bit along
+    the lanes a slice-round at a time and applies the cuts at once. EWMA
+    hints read both slots from step s + h on, so for them the pass sweeps
+    blocks of a horizon's steps, whose hints are then final, from each
+    step that may fire, and every hint a firing retimes joins them. Either
+    way it then takes the EWMA hints a firing retimes past the steps that
+    can fire.
 
     Every edit of a firing lands after its step, so a chunk's rows are
     final once it is swept. The pass holds its step buffers (the plan,
-    the dispatched density and power, and from the first block it sweeps
-    on the deferred entries and the queue-depth moves) from ``win`` steps
-    before the chunk (the EWMA window) to as far past it as a firing
+    the dispatched density and power, and from the first hint that may
+    breach the cap on the deferred entries and the queue-depth moves) from
+    ``win`` steps before the chunk (the EWMA window) to as far past it as a firing
     reaches (horizon plus slice) or the queue depth reads (admission lead).
     A chunk holds views of its planned density to an admission lead past it
     and of its queue-depth moves, and the total of the moves before it: the
@@ -387,17 +395,18 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
     norm = np.cumsum(w)
     reach = max(h + slice_steps, adm)
-    replay = max(0, N - h) if sc.forecaster == "queue_replay" else 0
-    span = h if sc.forecaster == "ewma" else slice_steps    # steps per block
+    lanes = sc.forecaster == "queue_replay"
+    replay = max(0, N - h) if lanes else 0
+    block = _LANE_ROUNDS * slice_steps     # steps per lane pass
     f_min = _split(lambda F: throttle_projection(F, thermal, gain) > cap)[1]
     ramp = np.arange(min(N, _CHUNK_STEPS), dtype=float)
     deferrals = outstanding_entries = shed_entries = 0
     outstanding_density = shed_density = 0.0
 
     # the step buffers, of steps [b, top): the plan (state, density), the
-    # dispatched density and power, and from the first block swept on, the
-    # density and streams (-1: none) of the entry deferred into each step
-    # and the queue-depth moves
+    # dispatched density and power, and from the first hint that may breach
+    # the cap on, the density and streams (-1: none) of the entry deferred
+    # into each step and the queue-depth moves
     floats = np.empty(0)
     bufs = (np.empty(0, dtype=np.uint8), floats, floats, floats)
     b = top = 0
@@ -415,6 +424,54 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             x = np.concatenate((np.zeros(pad), P[s0 + pad - win + 1 - b:s1 - b]))
             F[s0 - lo:s1 - lo] = np.convolve(x, w, "valid") / norm[
                 np.minimum(np.arange(s0, s1), win - 1)]
+
+    def taken(own: np.ndarray, x: np.ndarray, counts: np.ndarray,
+              hint: np.ndarray) -> np.ndarray:
+        """How many newest entries the throttle takes out of slots of plan
+        entries ``own`` and, where ``counts`` is 2, deferred ``x``."""
+        entries = np.empty((own.size, 2))
+        entries[:, 0] = own if plan_first else np.where(counts > 1, x, own)
+        entries[:, 1] = x if plan_first else own
+        return throttle_cut(entries, counts, hint, cap, thermal, gain, wmap)[0]
+
+    def cut(s: np.ndarray, counts: np.ndarray, n_out: np.ndarray) -> None:
+        """Take the ``n_out`` > 0 newest entries out of the slots of steps
+        ``s`` (ascending), which hold ``counts``."""
+        nonlocal pn, deferrals, shed_entries, outstanding_entries
+        nonlocal shed_density, outstanding_density
+        if pn is None:      # the plan's stream counts, once a chunk
+            pn = stream_counts(prho)
+        into_rho, into_n, moved = moves
+        j = s + (h - b)
+        own, n_own = prho[j], pn[j]
+        # the newest entries are out: the plan entry, deferred by a slice to
+        # slot m < N or else outstanding, and the deferred one, shed
+        left, own_at = counts - n_out, 0 if plan_first else counts - 1
+        own_out = own_at >= left
+        shed = (counts > 1) & (1 - own_at >= left)
+        defer = own_out & (s < N - h - slice_steps)
+        out = own_out & ~defer
+        # the deferrals first: a slot deferred into may be cut here too
+        m = j[defer] + slice_steps
+        into_rho[m], into_n[m] = own[defer], n_own[defer]
+        rho[m] = prho[m] + own[defer]
+        P[m] = density_to_power(rho[m], wmap)
+        # what is left is the oldest entry, or nothing
+        r_in, n_in = into_rho[j], into_n[j]
+        rho[j] = np.where(left > 0, own if plan_first else r_in, 0.0)
+        P[j] = density_to_power(rho[j], wmap)
+        # deferred entries stay pending over [j, m); shed and outstanding
+        # ones are not pending over (s, j)
+        gone = np.where(shed, n_in, 0)
+        moved[j] += np.where(own_out, n_own, 0) + gone
+        moved[m] -= n_own[defer]
+        moved[s + 1 - b] -= np.where(out, n_own, 0) + gone
+        deferrals += int(own_out.sum())
+        shed_entries += int(shed.sum())
+        outstanding_entries += int(out.sum())
+        # added in slot order, as the summary pins their bits
+        shed_density = ordered_sum(np.append(shed_density, r_in[shed]))
+        outstanding_density = ordered_sum(np.append(outstanding_density, own[out]))
 
     for lo in range(0, N, _CHUNK_STEPS):
         hi = min(lo + _CHUNK_STEPS, N)
@@ -435,84 +492,69 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         newest *= dt
 
         # the hints that may breach the cap, among the steps [lo, end) whose
-        # hint forecasts a slot of the run, and later each hint a firing
-        # retimes
+        # hint forecasts a slot of the run
         end = max(lo, min(hi, N - h)) if sc.throttle_enabled else lo
         may = F >= f_min
         may[end - lo:] = False
-        a = lo
-        while a < end:
-            a += int(may[a - lo:end - lo].argmax())
-            if not may[a - lo]:
-                break
-            # the block, steps [k, a): its hints are final, as no firing
-            # before k edits a slot they read and none in the block a slot
-            # another of its hints reads; so are its slots, [k + h, a + h)
-            k, a = a, min(a + span, end)
-            if not moves:   # the first block: no entry deferred yet
-                moves = [np.full(top - b, v) for v in (0.0, -1, 0)]
-                bufs += tuple(moves)
-            into_rho, into_n, moved = moves
-            r1 = max(k, min(a, replay))     # replay rows [k, r1)
-            F[k - lo:r1 - lo] = P[k + h - b:r1 + h - b]
-            ewma(r1, a)
-            j = slice(k + h - b, a + h - b)
-            own, r_in, n_in = prho[j], into_rho[j], into_n[j]
-            # each slot's entries in queue order: the plan entry, and the
-            # entry deferred into it if any
-            counts = 1 + (n_in >= 0)
-            entries = np.empty((a - k, 2))
-            entries[:, 0] = own if plan_first else np.where(counts > 1, r_in, own)
-            entries[:, 1] = r_in if plan_first else own
-            taken = throttle_cut(entries, counts, F[k - lo:a - lo], cap, thermal,
-                                 gain, wmap)[0]
-            if not taken.any():
-                continue
-            if pn is None:      # the plan's stream counts, once a chunk
-                pn = stream_counts(prho)
-            n_own = pn[j]
-            # what is left is the oldest entry, or nothing
-            left = counts - taken
-            np.copyto(rho[j], np.where(left > 0, entries[:, 0], 0.0),
-                      where=taken > 0)
-            np.copyto(P[j], density_to_power(rho[j], wmap), where=taken > 0)
-            # the newest entries are out: the plan entry, deferred by a
-            # slice to step m < N or else outstanding, and the deferred one,
-            # shed; the first nd of the block's slots have an m
-            own_at = 0 if plan_first else counts - 1
-            own_out = own_at >= left
-            shed = (counts > 1) & (1 - own_at >= left)
-            m0, nd = k + h + slice_steps, max(0, min(a, N - h - slice_steps) - k)
-            defer, out = own_out[:nd], own_out.copy()
-            out[:nd] = False
-            m = slice(m0 - b, m0 + nd - b)
-            np.copyto(into_rho[m], own[:nd], where=defer)
-            np.copyto(into_n[m], n_own[:nd], where=defer)
-            np.copyto(rho[m], prho[m] + own[:nd], where=defer)
-            np.copyto(P[m], density_to_power(rho[m], wmap), where=defer)
-            # deferred entries stay pending over [j, m); shed and
-            # outstanding ones are not pending over (k, j)
-            gone = np.where(shed, n_in, 0)
-            moved[j] += np.where(own_out, n_own, 0) + gone
-            moved[m] -= np.where(defer, n_own[:nd], 0)
-            moved[k + 1 - b:a + 1 - b] -= np.where(out, n_own, 0) + gone
-            deferrals += int(own_out.sum())
-            shed_entries += int(shed.sum())
-            outstanding_entries += int(out.sum())
-            for x in r_in[shed].tolist():
-                shed_density += x
-            for x in own[out].tolist():
-                outstanding_density += x
-            # the hints of this chunk that read a changed slot: the replay
-            # hints of the slots deferred into, and the EWMA hints of the
-            # window from each changed slot; later ones are read when their
-            # chunk starts
-            t = k + slice_steps
-            nr = max(0, min(nd, replay - t, hi - t))
-            may[t - lo:t + nr - lo] |= defer[:nr]
-            may[max(k + h, replay) - lo:m0 + nd + win - lo] = True
-        if may[end - lo:].any():
-            ewma(end, hi)   # retimed hints of the steps that cannot fire
+        if may.any() and not moves:     # the first firing may come
+            moves = [np.full(top - b, v) for v in (0.0, -1, 0)]
+            bufs += tuple(moves)
+        if lanes and may.any():
+            into_rho, into_n, _ = moves
+            for a0 in range(lo, end, block):
+                n, j0 = min(block, end - a0), a0 + h - b
+                f = min(n, slice_steps)     # steps in the first round
+                # a slot holds its plan entry and, iff its lane predecessor
+                # a slice back deferred, that one's plan entry x; in the
+                # first round the pass before has deferred it or not
+                own, F0 = prho[j0:j0 + n], P[j0:j0 + n]
+                F[a0 - lo:a0 + n - lo] = F0
+                x = np.concatenate((into_rho[j0:j0 + f], prho[
+                    j0 + f - slice_steps:j0 + n - slice_steps]))
+                F1 = density_to_power(own + x, wmap)
+                # the first firing reads F0: its x, if any, is in the buffers
+                c0, c1 = np.flatnonzero(F0 >= f_min), np.flatnonzero(F1 >= f_min)
+                if not c0.size:
+                    continue
+                # each slot's cut without x and with it, where its hint may
+                # breach the cap, and whether it defers its plan entry
+                c = np.concatenate((c0, c1))
+                t = np.zeros((2, n), int)
+                t[0, c0], t[1, c1] = np.split(taken(
+                    own[c], x[c], np.repeat((1, 2), (c0.size, c1.size)),
+                    np.concatenate((F0[c0], F1[c1]))), (c0.size,))
+                d = t >= ([[1], [2]] if plan_first else 1)
+                # chain the bit along the lanes, a slice-round at a time
+                has = into_n[j0:j0 + n] >= 0    # known in the first round
+                for q in range(f, n, slice_steps):
+                    p = slice(q - slice_steps, min(q, n - slice_steps))
+                    has[q:q + slice_steps] = np.where(has[p], d[1, p], d[0, p])
+                np.copyto(F[a0 - lo:a0 + n - lo], F1, where=has)
+                t = np.where(has, t[1], t[0])
+                c = np.flatnonzero(t)
+                cut(a0 + c, 1 + has[c], t[c])
+            ewma(end, hi)   # the EWMA hints past the steps that can fire
+        elif may.any():
+            # EWMA hints: from each step whose hint may breach the cap, a
+            # block of a horizon's steps has final hints
+            into_rho, into_n, _ = moves
+            a = lo
+            while a < end:
+                a += int(may[a - lo:end - lo].argmax())
+                if not may[a - lo]:
+                    break
+                k, a = a, min(a + h, end)
+                ewma(k, a)
+                j = slice(k + h - b, a + h - b)
+                counts = 1 + (into_n[j] >= 0)
+                t = taken(prho[j], into_rho[j], counts, F[k - lo:a - lo])
+                c = np.flatnonzero(t)
+                if c.size:
+                    cut(k + c, counts[c], t[c])
+                    # the hints whose window holds a changed slot
+                    may[k + h - lo:a + h + slice_steps + win - lo] = True
+            if may[end - lo:].any():
+                ewma(end, hi)   # retimed hints of the steps that cannot fire
 
         at = slice(lo - b, hi - b)
         depth_moves = moves[2][at] if moves else 0

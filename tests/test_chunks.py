@@ -32,7 +32,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cpodrift.config import RunConfig, default_config, stabilization_config
+from cpodrift.config import (RunConfig, comparison_config, default_config,
+                              stabilization_config)
 from cpodrift.experiments import run_experiment
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.errors import InputError
@@ -310,6 +311,31 @@ def test_any_chunk_size_gives_the_one_chunk_bits(monkeypatch, cfg, cut):
         _ONE_CHUNK_DIGESTS[cfg] = _column_digests(sim.simulate(cfg))
     monkeypatch.setattr(sim, "_CHUNK_STEPS", cut)
     assert _column_digests(sim.simulate(cfg)) == _ONE_CHUNK_DIGESTS[cfg]
+
+
+@pytest.mark.parametrize("lead", [80.0, 150.0])
+@pytest.mark.parametrize("gain", [0.8, 0.9])
+@pytest.mark.parametrize("seed", [24, 1018])
+def test_dense_firing_replay_runs_give_the_one_chunk_bits(monkeypatch, seed, gain,
+                                                          lead):
+    # the burst cycle that the throttle cuts at Peak, to its first two Peak
+    # holds: the throttle fires in most of their slots and chains deferrals
+    # along the slice lanes, the plan entry first in the queue (lead 150) or
+    # the deferred one (lead 80); chunk edges cut the lanes anywhere
+    cfg = comparison_config(seed)
+    cfg = replace(cfg, workload=replace(cfg.workload, step_count=5000),
+                  scheduler=replace(cfg.scheduler, throttle_compensation_gain=gain,
+                                    admission_lead_ms=lead))
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", ONE_CHUNK)
+    whole = sim.simulate(cfg)
+    assert whole.summary.throttle_deferrals > 400
+    slice_steps = round(cfg.scheduler.t_slice_ms / cfg.workload.step_period_ms)
+    for cut in (slice_steps - 1, slice_steps, slice_steps + 1, 1000):
+        monkeypatch.setattr(sim, "_CHUNK_STEPS", cut)
+        run = sim.simulate(cfg)
+        assert _column_digests(run) == _column_digests(whole), cut
+        assert _bits(run) == _bits(whole), cut
+    _assert_matches_oracle(cfg)
 
 
 def test_the_physics_holds_one_schedule_chunk(monkeypatch):

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -8,7 +10,8 @@ import pytest
 from cpodrift.cli import main
 from cpodrift.config import fingerprint_config
 from cpodrift.errors import UsageError
-from cpodrift.experiments import EXPERIMENT_NAMES, experiment_config, run_experiment
+from cpodrift.experiments import (EXPERIMENT_NAMES, experiment_config, run_comparison,
+                                  run_experiment)
 from cpodrift.fingerprint import Claim
 from cpodrift.telemetry import COLUMNS, write_csv
 from test_telemetry import FORECAST_LOG_SHA256, TELEMETRY_SHA256, _sha256
@@ -54,6 +57,26 @@ def test_comparison_experiment(tmp_path):
     assert res.ok
     data = json.loads((tmp_path / "comparison.json").read_text())
     assert 1.0 < data["improvement_ratio"] < 10.0
+
+
+def test_the_comparison_audit_claim_counts_the_violations(monkeypatch):
+    # each chunk's audit reports one violation more: the claim fails and
+    # counts them over the three mode runs
+    sim = importlib.import_module("cpodrift.simulate")
+    audit = sim.causality_audit
+
+    def violating(log, stamps):
+        report = audit(log, stamps)
+        return report._replace(violations=(*report.violations, (0.0, 1.0)))
+
+    monkeypatch.setattr(sim, "causality_audit", violating)
+    cfg = experiment_config("comparison")
+    n = 3 * math.ceil(cfg.workload.step_count / sim._CHUNK_STEPS)
+    report = run_comparison(cfg)
+    assert report.audit_violations == n and not report.audit_ok
+    claim = report.claims[1]
+    assert (claim.measured, claim.ok) == (f"{n} violations", False)
+    assert report.to_dict()["audit_ok"] is False
 
 
 def test_stabilization_experiment_short_run(tmp_path):

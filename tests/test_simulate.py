@@ -15,11 +15,13 @@ import pytest
 from cpodrift.config import RunConfig, comparison_config, default_config
 from cpodrift.controller import ControllerParams, Mode
 from cpodrift.errors import ConfigError
-from cpodrift.scheduler import ForecastLog, SchedulerConfig, throttle_cut
+from cpodrift.scheduler import (ForecastLog, SchedulerConfig, throttle_cut,
+                                throttle_projection)
 from cpodrift.simulate import simulate
 from cpodrift.telemetry import TelemetryFrame, write_csv
 from cpodrift.thermal import ThermalParams, _one_pole, _scan_block, gamma_of_distance
-from cpodrift.workload import BURST_SCHEDULE, WorkloadConfig, _PlanStream
+from cpodrift.workload import (BURST_SCHEDULE, WorkloadConfig, _PlanStream,
+                               density_to_power)
 from oracle import make_chunk, plan_oracle, simulate_oracle
 
 # the package attribute ``simulate`` is the function, not the module
@@ -237,8 +239,8 @@ def test_replayed_blocks_of_a_slice_match_oracle(t_slice_ms):
 
 
 def _block_sizes(monkeypatch, cfg) -> list[int]:
-    """The steps of each block the throttle sweeps in the run of ``cfg``:
-    its cuts of at least one entry column."""
+    """The rows of each throttle cut of at least one entry column in the run
+    of ``cfg``: for EWMA hints, the steps of a block the throttle sweeps."""
     sizes = []
 
     def counting_cut(entries, *args):
@@ -251,16 +253,27 @@ def _block_sizes(monkeypatch, cfg) -> list[int]:
     return sizes
 
 
-def test_replayed_hints_sweep_a_slice_per_block(monkeypatch):
-    # one burst cycle that the throttle cuts at Peak: a replayed hint is
-    # final once the blocks before its own are cut, so blocks run a slice
+def test_replayed_slots_are_cut_in_two_rows_and_ewma_blocks_in_a_horizon(
+        monkeypatch):
+    # one burst cycle that the throttle cuts at Peak: a replayed hint's slot
+    # holds its plan entry and, if its lane predecessor a slice back
+    # deferred, that one's, so each lane pass cuts every slot whose hint may
+    # breach the cap in one call, in at most two rows: without that entry
+    # and with it
     cfg = comparison_config(24)
     cfg = replace(cfg, workload=replace(cfg.workload, step_count=round(
         sum(d for _, d in BURST_SCHEDULE) / cfg.workload.step_period_ms)),
         scheduler=replace(cfg.scheduler, throttle_compensation_gain=0.9))
     sizes = _block_sizes(monkeypatch, cfg)
-    slice_steps = round(cfg.scheduler.t_slice_ms / cfg.workload.step_period_ms)
-    assert len(sizes) <= 55 and max(sizes) <= slice_steps
+    sc, dt, N = cfg.scheduler, cfg.workload.step_period_ms, cfg.workload.step_count
+    h, slice_steps = round(sc.horizon_ms / dt), round(sc.t_slice_ms / dt)
+    rho = plan_oracle(cfg.workload, cfg.seed).rho
+    both = rho[h:] + np.concatenate((np.zeros(slice_steps), rho))[h:N]
+    f_min = sim._split(lambda F: throttle_projection(
+        F, cfg.thermal, sc.throttle_compensation_gain) > sc.throttle_cap_c)[1]
+    screened = np.count_nonzero(density_to_power(both, cfg.affine_map) >= f_min)
+    assert sum(sizes) <= 2 * screened
+    assert len(sizes) <= math.ceil((N - h) / (sim._LANE_ROUNDS * slice_steps))
     # a firing reaches an EWMA hint a horizon after its step
     cfg = replace(cfg, scheduler=replace(cfg.scheduler, forecaster="ewma"))
     h = round(cfg.scheduler.horizon_ms / cfg.workload.step_period_ms)
