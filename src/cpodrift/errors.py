@@ -5,9 +5,9 @@ Every documented failure mode raises a distinct, catchable class so callers
 
 A config field declares its own range in its annotation: ``Positive``,
 ``NonNegative``, ``Fraction`` and ``AboveAbsoluteZero`` (a temperature in
-C) are floats with a rule, and a ``Literal`` lists the choices.
-:func:`check_fields` enforces both, so a section's ``__post_init__`` keeps
-only the rules that relate two or more values.
+C) are floats with a rule. :func:`check_fields` enforces them, so a
+section's ``__post_init__`` keeps only the rules that relate two or more
+values.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def check_fields(obj, section: str) -> None:
     A float is a finite real number, an int (counts and seeds) a
     non-negative integer and a bool only a bool, none of them a bool in
     disguise; ``X | None`` also takes None; a tuple is checked item by item;
-    an ``Annotated`` float must also pass its rule's test and a ``Literal``
-    be one of its choices; any other annotation is an ``isinstance`` check.
+    an ``Annotated`` float must also pass its rule's test; any other
+    annotation is an ``isinstance`` check.
     The message names the dotted field, ``section`` giving its prefix ("" at
     the root).
     """
@@ -112,10 +112,6 @@ def _check_value(tp, value, path: str) -> None:
         _check_value(tp, value, path)
         if not test(value):
             raise ConfigError(f"{path} must be {rule}, got {value!r}")
-    elif typing.get_origin(tp) is typing.Literal:
-        if value not in typing.get_args(tp):
-            raise ConfigError(
-                f"{path} must be one of {list(typing.get_args(tp))}, got {value!r}")
     elif tp is float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{path} must be a number, got {value!r}")

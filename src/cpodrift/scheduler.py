@@ -24,7 +24,7 @@ tau = 80 ms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class SchedulerConfig:
     horizon_min_ms: float = 20.0
     horizon_max_ms: float = 50.0
     t_slice_ms: float = 80.0
-    forecaster: Literal["queue_replay", "ewma"] = "queue_replay"
     ewma_half_life_ms: Positive = 40.0
     history_window_ms: Positive = 200.0  # EWMA window: the power it averages
     admission_lead_ms: float = 80.0      # how far ahead dispatches are admitted
@@ -196,7 +195,7 @@ def forecast(
 
     target = t_ms + horizon_ms
 
-    slot = _slot_entries(f, target) if config.forecaster == "queue_replay" else []
+    slot = _slot_entries(f, target)
     if slot:
         return HintForecast(
             horizon_ms=horizon_ms,

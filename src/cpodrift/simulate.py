@@ -24,11 +24,11 @@ the forecast power and horizon of a hint. So a run is two passes, and
   hint reads its own slot alone, so the throttle's LIFO cut
   (:func:`throttle_cut`) of a slot depends on one bit, whether the slot a
   slice back deferred into it: the pass cuts each slot both ways at once
-  and chains the bit along these lanes. EWMA hints read a window of
-  slots, so the pass sweeps them in blocks of a horizon's steps. A chunk
-  is final once swept; the pass reads the plan as far ahead as a firing
-  or the queue depth reaches and keeps the power of the EWMA window
-  behind the chunk.
+  and chains the bit along these lanes. Only the hints of the run's last
+  horizon, whose slots lie past the last step, fall back to the EWMA of
+  the dispatched power, read once the lane pass is done. A chunk is final
+  then; the pass reads the plan as far ahead as a firing or the queue
+  depth reaches and keeps the power the fallback's window reads.
 * Physics pass: the plant's response to the dispatched power
   (:func:`thermal.respond`), then the compensator's bias from that
   response and the hint stream (:func:`controller.compensate`), both
@@ -76,7 +76,7 @@ from .scheduler import (
     throttle_cut,
     throttle_projection,
 )
-from .telemetry import _CELLS, _ROW, COLUMNS, TelemetryFrame, write_rows
+from .telemetry import _CELLS, _ROW, COLUMNS, TelemetryFrame, csv_file, write_rows
 from .thermal import _response, peak_junction_temperature
 from .workload import (
     STATE_BY_NAME,
@@ -170,10 +170,10 @@ def _summarize(config: RunConfig) -> SimulationSummary:
 def write_run(config: RunConfig, telemetry_path, log_path,
               columns=()) -> tuple[SimulationSummary, AuditReport, dict]:
     """Run ``config`` and write its telemetry and forecast-log CSVs chunk by
-    chunk; return the summary, the audit and the named ``columns``, whole."""
+    chunk; return the summary, the audit and the named ``columns``, whole.
+    A run that fails leaves neither file."""
     stats, (keep, kept) = _Summary(config), _keeper(config, columns)
-    with open(telemetry_path, "w", newline="") as tel, \
-            open(log_path, "w", newline="") as log:
+    with csv_file(telemetry_path) as tel, csv_file(log_path) as log:
         tel.write(",".join(COLUMNS) + "\n")
         log.write(LOG_HEADER)
         files = ((tel, COLUMNS), (log, _LOG_COLUMNS))
@@ -335,41 +335,40 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     steps at a time, each with the times and load state of its steps: the
     chunks of the run without their physics.
 
-    A hint replays the admitted queue at t + horizon and falls back to the
-    half-life weighted mean of the dispatched power where the plan no longer
-    covers that slot. Where the throttle fires it takes the newest entries
-    out of the forecast slot (:func:`throttle_cut`). An entry taken out for
-    the first time is deferred by one execution slice; that changes the
-    dispatched power of two slots and so the hints that read them, all
-    at least a horizon after the firing step. One that would land past the
-    last step is outstanding: counted, not dispatched. An entry that was
-    deferred before is shed: counted and dropped. So a slot holds its plan
-    entry and at most the one entry deferred into it from a slice before,
-    kept in per-step arrays beside the plan, and a run defers at most once
-    per step.
+    A hint replays the admitted queue at t + horizon. On the run's last
+    horizon the plan no longer covers that slot, and the hint falls back to
+    the half-life weighted mean of the dispatched power. Where the throttle
+    fires it takes the newest entries out of the forecast slot
+    (:func:`throttle_cut`). An entry taken out for the first time is
+    deferred by one execution slice; that changes the dispatched power of
+    two slots and so the hints that read them, all at least a horizon after
+    the firing step. One that would land past the last step is
+    outstanding: counted, not dispatched. An entry that was deferred before
+    is shed: counted and dropped. So a slot holds its plan entry and at
+    most the one entry deferred into it from a slice before, kept in
+    per-step arrays beside the plan, and a run defers at most once per
+    step.
 
     A hint may breach the cap iff the cut's own projection of it does,
     which is nondecreasing in the hint's power, so iff the power is at
-    least one :func:`_split` finds once a run. A firing at step s edits
+    least one :func:`_split` finds once a run. Only replayed hints forecast
+    a slot of the run, so only they can fire. A firing at step s edits
     slot s + h, which of the replayed hints only its own reads, and slot
     s + h + slice, read by the replayed hint of step s + slice (the config
     keeps h < slice). So a slot's cut depends on one bit, whether its lane
     predecessor a slice back deferred into it: a lane pass over
     ``_LANE_ROUNDS`` slices cuts every slot that may fire without that
     entry and with it in one :func:`throttle_cut`, chains the bit along
-    the lanes a slice-round at a time and applies the cuts at once. EWMA
-    hints read both slots from step s + h on, so for them the pass sweeps
-    blocks of a horizon's steps, whose hints are then final, from each
-    step that may fire, and every hint a firing retimes joins them. Either
-    way it then takes the EWMA hints a firing retimes past the steps that
-    can fire.
+    the lanes a slice-round at a time and applies the cuts at once. The
+    fallback hints of a chunk then read the power the lane pass left.
 
     Every edit of a firing lands after its step, so a chunk's rows are
-    final once it is swept. The pass holds its step buffers (the plan,
-    the dispatched density and power, and from the first hint that may
-    breach the cap on the deferred entries and the queue-depth moves) from
-    ``win`` steps before the chunk (the EWMA window) to as far past it as a firing
-    reaches (horizon plus slice) or the queue depth reads (admission lead).
+    final once its lane pass is done. The pass holds its step buffers (the
+    plan, the dispatched density and power, and from the first hint that
+    may breach the cap on the deferred entries and the queue-depth moves)
+    from the chunk, or from the first step the fallback's window reads if
+    that is sooner, to as far past it as a firing reaches (horizon plus
+    slice) or the queue depth reads (admission lead).
     A chunk holds views of its planned density to an admission lead past it
     and of its queue-depth moves, and the total of the moves before it: the
     depth after step lo - 1 is the streams planned over [lo, lo + lead)
@@ -395,8 +394,8 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     w = 0.5 ** (np.arange(win) * dt / sc.ewma_half_life_ms)
     norm = np.cumsum(w)
     reach = max(h + slice_steps, adm)
-    lanes = sc.forecaster == "queue_replay"
-    replay = max(0, N - h) if lanes else 0
+    replay = N - h      # the hints that replay the queue; the rest fall back
+    window_start = max(0, replay - win + 1)     # the fallback's first read
     block = _LANE_ROUNDS * slice_steps     # steps per lane pass
     f_min = _split(lambda F: throttle_projection(F, thermal, gain) > cap)[1]
     ramp = np.arange(min(N, _CHUNK_STEPS), dtype=float)
@@ -411,28 +410,6 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
     bufs = (np.empty(0, dtype=np.uint8), floats, floats, floats)
     b = top = 0
     moves_before = 0    # the queue-depth moves of the steps before lo
-
-    def ewma(s0: int, s1: int) -> None:
-        """F over steps [s0, s1): the weighted mean of the trailing power
-        window ending at each, ``w[d]`` weighing the power d steps back.
-        Steps before the run weigh in as zero power, and the mean divides
-        by the weights of the steps inside the run."""
-        # each row sums the whole of w, so its bits do not depend on the
-        # rows it is summed with, and chunking stays invisible
-        if s0 < s1:
-            pad = max(0, win - 1 - s0)
-            x = np.concatenate((np.zeros(pad), P[s0 + pad - win + 1 - b:s1 - b]))
-            F[s0 - lo:s1 - lo] = np.convolve(x, w, "valid") / norm[
-                np.minimum(np.arange(s0, s1), win - 1)]
-
-    def taken(own: np.ndarray, x: np.ndarray, counts: np.ndarray,
-              hint: np.ndarray) -> np.ndarray:
-        """How many newest entries the throttle takes out of slots of plan
-        entries ``own`` and, where ``counts`` is 2, deferred ``x``."""
-        entries = np.empty((own.size, 2))
-        entries[:, 0] = own if plan_first else np.where(counts > 1, x, own)
-        entries[:, 1] = x if plan_first else own
-        return throttle_cut(entries, counts, hint, cap, thermal, gain, wmap)[0]
 
     def cut(s: np.ndarray, counts: np.ndarray, n_out: np.ndarray) -> None:
         """Take the ``n_out`` > 0 newest entries out of the slots of steps
@@ -485,21 +462,18 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
         F = np.empty(hi - lo)
         r = max(0, min(hi, replay) - lo)    # replay rows
         F[:r] = P[lo + h - b:lo + h + r - b]
-        ewma(lo + r, hi)
         newest = ramp[:hi - lo] + lo    # the chunk's steps
         t_ms = newest * dt
         np.maximum(newest[:r] + (h - adm), 0.0, out=newest[:r])
         newest *= dt
 
-        # the hints that may breach the cap, among the steps [lo, end) whose
-        # hint forecasts a slot of the run
-        end = max(lo, min(hi, N - h)) if sc.throttle_enabled else lo
-        may = F >= f_min
-        may[end - lo:] = False
-        if may.any() and not moves:     # the first firing may come
-            moves = [np.full(top - b, v) for v in (0.0, -1, 0)]
-            bufs += tuple(moves)
-        if lanes and may.any():
+        # the lane pass, over the replayed hints of [lo, end) if one may
+        # breach the cap
+        end = lo + r if sc.throttle_enabled else lo
+        if (F[:end - lo] >= f_min).any():
+            if not moves:       # the first firing may come
+                moves = [np.full(top - b, v) for v in (0.0, -1, 0)]
+                bufs += tuple(moves)
             into_rho, into_n, _ = moves
             for a0 in range(lo, end, block):
                 n, j0 = min(block, end - a0), a0 + h - b
@@ -517,12 +491,18 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
                 if not c0.size:
                     continue
                 # each slot's cut without x and with it, where its hint may
-                # breach the cap, and whether it defers its plan entry
+                # breach the cap: its entries in queue order, x behind the
+                # plan entry iff that was admitted first
                 c = np.concatenate((c0, c1))
+                first, second = (own, x) if plan_first else (x, own)
+                entries = np.stack((np.concatenate((own[c0], first[c1])),
+                                    second[c]), 1)
                 t = np.zeros((2, n), int)
-                t[0, c0], t[1, c1] = np.split(taken(
-                    own[c], x[c], np.repeat((1, 2), (c0.size, c1.size)),
-                    np.concatenate((F0[c0], F1[c1]))), (c0.size,))
+                t[0, c0], t[1, c1] = np.split(throttle_cut(
+                    entries, np.repeat((1, 2), (c0.size, c1.size)),
+                    np.concatenate((F0[c0], F1[c1])), cap, thermal, gain,
+                    wmap)[0], (c0.size,))
+                # and whether it defers its plan entry
                 d = t >= ([[1], [2]] if plan_first else 1)
                 # chain the bit along the lanes, a slice-round at a time
                 has = into_n[j0:j0 + n] >= 0    # known in the first round
@@ -533,28 +513,20 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
                 t = np.where(has, t[1], t[0])
                 c = np.flatnonzero(t)
                 cut(a0 + c, 1 + has[c], t[c])
-            ewma(end, hi)   # the EWMA hints past the steps that can fire
-        elif may.any():
-            # EWMA hints: from each step whose hint may breach the cap, a
-            # block of a horizon's steps has final hints
-            into_rho, into_n, _ = moves
-            a = lo
-            while a < end:
-                a += int(may[a - lo:end - lo].argmax())
-                if not may[a - lo]:
-                    break
-                k, a = a, min(a + h, end)
-                ewma(k, a)
-                j = slice(k + h - b, a + h - b)
-                counts = 1 + (into_n[j] >= 0)
-                t = taken(prho[j], into_rho[j], counts, F[k - lo:a - lo])
-                c = np.flatnonzero(t)
-                if c.size:
-                    cut(k + c, counts[c], t[c])
-                    # the hints whose window holds a changed slot
-                    may[k + h - lo:a + h + slice_steps + win - lo] = True
-            if may[end - lo:].any():
-                ewma(end, hi)   # retimed hints of the steps that cannot fire
+
+        if r < hi - lo:
+            # the fallback hints of [s0, hi): the weighted mean of the
+            # trailing power window ending at each, ``w[d]`` weighing the
+            # power d steps back. Steps before the run weigh in as zero
+            # power, and the mean divides by the weights of the steps
+            # inside the run. Each row sums the whole of w, so its bits do
+            # not depend on the rows it is summed with, and chunking stays
+            # invisible.
+            s0 = lo + r
+            pad = max(0, win - 1 - s0)
+            x = np.concatenate((np.zeros(pad), P[s0 + pad - win + 1 - b:hi - b]))
+            F[r:] = np.convolve(x, w, "valid") / norm[
+                np.minimum(np.arange(s0, hi), win - 1)]
 
         at = slice(lo - b, hi - b)
         depth_moves = moves[2][at] if moves else 0
@@ -563,7 +535,7 @@ def _dispatch(config: RunConfig) -> Iterator[_Chunk]:
             deferrals, outstanding_density, outstanding_entries, shed_density,
             shed_entries, prho[at.start:min(hi + adm, N) - b], moves_before)
         moves_before += int(np.sum(depth_moves))
-        drop = max(0, hi - win + 1) - b
+        drop = min(hi, window_start) - b
         bufs = tuple(x[drop:] for x in bufs)
         b += drop
 

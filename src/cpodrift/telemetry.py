@@ -245,13 +245,17 @@ def write_rows(files, columns, cells) -> None:
 
 @contextmanager
 def csv_file(path):
-    """``path`` open to write a CSV; a cell that is not UTF-8 text (a lone
-    surrogate) raises an InputError naming it and the path, leaving no file."""
+    """``path`` open to write a CSV. Any error while it is open removes the
+    file, so no partial CSV is left; a cell that is not UTF-8 text (a lone
+    surrogate) raises an InputError naming it and the path."""
+    fh = open(path, "w", newline="")
     try:
-        with open(path, "w", newline="") as fh:
+        with fh:
             yield fh
-    except UnicodeEncodeError as e:
+    except BaseException as e:
         os.remove(path)
+        if not isinstance(e, UnicodeEncodeError):
+            raise
         at = max(e.object.rfind(c, 0, e.start) for c in ",\n") + 1
         cell = e.object[at:].split("\n")[0].split(",")[0]
         raise InputError(f"{path}: {cell!r} is not UTF-8 text") from None

@@ -32,11 +32,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cpodrift.config import (RunConfig, comparison_config, default_config,
-                              stabilization_config)
+from cpodrift.config import (RunConfig, comparison_config, config_from_dict,
+                              default_config, stabilization_config)
 from cpodrift.experiments import run_experiment
 from cpodrift.controller import ControllerParams, Mode
-from cpodrift.errors import InputError
+from cpodrift.errors import ConfigError, InputError
 from cpodrift.scheduler import ForecastLog, SchedulerConfig
 from cpodrift.scheduler import throttle_projection
 from cpodrift.thermal import _SCAN_MAX_BLOCK, ThermalParams, _one_pole, _scan_block
@@ -60,19 +60,32 @@ ONE_CHUNK = 1 << 40
 MEANS = ("mean_residual_c", "mean_drift_nm")
 
 
-# a throttle cap each forecaster's hints breach a few hundred times in 2C
-# steps of bursts, short of the runaway re-deferral of a lower cap
-_CAP = {"queue_replay": 4.36, "ewma": 4.2}
+# a throttle cap the replayed hints breach a few hundred times in 2C steps
+# of bursts, short of the runaway re-deferral of a lower cap
+_CAP = 4.36
 
 
-def _cfg(steps, mode=Mode.PREDICTIVE, forecaster="queue_replay", throttle=True,
+def _scheduler(source="queue_replay", admission_lead_ms=80.0, **kw):
+    """Scheduler settings whose runs end in hints of ``source``. Every run
+    replays the queue and falls back to the EWMA of the dispatched power
+    on its last horizon: "queue_replay" keeps the default times, so the
+    hints of a run's last 30 ms fall back, and "ewma" takes horizon, slice
+    and admission lead ten times as long, so those of its last 300 ms do,
+    across chunk edges."""
+    if source == "ewma":
+        kw |= dict(horizon_ms=300.0, horizon_max_ms=300.0, t_slice_ms=800.0)
+        admission_lead_ms *= 10
+    return SchedulerConfig(admission_lead_ms=admission_lead_ms, **kw)
+
+
+def _cfg(steps, mode=Mode.PREDICTIVE, source="queue_replay", throttle=True,
          schedule=BURST_SCHEDULE, scheduler=None, **controller_kw):
     return RunConfig(
         seed=5,
         workload=WorkloadConfig(step_count=steps, schedule=schedule),
-        scheduler=scheduler or SchedulerConfig(
-            forecaster=forecaster, throttle_enabled=throttle,
-            throttle_compensation_gain=0.9, throttle_cap_c=_CAP[forecaster]),
+        scheduler=scheduler or _scheduler(
+            source, throttle_enabled=throttle, throttle_compensation_gain=0.9,
+            throttle_cap_c=_CAP),
         controller=ControllerParams(mode=mode, **controller_kw),
     )
 
@@ -141,47 +154,46 @@ def test_chunk_edges_change_no_bit(monkeypatch, steps, mode):
 
 
 @pytest.mark.parametrize("throttle", [True, False])
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("source", ["queue_replay", "ewma"])
 @pytest.mark.parametrize("mode", list(Mode))
 def test_chunk_edges_change_no_bit_for_every_forecaster(
-        monkeypatch, mode, forecaster, throttle):
+        monkeypatch, mode, source, throttle):
     run = _assert_chunking_changes_nothing(
-        monkeypatch, _cfg(2 * C + 7, mode, forecaster, throttle))
+        monkeypatch, _cfg(2 * C + 7, mode, source, throttle))
     assert (run.summary.throttle_deferrals > 0) == throttle
 
 
 @pytest.mark.parametrize("admission_lead_ms", [80.0, 160.0],
                          ids=["deferred_first", "plan_first"])
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("source", ["queue_replay", "ewma"])
 @pytest.mark.parametrize("steps", [C - 1, C, C + 1, 2 * C + 7])
-def test_schedule_pass_chunk_edges(monkeypatch, steps, forecaster,
+def test_schedule_pass_chunk_edges(monkeypatch, steps, source,
                                    admission_lead_ms):
     # deferred entries join their new slot ahead of its plan entry, or
     # behind it once the admission lead covers horizon plus slice
-    sc = SchedulerConfig(forecaster=forecaster, throttle_compensation_gain=0.9,
-                         throttle_cap_c=_CAP[forecaster],
-                         admission_lead_ms=admission_lead_ms)
+    sc = _scheduler(source, admission_lead_ms, throttle_compensation_gain=0.9,
+                    throttle_cap_c=_CAP)
     run = _assert_chunking_changes_nothing(monkeypatch, _cfg(steps, scheduler=sc))
     assert run.summary.throttle_deferrals > 0
 
 
 @pytest.mark.parametrize("admission_lead_ms", [80.0, 160.0])
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
-def test_throttle_work_straddles_a_chunk_edge(monkeypatch, forecaster,
+@pytest.mark.parametrize("source", ["queue_replay", "ewma"])
+def test_throttle_work_straddles_a_chunk_edge(monkeypatch, source,
                                               admission_lead_ms):
     # a weak compensation credit and a cap only Peak breaches; Peak starts
     # 292 steps before the edge and the run ends 60 steps after it, so
     # firings, the slots they move work into, the work they shed, the EWMA
-    # windows they retime and the work they push past the last step all lie
-    # on both sides
-    sc = SchedulerConfig(forecaster=forecaster, throttle_compensation_gain=0.5,
-                         throttle_cap_c=20.0, admission_lead_ms=admission_lead_ms)
+    # fallback windows they retime and the work they push past the last
+    # step all lie on both sides
+    sc = _scheduler(source, admission_lead_ms, throttle_compensation_gain=0.5,
+                    throttle_cap_c=20.0)
     cfg = _cfg(C + 60, schedule=(("Low", 7900.0), ("Peak", 600.0)), scheduler=sc)
     run = _assert_chunking_changes_nothing(monkeypatch, cfg)
     assert run.summary.outstanding_entries > 0
     # the replayed hint sees the entries deferred into a slot and sheds
-    # them; the trailing mean lets them through
-    assert (run.summary.shed_entries > 0) == (forecaster == "queue_replay")
+    # them; an 800 ms slice defers every entry past the last step
+    assert (run.summary.shed_entries > 0) == (source == "queue_replay")
     moved = run.frame.rho != plan_oracle(cfg.workload, cfg.seed).rho
     assert moved[C - 300:C].any() and moved[C:].any()
     _assert_matches_oracle(cfg)
@@ -262,29 +274,28 @@ _BURSTS = 20007
 
 
 def _any_cut_cases():
-    for forecaster in ("queue_replay", "ewma"):
+    for source in ("queue_replay", "ewma"):
         for mode in Mode:
             for cut in _CUTS:
-                yield pytest.param(_cfg(_BURSTS, mode, forecaster), cut,
-                                   id=f"{mode.value}-{forecaster}-{cut}")
+                yield pytest.param(_cfg(_BURSTS, mode, source), cut,
+                                   id=f"{mode.value}-{source}-{cut}")
     for mode in Mode:
         for cut in (1, 7, 64):
             yield pytest.param(_cfg(300, mode), cut, id=f"{mode.value}-300-{cut}")
-    # a window past the run: each hint sums a prefix of it, whichever chunk
-    # ends at the hint's step
-    past = _cfg(300, scheduler=SchedulerConfig(
-        forecaster="ewma", history_window_ms=1e6, throttle_cap_c=_CAP["ewma"],
+    # a window past the run and a horizon as long as it: each hint sums a
+    # prefix of the window, whichever chunk ends at the hint's step
+    past = _cfg(300, scheduler=_scheduler(
+        "ewma", history_window_ms=1e6, throttle_cap_c=_CAP,
         throttle_compensation_gain=0.9))
     for cut in (2, 6, 8):
         yield pytest.param(past, cut, id=f"window_past_the_run-{cut}")
     # a short plant block (1024 steps), a delay line past a block and a
-    # chunk, a half-millisecond step, and 9 s EWMA windows: 9,000 hints in
-    # the run's partial-window prefix, and windows across every edge
+    # chunk, a half-millisecond step, and 9 s EWMA windows across every edge
     for name, cfg in (
-            *((f"window9s-{forecaster}", _cfg(_BURSTS, scheduler=SchedulerConfig(
-                forecaster=forecaster, history_window_ms=9000.0,
-                throttle_compensation_gain=0.9, throttle_cap_c=_CAP[forecaster])))
-              for forecaster in ("queue_replay", "ewma")),
+            *((f"window9s-{source}", _cfg(_BURSTS, scheduler=_scheduler(
+                source, history_window_ms=9000.0,
+                throttle_compensation_gain=0.9, throttle_cap_c=_CAP)))
+              for source in ("queue_replay", "ewma")),
             ("tau3", replace(_cfg(_BURSTS), thermal=ThermalParams(tau_ms=3.0))),
             ("lag5000", _cfg(_BURSTS, Mode.REACTIVE, sensor_latency_ms=5000.0)),
             ("dt0.5", replace(_cfg(_BURSTS), workload=WorkloadConfig(
@@ -388,16 +399,16 @@ def test_validation90k_memory_grows_by_at_most_40_bytes_a_step(tmp_path):
     assert (long - short) / 40_000 <= 40, (short, long)
 
 
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("source", ["queue_replay", "ewma"])
 @pytest.mark.parametrize("chunk, steps", [
     (C, C - 1), (C, C), (C, C + 1),
     (C, 2 * C + 7),     # no multiple of the writer's 4,096 rows
     (5000, 12_345),     # chunks the writer's 4,096 rows do not divide
 ])
 def test_streamed_csvs_equal_the_whole_frame_written(monkeypatch, tmp_path,
-                                                    forecaster, chunk, steps):
+                                                    source, chunk, steps):
     monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
-    cfg = _cfg(steps, forecaster=forecaster)
+    cfg = _cfg(steps, source=source)
     run = sim.simulate(cfg)
     write_csv(run.frame, tmp_path / "t.csv")
     run.forecast_log.write_csv(tmp_path / "f.csv")
@@ -419,13 +430,15 @@ def _default_cfg(steps):
 
 
 # each run with the hint sources its log names and its largest queue depth:
-# both source names and one, a one-value ttft_ms table (a one-step run is
+# both source names and one (a horizon as long as the run makes every hint
+# an EWMA one), a one-value ttft_ms table (a one-step run is
 # the one whose queue depth is 0 on every step), and step counts across the
 # writer's 4,096 rows and the run's chunk of 16,384 steps
 @pytest.mark.parametrize("cfg, sources, max_depth", [
     (_throttled_cfg(), [0, 1], 578),
     (_gain_half_cfg(10_000), [0, 1], 393),
-    (_throttled_cfg(forecaster="ewma"), [1], 440),
+    (_throttled_cfg(horizon_ms=1200.0, horizon_max_ms=1200.0, t_slice_ms=1300.0,
+                    admission_lead_ms=1200.0), [1], 3898),
     (_default_cfg(1), [1], 0),
     (_default_cfg(4_097), [0, 1], 80),
     (_default_cfg(16_385), [0, 1], 259),
@@ -441,6 +454,19 @@ def test_write_run_writes_the_whole_run_files(tmp_path, cfg, sources, max_depth)
     for whole, streamed in (("t.csv", "t2.csv"), ("f.csv", "f2.csv")):
         assert (tmp_path / streamed).read_bytes() == \
             (tmp_path / whole).read_bytes(), whole
+
+
+def test_a_run_that_fails_leaves_no_csv(monkeypatch, tmp_path):
+    # noise this wide draws a negative density at step 49,246 of seed 3,
+    # a dozen 4,096-step chunks into the run: the rows written before it
+    # go with both files
+    cfg = config_from_dict({"seed": 3, "workload": {
+        "noise_sigma": 0.22, "step_count": 50_000}})
+    monkeypatch.setattr(sim, "_CHUNK_STEPS", 4096)
+    tel, log = tmp_path / "t.csv", tmp_path / "f.csv"
+    with pytest.raises(ConfigError, match="first at step 49246"):
+        sim.write_run(cfg, tel, log)
+    assert not tel.exists() and not log.exists()
 
 
 def test_write_run_formats_each_distinct_float_once(monkeypatch, tmp_path):
@@ -502,13 +528,13 @@ def test_the_audit_checks_stamp_order_across_a_chunk_edge(second, error):
             stats.add(_stamped_chunk(cfg, 3, second))
 
 
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
-def test_the_columns_of_hand_built_chunks_are_the_oracle_run(forecaster):
+@pytest.mark.parametrize("source", ["queue_replay", "ewma"])
+def test_the_columns_of_hand_built_chunks_are_the_oracle_run(source):
     # make_chunk fills every field as the schedule pass does, so columns()
     # of its chunks of a throttled oracle run, whole or cut at step 400
     # with the moves before the cut carried, give that run's queue depth,
     # ttft, sources, states and throughput
-    cfg = _throttled_cfg(forecaster=forecaster)
+    cfg = _throttled_cfg(source=source)
     ref = simulate_oracle(cfg)
     assert ref.summary.throttle_deferrals > 0
     frame, source = ref.frame, ref.forecast_log.source
@@ -536,9 +562,10 @@ def test_the_columns_of_hand_built_chunks_are_the_oracle_run(forecaster):
 def test_only_the_writers_derive_the_queue_depth_and_the_sources(monkeypatch):
     # the queue depth (an integer prefix sum) and the source codes are read
     # by the writers and the keeper alone: the summary-only run derives
-    # neither, and simulate each once a chunk. Every hint is an EWMA one,
-    # so a source array is the one integer array of ones
-    cfg = _cfg(3 * C - 5, forecaster="ewma")
+    # neither, and simulate each once a chunk. With the throttle off, the
+    # source codes and the codes of the one-value tables are the integer
+    # arrays of zeros a chunk makes
+    cfg = _cfg(3 * C - 5, throttle=False)
     made = []
     cumsum, zeros = np.cumsum, np.zeros
 
@@ -555,13 +582,13 @@ def test_only_the_writers_derive_the_queue_depth_and_the_sources(monkeypatch):
         run(cfg)
         steps = [(f, x) for f, x in made if x.dtype.kind == "i" and x.size > 100]
         return (sum(f == "cumsum" for f, _ in steps),
-                sum(f == "zeros" and bool(x.all()) for f, x in steps))
+                sum(f == "zeros" for f, _ in steps))
 
     monkeypatch.setattr(sim, "_CHUNK_STEPS", C)
     monkeypatch.setattr(np, "cumsum", counted_cumsum)
     monkeypatch.setattr(np, "zeros", counted_zeros)
     assert derived(sim._summarize) == (0, 0)
-    assert derived(sim.simulate) == (3, 3)
+    assert derived(sim.simulate) == (3, 6)
 
 
 def test_only_the_writers_and_the_cut_count_streams(monkeypatch):

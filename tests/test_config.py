@@ -3,7 +3,7 @@ import math
 import re
 import types
 from dataclasses import fields, is_dataclass, replace
-from typing import Annotated, Literal, Union, get_args, get_origin
+from typing import Annotated, Union, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -121,6 +121,8 @@ def test_section_value_validation_paths():
     # below absolute zero
     ({"thermal": {"ambient_c": -300.0}},
      r"thermal.ambient_c must be > -273.15, got -300.0"),
+    # every hint replays the queue; there is no forecaster to choose
+    ({"scheduler": {"forecaster": "ewma"}}, "scheduler.forecaster: unknown key"),
 ])
 def test_bad_values_rejected_with_field_name(data, message, tmp_path):
     with pytest.raises(ConfigError, match=message):
@@ -161,7 +163,7 @@ def _every_field_changed(d_um):
         optics=OpticParams(kappa_to=0.08, spec_band_nm=0.4, tolerance_band_nm=1.5),
         scheduler=SchedulerConfig(
             horizon_ms=25.0, horizon_min_ms=15.0, horizon_max_ms=45.0,
-            t_slice_ms=75.0, forecaster="ewma", ewma_half_life_ms=30.0,
+            t_slice_ms=75.0, ewma_half_life_ms=30.0,
             history_window_ms=150.0, admission_lead_ms=60.0, overhead_ms=0.25,
             throttle_enabled=False, throttle_cap_c=4.0,
             throttle_compensation_gain=0.9),
@@ -299,22 +301,20 @@ _INSIDE = {"> 0": (5e-324,), ">= 0": (0.0,), "in (0, 1]": (5e-324, 1.0),
 
 def _declared_rules():
     """(section, class, field, annotation) of every field of a RunConfig
-    section whose annotation is an ``Annotated`` range or a ``Literal``."""
+    section whose annotation is an ``Annotated`` range."""
     found = []
     for section, cls in field_types(RunConfig).items():
         for name, tp in field_types(cls).items() if is_dataclass(cls) else ():
             if get_origin(tp) in (Union, types.UnionType):   # X | None
                 (tp,) = (a for a in get_args(tp) if a is not type(None))
-            if get_origin(tp) in (Annotated, Literal):
+            if get_origin(tp) is Annotated:
                 found.append((section, cls, name, tp))
     return found
 
 
 def test_every_declared_range_holds_at_its_edges():
-    rules = _declared_rules()
-    ranges = [r for r in rules if get_origin(r[3]) is Annotated]
-    choices = [r for r in rules if get_origin(r[3]) is Literal]
-    assert len(ranges) == 19 and len(choices) == 1
+    ranges = _declared_rules()
+    assert len(ranges) == 19
     for section, cls, name, tp in ranges:
         _, rule, test = get_args(tp)
         for bad in _OUTSIDE[rule]:
@@ -322,10 +322,3 @@ def test_every_declared_range_holds_at_its_edges():
                     f"^{re.escape(f'{section}.{name} must be {rule}')}, got")):
                 cls(**{name: bad})
         assert all(test(ok) for ok in _INSIDE[rule]), f"{section}.{name}"
-    for section, cls, name, tp in choices:
-        with pytest.raises(ConfigError, match=(
-                f"^{re.escape(f'{section}.{name} must be one of {list(get_args(tp))}')}"
-                ", got 'oracle'")):
-            cls(**{name: "oracle"})
-        for choice in get_args(tp):
-            assert getattr(cls(**{name: choice}), name) == choice

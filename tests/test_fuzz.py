@@ -2,9 +2,9 @@
 the per-step oracle, or is rejected with a ConfigError naming its field.
 
 Each draw perturbs one to three numeric leaves of the comparison preset's
-JSON layout (``config_to_dict``), picks the mode, the forecaster and the
-throttle gain, and runs 1 to 900 steps. The generator is seeded, so the
-draws are the same on every run.
+JSON layout (``config_to_dict``), picks the mode and the throttle gain,
+and runs 1 to 900 steps. The generator is seeded, so the draws are the
+same on every run.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def _set(node, path, value):
 def _draw(rng, base, numeric):
     data = copy.deepcopy(base)
     data["controller"]["mode"] = str(rng.choice([m.value for m in Mode]))
-    data["scheduler"]["forecaster"] = str(rng.choice(["queue_replay", "ewma"]))
     data["scheduler"]["throttle_compensation_gain"] = float(
         rng.choice([0.95, 0.9, 0.5]))
     data["workload"]["step_count"] = int(rng.integers(1, 901))

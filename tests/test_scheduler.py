@@ -108,8 +108,6 @@ def test_scheduler_config_validation():
     with pytest.raises(ConfigError):
         SchedulerConfig(horizon_ms=10.0)  # below min bound
     with pytest.raises(ConfigError):
-        SchedulerConfig(forecaster="oracle")
-    with pytest.raises(ConfigError):
         SchedulerConfig(admission_lead_ms=40.0)  # < horizon_max
     with pytest.raises(ConfigError):
         SchedulerConfig(t_slice_ms=0.0)

@@ -42,12 +42,23 @@ def _small_cfg(mode=Mode.PREDICTIVE, steps=3000, seed=7, **controller_kw):
 THROTTLE_SCHEDULE = (("Low", 150), ("Peak", 300), ("Low", 150), ("Peak", 150))
 
 
-def _throttled_cfg(mode=Mode.PREDICTIVE, steps=1200, step_ms=1.0, **scheduler_kw):
+# The scheduler times of a hint source. Every run replays the queue and
+# falls back to the EWMA of the dispatched power on its last horizon:
+# "queue_replay" keeps the default 30 ms horizon, and "ewma" looks 150 ms
+# ahead, so the hints of a run's last 150 ms fall back.
+_SOURCES = {"queue_replay": {},
+            "ewma": dict(horizon_ms=150.0, horizon_max_ms=150.0, t_slice_ms=160.0,
+                         admission_lead_ms=150.0)}
+
+
+def _throttled_cfg(mode=Mode.PREDICTIVE, steps=1200, step_ms=1.0,
+                   source="queue_replay", **scheduler_kw):
     return RunConfig(
         seed=7,
         workload=WorkloadConfig(step_count=steps, step_period_ms=step_ms,
                                 schedule=THROTTLE_SCHEDULE),
-        scheduler=SchedulerConfig(throttle_compensation_gain=0.9, **scheduler_kw),
+        scheduler=SchedulerConfig(throttle_compensation_gain=0.9,
+                                  **(_SOURCES[source] | scheduler_kw)),
         controller=ControllerParams(mode=mode),
     )
 
@@ -103,27 +114,30 @@ def test_engines_match_across_horizons(horizon):
 
 
 def test_engines_match_with_ewma_forecaster():
+    # a horizon as long as the run: every hint is an EWMA fallback
     cfg = _small_cfg(steps=1500)
-    cfg = replace(cfg, scheduler=SchedulerConfig(forecaster="ewma"))
+    cfg = replace(cfg, scheduler=SchedulerConfig(
+        horizon_ms=1500.0, horizon_max_ms=1500.0, t_slice_ms=1600.0,
+        admission_lead_ms=1500.0))
     run = _assert_matches_oracle(cfg, col_tol=1e-9)
     assert all(s == 1 for s in run.forecast_log.source)
 
 
 # the 2.5 s window holds 500 steps: hints in its partial prefix and past it
-@pytest.mark.parametrize("forecaster, step_ms, window_ms", [
+@pytest.mark.parametrize("source, step_ms, window_ms", [
     ("queue_replay", 1.0, 200.0), ("queue_replay", 5.0, 200.0),
     ("ewma", 1.0, 200.0), ("ewma", 5.0, 200.0), ("ewma", 5.0, 2500.0),
 ], ids=["queue_replay-1.0", "queue_replay-5.0", "ewma-1.0", "ewma-5.0",
         "ewma-5.0-window2.5s"])
 @pytest.mark.parametrize("mode", [Mode.PREDICTIVE, Mode.REACTIVE, Mode.OPEN_LOOP])
-def test_throttled_run_matches_oracle(mode, forecaster, step_ms, window_ms):
-    cfg = _throttled_cfg(mode, forecaster=forecaster, step_ms=step_ms,
+def test_throttled_run_matches_oracle(mode, source, step_ms, window_ms):
+    cfg = _throttled_cfg(mode, source=source, step_ms=step_ms,
                          history_window_ms=window_ms)
     run = _assert_matches_oracle(cfg)
     assert run.summary.throttle_deferrals > 0
 
 
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("source", ["queue_replay", "ewma"])
 @pytest.mark.parametrize("times", [
     {"history_window_ms": 1e300},
     {"admission_lead_ms": 1e300},
@@ -131,10 +145,10 @@ def test_throttled_run_matches_oracle(mode, forecaster, step_ms, window_ms):
     {"horizon_ms": 1e299, "horizon_max_ms": 1e300, "t_slice_ms": 1e300,
      "admission_lead_ms": 1e300},
 ], ids=["window", "admission", "slice", "horizon"])
-def test_huge_scheduler_times_match_oracle(times, forecaster):
+def test_huge_scheduler_times_match_oracle(times, source):
     # times far past the run's reach are valid and read what the run's
     # length does; a hint past the last step has nothing to throttle
-    run = _assert_matches_oracle(_throttled_cfg(forecaster=forecaster, **times))
+    run = _assert_matches_oracle(_throttled_cfg(source=source, **times))
     assert (run.summary.throttle_deferrals > 0) == ("horizon_ms" not in times)
 
 
@@ -195,7 +209,7 @@ def test_schedule_reads_no_controller_field(throttle):
             variant
 
 
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
+@pytest.mark.parametrize("source", ["queue_replay", "ewma"])
 @pytest.mark.parametrize("times", [
     {},
     {"admission_lead_ms": 160.0},
@@ -203,9 +217,9 @@ def test_schedule_reads_no_controller_field(throttle):
     {"horizon_ms": 1e299, "horizon_max_ms": 1e300, "t_slice_ms": 1e300,
      "admission_lead_ms": 1e300},
 ], ids=["default", "lead", "huge_lead", "huge_horizon"])
-def test_planned_queue_depth_and_input_stamps(times, forecaster):
+def test_planned_queue_depth_and_input_stamps(times, source):
     # the whole-run index arithmetic these columns were first built with
-    cfg = _throttled_cfg(forecaster=forecaster, throttle_enabled=False, **times)
+    cfg = _throttled_cfg(source=source, throttle_enabled=False, **times)
     plan = plan_oracle(cfg.workload, cfg.seed)
     run = simulate(cfg)
     N, dt, sc = plan.rho.size, cfg.workload.step_period_ms, cfg.scheduler
@@ -214,7 +228,7 @@ def test_planned_queue_depth_and_input_stamps(times, forecaster):
     cn = np.concatenate(([0], np.cumsum(plan.n_streams)))
     steps = np.arange(N)
     depth = cn[np.minimum(steps + adm, N - 1) + 1] - cn[steps + 1]
-    replay = max(0, N - h) if forecaster == "queue_replay" else 0
+    replay = N - h
     newest = plan.t_ms.copy()
     newest[:replay] = np.maximum(0, np.arange(replay) + h - adm) * dt
     for got, want in ((run.frame.queue_depth, depth),
@@ -240,7 +254,7 @@ def test_replayed_blocks_of_a_slice_match_oracle(t_slice_ms):
 
 def _block_sizes(monkeypatch, cfg) -> list[int]:
     """The rows of each throttle cut of at least one entry column in the run
-    of ``cfg``: for EWMA hints, the steps of a block the throttle sweeps."""
+    of ``cfg``."""
     sizes = []
 
     def counting_cut(entries, *args):
@@ -253,8 +267,7 @@ def _block_sizes(monkeypatch, cfg) -> list[int]:
     return sizes
 
 
-def test_replayed_slots_are_cut_in_two_rows_and_ewma_blocks_in_a_horizon(
-        monkeypatch):
+def test_replayed_slots_are_cut_in_two_rows(monkeypatch):
     # one burst cycle that the throttle cuts at Peak: a replayed hint's slot
     # holds its plan entry and, if its lane predecessor a slice back
     # deferred, that one's, so each lane pass cuts every slot whose hint may
@@ -274,10 +287,6 @@ def test_replayed_slots_are_cut_in_two_rows_and_ewma_blocks_in_a_horizon(
     screened = np.count_nonzero(density_to_power(both, cfg.affine_map) >= f_min)
     assert sum(sizes) <= 2 * screened
     assert len(sizes) <= math.ceil((N - h) / (sim._LANE_ROUNDS * slice_steps))
-    # a firing reaches an EWMA hint a horizon after its step
-    cfg = replace(cfg, scheduler=replace(cfg.scheduler, forecaster="ewma"))
-    h = round(cfg.scheduler.horizon_ms / cfg.workload.step_period_ms)
-    assert max(_block_sizes(monkeypatch, cfg)) <= h
 
 
 def test_throttled_runs_conserve_planned_work():
@@ -335,13 +344,15 @@ def test_an_entry_is_deferred_at_most_once(monkeypatch, steps):
         run.frame.rho.sum() + s.shed_density + s.outstanding_density, rel=1e-9)
 
 
-@pytest.mark.parametrize("forecaster", ["queue_replay", "ewma"])
-def test_ewma_hints_take_work_linear_in_the_run(monkeypatch, forecaster):
-    # a 9 s window over 20,000 steps of bursts that the throttle cuts: every
-    # EWMA sum is one np.convolve, and their multiply-adds stay within three
-    # passes of the window over the run, however many hints the firings
-    # retime
-    steps, win = 20_000, 9_000
+@pytest.mark.parametrize("window_ms", [9000.0, 1e6])
+def test_ewma_hints_take_work_linear_in_the_run(monkeypatch, window_ms):
+    # 20,000 steps of bursts that the throttle cuts, with a 9 s window and
+    # with one past the run: only the hints of the run's last horizon fall
+    # back to the EWMA, one np.convolve a chunk they span, whose
+    # multiply-adds are the horizon's rows times the window, however long
+    # the run and however many firings retime the power
+    steps, h = 20_000, 30
+    win = min(round(window_ms), steps)
     work = []
     convolve = np.convolve
 
@@ -361,33 +372,36 @@ def test_ewma_hints_take_work_linear_in_the_run(monkeypatch, forecaster):
         seed=1,
         workload=WorkloadConfig(step_count=steps, schedule=BURST_SCHEDULE),
         scheduler=SchedulerConfig(
-            forecaster=forecaster, history_window_ms=9000.0,
-            throttle_compensation_gain=0.9, throttle_cap_c=4.2))
+            history_window_ms=window_ms, throttle_compensation_gain=0.9,
+            throttle_cap_c=4.2))
     assert sim._summarize(cfg).throttle_deferrals > 0
-    assert sum(work) <= 3 * steps * win
+    assert sum(work) <= h * win
 
 
 @pytest.mark.parametrize("step_ms", [1.0, 5.0])
 @pytest.mark.parametrize("window_ms", [200.0, 2500.0, 1e6])
 def test_ewma_hints_are_the_weighted_mean_of_the_power_so_far(window_ms, step_ms):
-    # steps before the run weigh in as zero power and the mean divides by
-    # the weights inside the run, so each hint is the full convolution of
-    # the dispatched power with the weights, over the weights summed as far
+    # the hints of the run's last horizon fall back to the EWMA. Steps
+    # before the run weigh in as zero power and the mean divides by the
+    # weights inside the run, so each is the full convolution of the
+    # dispatched power with the weights, over the weights summed as far
     # back as the run reaches
     steps = 3000
     cfg = RunConfig(
         seed=1,
         workload=WorkloadConfig(step_count=steps, step_period_ms=step_ms,
                                 schedule=BURST_SCHEDULE),
-        scheduler=SchedulerConfig(forecaster="ewma", history_window_ms=window_ms,
+        scheduler=SchedulerConfig(history_window_ms=window_ms,
                                   throttle_enabled=False))
     run = simulate(cfg)
     win = min(round(window_ms / step_ms), steps)
+    last = steps - round(cfg.scheduler.horizon_ms / step_ms)
     w = 0.5 ** (np.arange(win) * step_ms / cfg.scheduler.ewma_half_life_ms)
     want = np.convolve(run.frame.p_eic_w, w)[:steps] / \
         np.cumsum(w)[np.minimum(np.arange(steps), win - 1)]
-    assert (run.forecast_log.source == 1).all()
-    np.testing.assert_allclose(run.frame.hint_w, want, rtol=1e-13, atol=0)
+    assert run.forecast_log.source.tolist() == [0] * last + [1] * (steps - last)
+    np.testing.assert_allclose(run.frame.hint_w[last:], want[last:], rtol=1e-13,
+                               atol=0)
 
 
 # sha256 of the telemetry and forecast-log CSVs of throttled runs under the

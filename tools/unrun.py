@@ -5,8 +5,7 @@ line counter, in a temporary directory, and prints each function or method
 (nested ones included) none of whose body statements ran:
 
 * ``experiment`` for each of the five experiments;
-* ``simulate --out`` on a throttled ``queue_replay`` config and on its
-  ``ewma`` twin;
+* ``simulate --out`` on a throttled config;
 * ``compare`` and ``verify``;
 * ``fingerprint`` on three CSVs: the ``validation90k`` and ``fingerprint``
   experiments' telemetry and the throttled ``simulate`` run's, which covers
@@ -50,17 +49,13 @@ def commands(tmp: Path) -> list[list[str]]:
 
     out = tmp / "out"
     argv = [["experiment", name, "--out", str(out)] for name in EXPERIMENT_NAMES]
-    for forecaster in ("queue_replay", "ewma"):
-        cfg = dict(THROTTLED, scheduler=dict(THROTTLED["scheduler"],
-                                             forecaster=forecaster))
-        path = tmp / f"{forecaster}.json"
-        path.write_text(json.dumps(cfg))
-        argv.append(["simulate", "--config", str(path), "--out",
-                     str(tmp / forecaster)])
+    path = tmp / "throttled.json"
+    path.write_text(json.dumps(THROTTLED))
+    argv.append(["simulate", "--config", str(path), "--out", str(tmp / "throttled")])
     argv += [["compare"], ["verify"]]
     for csv in (out / "validation90k_telemetry.csv",
                 out / "fingerprint_telemetry.csv",
-                tmp / "queue_replay" / "telemetry.csv"):
+                tmp / "throttled" / "telemetry.csv"):
         argv.append(["fingerprint", str(csv), "--out", str(tmp / "fp")])
     return argv
 
